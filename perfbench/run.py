@@ -15,6 +15,13 @@ threaded and has no queue, so no layer waits and no wait metric exists.
 
 The BLAS thread count is pinned to 1 before numpy is imported: on a small
 machine the default threading makes the figures measure the scheduler.
+
+Times are reported in reference seconds: a fixed calibration kernel (numpy
+sorts, a small matrix product and a Python loop; no textlime code) runs
+before and after every op and after every set-up, and each time is scaled by
+``REFERENCE_S`` over the kernel's time around it. A shared machine can change
+speed by a third for tens of seconds; the scaling cancels that, so runs made
+minutes apart stay comparable. Raw wall times are printed above the result.
 Exit code 0 means the benchmark ran; a failed op is reported, not fatal.
 """
 
@@ -50,11 +57,29 @@ DIGEST_BLOCKS = 8
 MIN_OPS = 11  # the tail percentile needs ten ops beyond it
 WARMUP_OPS = 4  # untimed, from a block no measured op comes from
 PROBE_TIMEOUT_S = 60
+REFERENCE_S = 0.003  # what the calibration kernel takes on the reference machine
 
 
 
 class BenchmarkError(RuntimeError):
     """The benchmark itself cannot produce a trustworthy result."""
+
+
+def calibrate(repeats=1):
+    """Median wall time of a fixed kernel; needs numpy, so runs after set-up."""
+    import numpy as np
+
+    data = np.random.default_rng(0).random((2000, 32))
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        data.argsort(axis=1).argsort(axis=1)
+        data.T @ (data * 0.5)
+        total = 0.0
+        for i in range(40000):
+            total += i * 0.5
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 def parse_args(argv):
@@ -101,7 +126,7 @@ def set_up(workload, seed, tmp):
     tl = import_program()
     state = workload.setup(prepared, tmp)
     setup_s = time.perf_counter() - start
-    return tl, prepared, state, setup_s
+    return tl, prepared, state, {"raw": setup_s, "scaled": setup_s * REFERENCE_S / calibrate(3)}
 
 
 def probe_setup(args):
@@ -109,8 +134,8 @@ def probe_setup(args):
     workload = wl.WORKLOADS[args.workload]
     tmp = OUT / ("probe-%d" % os.getpid())
     try:
-        _, prepared, state, setup_s = set_up(workload, args.seed, tmp)
-        print(json.dumps({"setup_s": setup_s, "digest": digest(workload, args.seed, prepared, state)}))
+        _, prepared, state, setup = set_up(workload, args.seed, tmp)
+        print(json.dumps({"setup": setup, "digest": digest(workload, args.seed, prepared, state)}))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -143,8 +168,12 @@ def check_purity(workload, seed, prepared, state, expected, probes):
 
 
 def run_ops(workload, state, ops, declined, tracer=None):
-    """Run ops one after another; time each call, then collect its output untimed."""
+    """Run ops one after another; time each call, then collect its output untimed.
+
+    ``latency`` is in reference seconds, ``wall`` the raw wall time.
+    """
     records = []
+    before = calibrate()
     for op in ops:
         call = workload.stage(state, op)
         outcome, detail, raw = None, "", None
@@ -156,13 +185,17 @@ def run_ops(workload, state, ops, declined, tracer=None):
         except Exception:  # a failed op is recorded and the loop goes on
             outcome, detail = wl.FAILED, traceback.format_exc(limit=3)
         latency = time.perf_counter() - start
+        after = calibrate()
+        scaled = latency * REFERENCE_S / ((before + after) / 2.0)
+        before = after
         result = None
         if outcome is None:
             try:
                 result = workload.collect(state, op, raw)
             except Exception:  # unreadable output is a failed op
                 outcome, detail = wl.FAILED, traceback.format_exc(limit=3)
-        records.append({"op": op, "latency": latency, "outcome": outcome, "detail": detail, "result": result})
+        records.append({"op": op, "latency": scaled, "wall": latency, "outcome": outcome, "detail": detail,
+                        "result": result})
     return records
 
 
@@ -170,7 +203,7 @@ def closed_loop(workload, state, seed, seconds, declined):
     """Blocks of ops until `seconds` have passed at a block boundary.
 
     Returns the op records, the ops, and each block's throughput in ops per
-    second of op time.
+    reference second of op time.
     """
     records, ops, rates = [], [], []
     start = time.perf_counter()
@@ -213,13 +246,6 @@ def self_check(workload, state, records):
     if not pass_ratio(records + [{"outcome": outcome}]) < pass_ratio(records):
         raise BenchmarkError("an injected wrong output was not counted as failed")
     return "injected wrong output counted as failed"
-
-
-def sustained(rates):
-    """Throughput reached in at least three blocks of four: the lower quartile
-    of the block throughputs. On a shared machine the speed jumps for seconds
-    at a time; the lower quartile ignores such bursts, the median does not."""
-    return statistics.quantiles(rates, n=4, method="inclusive")[0] if len(rates) > 1 else rates[0]
 
 
 def tail(latencies):
@@ -300,18 +326,23 @@ def report(lines, records, metrics):
     }))
 
 
-def end_to_end(setup_s, probes, latencies, rates, records, lines):
-    setups = [setup_s] + [p["setup_s"] for p in probes]
+def end_to_end(setup, probes, records, rates, lines):
+    setups = [setup] + [p["setup"] for p in probes]
+    latencies = [r["latency"] for r in records]
+    walls = [r["wall"] for r in records]
     op_tail, pct = tail(latencies)
     metrics = with_units({
-        "setup_s": statistics.median(setups),
-        "ops_per_s": sustained(rates),
+        "setup_s": statistics.median(s["scaled"] for s in setups),
+        "ops_per_s": statistics.median(rates),
         "op_p50_ms": 1000.0 * statistics.median(latencies),
         "op_tail_ms": 1000.0 * op_tail,
         "pass_ratio": pass_ratio(records),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }, 0)
-    lines.append("setup samples (s): " + ", ".join("%.4f" % s for s in setups))
+    lines.append("set-up (reference s): " + ", ".join("%.4f" % s["scaled"] for s in setups))
+    lines.append("set-up (wall s): " + ", ".join("%.4f" % s["raw"] for s in setups))
+    lines.append("op wall time: p50 %.2f ms, 11th slowest %.2f ms"
+                 % (1000.0 * statistics.median(walls), 1000.0 * tail(walls)[0]))
     lines.append("op_tail_ms is p%.2f of %d ops" % (pct, len(latencies)))
     lines += ["%-12s %.6g %s" % (k, v, u) for k, (v, u) in metrics.items()]
     return metrics
@@ -348,7 +379,7 @@ def main(argv=None):
     workload = wl.WORKLOADS[args.workload]
     tmp = OUT / ("tmp-%d" % os.getpid())
     try:
-        tl, prepared, state, setup_s = set_up(workload, args.seed, tmp)
+        tl, prepared, state, setup = set_up(workload, args.seed, tmp)
         declined = getattr(tl, "ClosedFormDomainError", ())
         expected = digest(workload, args.seed, prepared, state)
         probes = fresh_setups(args, SETUP_SAMPLES - 1) if args.trace == 0 else []
@@ -380,7 +411,7 @@ def main(argv=None):
             lines.append("normal-equation residual: max %.3g over %d rebuilt batches" % (max(residuals), len(residuals)))
 
         if args.trace == 0:
-            metrics = end_to_end(setup_s, probes, untraced, rates, records, lines)
+            metrics = end_to_end(setup, probes, records, rates, lines)
         else:
             metrics = per_layer(args, env, tracer, untraced, traced, records, lines)
         report(lines, records, metrics)
