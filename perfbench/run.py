@@ -348,7 +348,7 @@ def end_to_end(setup, probes, records, rates, lines):
     return metrics
 
 
-def per_layer(args, env, tracer, untraced, traced, records, lines):
+def per_layer(args, env, tl, tracer, untraced, traced, records, lines):
     import spans
 
     layer, check = spans.layer_metrics(tracer)
@@ -356,12 +356,15 @@ def per_layer(args, env, tracer, untraced, traced, records, lines):
         raise BenchmarkError("self times do not add up to the traced op time: %s" % check)
     layer["trace_overhead"] = statistics.median(r["latency"] for r in traced) / statistics.median(untraced)
     layer["theory.declined_ratio"] = sum(r["outcome"] == wl.DECLINED for r in records) / len(records)
+    probe = wl.bandwidth_probe(tl)
+    layer["theory.probe_sound_ratio"] = probe["sound_ratio"]
     metrics = with_units(layer, 1)
     path = OUT / ("spans-%s-seed%d.jsonl" % (args.workload, args.seed))
     tracer.write(path, {"env": env, "sum_check": check, "not_observed": tracer.not_observed})
     lines.append("spans written to %s" % path.relative_to(ROOT))
     lines.append("no layer waits: one thread, no queue; no wait metric is recorded")
     lines.append("not observed: " + (", ".join(tracer.not_observed) or "none"))
+    lines.append("bandwidth probe, single indicator off e_j (untimed): " + (", ".join(probe["wrong"]) or "none"))
     lines.append("sum check: self times + unattributed = %.4f ms, traced op = %.4f ms over %d ops"
                  % (check["self_plus_unattributed_ms"], check["traced_op_ms"], check["ops"]))
     lines.append("computed, not measured: sampling.draw_feature_matrix.cells, surrogate.gram_flops")
@@ -413,7 +416,7 @@ def main(argv=None):
         if args.trace == 0:
             metrics = end_to_end(setup, probes, records, rates, lines)
         else:
-            metrics = per_layer(args, env, tracer, untraced, traced, records, lines)
+            metrics = per_layer(args, env, tl, tracer, untraced, traced, records, lines)
         report(lines, records, metrics)
         return 0
     finally:

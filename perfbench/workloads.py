@@ -329,7 +329,10 @@ class TheoryGrid(Workload):
     name = "theory-grid"
     DS = (31, 200, 1000)
     block_size = len(DS)
-    NU_LOG10 = (-3.0, 2.0)
+    # The closed forms are accurate to about 5e-12 here; below nu = 0.01
+    # they can return wrong values (measured by ``bandwidth_probe``), and a
+    # timed op must not fail.
+    NU_LOG10 = (-1.5, 2.0)
     GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
     def prepare(self, seed):
@@ -426,6 +429,40 @@ class TheoryGrid(Workload):
 
     def d_values(self, state, ops):
         return {"per_op": sorted({op["d"] for op in ops})}
+
+
+# Untimed probe of the narrow-bandwidth defect: every (d, nu) on this grid,
+# nu = 10^-3 .. 10^2 in quarter decades, with a single indicator.
+PROBE_NU_LOG10 = [-3.0 + 0.25 * i for i in range(21)]
+
+
+def bandwidth_probe(tl) -> dict:
+    """Share of grid points where a single indicator maps to e_j or is declined.
+
+    The timed theory-grid ops stay where the closed forms are accurate; this
+    probe keeps the narrower bandwidths visible, as a per-layer metric.
+    """
+    declined = getattr(tl, "ClosedFormDomainError", ())
+    corpus_doc = tl.load_corpus(tl.bundled_corpus_path()).documents[0]
+    sound, wrong = 0, []
+    for d in TheoryGrid.DS:
+        doc = corpus_doc if d == TheoryGrid.DS[0] else tl.Document(tokens=tuple("t%04d" % i for i in range(d)))
+        local = tl.local_dictionary(doc)
+        word = local.words[0]
+        for e in PROBE_NU_LOG10:
+            try:
+                out = tl.beta_tree(build_tree(tl, [[[word], 1.0]]), local, 10.0**e)
+            except declined:
+                sound += 1
+                continue
+            values = [out.intercept, *out.coefficients]
+            expected = [0.0] * len(values)
+            expected[1 + local.index_of(word)] = 1.0
+            if all_finite(values) and max(abs(a - b) for a, b in zip(values, expected)) <= SINGLE_TOL:
+                sound += 1
+            else:
+                wrong.append("d=%d nu=1e%+.2f" % (d, e))
+    return {"sound_ratio": sound / (len(TheoryGrid.DS) * len(PROBE_NU_LOG10)), "wrong": wrong}
 
 
 WORKLOADS = {w.name: w for w in (VerifyCorpus(), ExplainWide(), TheoryGrid())}
