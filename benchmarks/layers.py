@@ -1,0 +1,134 @@
+"""Per-layer timings of the explanation pipeline: sampler, TF-IDF
+renormalization and weighted least-squares solve.
+
+Each case times one layer at n = 5000 samples and dictionary size
+d in {12, 31, 200, 1000}, with fixed seeds, and keeps the minimum of K = 7
+runs. Only the standard library is used for timing. The record stores the
+BLAS thread setting, the CPU count, the numpy and Python versions, and the
+source it timed: the git commit of the textlime checkout (suffixed `-dirty`
+when the package differs from that commit) and a SHA-256 over the package's
+`.py` files. The record is written under its label into a JSON file,
+replacing an earlier record with the same label, so records of two commits
+can sit side by side:
+
+    PYTHONPATH=src python benchmarks/layers.py --label change --out BENCH_2.json
+
+Set OPENBLAS_NUM_THREADS before the run to fix the BLAS thread count; the
+script reads it and does not change it. The textlime package is imported
+from the Python path, so pointing PYTHONPATH at another checkout's `src`
+times that checkout with the same cases.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import time
+from pathlib import Path
+
+import numpy as np
+
+import textlime
+from textlime.corpus import Document, IdfTable, local_dictionary
+from textlime.sampling import draw_feature_matrix, sample_batch
+from textlime.surrogate import fit_weighted_ridge
+
+N = 5000
+DICTIONARY_SIZES = (12, 31, 200, 1000)
+NU = 0.25
+SEED = 20201023
+K = 7
+
+
+def _min_ms(fn) -> float:
+    best = float("inf")
+    for _ in range(K):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+def _document(d: int) -> tuple[Document, IdfTable]:
+    """d distinct words, word j repeated 1 + (j mod 3) times and seen in
+    1 + (j mod 9) of 10 corpus documents."""
+    words = tuple(f"w{j}" for j in range(d))
+    tokens = tuple(w for j, w in enumerate(words) for _ in range(1 + j % 3))
+    idf = IdfTable(words, tuple(1 + j % 9 for j in range(d)), 10)
+    return Document(tokens=tokens), idf
+
+
+def run_cases() -> list[dict]:
+    cases = []
+    for d in DICTIONARY_SIZES:
+        doc, idf = _document(d)
+        local = local_dictionary(doc)
+        batch = sample_batch(doc, local, N, NU, SEED)
+        responses = batch.tfidf_matrix(idf) @ np.linspace(-1.0, 1.0, d)
+        design = np.hstack([np.ones((N, 1)), batch.z.astype(float)])
+        timed = {
+            "sampling.draw_feature_matrix": lambda: draw_feature_matrix(
+                np.random.default_rng(SEED), N, d
+            ),
+            "sampling.tfidf_matrix": lambda: batch.tfidf_matrix(idf),
+            "surrogate.fit_weighted_ridge": lambda: fit_weighted_ridge(
+                design, batch.weights, responses
+            ),
+        }
+        for layer, fn in timed.items():
+            fn()
+            best = round(_min_ms(fn), 3)
+            cases.append({"layer": layer, "n": N, "d": d, "k": K, "min_ms": best})
+            print(f"{layer:32s} d={d:5d}  {best:9.3f} ms")
+    return cases
+
+
+def environment() -> dict:
+    return {
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "textlime": textlime.__version__,
+    }
+
+
+def source() -> dict:
+    package = Path(textlime.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode())
+        digest.update(path.read_bytes())
+    git = ["git", "-C", str(package)]
+    try:
+        commit = subprocess.run(
+            git + ["rev-parse", "--short", "HEAD"], capture_output=True, text=True, check=True
+        ).stdout.strip()
+        dirty = subprocess.run(
+            git + ["status", "--porcelain", "--", "."], capture_output=True, text=True, check=True
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit, dirty = "unknown", ""
+    return {"commit": commit + ("-dirty" if dirty else ""), "source_sha256": digest.hexdigest()}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="record name, e.g. parent or change")
+    parser.add_argument("--out", type=Path, default=Path("BENCH_layers.json"))
+    args = parser.parse_args()
+
+    record = {"label": args.label, **source()}
+    record.update(environment=environment(), cases=run_cases())
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    records = [r for r in data.get("records", []) if r["label"] != args.label]
+    data["records"] = records + [record]
+    args.out.write_text(json.dumps(data, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

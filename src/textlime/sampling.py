@@ -112,17 +112,33 @@ def draw_feature_matrix(
 
     Returns (sizes, z) with sizes of shape (n,) and z of shape (n, d),
     z[i, j] = 1 iff word j survives in sample i. Each row's removed set is
-    the sizes[i] smallest entries of an i.i.d. uniform row, hence a
-    uniform subset of that size.
+    the sizes[i] smallest entries of an i.i.d. uniform key row, hence a
+    uniform subset of that size. One sort per row finds the sizes[i]-th
+    smallest key, and the words whose key exceeds it survive.
     """
     if d < 1:
         raise ValueError("empty local dictionary")
     if n < 1:
         raise ValueError("need at least one sample")
     sizes = rng.integers(1, d + 1, size=n)
-    ranks = rng.random((n, d)).argsort(axis=1).argsort(axis=1)
-    z = (ranks >= sizes[:, None]).astype(np.int8)
+    keys = rng.random((n, d))
+    cut = np.sort(keys, axis=1)[np.arange(n), sizes - 1]
+    z = (keys > cut[:, None]).astype(np.int8)
     return sizes, z
+
+
+def renormalized_tfidf(z: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Row i = normalized TF-IDF of the words that z[i] keeps.
+
+    `masses` holds the per-word TF-IDF mass of the full document
+    (`tfidf_weights`). Deleting words changes the normalization, so
+    surviving coordinates are rescaled per row; the all-removed row maps
+    to the zero vector.
+    """
+    values = z * masses
+    norms = np.sqrt(values @ masses)[:, None]
+    np.divide(values, norms, out=values, where=norms > 0)
+    return values
 
 
 class SampleBatch(Sequence[PerturbedSample]):
@@ -177,17 +193,8 @@ class SampleBatch(Sequence[PerturbedSample]):
         return (self[i] for i in range(self.n))
 
     def tfidf_matrix(self, idf: IdfTable) -> np.ndarray:
-        """Row i = normalized TF-IDF of survivor i over the local words.
-
-        Deleting words changes the normalization, so surviving coordinates
-        are rescaled per row; the all-removed row maps to the zero vector.
-        """
-        w = tfidf_weights(self.local, idf)
-        masses = self.z * w
-        norms = np.sqrt(masses @ w)
-        out = np.zeros_like(masses, dtype=float)
-        np.divide(masses, norms[:, None], out=out, where=norms[:, None] > 0)
-        return out
+        """Row i = normalized TF-IDF of survivor i over the local words."""
+        return renormalized_tfidf(self.z, tfidf_weights(self.local, idf))
 
     def to_csv(self, path: str | Path, run: int = 0) -> None:
         """Dump the batch for debugging: run, sample, s, z-bitstring, weight."""

@@ -47,9 +47,12 @@ def fit_weighted_ridge(
 ) -> np.ndarray:
     """Solve min_beta sum_i w_i (y_i - beta . design_i)^2 + ridge ||beta||^2.
 
-    Solved through the normal equations with a positive-definite
-    factorization; on rank deficiency (possible at tiny sample counts with
-    ridge = 0) falls back to the minimum-norm least-squares solution.
+    Scales design and responses by sqrt(w) once, forms the normal
+    equations from that scaled design (a symmetric rank-k product) and
+    solves them after a positive-definite factorization check. On rank
+    deficiency (possible at tiny sample counts with ridge = 0) the same
+    scaled arrays give the minimum-norm least-squares solution. Weights
+    and responses must be finite; the inputs are not modified.
     """
     design = np.asarray(design, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -58,6 +61,8 @@ def fit_weighted_ridge(
         raise ValueError("design must be a nonempty 2-d array")
     if len(weights) != len(design) or len(responses) != len(design):
         raise ValueError("design, weights and responses must have equal length")
+    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(responses))):
+        raise ValueError("sample weights and responses must be finite")
     if np.any(weights < 0):
         raise ValueError("sample weights must be nonnegative")
     if not np.any(weights > 0):
@@ -66,20 +71,20 @@ def fit_weighted_ridge(
         raise ValueError("ridge parameter must be nonnegative")
 
     p = design.shape[1]
-    gram = design.T @ (weights[:, None] * design) + ridge * np.eye(p)
-    rhs = design.T @ (weights * responses)
+    sw = np.sqrt(weights)
+    a = sw[:, None] * design
+    b = sw * responses
+    gram = a.T @ a
+    gram.flat[:: p + 1] += ridge
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        sw = np.sqrt(weights)
-        a = sw[:, None] * design
-        b = sw * responses
         if ridge > 0:
             a = np.vstack([a, np.sqrt(ridge) * np.eye(p)])
             b = np.concatenate([b, np.zeros(p)])
         beta, *_ = np.linalg.lstsq(a, b, rcond=None)
         return beta
-    return np.linalg.solve(gram, rhs)
+    return np.linalg.solve(gram, a.T @ b)
 
 
 def fit_batch(
@@ -94,9 +99,10 @@ def fit_batch(
     perturbed document (the renormalization after deletion is what couples
     the surrogate to the embedding, so it is never skipped).
     """
-    values = batch.tfidf_matrix(idf)
-    responses = model.evaluate_matrix(values, batch.local.words)
-    design = np.hstack([np.ones((batch.n, 1)), batch.z.astype(float)])
+    responses = model.evaluate_matrix(batch.tfidf_matrix(idf), batch.local.words)
+    design = np.empty((batch.n, batch.d + 1))
+    design[:, 0] = 1.0
+    design[:, 1:] = batch.z
     beta = fit_weighted_ridge(design, batch.weights, responses, ridge)
     return Explanation(
         intercept=float(beta[0]),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
 from .models import Model
-from .sampling import draw_feature_matrix, psi
+from .sampling import draw_feature_matrix, psi, renormalized_tfidf
 
 EXACT_CLOSED_FORM = "exact-closed-form"
 LARGE_BANDWIDTH = "large-bandwidth-approx"
@@ -599,7 +599,6 @@ def beta_general_mc(
     d = local.d
     ss = sigma_set(d, nu)
     w_vec = tfidf_weights(local, idf)
-    sq = w_vec**2
 
     rng = np.random.default_rng(seed)
     total = np.zeros(d + 1)
@@ -607,11 +606,7 @@ def beta_general_mc(
     for size in _mc_chunks(n_mc):
         sizes, z = draw_feature_matrix(rng, size, d)
         kernel = psi(sizes / d, nu)
-        masses = z * w_vec
-        norms = np.sqrt((z * sq).sum(axis=1))
-        values = np.zeros_like(masses, dtype=float)
-        np.divide(masses, norms[:, None], out=values, where=norms[:, None] > 0)
-        responses = model.evaluate_matrix(values, local.words)
+        responses = model.evaluate_matrix(renormalized_tfidf(z, w_vec), local.words)
 
         t = kernel * responses
         q = z * t[:, None]
@@ -663,7 +658,6 @@ def beta_large_bandwidth(
     local = local_dictionary(document)
     d = local.d
     w_vec = tfidf_weights(local, idf)
-    sq = w_vec**2
 
     rng = np.random.default_rng(seed)
     count = 0
@@ -674,11 +668,7 @@ def beta_large_bandwidth(
     cond_sum_sq = np.zeros(d)
     for size in _mc_chunks(n_mc):
         _, z = draw_feature_matrix(rng, size, d)
-        masses = z * w_vec
-        norms = np.sqrt((z * sq).sum(axis=1))
-        values = np.zeros_like(masses, dtype=float)
-        np.divide(masses, norms[:, None], out=values, where=norms[:, None] > 0)
-        responses = model.evaluate_matrix(values, local.words)
+        responses = model.evaluate_matrix(renormalized_tfidf(z, w_vec), local.words)
         count += size
         sum_f += float(responses.sum())
         sum_f_sq += float((responses**2).sum())

@@ -19,6 +19,7 @@ from textlime import (
     weight,
 )
 from textlime.corpus import Corpus
+from textlime.sampling import draw_feature_matrix
 from textlime.theory import alpha
 
 
@@ -167,6 +168,34 @@ class TestWeight:
     def test_reference_bandwidth_unit_convention(self):
         # Reference-implementation units are 100x: nu_lime = 25 is nu = 0.25.
         assert psi(0.5, 25 / 100) == psi(0.5, 0.25)
+
+
+def double_argsort_feature_matrix(rng, n, d):
+    """Reference sampler: rank every key with a double argsort and keep the
+    words ranked at or above the removal size.
+
+    It consumes the same random stream as `draw_feature_matrix`. The two
+    forms can differ only if two 53-bit uniform keys of one row tie exactly
+    at that row's cut; the ranks then break the tie by index while the
+    threshold removes both.
+    """
+    sizes = rng.integers(1, d + 1, size=n)
+    ranks = rng.random((n, d)).argsort(axis=1).argsort(axis=1)
+    return sizes, (ranks >= sizes[:, None]).astype(np.int8)
+
+
+class TestDrawFeatureMatrix:
+    @pytest.mark.parametrize("d", [1, 2, 12, 31, 200, 1000])
+    def test_matches_double_argsort_reference(self, d):
+        n = 2000 if d < 1000 else 500
+        for seed in (0, 1, 93):
+            sizes, z = draw_feature_matrix(np.random.default_rng(seed), n, d)
+            ref_sizes, ref_z = double_argsort_feature_matrix(
+                np.random.default_rng(seed), n, d
+            )
+            assert np.array_equal(sizes, ref_sizes)
+            assert z.dtype == ref_z.dtype
+            assert np.array_equal(z, ref_z)
 
 
 class TestSampleBatch:

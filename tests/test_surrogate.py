@@ -67,16 +67,22 @@ class TestFitWeightedRidge:
         assert np.max(np.abs(beta)) < 1e-8
 
     def test_matches_independent_minimizer(self):
+        # Binary presence designs with an intercept column, as `fit_batch`
+        # builds them; the inputs must come back unmodified.
         rng = np.random.default_rng(2)
-        design = np.hstack(
-            [np.ones((200, 1)), rng.integers(0, 2, size=(200, 4)).astype(float)]
-        )
-        weights = rng.random(200)
-        responses = rng.normal(size=200)
-        for ridge in (0.0, 1.0):
-            got = fit_weighted_ridge(design, weights, responses, ridge)
-            want = minimum_norm_oracle(design, weights, responses, ridge)
-            assert np.allclose(got, want, atol=1e-8)
+        for n, d, atol in ((200, 4, 1e-8), (5000, 200, 1e-10)):
+            design = np.hstack(
+                [np.ones((n, 1)), rng.integers(0, 2, size=(n, d)).astype(float)]
+            )
+            weights = rng.random(n)
+            responses = rng.normal(size=n)
+            inputs = (design.copy(), weights.copy(), responses.copy())
+            for ridge in (0.0, 1.0):
+                got = fit_weighted_ridge(design, weights, responses, ridge)
+                want = minimum_norm_oracle(design, weights, responses, ridge)
+                assert np.allclose(got, want, rtol=0.0, atol=atol)
+            for before, after in zip(inputs, (design, weights, responses)):
+                assert np.array_equal(before, after)
 
     def test_rank_deficient_falls_back_to_minimum_norm(self):
         # Duplicate column makes the normal equations singular at ridge 0.
@@ -98,6 +104,21 @@ class TestFitWeightedRidge:
             fit_weighted_ridge(design, -np.ones(5), np.ones(5))
         with pytest.raises(ValueError, match="ridge"):
             fit_weighted_ridge(design, np.ones(5), np.ones(5), ridge=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        # Without the check one NaN or inf response silently turns every
+        # coefficient into NaN.
+        rng = np.random.default_rng(4)
+        design = np.hstack([np.ones((50, 1)), rng.integers(0, 2, size=(50, 3))])
+        responses = rng.normal(size=50)
+        responses[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_weighted_ridge(design, np.ones(50), responses)
+        weights = np.ones(50)
+        weights[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_weighted_ridge(design, weights, rng.normal(size=50))
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(3)
