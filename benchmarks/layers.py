@@ -1,9 +1,11 @@
-"""Per-layer timings of the explanation pipeline: sampler, TF-IDF
-renormalization and weighted least-squares solve.
+"""Per-layer timings of the explanation pipeline (sampler, TF-IDF
+renormalization, weighted least-squares solve) and of the theory layer.
 
-Each case times one layer at n = 5000 samples and dictionary size
-d in {12, 31, 200, 1000}, with fixed seeds, and keeps the minimum of K = 7
-runs. Only the standard library is used for timing. The record stores the
+Each pipeline case times one layer at n = 5000 samples and dictionary size
+d in {12, 31, 200, 1000}. Each theory case times `alpha_values` (orders 0..4),
+`sigma_set`, `normalization_constant` or a 20-term `beta_tree` at
+d in {31, 200, 1000}. Seeds are fixed, and every case keeps the minimum of
+K = 7 runs. Only the standard library is used for timing. The record stores the
 BLAS thread setting, the CPU count, the numpy and Python versions, and the
 source it timed: the git commit of the textlime checkout (suffixed `-dirty`
 when the package differs from that commit) and a SHA-256 over the package's
@@ -11,7 +13,7 @@ when the package differs from that commit) and a SHA-256 over the package's
 replacing an earlier record with the same label, so records of two commits
 can sit side by side:
 
-    PYTHONPATH=src python benchmarks/layers.py --label change --out BENCH_2.json
+    PYTHONPATH=src python benchmarks/layers.py --label change --out BENCH_4.json
 
 Set OPENBLAS_NUM_THREADS before the run to fix the BLAS thread count; the
 script reads it and does not change it. The textlime package is imported
@@ -34,11 +36,15 @@ import numpy as np
 
 import textlime
 from textlime.corpus import Document, IdfTable, local_dictionary
+from textlime.models import IndicatorProduct, TreeModel
 from textlime.sampling import draw_feature_matrix, sample_batch
 from textlime.surrogate import fit_weighted_ridge
+from textlime.theory import alpha_values, beta_tree, normalization_constant, sigma_set
 
 N = 5000
 DICTIONARY_SIZES = (12, 31, 200, 1000)
+THEORY_SIZES = (31, 200, 1000)
+TREE_TERMS = 20
 NU = 0.25
 SEED = 20201023
 K = 7
@@ -62,6 +68,26 @@ def _document(d: int) -> tuple[Document, IdfTable]:
     return Document(tokens=tokens), idf
 
 
+def _tree(words, rng: np.random.Generator) -> TreeModel:
+    """TREE_TERMS signed indicator products over 1..3 distinct words each."""
+    return TreeModel(
+        terms=tuple(
+            IndicatorProduct(
+                words=frozenset(str(w) for w in rng.choice(words, 1 + i % 3, replace=False)),
+                coefficient=float(rng.uniform(-2.0, 2.0)),
+            )
+            for i in range(TREE_TERMS)
+        )
+    )
+
+
+def _record(cases: list[dict], layer: str, fn, **shape) -> None:
+    fn()
+    best = round(_min_ms(fn), 3)
+    cases.append({"layer": layer, **shape, "k": K, "min_ms": best})
+    print(f"{layer:32s} d={shape['d']:5d}  {best:9.3f} ms")
+
+
 def run_cases() -> list[dict]:
     cases = []
     for d in DICTIONARY_SIZES:
@@ -80,10 +106,18 @@ def run_cases() -> list[dict]:
             ),
         }
         for layer, fn in timed.items():
-            fn()
-            best = round(_min_ms(fn), 3)
-            cases.append({"layer": layer, "n": N, "d": d, "k": K, "min_ms": best})
-            print(f"{layer:32s} d={d:5d}  {best:9.3f} ms")
+            _record(cases, layer, fn, n=N, d=d)
+    for d in THEORY_SIZES:
+        local = local_dictionary(_document(d)[0])
+        tree = _tree(local.words, np.random.default_rng(SEED))
+        timed = {
+            "theory.alpha_values": lambda: alpha_values(d, NU, 4),
+            "theory.sigma_set": lambda: sigma_set(d, NU),
+            "theory.normalization_constant": lambda: normalization_constant(d, NU),
+            "theory.beta_tree": lambda: beta_tree(tree, local, NU),
+        }
+        for layer, fn in timed.items():
+            _record(cases, layer, fn, d=d)
     return cases
 
 

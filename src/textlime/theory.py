@@ -83,19 +83,25 @@ def alpha(p: int, d: int, nu: float) -> float:
 
 
 def alpha_values(d: int, nu: float, p_max: int) -> list[float]:
-    """alpha_0 .. alpha_{p_max} in one pass over the deletion counts."""
+    """alpha_0 .. alpha_{p_max} from one kernel evaluation.
+
+    Row p of a (p_max + 1) x d table holds psi(s/d) prod_{k<p} (d-s-k)/(d-k)
+    for s = 1..d: row 0 is one psi call, and a running product
+    (np.multiply.accumulate) takes each row to the next, in the same order
+    as the per-s loop it replaces. Each row is summed exactly rounded
+    (math.fsum) and divided by d.
+    """
     if d < 1:
         raise ValueError("d must be at least 1")
     if not 0 <= p_max <= d:
         raise ValueError("order p must lie in 0..d")
-    terms: list[list[float]] = [[] for _ in range(p_max + 1)]
-    for s in range(1, d + 1):
-        value = psi(s / d, nu)
-        terms[0].append(value)
-        for k in range(p_max):
-            value *= (d - s - k) / (d - k)
-            terms[k + 1].append(value)
-    return [math.fsum(column) / d for column in terms]
+    s = np.arange(1, d + 1, dtype=float)
+    k = np.arange(p_max, dtype=float)[:, None]
+    table = np.empty((p_max + 1, d))
+    table[0] = psi(s / d, nu)
+    table[1:] = (d - s - k) / (d - k)
+    np.multiply.accumulate(table, axis=0, out=table)
+    return [math.fsum(row) / d for row in table]
 
 
 def alpha_limit(p: int, d: int) -> float:
@@ -130,21 +136,23 @@ class SigmaSet:
 def normalization_constant(d: int, nu: float) -> float:
     """The inverse-covariance normalizer (d-1) a0 a2 - d a1^2 + a0 a1.
 
-    Evaluated through its symmetrized pairwise form
-    (1 / (2 d^3)) sum_{s,t} psi(s/d) psi(t/d) (t - s)^2, whose terms are
-    all nonnegative: the defining expression cancels catastrophically at
-    small bandwidth (the true value can sit far below one ulp of its
-    terms), this one never does.
+    With k_t = psi(t/d) for t = 1..d it equals
+    (1 / (2 d^3)) sum_{s,t} k_s k_t (t - s)^2 = K sum_t k_t (t - m)^2 / d^3,
+    where K = sum_t k_t and m = sum_t t k_t / K. This two-pass form is
+    O(d), and every term is nonnegative: the defining expression cancels
+    catastrophically at small bandwidth (the true value can sit far below
+    one ulp of its terms), this one never does. A kernel that underflows
+    to zero everywhere gives 0.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    s = np.arange(1, d + 1, dtype=float)
-    kernel = psi(s / d, nu)
-    # sum_{s,t} k_s k_t (t-s)^2 = 2 [ (sum k)(sum t^2 k) - (sum t k)^2 ],
-    # accumulated pairwise to keep every term nonnegative.
-    diffs = (s[:, None] - s[None, :]) ** 2
-    total = float(np.sum(kernel[:, None] * kernel[None, :] * diffs))
-    return total / (2.0 * d**3)
+    t = np.arange(1, d + 1, dtype=float)
+    kernel = psi(t / d, nu)
+    total = math.fsum(kernel)
+    if total == 0.0:
+        return 0.0
+    mean = math.fsum(t * kernel) / total
+    return total * math.fsum(kernel * (t - mean) ** 2) / d**3
 
 
 def _alpha_gap(d: int, nu: float) -> float:
@@ -214,6 +222,31 @@ def word_presence_probability(d: int, p: int) -> float:
     return (d - p) / ((p + 1) * d)
 
 
+def _indicator_parts(
+    p: int, d: int, ss: SigmaSet, alphas: Sequence[float]
+) -> tuple[float, float, float]:
+    """Intercept, member coefficient and non-member coefficient of the
+    population explanation of a product of p indicators, from the sigma
+    coefficients and alpha_0 .. alpha_{min(p + 1, d)}."""
+    a_p = alphas[p]
+    a_p1 = alphas[p + 1] if p < d else 0.0
+    c = ss.c_d
+    intercept = (ss.sigma0 * a_p + p * ss.sigma1 * a_p + (d - p) * ss.sigma1 * a_p1) / c
+    coef_in = (
+        ss.sigma1 * a_p
+        + ss.sigma2 * a_p
+        + (d - p) * ss.sigma3 * a_p1
+        + (p - 1) * ss.sigma3 * a_p
+    ) / c
+    coef_out = (
+        ss.sigma1 * a_p
+        + ss.sigma2 * a_p1
+        + (d - p - 1) * ss.sigma3 * a_p1
+        + p * ss.sigma3 * a_p
+    ) / c
+    return intercept, coef_in, coef_out
+
+
 def beta_indicator_product(
     indices: Iterable[int], d: int, nu: float
 ) -> TheoryExplanation:
@@ -230,22 +263,8 @@ def beta_indicator_product(
         raise ValueError("indicator indices must lie in 0..d-1")
     p = len(member)
     ss = sigma_set(d, nu)
-    a_p = alpha(p, d, nu)
-    a_p1 = alpha(p + 1, d, nu) if p < d else 0.0
-    c = ss.c_d
-    intercept = (ss.sigma0 * a_p + p * ss.sigma1 * a_p + (d - p) * ss.sigma1 * a_p1) / c
-    coef_in = (
-        ss.sigma1 * a_p
-        + ss.sigma2 * a_p
-        + (d - p) * ss.sigma3 * a_p1
-        + (p - 1) * ss.sigma3 * a_p
-    ) / c
-    coef_out = (
-        ss.sigma1 * a_p
-        + ss.sigma2 * a_p1
-        + (d - p - 1) * ss.sigma3 * a_p1
-        + p * ss.sigma3 * a_p
-    ) / c
+    alphas = alpha_values(d, nu, min(p + 1, d))
+    intercept, coef_in, coef_out = _indicator_parts(p, d, ss, alphas)
     coefficients = tuple(coef_in if j in member else coef_out for j in range(d))
     return TheoryExplanation(
         intercept=intercept,
@@ -258,6 +277,8 @@ def beta_tree(tree, local: LocalDictionary, nu: float) -> TheoryExplanation:
     """Exact population explanation of a tree: signed sum over its indicator
     terms (the explanation map is linear in the model).
 
+    The sigma coefficients and the alpha moments depend only on (d, nu),
+    so they are computed once per call and shared by every term.
     Terms naming a word outside the local dictionary vanish on every
     perturbed sample and contribute nothing.
     """
@@ -266,16 +287,22 @@ def beta_tree(tree, local: LocalDictionary, nu: float) -> TheoryExplanation:
         raise ClosedFormDomainError(
             "out of closed-form domain: need at least 2 distinct words"
         )
+    terms = [
+        (term.coefficient, [local.index_of(w) for w in term.words])
+        for term in tree.terms
+        if all(w in local for w in term.words)
+    ]
+    ss = sigma_set(d, nu)
+    p_top = max((len(member) for _, member in terms), default=0)
+    alphas = alpha_values(d, nu, min(p_top + 1, d))
     intercept = 0.0
     coefficients = np.zeros(d)
-    for term in tree.terms:
-        if not all(w in local for w in term.words):
-            continue
-        part = beta_indicator_product(
-            (local.index_of(w) for w in term.words), d, nu
-        )
-        intercept += term.coefficient * part.intercept
-        coefficients += term.coefficient * part.coefficient_array()
+    for coefficient, member in terms:
+        part_intercept, coef_in, coef_out = _indicator_parts(len(member), d, ss, alphas)
+        part = np.full(d, coef_out)
+        part[member] = coef_in
+        intercept += coefficient * part_intercept
+        coefficients += coefficient * part
     return TheoryExplanation(
         intercept=intercept,
         coefficients=tuple(float(c) for c in coefficients),
@@ -608,6 +635,13 @@ def beta_general_mc(
     ss = sigma_set(d, nu)
     w_vec = tfidf_weights(local, idf)
 
+    # Sample i contributes c_i = (sigma0 + sigma1 kept_i) t_i / c_d to the
+    # intercept and a_i + b z_ij t_i to coefficient j, with
+    # a_i = (sigma1 + sigma3 kept_i) t_i / c_d and b = (sigma2 - sigma3) / c_d.
+    # z is binary, so the column sums and sums of squares of those
+    # contributions come from three products with z, and no (chunk, d)
+    # float array of contributions is formed.
+    b = (ss.sigma2 - ss.sigma3) / ss.c_d
     rng = np.random.default_rng(seed)
     total = np.zeros(d + 1)
     total_sq = np.zeros(d + 1)
@@ -617,17 +651,14 @@ def beta_general_mc(
         responses = model.evaluate_matrix(renormalized_tfidf(z, w_vec), local.words)
 
         t = kernel * responses
-        q = z * t[:, None]
-        q_sum = q.sum(axis=1)
-        contrib = np.empty((size, d + 1))
-        contrib[:, 0] = (ss.sigma0 * t + ss.sigma1 * q_sum) / ss.c_d
-        contrib[:, 1:] = (
-            ss.sigma1 * t[:, None]
-            + (ss.sigma2 - ss.sigma3) * q
-            + ss.sigma3 * q_sum[:, None]
-        ) / ss.c_d
-        total += contrib.sum(axis=0)
-        total_sq += (contrib**2).sum(axis=0)
+        kept = z.sum(axis=1)
+        c = (ss.sigma0 + ss.sigma1 * kept) * t / ss.c_d
+        a = (ss.sigma1 + ss.sigma3 * kept) * t / ss.c_d
+        t_z, at_z, tt_z = np.stack([t, a * t, t * t]) @ z
+        total[0] += c.sum()
+        total_sq[0] += c @ c
+        total[1:] += a.sum() + b * t_z
+        total_sq[1:] += a @ a + 2.0 * b * at_z + b * b * tt_z
 
     mean = total / n_mc
     variance = np.maximum(total_sq / n_mc - mean**2, 0.0) * n_mc / (n_mc - 1)

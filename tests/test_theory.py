@@ -10,11 +10,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import textlime.theory as theory
 from textlime import (
     Document,
     IndicatorProduct,
     LinearModel,
+    TreeModel,
     alpha,
     alpha_bounds,
     alpha_limit,
@@ -48,6 +51,7 @@ from textlime.theory import (
     SIMPLIFIED_E_PAIR,
     SIMPLIFIED_E_SINGLE,
     SIMPLIFIED_LINEAR_CONSTANT,
+    normalization_constant,
 )
 
 GRID = [(d, nu) for d in (2, 5, 10, 30) for nu in (0.1, 0.25, 1.0, 10.0)]
@@ -126,6 +130,31 @@ def enumerate_conditional(d, kept, func):
     return weighted / float(total)
 
 
+def loop_alpha_values(d, nu, p_max):
+    """alpha_0 .. alpha_{p_max} by the per-deletion-count double loop."""
+    terms = [[] for _ in range(p_max + 1)]
+    for s in range(1, d + 1):
+        value = psi(s / d, nu)
+        terms[0].append(value)
+        for k in range(p_max):
+            value *= (d - s - k) / (d - k)
+            terms[k + 1].append(value)
+    return [math.fsum(column) / d for column in terms]
+
+
+def pairwise_normalization_constant(d, nu):
+    """c_d as (1 / (2 d^3)) sum_{s,t} psi(s/d) psi(t/d) (t - s)^2 over a
+    d x d matrix of nonnegative terms."""
+    s = np.arange(1, d + 1, dtype=float)
+    kernel = psi(s / d, nu)
+    diffs = (s[:, None] - s[None, :]) ** 2
+    return float(np.sum(kernel[:, None] * kernel[None, :] * diffs)) / (2.0 * d**3)
+
+
+def synthetic_local(d):
+    return local_dictionary(Document(tokens=tuple(f"w{i:04d}" for i in range(d))))
+
+
 class TestAlpha:
     def test_large_bandwidth_limit(self):
         for d, p in [(5, 1), (12, 0), (12, 3)]:
@@ -145,6 +174,12 @@ class TestAlpha:
         values = alpha_values(9, 0.25, 4)
         for p, v in enumerate(values):
             assert v == alpha(p, 9, 0.25)
+
+    @pytest.mark.parametrize("d", [1, 2, 12, 31, 200, 1000])
+    @pytest.mark.parametrize("nu", [0.03, 0.25, 100.0])
+    def test_alpha_values_bit_identical_to_loop(self, d, nu):
+        for p_max in range(min(d, 5) + 1):
+            assert alpha_values(d, nu, p_max) == loop_alpha_values(d, nu, p_max)
 
     def test_against_monte_carlo(self):
         estimates = mc_alpha(15, 0.25, 200_000, 3, seed=23)
@@ -201,6 +236,12 @@ class TestSigmaSet:
         ss = sigma_set(30, 0.25)
         assert ss.c_d > 0
         assert ss.c_d >= math.exp(-2.0 / 0.0625) / 40.0
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 31, 200, 1000])
+    @pytest.mark.parametrize("nu", [0.03, 0.1, 0.25, 1.0, 10.0, 100.0])
+    def test_normalization_constant_matches_pairwise_form(self, d, nu):
+        want = pairwise_normalization_constant(d, nu)
+        assert abs(normalization_constant(d, nu) - want) <= 1e-14 * want
 
     def test_sigma1_is_negated_alpha1(self):
         ss = sigma_set(9, 0.3)
@@ -503,6 +544,52 @@ class TestBetaTree:
         assert np.allclose(got.coefficient_array(), expected, atol=1e-14)
         assert got.intercept == pytest.approx(expected_intercept, abs=1e-14)
         assert got.words == local.words
+
+    def test_matches_term_by_term_assembly_at_d1000(self):
+        local = synthetic_local(1000)
+        rng = np.random.default_rng(41)
+        tree = TreeModel(
+            terms=tuple(
+                IndicatorProduct(
+                    words=frozenset(
+                        str(w) for w in rng.choice(local.words, size, replace=False)
+                    ),
+                    coefficient=float(rng.uniform(-2.0, 2.0)),
+                )
+                for size in (1, 2, 3, 1, 2) * 4
+            )
+        )
+        for nu in (0.03, 0.25, 10.0):
+            got = beta_tree(tree, local, nu)
+            expected = np.zeros(local.d)
+            expected_intercept = 0.0
+            for term in tree.terms:
+                part = beta_indicator_product(
+                    [local.index_of(w) for w in term.words], local.d, nu
+                )
+                expected += term.coefficient * part.coefficient_array()
+                expected_intercept += term.coefficient * part.intercept
+            assert np.abs(got.coefficient_array() - expected).max() <= 1e-12
+            assert abs(got.intercept - expected_intercept) <= 1e-12
+
+    @pytest.mark.parametrize("n_terms", [0, 1, 20])
+    def test_sigma_set_computed_once_per_call(self, monkeypatch, n_terms):
+        local = synthetic_local(50)
+        calls = []
+
+        def counting_sigma_set(d, nu):
+            calls.append((d, nu))
+            return sigma_set(d, nu)
+
+        monkeypatch.setattr(theory, "sigma_set", counting_sigma_set)
+        tree = TreeModel(
+            terms=tuple(
+                IndicatorProduct(words=frozenset(local.words[i : i + 1 + i % 3]))
+                for i in range(n_terms)
+            )
+        )
+        beta_tree(tree, local, 0.25)
+        assert calls == [(50, 0.25)]
 
     def test_tree_plus_negation_cancels(self, doc_idf):
         doc, _ = doc_idf
@@ -825,3 +912,88 @@ class TestSampleSizeBound:
 
     def test_tiny_bandwidth_overflows_to_infinity(self):
         assert sample_size_bound(1.0, 10, 0.05, 0.1, 0.05) == math.inf
+
+
+# Bandwidths log-uniform on [0.03, 100], where the closed forms are meant
+# to be accurate; dictionary sizes up to 1000.
+NU_LOG10 = (math.log10(0.03), 2.0)
+bandwidths = st.floats(*NU_LOG10).map(lambda e: 10.0**e)
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
+
+
+def single_indicator_error(d, nu, j):
+    local = synthetic_local(d)
+    word = local.words[j % d]
+    got = beta_tree(TreeModel(terms=(IndicatorProduct(words=frozenset({word})),)), local, nu)
+    expected = np.zeros(d)
+    expected[j % d] = 1.0
+    return max(abs(got.intercept), np.abs(got.coefficient_array() - expected).max())
+
+
+class TestTheoryProperties:
+    @PROPERTY_SETTINGS
+    @given(d=st.integers(8, 1000), nu=bandwidths, j=st.integers(0, 999))
+    def test_single_indicator_is_unit_vector(self, d, nu, j):
+        # Starts at d = 8: below it the narrowest bandwidths hit the known
+        # cancellation in the sigma coefficients, pinned by the test below.
+        assert single_indicator_error(d, nu, j) <= 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: a1^2 - a0 a2 and sigma1 + sigma2 cancel at small d "
+        "and narrow bandwidth, and no ClosedFormDomainError is raised",
+    )
+    @pytest.mark.parametrize("d, nu", [(2, 0.03), (3, 0.03), (5, 0.03)])
+    def test_single_indicator_small_d_narrow_bandwidth(self, d, nu):
+        assert single_indicator_error(d, nu, 0) <= 1e-9
+
+    @PROPERTY_SETTINGS
+    @given(d=st.integers(2, 1000), nu=bandwidths)
+    def test_alpha_within_bounds(self, d, nu):
+        for p, value in enumerate(alpha_values(d, nu, min(d, 5))):
+            lo, hi = alpha_bounds(p, d, nu)
+            assert lo * (1 - 1e-12) <= value <= hi * (1 + 1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(
+        d=st.integers(2, 1000),
+        nu=bandwidths,
+        a=st.floats(-3.0, 3.0),
+        b=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_beta_tree_linear_under_combine(self, d, nu, a, b, seed):
+        local = synthetic_local(d)
+        rng = np.random.default_rng(seed)
+
+        def random_tree():
+            return TreeModel(
+                terms=tuple(
+                    IndicatorProduct(
+                        words=frozenset(
+                            str(w)
+                            for w in rng.choice(
+                                local.words, rng.integers(1, min(d, 3) + 1), replace=False
+                            )
+                        ),
+                        coefficient=float(rng.uniform(-2.0, 2.0)),
+                    )
+                    for _ in range(rng.integers(1, 6))
+                )
+            )
+
+        def vector(model):
+            out = beta_tree(model, local, nu)
+            return np.array([out.intercept, *out.coefficients])
+
+        def magnitude(model):
+            # Sum of |term| explanations: the size of what rounding acts on.
+            return sum(
+                np.abs(vector(TreeModel(terms=(term,)))).max() for term in model.terms
+            )
+
+        f, g = random_tree(), random_tree()
+        lhs = vector(combine([(a, f), (b, g)]))
+        rhs = a * vector(f) + b * vector(g)
+        scale = abs(a) * magnitude(f) + abs(b) * magnitude(g)
+        assert np.abs(lhs - rhs).max() <= 1e-12 * max(scale, 1.0)
