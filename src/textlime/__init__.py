@@ -30,17 +30,7 @@ from .models import (
     load_linear_model,
     tree_from_spec,
 )
-from .sampling import (
-    PerturbedSample,
-    RemovalDraw,
-    SampleBatch,
-    apply_removal,
-    cosine_distance,
-    draw_removal,
-    psi,
-    sample_batch,
-    weight,
-)
+from .sampling import SampleBatch, psi, sample_batch
 from .surrogate import Explanation, explain, fit_batch, fit_weighted_ridge
 from .theory import (
     EXACT_CLOSED_FORM,
@@ -62,6 +52,7 @@ from .theory import (
     e_term,
     expected_removed_mass,
     omega_weights,
+    population_explanation,
     sample_size_bound,
     sigma_inverse,
     sigma_matrix,

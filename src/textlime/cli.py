@@ -16,23 +16,16 @@ import click
 import numpy as np
 
 from . import serialize
-from .corpus import Corpus, Document, fit_idf, load_corpus, local_dictionary, tokenize
+from .corpus import Corpus, Document, fit_idf, load_corpus, tokenize
 from .models import (
     IndicatorProduct,
-    LinearModel,
     Model,
-    TreeModel,
     TreeSpecError,
     load_linear_model,
     tree_from_spec,
 )
 from .surrogate import explain as run_explain
-from .theory import (
-    ClosedFormDomainError,
-    beta_general_mc,
-    beta_linear,
-    beta_tree,
-)
+from .theory import ClosedFormDomainError, population_explanation
 from .verify import (
     compare,
     default_nu_grid,
@@ -137,6 +130,8 @@ def resolve_options(cli_values: dict, config_path: str | None) -> dict:
         raise fail("ridge", "ridge parameter must be nonnegative")
     if merged["threads"] < 1:
         raise fail("threads", "worker count must be at least 1")
+    if merged["n_mc"] < 2:
+        raise fail("n-mc", "need at least two Monte Carlo samples")
     return merged
 
 
@@ -261,7 +256,7 @@ def cmd_explain(model_spec, config, **cli_values):
         model_tag(model_spec or options.get("model")),
         options["nu"],
         options["n"],
-        options["format"] if options["format"] == "json" else "csv",
+        options["format"],
     )
     serialize.write_explanation(explanation, path, options["format"])
     click.echo(f"wrote {path}")
@@ -286,28 +281,17 @@ def cmd_theory(model_spec, config, linear_mode, theory_method, n_mc, **cli_value
     idf = fit_idf(corpus)
 
     try:
-        if options["theory_method"] == "mc":
-            theory = beta_general_mc(
-                model, document, idf,
-                nu=options["nu"], n_mc=options["n_mc"], seed=options["seed"],
-            )
-        elif isinstance(model, (TreeModel, IndicatorProduct)):
-            tree = model if isinstance(model, TreeModel) else TreeModel(terms=(model,))
-            theory = beta_tree(tree, local_dictionary(document), options["nu"])
-        elif isinstance(model, LinearModel):
-            theory = beta_linear(
-                model, document, idf, mode=options["linear_mode"], seed=options["seed"]
-            )
-        else:
-            theory = beta_general_mc(
-                model, document, idf,
-                nu=options["nu"], n_mc=options["n_mc"], seed=options["seed"],
-            )
+        theory = population_explanation(
+            model, document, idf,
+            nu=options["nu"], linear_mode=options["linear_mode"],
+            n_mc=options["n_mc"], seed=options["seed"],
+            monte_carlo=options["theory_method"] == "mc",
+        )
     except ClosedFormDomainError as exc:
         raise fail("doc", str(exc))
     path = out_path(
         options["out"], "theory", model_tag(spec), options["nu"], options["n"],
-        "json" if options["format"] == "json" else "csv",
+        options["format"],
     )
     serialize.write_theory(theory, path, options["format"])
     click.echo(f"wrote {path} (provenance: {theory.provenance})")
@@ -318,11 +302,10 @@ def cmd_theory(model_spec, config, linear_mode, theory_method, n_mc, **cli_value
 @click.option("--model", "model_spec", type=str, default=None, help="Tree expression, linear JSON path, or 'constant'.")
 @click.option("--n-exp", type=int, default=None, help="Number of repeated runs.")
 @click.option("--linear-mode", type=click.Choice(["simplified", "full"]), default=None)
-@click.option("--n-mc", type=int, default=None, help="Monte Carlo sample count for the fallback oracle.")
-def cmd_verify(model_spec, config, n_exp, linear_mode, n_mc, **cli_values):
+def cmd_verify(model_spec, config, n_exp, linear_mode, **cli_values):
     """Run repeated explanations, compare them against theory, and write
     whisker statistics plus a comparison report."""
-    cli_values.update({"n_exp": n_exp, "linear_mode": linear_mode, "n_mc": n_mc})
+    cli_values.update({"n_exp": n_exp, "linear_mode": linear_mode})
     options = resolve_options(cli_values, config)
     corpus, _ = load_corpus_or_fail(options.get("corpus"))
     document = select_document(corpus, options.get("doc"))
@@ -337,18 +320,10 @@ def cmd_verify(model_spec, config, n_exp, linear_mode, n_mc, **cli_values):
         threads=options["threads"],
     )
     try:
-        if isinstance(model, (TreeModel, IndicatorProduct)):
-            tree = model if isinstance(model, TreeModel) else TreeModel(terms=(model,))
-            theory = beta_tree(tree, local_dictionary(document), options["nu"])
-        elif isinstance(model, LinearModel):
-            theory = beta_linear(
-                model, document, idf, mode=options["linear_mode"], seed=options["seed"]
-            )
-        else:
-            theory = beta_general_mc(
-                model, document, idf,
-                nu=options["nu"], n_mc=options["n_mc"], seed=options["seed"],
-            )
+        theory = population_explanation(
+            model, document, idf,
+            nu=options["nu"], linear_mode=options["linear_mode"], seed=options["seed"],
+        )
     except ClosedFormDomainError as exc:
         raise fail("doc", str(exc))
     report = compare(stats, theory)
@@ -400,6 +375,8 @@ def cmd_sweep(model_spec, config, word, n_exp, nu_grid, **cli_values):
             raise fail("nu-grid", f"not a comma-separated float list: {nu_grid}")
         if len(grid) == 0:
             raise fail("nu-grid", "grid is empty")
+        if not np.all(grid > 0):
+            raise fail("nu-grid", "bandwidths must be positive")
     try:
         points = sweep_bandwidth(
             model, document, idf, word, grid,

@@ -16,36 +16,25 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TfIdfVector
-
 
 class Model:
-    """Deterministic, total function of a TF-IDF vector.
+    """Deterministic, total function of a TF-IDF vector, evaluated in batches.
 
-    `bound` is a known upper bound of |f| on unit-norm inputs (None when
-    unknown); it feeds sample-size diagnostics only.
+    A model implements `evaluate_matrix`, the one evaluation protocol: the
+    surrogate fit and the Monte Carlo oracles call it on whole batches of
+    perturbed samples. `bound` is a known upper bound of |f| on unit-norm inputs
+    (None when unknown); it feeds sample-size diagnostics only.
     """
 
     @property
     def bound(self) -> float | None:
         return None
 
-    def evaluate(self, phi: TfIdfVector) -> float:
-        raise NotImplementedError
-
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
         """Evaluate on a batch: row i of `values` holds the coordinates of
-        sample i for `words`; all other coordinates are zero.
-
-        Subclasses override this with vectorized paths; the fallback loops.
-        """
-        out = np.empty(len(values))
-        for i, row in enumerate(values):
-            phi = TfIdfVector(
-                coordinates={w: float(v) for w, v in zip(words, row) if v != 0.0}
-            )
-            out[i] = self.evaluate(phi)
-        return out
+        sample i for `words`; all other coordinates are zero. Returns one
+        response per row."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -58,11 +47,6 @@ class IndicatorProduct(Model):
     @property
     def bound(self) -> float:
         return abs(self.coefficient)
-
-    def evaluate(self, phi: TfIdfVector) -> float:
-        if all(phi.get(w) > 0.0 for w in self.words):
-            return self.coefficient
-        return 0.0
 
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
         index = {w: j for j, w in enumerate(words)}
@@ -86,9 +70,6 @@ class TreeModel(Model):
     def bound(self) -> float:
         return math.fsum(abs(t.coefficient) for t in self.terms)
 
-    def evaluate(self, phi: TfIdfVector) -> float:
-        return math.fsum(t.evaluate(phi) for t in self.terms)
-
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
         out = np.zeros(len(values))
         for term in self.terms:
@@ -105,9 +86,6 @@ class LinearModel(Model):
     @property
     def bound(self) -> float:
         return math.sqrt(math.fsum(c * c for c in self.coefficients.values()))
-
-    def evaluate(self, phi: TfIdfVector) -> float:
-        return math.fsum(c * phi.get(w) for w, c in self.coefficients.items())
 
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
         index = {w: j for j, w in enumerate(words)}
@@ -134,9 +112,6 @@ class CombinedModel(Model):
             total += abs(a) * m.bound
         return total
 
-    def evaluate(self, phi: TfIdfVector) -> float:
-        return math.fsum(a * m.evaluate(phi) for a, m in self.parts)
-
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
         out = np.zeros(len(values))
         for a, m in self.parts:
@@ -144,7 +119,9 @@ class CombinedModel(Model):
         return out
 
 
-def _as_terms(model: Model) -> tuple[IndicatorProduct, ...] | None:
+def indicator_terms(model: Model) -> tuple[IndicatorProduct, ...] | None:
+    """The signed indicator products a model is built from, or None when
+    it is not built from indicator products alone."""
     if isinstance(model, IndicatorProduct):
         return (model,)
     if isinstance(model, TreeModel):
@@ -159,7 +136,7 @@ def combine(parts: Sequence[tuple[float, Model]]) -> Model:
     back into a TreeModel (same-support terms collapse, zero coefficients
     drop), which keeps the closed-form explanation path available.
     """
-    term_lists = [(a, _as_terms(m)) for a, m in parts]
+    term_lists = [(a, indicator_terms(m)) for a, m in parts]
     if all(terms is not None for _, terms in term_lists):
         merged: dict[frozenset[str], float] = {}
         for a, terms in term_lists:

@@ -5,16 +5,12 @@ distinct words of the explained document: first the number of deletions s
 is drawn uniformly in {1, ..., d}, then a uniform size-s subset of word
 indices. Every occurrence of a removed word disappears. Each sample gets
 an exponential kernel weight in the cosine distance between its binary
-presence vector and the all-ones vector, which reduces to psi(s / d).
+presence vector and the all-ones vector. That distance depends only on s,
+so the weight is psi(s / d); the all-removed sample, whose distance is
+undefined, gets the limit psi(1).
 """
 
 from __future__ import annotations
-
-import csv
-import math
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,75 +30,6 @@ def psi(t, nu: float):
         raise ValueError("deletion fraction t must lie in [0, 1]")
     out = np.exp(-((1.0 - np.sqrt(1.0 - t_arr)) ** 2) / (2.0 * nu * nu))
     return float(out) if np.isscalar(t) or out.ndim == 0 else out
-
-
-def cosine_distance(u, v) -> float:
-    """1 - cos(angle(u, v)); requires both vectors to have positive norm."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu_ = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu_ == 0.0 or nv == 0.0:
-        raise ValueError("undefined cosine distance for zero-norm input")
-    return float(1.0 - float(u @ v) / (nu_ * nv))
-
-
-@dataclass(frozen=True)
-class RemovalDraw:
-    """One deletion draw: the number s of removed words and their indices."""
-
-    s: int
-    removed: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if len(self.removed) != self.s:
-            raise ValueError("removed index set size must equal s")
-
-
-@dataclass(frozen=True)
-class PerturbedSample:
-    """One perturbed document with its binary features and kernel weight."""
-
-    draw: RemovalDraw
-    survivor: Document
-    z: np.ndarray
-    weight: float
-
-
-def draw_removal(d: int, rng: np.random.Generator) -> RemovalDraw:
-    """Draw s uniform in {1..d} and a uniform size-s index subset.
-
-    The subset comes from the first s entries of a random permutation.
-    """
-    if d < 1:
-        raise ValueError("empty local dictionary")
-    s = int(rng.integers(1, d + 1))
-    removed = frozenset(int(i) for i in rng.permutation(d)[:s])
-    return RemovalDraw(s=s, removed=removed)
-
-
-def apply_removal(
-    doc: Document, local: LocalDictionary, removed: frozenset[int] | set[int]
-) -> Document:
-    """Delete every occurrence of the indexed words, preserving token order."""
-    if any(i < 0 or i >= local.d for i in removed):
-        raise ValueError("removed indices out of range of the local dictionary")
-    removed_words = {local.words[i] for i in removed}
-    return Document(tokens=tuple(t for t in doc.tokens if t not in removed_words))
-
-
-def weight(z, nu: float) -> float:
-    """Kernel weight of a binary presence vector.
-
-    Computed through the cosine distance to the all-ones vector, so it
-    equals psi(s / d) when s words were removed. The all-removed vector
-    (zero norm, undefined cosine) gets the continuous limit psi(1).
-    """
-    z = np.asarray(z, dtype=float)
-    if not np.any(z):
-        return psi(1.0, nu)
-    dist = cosine_distance(np.ones(len(z)), z)
-    return float(math.exp(-(dist * dist) / (2.0 * nu * nu)))
 
 
 def draw_feature_matrix(
@@ -141,12 +68,13 @@ def renormalized_tfidf(z: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return values
 
 
-class SampleBatch(Sequence[PerturbedSample]):
-    """n i.i.d. perturbed samples of one document, dense-array backed.
+class SampleBatch:
+    """n i.i.d. perturbed samples of one document, as dense arrays.
 
-    The per-sample view (`batch[i]`, iteration) materializes survivor
-    documents lazily; the hot paths use the `z`, `sizes` and `weights`
-    arrays directly. Immutable once built.
+    `sizes[i]` is the number of words sample i removed, `z[i]` its binary
+    presence row over the local dictionary and `weights[i]` its kernel
+    weight psi(sizes[i] / d). Survivor documents are never materialized:
+    `tfidf_matrix` embeds all n survivors at once. Immutable once built.
     """
 
     def __init__(
@@ -175,35 +103,9 @@ class SampleBatch(Sequence[PerturbedSample]):
     def d(self) -> int:
         return self.local.d
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> PerturbedSample:
-        row = self.z[i]
-        removed = frozenset(int(j) for j in np.flatnonzero(row == 0))
-        draw = RemovalDraw(s=int(self.sizes[i]), removed=removed)
-        return PerturbedSample(
-            draw=draw,
-            survivor=apply_removal(self.document, self.local, removed),
-            z=row,
-            weight=float(self.weights[i]),
-        )
-
-    def __iter__(self) -> Iterator[PerturbedSample]:
-        return (self[i] for i in range(self.n))
-
     def tfidf_matrix(self, idf: IdfTable) -> np.ndarray:
         """Row i = normalized TF-IDF of survivor i over the local words."""
         return renormalized_tfidf(self.z, tfidf_weights(self.local, idf))
-
-    def to_csv(self, path: str | Path, run: int = 0) -> None:
-        """Dump the batch for debugging: run, sample, s, z-bitstring, weight."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run", "sample", "s", "z_bitstring", "weight"])
-            for i in range(self.n):
-                bits = "".join(str(int(b)) for b in self.z[i])
-                writer.writerow([run, i, int(self.sizes[i]), bits, "%.10g" % self.weights[i]])
 
 
 def sample_batch(

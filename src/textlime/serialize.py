@@ -15,13 +15,7 @@ import numpy as np
 
 from .surrogate import Explanation
 from .theory import TheoryExplanation
-from .verify import (
-    ComparisonReport,
-    ConcentrationTable,
-    LinearityReport,
-    RunStatistics,
-    SweepPoint,
-)
+from .verify import ComparisonReport, RunStatistics, SweepPoint
 
 _JSON_DIGITS = 17
 _CSV_DIGITS = 10
@@ -289,63 +283,5 @@ def write_alpha_table(d: int, nu: float, p_max: int, path: str | Path, fmt: str)
         dump_json([dict(zip(ALPHA_TABLE_HEADER, row)) for row in rows], path)
     elif fmt == "csv":
         write_csv(path, ALPHA_TABLE_HEADER, rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-
-
-def write_linearity(report: LinearityReport, path: str | Path, fmt: str) -> None:
-    header = [
-        "word",
-        "sum_of_medians",
-        "combined_median",
-        "deviation",
-        "pooled_std",
-        "within_envelope",
-    ]
-    rows = [
-        (
-            r.word,
-            r.sum_of_medians,
-            r.combined_median,
-            r.deviation,
-            r.pooled_std,
-            r.within_envelope,
-        )
-        for r in report.rows
-    ]
-    if fmt == "json":
-        dump_json(
-            {
-                "rows": [dict(zip(header, row)) for row in rows],
-                "max_abs_deviation": report.max_abs_deviation,
-                "theory_max_residual": report.theory_max_residual,
-            },
-            path,
-        )
-    elif fmt == "csv":
-        write_csv(path, header, rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-
-
-def write_concentration(table: ConcentrationTable, path: str | Path, fmt: str) -> None:
-    header = ["n", *table.words]
-    rows = [
-        (n, *table.stds[i]) for i, n in enumerate(table.n_values)
-    ]
-    rows.append(("slope", *table.slopes))
-    if fmt == "json":
-        dump_json(
-            {
-                "n_values": list(table.n_values),
-                "words": list(table.words),
-                "stds": table.stds,
-                "slopes": table.slopes,
-                "median_slope": table.median_slope,
-            },
-            path,
-        )
-    elif fmt == "csv":
-        write_csv(path, header, rows)
     else:
         raise ValueError(f"unknown format {fmt!r}")

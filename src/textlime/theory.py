@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
-from .models import Model
+from .models import LinearModel, Model, TreeModel, indicator_terms
 from .sampling import draw_feature_matrix, psi, renormalized_tfidf
 
 EXACT_CLOSED_FORM = "exact-closed-form"
@@ -672,6 +672,34 @@ def beta_general_mc(
         intercept_stderr=float(stderr[0]),
         notes={"nu": nu, "n_mc": n_mc},
     )
+
+
+def population_explanation(
+    model: Model,
+    document: Document,
+    idf: IdfTable,
+    *,
+    nu: float,
+    linear_mode: str = "simplified",
+    n_mc: int = 200_000,
+    seed=0,
+    monte_carlo: bool = False,
+) -> TheoryExplanation:
+    """The population explanation of any model, by the best available route.
+
+    Models built from indicator products (indicators, trees) get the exact
+    closed form `beta_tree`; linear models get the large-bandwidth
+    `beta_linear` in `linear_mode`; every other model, and every model when
+    `monte_carlo` is set, gets the Monte Carlo oracle `beta_general_mc`
+    with `n_mc` samples. `seed` feeds whichever route draws randomness.
+    """
+    if not monte_carlo:
+        terms = indicator_terms(model)
+        if terms is not None:
+            return beta_tree(TreeModel(terms=terms), local_dictionary(document), nu)
+        if isinstance(model, LinearModel):
+            return beta_linear(model, document, idf, mode=linear_mode, seed=seed)
+    return beta_general_mc(model, document, idf, nu=nu, n_mc=n_mc, seed=seed)
 
 
 def beta_large_bandwidth(

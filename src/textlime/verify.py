@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Document, IdfTable, local_dictionary
-from .models import Model, combine
+from .models import Model, combine, indicator_terms
 from .sampling import draw_feature_matrix, psi
 from .surrogate import explain
-from .theory import TheoryExplanation
+from .theory import TheoryExplanation, population_explanation
 
 # Floating-point cushion for "theory inside the empirical whisker range":
 # models the surrogate fits exactly produce degenerate whiskers whose
@@ -337,9 +337,6 @@ def linearity_check(
     All three runs use independent batches; the noise envelope pools the
     three per-word standard deviations.
     """
-    from .models import IndicatorProduct, TreeModel  # local to avoid cycles
-    from .theory import beta_tree
-
     combined = combine([(1.0, f), (1.0, g)])
     stats_f = run_repeated(
         model=f, document=document, idf=idf, n=n, nu=nu, ridge=ridge,
@@ -374,18 +371,12 @@ def linearity_check(
 
     theory_max = None
     theory_report = None
-    closed_form = all(
-        isinstance(m, (TreeModel, IndicatorProduct)) for m in (f, g, combined)
-    )
-    if closed_form:
-        local = local_dictionary(document)
-
-        def as_tree(m: Model) -> TreeModel:
-            return m if isinstance(m, TreeModel) else TreeModel(terms=(m,))
-
-        beta_f = beta_tree(as_tree(f), local, nu)
-        beta_g = beta_tree(as_tree(g), local, nu)
-        beta_fg = beta_tree(as_tree(combined), local, nu)
+    # Only models built from indicator products have an exact closed form
+    # whose additivity holds to round-off; `combine` keeps their sum a tree.
+    if indicator_terms(combined) is not None:
+        beta_f, beta_g, beta_fg = (
+            population_explanation(m, document, idf, nu=nu) for m in (f, g, combined)
+        )
         residual = np.abs(
             beta_fg.coefficient_array()
             - beta_f.coefficient_array()

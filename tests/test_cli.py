@@ -179,6 +179,19 @@ class TestTheoryCommand:
         header = path.read_text().splitlines()[0]
         assert header == "word,coefficient,rank,stderr,provenance"
 
+    @pytest.mark.parametrize("n_mc", ["0", "1"])
+    def test_too_few_monte_carlo_samples_rejected(self, runner, tmp_path, n_mc):
+        result = runner.invoke(
+            cli,
+            [
+                "theory", "--corpus", CORPUS, "--doc", "0", "--model", '"food"',
+                "--theory-method", "mc", "--n-mc", n_mc, "--out", str(tmp_path),
+            ],
+        )
+        assert result.exit_code == 1
+        assert "n-mc: need at least two Monte Carlo samples" in result.output
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerifyCommand:
     def test_writes_stats_report_and_table(self, runner, tmp_path):
@@ -200,6 +213,18 @@ class TestVerifyCommand:
         table = (tmp_path / "verify-report-food-0.25-400.txt").read_text()
         assert "(intercept)" in table
         assert "theory inside whisker range: yes" in result.output
+
+    def test_monte_carlo_sample_count_is_not_an_option(self, runner, tmp_path):
+        # verify only ever compares against a closed form.
+        result = runner.invoke(
+            cli,
+            [
+                "verify", "--corpus", CORPUS, "--doc", "0", "--model", '"food"',
+                "--n", "100", "--n-exp", "2", "--n-mc", "5", "--out", str(tmp_path),
+            ],
+        )
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--n-mc" in result.output
 
 
 class TestSweepCommand:
@@ -229,6 +254,19 @@ class TestSweepCommand:
         )
         assert result.exit_code != 0
         assert "word:" in result.output
+
+    def test_nonpositive_bandwidth_blames_the_grid(self, runner, tmp_path):
+        result = runner.invoke(
+            cli,
+            [
+                "sweep", "--corpus", CORPUS, "--doc", "0", "--model", '"food"',
+                "--word", "food", "--nu-grid", "0.1,-1", "--n", "100",
+                "--n-exp", "1", "--out", str(tmp_path),
+            ],
+        )
+        assert result.exit_code == 1
+        assert "nu-grid: bandwidths must be positive" in result.output
+        assert "word:" not in result.output
 
 
 class TestAlphaTableCommand:

@@ -1,15 +1,16 @@
 """Indicator products, trees, linear models, combinations, and the tree DSL."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from textlime import (
     CombinedModel,
     IndicatorProduct,
     LinearModel,
-    TfIdfVector,
     TreeModel,
     TreeSpecError,
     combine,
@@ -23,28 +24,43 @@ DEEP_TREE_SPEC = (
 )
 
 
-def vec(**coords):
-    return TfIdfVector(coordinates=coords)
+def ev(model, **coords):
+    """Evaluate a model on one TF-IDF vector given by its nonzero
+    coordinates, as a one-row batch."""
+    return float(model.evaluate_matrix(np.array([list(coords.values())]), list(coords))[0])
+
+
+def oracle(model, phi):
+    """Independent per-row value of a model, from its definition, on a
+    dict of nonzero TF-IDF coordinates."""
+    if isinstance(model, IndicatorProduct):
+        present = all(phi.get(w, 0.0) > 0.0 for w in model.words)
+        return model.coefficient if present else 0.0
+    if isinstance(model, TreeModel):
+        return math.fsum(oracle(t, phi) for t in model.terms)
+    if isinstance(model, LinearModel):
+        return math.fsum(c * phi.get(w, 0.0) for w, c in model.coefficients.items())
+    return math.fsum(a * oracle(m, phi) for a, m in model.parts)
 
 
 class TestIndicatorProduct:
     def test_empty_product_is_constant(self):
         m = IndicatorProduct(words=frozenset(), coefficient=2.5)
-        assert m.evaluate(vec()) == 2.5
-        assert m.evaluate(vec(a=0.3)) == 2.5
+        assert ev(m) == 2.5
+        assert ev(m, a=0.3) == 2.5
 
     def test_zero_vector_with_nonempty_support(self):
         m = IndicatorProduct(words=frozenset({"a"}))
-        assert m.evaluate(vec()) == 0.0
+        assert ev(m) == 0.0
 
     def test_requires_all_words(self):
         m = IndicatorProduct(words=frozenset({"a", "b"}))
-        assert m.evaluate(vec(a=0.5)) == 0.0
-        assert m.evaluate(vec(a=0.5, b=0.1)) == 1.0
+        assert ev(m, a=0.5) == 0.0
+        assert ev(m, a=0.5, b=0.1) == 1.0
 
     def test_depends_only_on_support(self):
         m = IndicatorProduct(words=frozenset({"a", "b"}))
-        assert m.evaluate(vec(a=0.9, b=0.01)) == m.evaluate(vec(a=0.0001, b=0.7))
+        assert ev(m, a=0.9, b=0.01) == ev(m, a=0.0001, b=0.7)
 
     def test_bound(self):
         assert IndicatorProduct(words=frozenset({"a"}), coefficient=-3.0).bound == 3.0
@@ -53,11 +69,11 @@ class TestIndicatorProduct:
 class TestLinearModel:
     def test_all_zero_coefficients(self):
         m = LinearModel(coefficients={"a": 0.0, "b": 0.0})
-        assert m.evaluate(vec(a=0.3, b=0.4)) == 0.0
+        assert ev(m, a=0.3, b=0.4) == 0.0
 
     def test_coordinate_projection(self):
         m = LinearModel(coefficients={"b": 1.0})
-        assert m.evaluate(vec(a=0.6, b=0.8)) == pytest.approx(0.8)
+        assert ev(m, a=0.6, b=0.8) == pytest.approx(0.8)
 
     def test_bound_holds_on_random_unit_vectors(self):
         # |sum lambda_j phi_j| <= ||lambda||_2 whenever ||phi|| = 1.
@@ -65,11 +81,9 @@ class TestLinearModel:
         words = [f"w{i}" for i in range(6)]
         lam = {w: float(rng.normal()) for w in words}
         m = LinearModel(coefficients=lam)
-        for _ in range(200):
-            raw = np.abs(rng.normal(size=6)) + 1e-9
-            phi = raw / np.linalg.norm(raw)
-            value = m.evaluate(vec(**dict(zip(words, phi))))
-            assert abs(value) <= m.bound + 1e-12
+        raw = np.abs(rng.normal(size=(200, 6))) + 1e-9
+        phi = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        assert np.all(np.abs(m.evaluate_matrix(phi, words)) <= m.bound + 1e-12)
 
     def test_bound_is_euclidean_norm(self):
         m = LinearModel(coefficients={"a": 3.0, "b": 4.0})
@@ -89,22 +103,22 @@ class TestCombine:
     def test_single_part_identity(self):
         m = IndicatorProduct(words=frozenset({"a"}))
         c = combine([(1.0, m)])
-        for phi in (vec(), vec(a=0.5), vec(b=0.3)):
-            assert c.evaluate(phi) == m.evaluate(phi)
+        for phi in ({}, {"a": 0.5}, {"b": 0.3}):
+            assert ev(c, **phi) == ev(m, **phi)
 
     def test_sum_is_pointwise(self):
         f = IndicatorProduct(words=frozenset({"a"}))
         g = LinearModel(coefficients={"b": 2.0})
         c = combine([(1.0, f), (1.0, g)])
-        phi = vec(a=0.5, b=0.25)
-        assert c.evaluate(phi) == pytest.approx(f.evaluate(phi) + g.evaluate(phi))
+        phi = {"a": 0.5, "b": 0.25}
+        assert ev(c, **phi) == pytest.approx(ev(f, **phi) + ev(g, **phi))
 
     def test_cancellation_yields_zero_model(self):
         f = tree_from_spec(FOOD_TREE_SPEC)
         c = combine([(1.0, f), (-1.0, f)])
         assert isinstance(c, TreeModel)
         assert c.terms == ()
-        assert c.evaluate(vec(food=0.5)) == 0.0
+        assert ev(c, food=0.5) == 0.0
 
     def test_indicator_parts_merge_into_tree(self):
         f = IndicatorProduct(words=frozenset({"a"}))
@@ -144,7 +158,8 @@ class TestTreeFromSpec:
         tree = tree_from_spec(FOOD_TREE_SPEC)
         for bits in range(8):
             food, about, everything = (bits >> 0) & 1, (bits >> 1) & 1, (bits >> 2) & 1
-            phi = vec(
+            value = ev(
+                tree,
                 **{
                     w: 0.5 * present
                     for w, present in [
@@ -155,21 +170,21 @@ class TestTreeFromSpec:
                 }
             )
             expected = food + (1 - food) * about * everything
-            assert tree.evaluate(phi) == pytest.approx(float(expected))
+            assert value == pytest.approx(float(expected))
 
     def test_deep_tree_truth_table(self):
         tree = tree_from_spec(DEEP_TREE_SPEC)
         words = ["food", "about", "Everything", "bad", "character"]
         for bits in range(2**5):
             present = {w: (bits >> i) & 1 for i, w in enumerate(words)}
-            phi = vec(**{w: 0.3 * v for w, v in present.items()})
+            value = ev(tree, **{w: 0.3 * v for w, v in present.items()})
             expected = (
                 present["food"]
                 + (1 - present["food"]) * present["about"] * present["Everything"]
                 + present["bad"]
                 + present["bad"] * present["character"]
             )
-            assert tree.evaluate(phi) == pytest.approx(float(expected))
+            assert value == pytest.approx(float(expected))
 
     def test_idempotent_conjunction(self):
         tree = tree_from_spec('"a" & "a"')
@@ -196,6 +211,42 @@ class TestTreeFromSpec:
         assert tree.bound == pytest.approx(3.0)
 
 
+# Sub-expressions over at most four words, with at most four leaves.
+expressions = st.recursive(
+    st.sampled_from(['"a"', '"b"', '"c"', '"d"']),
+    lambda inner: st.one_of(
+        inner.map(lambda x: f"!{x}"),
+        st.tuples(inner, inner).map(lambda xy: f"({xy[0]} & {xy[1]})"),
+        st.tuples(inner, inner).map(lambda xy: f"({xy[0]} + {xy[1]})"),
+    ),
+    max_leaves=4,
+)
+
+
+class TestTreeAlgebra:
+    """The expansion is exact polynomial algebra, so Boolean identities that
+    hold as polynomial identities give equal term tuples."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(x=expressions)
+    def test_double_negation(self, x):
+        assert tree_from_spec(f"!!({x})").terms == tree_from_spec(x).terms
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(x=expressions, y=expressions)
+    def test_de_morgan(self, x, y):
+        # 1 - xy + (1 - x)(1 - y) = (1 - x) + (1 - y)
+        assert (
+            tree_from_spec(f"!({x} & {y}) + (!{x} & !{y})").terms
+            == tree_from_spec(f"!{x} + !{y}").terms
+        )
+        # 1 - (1 - x)(1 - y) + xy = x + y
+        assert (
+            tree_from_spec(f"!(!{x} & !{y}) + ({x} & {y})").terms
+            == tree_from_spec(f"{x} + {y}").terms
+        )
+
+
 class TestMatrixEvaluation:
     def test_matches_per_row_evaluation(self):
         rng = np.random.default_rng(5)
@@ -216,27 +267,10 @@ class TestMatrixEvaluation:
         for model in models:
             batch = model.evaluate_matrix(values, words)
             for i in range(len(values)):
-                phi = vec(
-                    **{w: float(v) for w, v in zip(words, values[i]) if v != 0.0}
-                )
-                assert batch[i] == pytest.approx(model.evaluate(phi), abs=1e-12)
+                phi = {w: float(v) for w, v in zip(words, values[i]) if v != 0.0}
+                assert batch[i] == pytest.approx(oracle(model, phi), abs=1e-12)
 
     def test_word_absent_from_columns_means_absent(self):
         m = IndicatorProduct(words=frozenset({"missing"}))
         out = m.evaluate_matrix(np.ones((3, 2)), ["a", "b"])
         assert np.array_equal(out, np.zeros(3))
-
-    def test_default_fallback_for_custom_models(self):
-        # A user model that only defines evaluate() goes through the
-        # row-by-row fallback.
-        from textlime.models import Model
-
-        class SupportCounter(Model):
-            def evaluate(self, phi):
-                return float(len(phi))
-
-        rng = np.random.default_rng(9)
-        words = ["a", "b", "c"]
-        values = rng.random((10, 3)) * (rng.random((10, 3)) > 0.5)
-        out = SupportCounter().evaluate_matrix(values, words)
-        assert np.array_equal(out, (values != 0).sum(axis=1).astype(float))

@@ -7,19 +7,15 @@ import pytest
 
 from textlime import (
     Document,
-    apply_removal,
-    cosine_distance,
-    draw_removal,
     fit_idf,
     local_dictionary,
     normalized_tfidf,
     psi,
     sample_batch,
     tokenize,
-    weight,
 )
-from textlime.corpus import Corpus
-from textlime.sampling import draw_feature_matrix
+from textlime.corpus import Corpus, tfidf_weights
+from textlime.sampling import draw_feature_matrix, renormalized_tfidf
 from textlime.theory import alpha
 
 
@@ -38,25 +34,51 @@ def doc_and_idf():
     return corpus.documents[0], fit_idf(corpus)
 
 
+def cosine_distance(u, v):
+    """Oracle: 1 - cos(angle(u, v)), straight from numpy."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return 1.0 - float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def cosine_kernel(z, nu):
+    """Oracle: exponential kernel in the cosine distance between a presence
+    row and the all-ones row, as the sampling scheme defines it."""
+    dist = cosine_distance(np.ones(len(z)), z)
+    return math.exp(-(dist * dist) / (2.0 * nu * nu))
+
+
+def survivor(doc, local, z_row):
+    """Oracle: the perturbed document of a presence row, with every
+    occurrence of each removed word deleted."""
+    return Document(tokens=tuple(t for t in doc.tokens if z_row[local.index_of(t)]))
+
+
+def embedding_row(doc, idf, z_row):
+    """The production embedding of one presence row of `doc`."""
+    local = local_dictionary(doc)
+    return renormalized_tfidf(np.array([z_row]), tfidf_weights(local, idf))[0]
+
+
+def dense(phi, words):
+    return np.array([phi.get(w) for w in words])
+
+
 class TestDrawRemoval:
     def test_single_word_document_is_forced(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            draw = draw_removal(1, rng)
-            assert draw.s == 1
-            assert draw.removed == frozenset({0})
+        sizes, z = draw_feature_matrix(np.random.default_rng(0), 20, 1)
+        assert np.all(sizes == 1)
+        assert not z.any()
 
     def test_empty_dictionary_rejected(self):
         with pytest.raises(ValueError, match="empty local dictionary"):
-            draw_removal(0, np.random.default_rng(0))
+            draw_feature_matrix(np.random.default_rng(0), 10, 0)
 
     def test_sizes_and_subsets_consistent(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            draw = draw_removal(7, rng)
-            assert 1 <= draw.s <= 7
-            assert len(draw.removed) == draw.s
-            assert draw.removed <= set(range(7))
+        sizes, z = draw_feature_matrix(np.random.default_rng(1), 200, 7)
+        assert np.all((1 <= sizes) & (sizes <= 7))
+        assert set(np.unique(z)) <= {0, 1}
+        assert np.array_equal(z.sum(axis=1), 7 - sizes)
 
     def test_deletion_count_is_uniform(self):
         # Empirical frequency of each s over many draws, within 3 binomial
@@ -71,58 +93,39 @@ class TestDrawRemoval:
 
 
 class TestApplyRemoval:
+    """A removal deletes every occurrence of a word: the embedding of a
+    presence row equals the embedding of the survivor document."""
+
     def test_empty_removal_is_identity(self, doc_and_idf):
-        doc, _ = doc_and_idf
+        doc, idf = doc_and_idf
         local = local_dictionary(doc)
-        assert apply_removal(doc, local, frozenset()) == Document(tokens=doc.tokens)
+        got = embedding_row(doc, idf, np.ones(local.d, dtype=np.int8))
+        assert np.allclose(got, dense(normalized_tfidf(doc, idf), local.words), atol=1e-15)
 
     def test_total_removal_empties_document(self, doc_and_idf):
-        doc, _ = doc_and_idf
+        doc, idf = doc_and_idf
         local = local_dictionary(doc)
-        survivor = apply_removal(doc, local, frozenset(range(local.d)))
-        assert survivor.tokens == ()
+        z_row = np.zeros(local.d, dtype=np.int8)
+        assert survivor(doc, local, z_row).tokens == ()
+        assert np.array_equal(embedding_row(doc, idf, z_row), np.zeros(local.d))
 
-    def test_all_occurrences_removed(self):
-        doc = Document(tokens=("a", "b", "a"))
+    def test_all_occurrences_removed(self, doc_and_idf):
+        _, idf = doc_and_idf
+        doc = Document(tokens=("beta", "gamma", "beta"))
         local = local_dictionary(doc)
-        survivor = apply_removal(doc, local, {local.index_of("a")})
-        assert survivor.tokens == ("b",)
-
-    def test_order_preserved(self, doc_and_idf):
-        doc, _ = doc_and_idf
-        local = local_dictionary(doc)
-        survivor = apply_removal(doc, local, {1})  # drop "beta"
-        assert survivor.tokens == tuple(t for t in doc.tokens if t != "beta")
-
-    def test_out_of_range_index_rejected(self, doc_and_idf):
-        doc, _ = doc_and_idf
-        local = local_dictionary(doc)
-        with pytest.raises(ValueError, match="out of range"):
-            apply_removal(doc, local, {local.d})
+        z_row = np.array([0, 1], dtype=np.int8)  # drop "beta"
+        assert survivor(doc, local, z_row).tokens == ("gamma",)
+        assert np.allclose(embedding_row(doc, idf, z_row), [0.0, 1.0], atol=1e-15)
 
 
 class TestCosineDistance:
-    def test_identical_directions(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine_distance(v, 2 * v) == pytest.approx(0.0, abs=1e-15)
-
-    def test_orthogonal(self):
-        assert cosine_distance([1, 0], [0, 5]) == pytest.approx(1.0)
-
     def test_ones_against_three_of_four(self):
-        # 1 - 3 / (2 sqrt 3) = 1 - sqrt(3)/2
+        # 1 - 3 / (2 sqrt 3) = 1 - sqrt(3)/2, and psi(1/4) is its kernel.
         got = cosine_distance(np.ones(4), [1, 1, 1, 0])
         assert got == pytest.approx(1.0 - math.sqrt(3) / 2, abs=1e-12)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="undefined cosine distance"):
-            cosine_distance([0, 0], [1, 1])
-
-    def test_range(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            u, v = rng.normal(size=(2, 6))
-            assert -1e-12 <= cosine_distance(u, v) <= 2 + 1e-12
+        for nu in (0.1, 0.25, 1.0):
+            expected = math.exp(-(got * got) / (2 * nu * nu))
+            assert psi(0.25, nu) == pytest.approx(expected, rel=1e-12)
 
 
 class TestPsi:
@@ -150,20 +153,27 @@ class TestPsi:
 
 class TestWeight:
     def test_all_present(self):
-        assert weight(np.ones(6), 0.25) == pytest.approx(1.0)
+        assert cosine_kernel(np.ones(6), 0.25) == pytest.approx(psi(0.0, 0.25))
 
     def test_weight_equals_psi_of_deletion_fraction(self):
-        # The cosine route and the deletion-count route must agree.
-        rng = np.random.default_rng(4)
+        # The cosine route and the deletion-count route must agree on the
+        # weights sample_batch gives its rows.
         for nu in (0.1, 0.25, 1.0):
             for d in (2, 4, 9, 40):
-                s = int(rng.integers(1, d + 1))
-                z = np.ones(d)
-                z[rng.permutation(d)[:s]] = 0
-                assert abs(weight(z, nu) - psi(s / d, nu)) < 1e-12
+                doc = Document(tokens=tuple(f"w{i}" for i in range(d)))
+                batch = sample_batch(doc, local_dictionary(doc), 50, nu, seed=4)
+                for z_row, w in zip(batch.z, batch.weights):
+                    if z_row.any():
+                        assert abs(w - cosine_kernel(z_row, nu)) < 1e-12
 
     def test_all_removed_uses_limit(self):
-        assert weight(np.zeros(5), 0.25) == pytest.approx(psi(1.0, 0.25))
+        # The all-removed row has no direction; it gets the limit psi(1).
+        d = 3
+        doc = Document(tokens=tuple(f"w{i}" for i in range(d)))
+        batch = sample_batch(doc, local_dictionary(doc), 200, 0.25, seed=5)
+        empty = ~batch.z.any(axis=1)
+        assert empty.any()
+        assert np.all(batch.weights[empty] == psi(1.0, 0.25))
 
     def test_reference_bandwidth_unit_convention(self):
         # Reference-implementation units are 100x: nu_lime = 25 is nu = 0.25.
@@ -214,17 +224,18 @@ class TestSampleBatch:
         assert np.array_equal(batch.z.sum(axis=1), local.d - batch.sizes)
 
     def test_sample_view_consistent(self, doc_and_idf):
+        # Row i describes one perturbed document: its survivor keeps exactly
+        # the words z[i] marks present, sizes[i] words are gone, and the
+        # weight is psi of the deleted fraction.
         doc, _ = doc_and_idf
         local = local_dictionary(doc)
         batch = sample_batch(doc, local, 20, 0.25, seed=2)
-        for sample in batch:
-            assert sample.draw.s == local.d - int(sample.z.sum())
-            surviving = {w for w in sample.survivor.tokens}
+        for z_row, s, w in zip(batch.z, batch.sizes, batch.weights):
+            surviving = set(survivor(doc, local, z_row).tokens)
             for j, word in enumerate(local.words):
-                assert (word in surviving) == bool(sample.z[j])
-            assert sample.weight == pytest.approx(
-                psi(sample.draw.s / local.d, 0.25), abs=1e-12
-            )
+                assert (word in surviving) == bool(z_row[j])
+            assert len(surviving) == local.d - s
+            assert w == pytest.approx(psi(s / local.d, 0.25), abs=1e-12)
 
     def test_mean_weight_matches_zeroth_moment(self):
         # Monte Carlo mean of the kernel weight against the closed form.
@@ -261,15 +272,14 @@ class TestSampleBatch:
 
     def test_tfidf_matrix_matches_survivor_embedding(self, doc_and_idf):
         # Dual route: the vectorized per-row embedding must equal the
-        # embedding of the materialized survivor document.
+        # embedding of the survivor document built from the same row.
         doc, idf = doc_and_idf
         local = local_dictionary(doc)
         batch = sample_batch(doc, local, 50, 0.25, seed=3)
         values = batch.tfidf_matrix(idf)
-        for i, sample in enumerate(batch):
-            phi = normalized_tfidf(sample.survivor, idf)
-            for j, word in enumerate(local.words):
-                assert values[i, j] == pytest.approx(phi.get(word), abs=1e-12)
+        for i, z_row in enumerate(batch.z):
+            phi = normalized_tfidf(survivor(doc, local, z_row), idf)
+            assert np.allclose(values[i], dense(phi, local.words), rtol=0, atol=1e-12)
 
     def test_invalid_arguments(self, doc_and_idf):
         doc, _ = doc_and_idf
@@ -281,16 +291,3 @@ class TestSampleBatch:
         empty = Document(tokens=())
         with pytest.raises(ValueError, match="empty local dictionary"):
             sample_batch(empty, local_dictionary(empty), 10, 0.25, seed=0)
-
-    def test_csv_dump(self, doc_and_idf, tmp_path):
-        doc, _ = doc_and_idf
-        local = local_dictionary(doc)
-        batch = sample_batch(doc, local, 5, 0.25, seed=5)
-        path = tmp_path / "batch.csv"
-        batch.to_csv(path, run=3)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "run,sample,s,z_bitstring,weight"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert first[0] == "3"
-        assert len(first[3]) == local.d

@@ -35,6 +35,7 @@ from textlime import (
     mc_alpha,
     normalized_tfidf,
     omega_weights,
+    population_explanation,
     sample_size_bound,
     sigma_inverse,
     sigma_matrix,
@@ -852,6 +853,46 @@ class TestBetaGeneralMc:
         beta_g = beta_general_mc(g, doc, idf, **kwargs).coefficient_array()
         beta_fg = beta_general_mc(fg, doc, idf, **kwargs).coefficient_array()
         assert np.allclose(beta_fg, 2.0 * beta_f - beta_g, atol=1e-12)
+
+
+class TestPopulationExplanation:
+    """The dispatcher returns exactly what the route it picks returns."""
+
+    def test_indicator_built_models_take_the_tree_closed_form(self, doc_idf):
+        doc, idf = doc_idf
+        local = local_dictionary(doc)
+        tree = tree_from_spec('"food" + (!"food" & "about" & "Everything")')
+        single = IndicatorProduct(words=frozenset({"staff"}), coefficient=-2.0)
+        constant = IndicatorProduct(words=frozenset(), coefficient=1.0)
+        merged = combine([(1.0, tree), (0.5, single)])
+        for model, as_tree in [
+            (tree, tree),
+            (merged, merged),
+            (single, TreeModel(terms=(single,))),
+            (constant, TreeModel(terms=(constant,))),
+        ]:
+            got = population_explanation(model, doc, idf, nu=0.3)
+            assert got == beta_tree(as_tree, local, 0.3)
+            assert got.provenance == "exact-closed-form"
+
+    @pytest.mark.parametrize("mode", ["simplified", "full"])
+    def test_linear_models_take_the_large_bandwidth_form(self, linear_setup, mode):
+        _, doc, idf, _, lam = linear_setup
+        model = LinearModel(coefficients=lam)
+        got = population_explanation(model, doc, idf, nu=0.3, linear_mode=mode, seed=4)
+        assert got == beta_linear(model, doc, idf, mode=mode, seed=4)
+        assert got.provenance == "large-bandwidth-approx"
+
+    def test_other_models_and_forced_monte_carlo_take_the_oracle(self, doc_idf):
+        doc, idf = doc_idf
+        tree = tree_from_spec('"food" + "staff"')
+        mixed = combine([(1.0, tree), (2.0, LinearModel(coefficients={"fun": 1.0}))])
+        for model, forced in [(mixed, False), (tree, True)]:
+            got = population_explanation(
+                model, doc, idf, nu=0.3, n_mc=5000, seed=9, monte_carlo=forced
+            )
+            assert got == beta_general_mc(model, doc, idf, nu=0.3, n_mc=5000, seed=9)
+            assert got.provenance == "monte-carlo"
 
 
 class TestBetaLargeBandwidth:
