@@ -1,11 +1,15 @@
 """Per-layer timings of the explanation pipeline (sampler, TF-IDF
-renormalization, weighted least-squares solve) and of the theory layer.
+renormalization, weighted least-squares solve) and of the theory layer, plus
+the end-to-end repeated run.
 
 Each pipeline case times one layer at n = 5000 samples and dictionary size
 d in {12, 31, 200, 1000}. Each theory case times `alpha_values` (orders 0..4),
 `sigma_set`, `normalization_constant` or a 20-term `beta_tree` at
-d in {31, 200, 1000}. Seeds are fixed, and every case keeps the minimum of
-K = 7 runs. Only the standard library is used for timing. The record stores the
+d in {31, 200, 1000}. The end-to-end case times `run_repeated` with
+n_exp = 100 runs of a 20-term tree at n = 5000 and d in {12, 31}. Seeds are
+fixed, and every case keeps the minimum of K = 7 runs and the mean number of
+minor page faults per call (`resource.getrusage`, whole process). Only the
+standard library is used for timing. The record stores the
 BLAS thread setting, the CPU count, the numpy and Python versions, and the
 source it timed: the git commit of the textlime checkout (suffixed `-dirty`
 when the package differs from that commit) and a SHA-256 over the package's
@@ -13,7 +17,7 @@ when the package differs from that commit) and a SHA-256 over the package's
 replacing an earlier record with the same label, so records of two commits
 can sit side by side:
 
-    PYTHONPATH=src python benchmarks/layers.py --label change --out BENCH_4.json
+    PYTHONPATH=src python benchmarks/layers.py --label change --out BENCH_6.json
 
 Set OPENBLAS_NUM_THREADS before the run to fix the BLAS thread count; the
 script reads it and does not change it. The textlime package is imported
@@ -28,6 +32,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import subprocess
 import time
 from pathlib import Path
@@ -40,23 +45,32 @@ from textlime.models import IndicatorProduct, TreeModel
 from textlime.sampling import draw_feature_matrix, sample_batch
 from textlime.surrogate import fit_weighted_ridge
 from textlime.theory import alpha_values, beta_tree, normalization_constant, sigma_set
+from textlime.verify import run_repeated
 
 N = 5000
 DICTIONARY_SIZES = (12, 31, 200, 1000)
 THEORY_SIZES = (31, 200, 1000)
+REPEATED_SIZES = (12, 31)
+N_EXP = 100
 TREE_TERMS = 20
 NU = 0.25
 SEED = 20201023
 K = 7
 
 
-def _min_ms(fn) -> float:
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _min_ms(fn) -> tuple[float, float]:
+    """Minimum wall time of K calls, and minor page faults per call."""
     best = float("inf")
+    faults = _minor_faults()
     for _ in range(K):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
-    return best * 1e3
+    return best * 1e3, (_minor_faults() - faults) / K
 
 
 def _document(d: int) -> tuple[Document, IdfTable]:
@@ -83,13 +97,30 @@ def _tree(words, rng: np.random.Generator) -> TreeModel:
 
 def _record(cases: list[dict], layer: str, fn, **shape) -> None:
     fn()
-    best = round(_min_ms(fn), 3)
-    cases.append({"layer": layer, **shape, "k": K, "min_ms": best})
-    print(f"{layer:32s} d={shape['d']:5d}  {best:9.3f} ms")
+    best, faults = _min_ms(fn)
+    best = round(best, 3)
+    cases.append(
+        {"layer": layer, **shape, "k": K, "min_ms": best, "minor_faults_per_call": faults}
+    )
+    print(f"{layer:32s} d={shape['d']:5d}  {best:9.3f} ms  {faults:8.1f} faults")
 
 
 def run_cases() -> list[dict]:
     cases = []
+    # First, as in a fresh `textlime verify` process: once the d = 1000 cases
+    # have freed 40 MB arrays, glibc's malloc keeps freed memory mapped and
+    # later runs fault in no pages at all.
+    for d in REPEATED_SIZES:
+        doc, idf = _document(d)
+        tree = _tree(local_dictionary(doc).words, np.random.default_rng(SEED))
+        _record(
+            cases,
+            "verify.run_repeated",
+            lambda: run_repeated(tree, doc, idf, n=N, nu=NU, n_exp=N_EXP, master_seed=SEED),
+            n=N,
+            n_exp=N_EXP,
+            d=d,
+        )
     for d in DICTIONARY_SIZES:
         doc, idf = _document(d)
         local = local_dictionary(doc)

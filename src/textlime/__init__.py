@@ -57,7 +57,6 @@ from .theory import (
     sigma_inverse,
     sigma_matrix,
     sigma_set,
-    word_presence_probability,
 )
 from .verify import (
     ComparisonReport,

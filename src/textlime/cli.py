@@ -120,13 +120,13 @@ def resolve_options(cli_values: dict, config_path: str | None) -> dict:
         merged["nu"] = float(nu_lime) / 100.0
     elif not explicit_nu:
         merged["nu"] = DEFAULTS["nu"]
-    if merged["nu"] <= 0:
+    if not merged["nu"] > 0:
         raise fail("nu", "bandwidth must be positive")
     if merged["n"] < 1:
         raise fail("n", "need at least one perturbed sample")
     if merged["n_exp"] < 1:
         raise fail("n-exp", "need at least one repetition")
-    if merged["ridge"] < 0:
+    if not merged["ridge"] >= 0:
         raise fail("ridge", "ridge parameter must be nonnegative")
     if merged["threads"] < 1:
         raise fail("threads", "worker count must be at least 1")

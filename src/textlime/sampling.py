@@ -8,6 +8,10 @@ an exponential kernel weight in the cosine distance between its binary
 presence vector and the all-ones vector. That distance depends only on s,
 so the weight is psi(s / d); the all-removed sample, whose distance is
 undefined, gets the limit psi(1).
+
+Repeated runs on one document share a `_Workspace`: the per-document
+invariants, computed once, and scratch arrays that every run overwrites
+instead of allocating its own.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ def psi(t, nu: float):
     psi(t) = exp(-(1 - sqrt(1 - t))^2 / (2 nu^2)), decreasing on [0, 1]
     with psi(0) = 1. Accepts scalars or numpy arrays.
     """
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError("bandwidth nu must be positive")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0) or np.any(t_arr > 1):
@@ -32,8 +36,49 @@ def psi(t, nu: float):
     return float(out) if np.isscalar(t) or out.ndim == 0 else out
 
 
+def _kernel_table(d: int, nu: float) -> np.ndarray:
+    """psi(s / d) for s = 0..d. Indexed by removal size it gives every
+    sample's weight by the same elementwise arithmetic as psi of each
+    sample, so bit-identically."""
+    return psi(np.arange(d + 1) / d, nu)
+
+
+class _Workspace:
+    """What the runs of one (document, idf, n, nu) share.
+
+    The invariants are computed once: the local dictionary, the TF-IDF
+    `masses` and the `_kernel_table`. With `reuse`, each scratch array is
+    allocated by the first run and overwritten by every later one, so
+    repeated runs neither allocate nor fault in fresh pages; a batch's
+    arrays then hold only until the next run. Without it every run gets
+    fresh arrays, freed as soon as it drops them, so a lone run holds no
+    more memory than it needs. Not thread-safe: one workspace per worker.
+    """
+
+    def __init__(
+        self, local: LocalDictionary, idf: IdfTable, nu: float, *, reuse: bool
+    ) -> None:
+        self.local = local
+        self.idf = idf
+        self.masses = tfidf_weights(local, idf)
+        self.kernel = _kernel_table(local.d, nu)
+        self.arrays: dict[str, np.ndarray] | None = {} if reuse else None
+
+
+def _scratch(workspace: _Workspace | None, name: str, shape, dtype=np.float64):
+    """Uninitialized array `name`: the workspace's own when it reuses
+    arrays, else a fresh one."""
+    arrays = None if workspace is None else workspace.arrays
+    if arrays is None:
+        return np.empty(shape, dtype)
+    out = arrays.get(name)
+    if out is None:
+        out = arrays[name] = np.empty(shape, dtype)
+    return out
+
+
 def draw_feature_matrix(
-    rng: np.random.Generator, n: int, d: int
+    rng: np.random.Generator, n: int, d: int, *, _workspace: _Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n removal sizes and the matching binary feature matrix.
 
@@ -48,13 +93,19 @@ def draw_feature_matrix(
     if n < 1:
         raise ValueError("need at least one sample")
     sizes = rng.integers(1, d + 1, size=n)
-    keys = rng.random((n, d))
-    cut = np.sort(keys, axis=1)[np.arange(n), sizes - 1]
-    z = (keys > cut[:, None]).astype(np.int8)
+    keys = rng.random((n, d), out=_scratch(_workspace, "keys", (n, d)))
+    ordered = _scratch(_workspace, "sorted", (n, d))
+    np.copyto(ordered, keys)
+    ordered.sort(axis=1)
+    cut = ordered[np.arange(n), sizes - 1]
+    mask = _scratch(_workspace, "mask", (n, d), np.bool_)
+    z = np.greater(keys, cut[:, None], out=mask).view(np.int8)
     return sizes, z
 
 
-def renormalized_tfidf(z: np.ndarray, masses: np.ndarray) -> np.ndarray:
+def renormalized_tfidf(
+    z: np.ndarray, masses: np.ndarray, *, _workspace: _Workspace | None = None
+) -> np.ndarray:
     """Row i = normalized TF-IDF of the words that z[i] keeps.
 
     `masses` holds the per-word TF-IDF mass of the full document
@@ -62,9 +113,13 @@ def renormalized_tfidf(z: np.ndarray, masses: np.ndarray) -> np.ndarray:
     surviving coordinates are rescaled per row; the all-removed row maps
     to the zero vector.
     """
-    values = z * masses
-    norms = np.sqrt(values @ masses)[:, None]
-    np.divide(values, norms, out=values, where=norms > 0)
+    values = _scratch(_workspace, "values", z.shape)
+    np.copyto(values, z)
+    values *= masses
+    norms = np.sqrt(values @ masses)
+    # Dividing by 1 leaves a zero-norm row (every word removed) as it is.
+    norms[norms == 0.0] = 1.0
+    values /= norms[:, None]
     return values
 
 
@@ -74,7 +129,8 @@ class SampleBatch:
     `sizes[i]` is the number of words sample i removed, `z[i]` its binary
     presence row over the local dictionary and `weights[i]` its kernel
     weight psi(sizes[i] / d). Survivor documents are never materialized:
-    `tfidf_matrix` embeds all n survivors at once. Immutable once built.
+    `tfidf_matrix` embeds all n survivors at once. Immutable once built;
+    a batch drawn into a reusing workspace is valid until its next run.
     """
 
     def __init__(
@@ -86,6 +142,8 @@ class SampleBatch:
         sizes: np.ndarray,
         z: np.ndarray,
         weights: np.ndarray,
+        *,
+        _workspace: _Workspace | None = None,
     ) -> None:
         self.document = document
         self.local = local
@@ -94,6 +152,7 @@ class SampleBatch:
         self.sizes = sizes
         self.z = z
         self.weights = weights
+        self._workspace = _workspace
 
     @property
     def n(self) -> int:
@@ -105,7 +164,9 @@ class SampleBatch:
 
     def tfidf_matrix(self, idf: IdfTable) -> np.ndarray:
         """Row i = normalized TF-IDF of survivor i over the local words."""
-        return renormalized_tfidf(self.z, tfidf_weights(self.local, idf))
+        ws = self._workspace
+        masses = ws.masses if ws is not None and ws.idf is idf else tfidf_weights(self.local, idf)
+        return renormalized_tfidf(self.z, masses, _workspace=ws)
 
 
 def sample_batch(
@@ -114,17 +175,20 @@ def sample_batch(
     n: int,
     nu: float,
     seed,
+    *,
+    _workspace: _Workspace | None = None,
 ) -> SampleBatch:
     """Draw n i.i.d. perturbed samples; fully determined by the seed."""
     if local.d < 1:
         raise ValueError("empty local dictionary")
     if n < 1:
         raise ValueError("need at least one sample")
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError("bandwidth nu must be positive")
     rng = np.random.default_rng(seed)
-    sizes, z = draw_feature_matrix(rng, n, local.d)
-    weights = psi(sizes / local.d, nu)
+    sizes, z = draw_feature_matrix(rng, n, local.d, _workspace=_workspace)
+    kernel = _kernel_table(local.d, nu) if _workspace is None else _workspace.kernel
+    weights = kernel[sizes]
     return SampleBatch(
         document=document,
         local=local,
@@ -133,4 +197,5 @@ def sample_batch(
         sizes=sizes,
         z=z,
         weights=weights,
+        _workspace=_workspace,
     )

@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary
 from .models import Model
-from .sampling import SampleBatch, sample_batch
+from .sampling import SampleBatch, _scratch, _Workspace, sample_batch
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def fit_weighted_ridge(
         raise ValueError("sample weights must be nonnegative")
     if not np.any(weights > 0):
         raise ValueError("degenerate weights: all sample weights are zero")
-    if ridge < 0:
+    if not ridge >= 0:
         raise ValueError("ridge parameter must be nonnegative")
 
     p = design.shape[1]
@@ -100,7 +100,7 @@ def fit_batch(
     the surrogate to the embedding, so it is never skipped).
     """
     responses = model.evaluate_matrix(batch.tfidf_matrix(idf), batch.local.words)
-    design = np.empty((batch.n, batch.d + 1))
+    design = _scratch(batch._workspace, "design", (batch.n, batch.d + 1))
     design[:, 0] = 1.0
     design[:, 1:] = batch.z
     beta = fit_weighted_ridge(design, batch.weights, responses, ridge)
@@ -135,8 +135,38 @@ def explain(
     closed-form comparisons exact. Pass ridge = 1.0 to mirror the
     reference implementation.
     """
+    (explanation,) = _explain_runs(
+        model, document, idf, [seed], n=n, nu=nu, ridge=ridge, reuse=False
+    )
+    return explanation
+
+
+def _explain_runs(
+    model: Model,
+    document: Document,
+    idf: IdfTable,
+    seeds,
+    *,
+    n: int,
+    nu: float,
+    ridge: float,
+    reuse: bool,
+) -> list[Explanation]:
+    """One explanation per seed, all from one `_Workspace` of the document.
+
+    `explain` is the one-seed case. With `reuse` the runs overwrite one set
+    of arrays instead of each allocating its own. Each call builds its own
+    workspace, so concurrent calls share no arrays.
+    """
     if not document.tokens:
         raise ValueError("cannot explain an empty document")
-    local = local_dictionary(document)
-    batch = sample_batch(document, local, n, nu, seed)
-    return fit_batch(model, batch, idf, ridge)
+    workspace = _Workspace(local_dictionary(document), idf, nu, reuse=reuse)
+    return [
+        fit_batch(
+            model,
+            sample_batch(document, workspace.local, n, nu, seed, _workspace=workspace),
+            idf,
+            ridge,
+        )
+        for seed in seeds
+    ]

@@ -32,7 +32,8 @@ ENUMERATION_LIMIT = 20
 
 
 class ClosedFormDomainError(ValueError):
-    """Raised where the closed forms need d >= 2 and the input is smaller."""
+    """Raised where the closed forms need d >= 2 and the input is smaller, or
+    where the bandwidth is so narrow that their normalizers underflow to 0."""
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,11 @@ def alpha_values(d: int, nu: float, p_max: int) -> list[float]:
 
 
 def alpha_limit(p: int, d: int) -> float:
-    """Large-bandwidth limit of alpha_p: (d - p) / ((p + 1) d)."""
+    """Large-bandwidth limit of alpha_p: (d - p) / ((p + 1) d), which is also
+    the probability that p given distinct words all survive one
+    perturbation."""
+    if d < 1:
+        raise ValueError("d must be at least 1")
     if not 0 <= p <= d:
         raise ValueError("order p must lie in 0..d")
     return (d - p) / ((p + 1) * d)
@@ -172,6 +177,11 @@ def sigma_set(d: int, nu: float) -> SigmaSet:
     a0, a1, a2 = alpha_values(d, nu, 2)
     c_d = normalization_constant(d, nu)
     gap = _alpha_gap(d, nu)
+    if c_d == 0.0 or gap == 0.0:
+        raise ClosedFormDomainError(
+            f"out of closed-form domain: at d={d}, nu={nu} the covariance "
+            "normalizers underflow to 0"
+        )
     return SigmaSet(
         d=d,
         nu=nu,
@@ -210,16 +220,6 @@ def sigma_inverse(d: int, nu: float) -> np.ndarray:
     np.fill_diagonal(m, ss.sigma2)
     m[0, 0] = ss.sigma0
     return m / ss.c_d
-
-
-def word_presence_probability(d: int, p: int) -> float:
-    """Probability that p given distinct words all survive one perturbation:
-    (d - p) / ((p + 1) d)."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if not 0 <= p <= d:
-        raise ValueError("order p must lie in 0..d")
-    return (d - p) / ((p + 1) * d)
 
 
 def _indicator_parts(
@@ -792,7 +792,7 @@ def sample_size_bound(
         raise ValueError("eta must lie in (0, 1)")
     if d < 1:
         raise ValueError("d must be at least 1")
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError("bandwidth nu must be positive")
     first = 2**9 * 70**4 * bound_m**2 * d**9 * _exp_or_inf(10.0 / nu**2)
     second = 2**9 * 70**2 * bound_m * d**5 * _exp_or_inf(5.0 / nu**2)

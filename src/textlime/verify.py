@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import Document, IdfTable, local_dictionary
 from .models import Model, combine, indicator_terms
 from .sampling import draw_feature_matrix, psi
-from .surrogate import explain
+from .surrogate import _explain_runs
 from .theory import TheoryExplanation, population_explanation
 
 # Floating-point cushion for "theory inside the empirical whisker range":
@@ -96,34 +96,34 @@ def run_repeated(
     master_seed=0,
     threads: int = 1,
 ) -> RunStatistics:
-    """Explain the same document n_exp times with independent seeds."""
+    """Explain the same document n_exp times with independent seeds.
+
+    Run r is `explain(..., seed=derive_seed(master_seed, r))` bit for bit.
+    With threads > 1 the runs are split into contiguous chunks, one per
+    worker, and each worker reuses its own workspace, so the result does
+    not depend on the thread count.
+    """
     if n_exp < 1:
         raise ValueError("need at least one repetition")
-    local = local_dictionary(document)
+    seeds = [derive_seed(master_seed, run) for run in range(n_exp)]
+    workers = max(1, min(threads, n_exp))
+    chunks = [seeds[i * n_exp // workers : (i + 1) * n_exp // workers] for i in range(workers)]
 
-    def one(run: int) -> tuple[np.ndarray, float]:
-        result = explain(
-            model,
-            document,
-            idf,
-            n=n,
-            nu=nu,
-            ridge=ridge,
-            seed=derive_seed(master_seed, run),
+    def work(chunk: list) -> list:
+        return _explain_runs(
+            model, document, idf, chunk, n=n, nu=nu, ridge=ridge, reuse=True
         )
-        return result.coefficient_array(), result.intercept
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n_exp)))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(work, chunks))
     else:
-        results = [one(run) for run in range(n_exp)]
-    coefficients = np.vstack([c for c, _ in results])
-    intercepts = np.array([b for _, b in results])
+        parts = [work(seeds)]
+    runs = [e for part in parts for e in part]
     return RunStatistics(
-        words=local.words,
-        coefficients=coefficients,
-        intercepts=intercepts,
+        words=runs[0].words,
+        coefficients=np.vstack([e.coefficient_array() for e in runs]),
+        intercepts=np.array([e.intercept for e in runs]),
         config={
             "n": n,
             "nu": nu,
@@ -264,7 +264,7 @@ def sweep_bandwidth(
         raise ValueError(f"unknown word {word!r}: not in the local dictionary")
     j = local.index_of(word)
     grid = default_nu_grid() if nu_grid is None else np.asarray(nu_grid, dtype=float)
-    if np.any(grid <= 0):
+    if not np.all(grid > 0):
         raise ValueError("bandwidth grid must be positive")
     points = []
     for idx, nu in enumerate(grid):

@@ -20,6 +20,7 @@ from textlime import (
     LinearModel,
     alpha,
     alpha_bounds,
+    alpha_limit,
     alpha_values,
     beta_tree,
     bundled_corpus_path,
@@ -37,7 +38,6 @@ from textlime import (
     sigma_inverse,
     sigma_matrix,
     sigma_set,
-    word_presence_probability,
 )
 from textlime.theory import (
     OmegaWeights,
@@ -327,7 +327,7 @@ def test_a12_presence_probabilities():
     worst_sigma = 0.0
     for p in (1, 2, 3):
         hits = z[:, :p].all(axis=1).astype(float)
-        target = word_presence_probability(d, p)
+        target = alpha_limit(p, d)
         stderr = hits.std(ddof=1) / math.sqrt(n_mc)
         sigmas = abs(hits.mean() - target) / stderr
         worst_sigma = max(worst_sigma, sigmas)

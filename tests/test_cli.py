@@ -102,6 +102,25 @@ class TestExplainCommand:
         assert result.exit_code != 0
         assert "nu/nu-lime" in result.output
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--ridge", "ridge: ridge parameter must be nonnegative"),
+            ("--nu", "nu: bandwidth must be positive"),
+        ],
+    )
+    def test_nan_is_a_field_error(self, runner, tmp_path, flag, message):
+        result = runner.invoke(
+            cli,
+            [
+                "explain", "--corpus", CORPUS, "--doc", "0", "--model", TREE,
+                "--n", "300", flag, "nan", "--out", str(tmp_path),
+            ],
+        )
+        assert result.exit_code == 1
+        assert message in result.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_nu_lime_converts_to_cosine_units(self, runner, tmp_path):
         base = [
             "explain", "--corpus", CORPUS, "--doc", "0", "--model", '"food"',
@@ -190,6 +209,19 @@ class TestTheoryCommand:
         )
         assert result.exit_code == 1
         assert "n-mc: need at least two Monte Carlo samples" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+
+    def test_nan_bandwidth_is_a_field_error(self, runner, tmp_path):
+        result = runner.invoke(
+            cli,
+            [
+                "theory", "--corpus", CORPUS, "--doc", "0", "--model", '"food"',
+                "--nu", "nan", "--out", str(tmp_path),
+            ],
+        )
+        assert result.exit_code == 1
+        assert "nu: bandwidth must be positive" in result.output
         assert list(tmp_path.iterdir()) == []
 
 

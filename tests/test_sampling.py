@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from textlime import (
     Document,
@@ -208,6 +209,28 @@ class TestDrawFeatureMatrix:
             assert np.array_equal(z, ref_z)
 
 
+def where_divide_tfidf(z, masses):
+    """Reference renormalization: divide only the rows of positive norm."""
+    values = z * masses
+    norms = np.sqrt(values @ masses)[:, None]
+    np.divide(values, norms, out=values, where=norms > 0)
+    return values
+
+
+class TestRenormalizedTfidf:
+    @pytest.mark.parametrize("d", [1, 2, 12, 31, 200])
+    def test_matches_where_divide_reference(self, d):
+        for seed in (0, 5):
+            rng = np.random.default_rng(seed)
+            masses = rng.random(d) * 4.0
+            masses[0] = 0.0  # a word of zero mass leaves a zero-norm row behind
+            _, z = draw_feature_matrix(rng, 3000, d)
+            got = renormalized_tfidf(z, masses)
+            want = where_divide_tfidf(z, masses)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestSampleBatch:
     def test_deterministic_given_seed(self, doc_and_idf):
         doc, _ = doc_and_idf
@@ -291,3 +314,18 @@ class TestSampleBatch:
         empty = Document(tokens=())
         with pytest.raises(ValueError, match="empty local dictionary"):
             sample_batch(empty, local_dictionary(empty), 10, 0.25, seed=0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    d=st.integers(1, 2000),
+    log10_nu=st.floats(-3.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_table_lookup_is_bit_identical(d, log10_nu, seed):
+    # sample_batch looks weights up in psi at s / d, s = 0..d, instead of
+    # evaluating psi at every sample's removal fraction.
+    nu = 10.0**log10_nu
+    sizes = np.random.default_rng(seed).integers(0, d + 1, size=500)
+    table = psi(np.arange(d + 1) / d, nu)
+    assert np.array_equal(table[sizes], psi(sizes / d, nu))

@@ -42,7 +42,6 @@ from textlime import (
     sigma_set,
     tokenize,
     tree_from_spec,
-    word_presence_probability,
 )
 from textlime.corpus import Corpus
 from textlime.sampling import psi
@@ -252,6 +251,20 @@ class TestSigmaSet:
         with pytest.raises(ClosedFormDomainError):
             sigma_set(1, 0.25)
 
+    @pytest.mark.parametrize("d", range(2, 8))
+    @pytest.mark.parametrize("nu", [0.005, 0.002, 0.001])
+    def test_narrow_bandwidth_finite_or_out_of_domain(self, d, nu):
+        # Here c_d or alpha_1 - alpha_2 can underflow to 0; dividing by it
+        # must not happen.
+        try:
+            ss = sigma_set(d, nu)
+        except ClosedFormDomainError:
+            return
+        assert ss.c_d > 0
+        assert all(
+            math.isfinite(v) for v in (ss.sigma0, ss.sigma1, ss.sigma2, ss.sigma3)
+        )
+
     def test_constant_model_identities(self):
         # sigma0 a0 + d sigma1 a1 = c_d and sigma1 a0 + sigma2 a1
         # + (d-1) sigma3 a1 = 0.
@@ -305,8 +318,10 @@ class TestSigmaMatrices:
 
 
 class TestWordPresenceProbability:
+    """alpha_limit(p, d) is the probability that p given words all survive."""
+
     def test_no_condition(self):
-        assert word_presence_probability(7, 0) == 1.0
+        assert alpha_limit(0, 7) == 1.0
 
     def test_small_cases_by_enumeration(self):
         # Rational enumeration over every (size, subset) draw.
@@ -322,10 +337,14 @@ class TestWordPresenceProbability:
                     )
                     total += Fraction(1, d) * Fraction(hits, math.comb(d, s))
                 assert total == Fraction(d - p, (p + 1) * d)
-                assert word_presence_probability(d, p) == pytest.approx(float(total))
+                assert alpha_limit(p, d) == pytest.approx(float(total))
 
     def test_d10_p2(self):
-        assert word_presence_probability(10, 2) == pytest.approx(8 / 30)
+        assert alpha_limit(2, 10) == pytest.approx(8 / 30)
+
+    def test_empty_dictionary_rejected(self):
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            alpha_limit(0, 0)
 
 
 class TestSubsetSumIdentity:

@@ -12,6 +12,7 @@ from textlime import (
     compare,
     concentration_check,
     default_nu_grid,
+    explain,
     fit_idf,
     linearity_check,
     local_dictionary,
@@ -64,11 +65,55 @@ class TestRunRepeated:
     def test_threading_does_not_change_results(self, setup):
         doc, idf, _ = setup
         model = tree_from_spec('"garden" + ("gate" & "morning")')
-        serial = run_repeated(model, doc, idf, n=300, n_exp=6, master_seed=5)
-        threaded = run_repeated(
-            model, doc, idf, n=300, n_exp=6, master_seed=5, threads=4
+        # Each worker takes a contiguous chunk of runs; 7 runs on 3 workers
+        # give chunks of unequal length.
+        for n_exp, threads in ((6, 4), (7, 3)):
+            serial = run_repeated(model, doc, idf, n=300, n_exp=n_exp, master_seed=5)
+            threaded = run_repeated(
+                model, doc, idf, n=300, n_exp=n_exp, master_seed=5, threads=threads
+            )
+            assert np.array_equal(serial.coefficients, threaded.coefficients)
+            assert np.array_equal(serial.intercepts, threaded.intercepts)
+
+    @pytest.mark.parametrize("ridge", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["tree", "linear", "constant", "one-word"])
+    def test_rows_are_explanations_of_derived_seeds(self, setup, kind, ridge):
+        doc, idf, local = setup
+        model = {
+            "tree": tree_from_spec('"garden" + ("gate" & "morning")'),
+            "linear": LinearModel(
+                coefficients={w: (-1.0) ** j * (j + 1) for j, w in enumerate(local.words)}
+            ),
+            "constant": IndicatorProduct(words=frozenset(), coefficient=1.0),
+            "one-word": tree_from_spec('"garden"'),
+        }[kind]
+        if kind == "one-word":
+            doc = tokenize("garden garden garden")
+        stats = run_repeated(
+            model, doc, idf, n=300, nu=0.3, ridge=ridge, n_exp=4, master_seed=[6, 2]
         )
-        assert np.array_equal(serial.coefficients, threaded.coefficients)
+        for r in range(4):
+            single = explain(
+                model, doc, idf, n=300, nu=0.3, ridge=ridge, seed=derive_seed([6, 2], r)
+            )
+            assert np.array_equal(stats.coefficients[r], single.coefficient_array())
+            assert stats.intercepts[r] == single.intercept
+
+    def test_consecutive_calls_share_no_state(self, setup):
+        doc, idf, _ = setup
+        other = tokenize("the fountain stones stay warm")
+        model = tree_from_spec('"fountain" + ("garden" & "stones")')
+
+        def run(document):
+            return run_repeated(model, document, idf, n=250, n_exp=3, master_seed=4)
+
+        first, second, again = run(doc), run(other), run(doc)
+        assert np.array_equal(first.coefficients, again.coefficients)
+        assert np.array_equal(first.intercepts, again.intercepts)
+        for r in range(3):
+            fresh = explain(model, other, idf, n=250, seed=derive_seed(4, r))
+            assert np.array_equal(second.coefficients[r], fresh.coefficient_array())
+            assert second.intercepts[r] == fresh.intercept
 
     def test_quartiles_ordered(self, setup):
         doc, idf, _ = setup
