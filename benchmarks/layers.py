@@ -5,7 +5,9 @@ the end-to-end repeated run.
 Each pipeline case times one layer at n = 5000 samples and dictionary size
 d in {12, 31, 200, 1000}. Each theory case times `alpha_values` (orders 0..4),
 `sigma_set`, `normalization_constant` or a 20-term `beta_tree` at
-d in {31, 200, 1000}. The end-to-end case times `run_repeated` with
+d in {31, 200, 1000}, or the full-mode `beta_linear` of a linear model over
+every word at d in {12, 17, 20}, where it enumerates all 2^d survivor sets.
+The end-to-end case times `run_repeated` with
 n_exp = 100 runs of a 20-term tree at n = 5000 and d in {12, 31}. Seeds are
 fixed, and every case keeps the minimum of K = 7 runs and the mean number of
 minor page faults per call (`resource.getrusage`, whole process). Only the
@@ -17,7 +19,7 @@ when the package differs from that commit) and a SHA-256 over the package's
 replacing an earlier record with the same label, so records of two commits
 can sit side by side:
 
-    PYTHONPATH=src python benchmarks/layers.py --label change --out BENCH_6.json
+    PYTHONPATH=src python benchmarks/layers.py --label change --out BENCH_7.json
 
 Set OPENBLAS_NUM_THREADS before the run to fix the BLAS thread count; the
 script reads it and does not change it. The textlime package is imported
@@ -44,12 +46,19 @@ from textlime.corpus import Document, IdfTable, local_dictionary
 from textlime.models import IndicatorProduct, TreeModel
 from textlime.sampling import draw_feature_matrix, sample_batch
 from textlime.surrogate import fit_weighted_ridge
-from textlime.theory import alpha_values, beta_tree, normalization_constant, sigma_set
+from textlime.theory import (
+    alpha_values,
+    beta_linear,
+    beta_tree,
+    normalization_constant,
+    sigma_set,
+)
 from textlime.verify import run_repeated
 
 N = 5000
 DICTIONARY_SIZES = (12, 31, 200, 1000)
 THEORY_SIZES = (31, 200, 1000)
+LINEAR_SIZES = (12, 17, 20)
 REPEATED_SIZES = (12, 31)
 N_EXP = 100
 TREE_TERMS = 20
@@ -149,6 +158,16 @@ def run_cases() -> list[dict]:
         }
         for layer, fn in timed.items():
             _record(cases, layer, fn, d=d)
+    for d in LINEAR_SIZES:
+        doc, idf = _document(d)
+        lam = dict(zip(local_dictionary(doc).words, np.linspace(-1.0, 1.0, d)))
+        _record(
+            cases,
+            "theory.beta_linear",
+            lambda: beta_linear(lam, doc, idf, mode="full"),
+            mode="full",
+            d=d,
+        )
     return cases
 
 

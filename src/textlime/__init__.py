@@ -46,14 +46,12 @@ from .theory import (
     alpha_values,
     beta_general_mc,
     beta_indicator_product,
-    beta_large_bandwidth,
     beta_linear,
     beta_tree,
     e_term,
     expected_removed_mass,
     omega_weights,
     population_explanation,
-    sample_size_bound,
     sigma_inverse,
     sigma_matrix,
     sigma_set,

@@ -9,7 +9,6 @@ and linear combinations of any of these.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -22,13 +21,8 @@ class Model:
 
     A model implements `evaluate_matrix`, the one evaluation protocol: the
     surrogate fit and the Monte Carlo oracles call it on whole batches of
-    perturbed samples. `bound` is a known upper bound of |f| on unit-norm inputs
-    (None when unknown); it feeds sample-size diagnostics only.
+    perturbed samples.
     """
-
-    @property
-    def bound(self) -> float | None:
-        return None
 
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
         """Evaluate on a batch: row i of `values` holds the coordinates of
@@ -43,10 +37,6 @@ class IndicatorProduct(Model):
 
     words: frozenset[str]
     coefficient: float = 1.0
-
-    @property
-    def bound(self) -> float:
-        return abs(self.coefficient)
 
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
         index = {w: j for j, w in enumerate(words)}
@@ -66,10 +56,6 @@ class TreeModel(Model):
 
     terms: tuple[IndicatorProduct, ...]
 
-    @property
-    def bound(self) -> float:
-        return math.fsum(abs(t.coefficient) for t in self.terms)
-
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
         out = np.zeros(len(values))
         for term in self.terms:
@@ -82,10 +68,6 @@ class LinearModel(Model):
     """sum_w coefficients[w] * phi_w over the words it names."""
 
     coefficients: Mapping[str, float]
-
-    @property
-    def bound(self) -> float:
-        return math.sqrt(math.fsum(c * c for c in self.coefficients.values()))
 
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
         index = {w: j for j, w in enumerate(words)}
@@ -102,15 +84,6 @@ class CombinedModel(Model):
     """Coefficient-weighted sum of arbitrary models."""
 
     parts: tuple[tuple[float, Model], ...]
-
-    @property
-    def bound(self) -> float | None:
-        total = 0.0
-        for a, m in self.parts:
-            if m.bound is None:
-                return None
-            total += abs(a) * m.bound
-        return total
 
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
         out = np.zeros(len(values))

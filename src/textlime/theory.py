@@ -60,19 +60,6 @@ class TheoryExplanation:
     def coefficient_array(self) -> np.ndarray:
         return np.array(self.coefficients)
 
-    def with_words(self, words: Sequence[str]) -> "TheoryExplanation":
-        if len(words) != self.d:
-            raise ValueError("word count must match coefficient count")
-        return TheoryExplanation(
-            intercept=self.intercept,
-            coefficients=self.coefficients,
-            provenance=self.provenance,
-            words=tuple(words),
-            coefficient_stderr=self.coefficient_stderr,
-            intercept_stderr=self.intercept_stderr,
-            notes=dict(self.notes),
-        )
-
 
 def alpha(p: int, d: int, nu: float) -> float:
     """Expected kernel weight times p distinct presence indicators.
@@ -342,36 +329,49 @@ def omega_weights(document: Document, idf: IdfTable) -> OmegaWeights:
     )
 
 
-def _kept_pair(kept) -> tuple[int, int | None]:
+def _kept_pair(kept, d: int) -> tuple[int, int | None]:
+    """The surviving word and, for a pair, the second one (else None),
+    checked against the dictionary size d."""
     if isinstance(kept, (int, np.integer)):
-        return int(kept), None
+        kept = (kept,)
     pair = tuple(int(i) for i in kept)
-    if len(pair) == 1:
-        return pair[0], None
-    if len(pair) != 2 or pair[0] == pair[1]:
+    if len(pair) not in (1, 2) or len(set(pair)) < len(pair):
         raise ValueError("kept must be one index or a pair of distinct indices")
+    if not all(0 <= i < d for i in pair):
+        raise ValueError("kept index out of range")
+    if len(pair) == 1:
+        if d < 2:
+            raise ValueError("single-survivor expectation requires d >= 2")
+        return pair[0], None
+    if d < 3:
+        raise ValueError("degenerate (d - 2 = 0): pair expectation requires d >= 3")
     return pair[0], pair[1]
+
+
+def _removed_mass_means(omega: OmegaWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Exact expectation of the removed mass given that word j survives, for
+    every j, and given that words j and k survive, for every pair (zero
+    diagonal; all zero when d < 3).
+
+    Single survivor j:   (1 - w_j) (d + 1) / (3 (d - 1)).
+    Surviving pair j, k: (1 - w_j - w_k) (d + 1) / (4 (d - 2)), evaluated
+    with j < k and mirrored.
+    """
+    d = omega.d
+    w = omega.array()
+    single = (1.0 - w) * (d + 1) / (3.0 * (d - 1))
+    if d < 3:
+        return single, np.zeros((d, d))
+    upper = np.triu((1.0 - w[:, None] - w) * (d + 1) / (4.0 * (d - 2)), 1)
+    return single, upper + upper.T
 
 
 def expected_removed_mass(omega: OmegaWeights, kept) -> float:
     """Exact expectation of the removed mass given that the kept word (or
-    pair of words) survives.
-
-    Single survivor j:   (1 - w_j) (d + 1) / (3 (d - 1)).
-    Surviving pair j, k: (1 - w_j - w_k) (d + 1) / (4 (d - 2)).
-    """
-    j, k = _kept_pair(kept)
-    d = omega.d
-    for idx in (j,) if k is None else (j, k):
-        if not 0 <= idx < d:
-            raise ValueError("kept index out of range")
-    if k is None:
-        if d < 2:
-            raise ValueError("single-survivor expectation requires d >= 2")
-        return (1.0 - omega.values[j]) * (d + 1) / (3.0 * (d - 1))
-    if d < 3:
-        raise ValueError("degenerate (d - 2 = 0): pair expectation requires d >= 3")
-    return (1.0 - omega.values[j] - omega.values[k]) * (d + 1) / (4.0 * (d - 2))
+    pair of words) survives; see `_removed_mass_means`."""
+    j, k = _kept_pair(kept, omega.d)
+    single, pair = _removed_mass_means(omega)
+    return float(single[j] if k is None else pair[j, k])
 
 
 def _conditional_size_pmf(d: int, pair: bool) -> np.ndarray:
@@ -388,14 +388,62 @@ def _conditional_size_pmf(d: int, pair: bool) -> np.ndarray:
     return np.clip(pmf, 0.0, None)
 
 
-def _subset_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masses and cardinalities of all 2^m subsets of the given entries."""
-    sums = np.zeros(1)
-    sizes = np.zeros(1, dtype=np.int64)
-    for v in values:
-        sums = np.concatenate([sums, sums + v])
-        sizes = np.concatenate([sizes, sizes + 1])
-    return sums, sizes
+def _subset_weights(d: int, pair: bool) -> np.ndarray:
+    """Probability of one particular removed set of each size s = 0..d given
+    one (or two) fixed survivors: the size pmf over C(m, s), where m words
+    may go."""
+    pmf = _conditional_size_pmf(d, pair)
+    m = d - 2 if pair else d - 1
+    return np.array([pmf[s] / math.comb(m, s) if s <= m else 0.0 for s in range(d + 1)])
+
+
+# Exact enumeration visits the survivor sets in blocks of this many rows,
+# which keeps each of its temporaries under 1 MB at d = ENUMERATION_LIMIT.
+_ENUMERATION_BLOCK = 4096
+
+
+def _renormalization_expectations(
+    omega: OmegaWeights, exact: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expected renormalization factor (kept mass)^(-1/2) given that word j
+    survives, for every j (shape (d,)), and given that words j and k
+    survive, for every pair (shape (d, d), zero diagonal; pairs need d >= 3).
+
+    exact=True enumerates every survivor set once: with keep the 0/1 row of
+    a set, h_1(s) and h_2(s) its probability given one or two fixed
+    survivors (s words removed) and f its factor, E_single = keep^T (h_1 f)
+    and E_pair = keep^T diag(h_2 f) keep. exact=False swaps the expectation
+    inside: (1 - expected removed mass)^(-1/2).
+    """
+    d = omega.d
+    if not exact:
+        single, pair = _removed_mass_means(omega)
+        e_pair = 1.0 / np.sqrt(1.0 - pair)
+        np.fill_diagonal(e_pair, 0.0)
+        return 1.0 / np.sqrt(1.0 - single), e_pair
+    if d > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"enumeration too large (d = {d} > {ENUMERATION_LIMIT}); "
+            "use method='approx' or method='mc'"
+        )
+    w = omega.array()
+    h_single = _subset_weights(d, pair=False)
+    h_pair = _subset_weights(d, pair=True) if d >= 3 else np.zeros(d + 1)
+    bits = np.arange(d)
+    e_single = np.zeros(d)
+    e_pair = np.zeros((d, d))
+    # Bit i of code c keeps word i. Code 0 keeps nothing, which has
+    # probability 0 given any survivor, so the walk starts at 1.
+    n_sets = 2**d
+    for start in range(1, n_sets, _ENUMERATION_BLOCK):
+        codes = np.arange(start, min(start + _ENUMERATION_BLOCK, n_sets))
+        keep = ((codes[:, None] >> bits) & 1).astype(float)
+        factor = 1.0 / np.sqrt(keep @ w)
+        removed = d - keep.sum(axis=1).astype(np.intp)
+        e_single += (h_single[removed] * factor) @ keep
+        e_pair += (keep * (h_pair[removed] * factor)[:, None]).T @ keep
+    np.fill_diagonal(e_pair, 0.0)
+    return e_single, e_pair
 
 
 @dataclass(frozen=True)
@@ -420,51 +468,34 @@ def e_term(
     """Expected renormalization factor given that word j (and word k, when
     given) survives the deletion.
 
-    method="exact" enumerates every subset of the remaining words (only
-    allowed for d <= 20); "approx" swaps the expectation inside, returning
+    method="exact" enumerates every survivor set (only allowed for
+    d <= 20); "approx" swaps the expectation inside, returning
     (1 - expected removed mass)^(-1/2), a deliberate underestimate (the
     map is strictly convex, so by Jensen the exact value lies above it);
-    "mc" samples the conditional law directly and reports a standard error.
+    both read one entry of `_renormalization_expectations`. "mc" samples
+    the conditional law directly and reports a standard error.
     With near-uniform masses and large d the exact values tend to 4/3 (one
     survivor) and 6/5 (a pair), while "approx" tends to the constants
     SIMPLIFIED_E_SINGLE and SIMPLIFIED_E_PAIR (about 1.2247 and 1.1547).
     """
     d = omega.d
-    jj, kk = _kept_pair(j if k is None else (j, k))
-    pair = kk is not None
-    if pair and d < 3:
-        raise ValueError("degenerate (d - 2 = 0): pair expectation requires d >= 3")
-    if not pair and d < 2:
-        raise ValueError("single-survivor expectation requires d >= 2")
+    jj, kk = _kept_pair(j if k is None else (j, k), d)
 
-    if method == "approx":
-        expected = expected_removed_mass(omega, jj if not pair else (jj, kk))
-        return RenormEstimate(value=1.0 / math.sqrt(1.0 - expected), method=method)
-
-    rest = np.array(
-        [w for i, w in enumerate(omega.values) if i not in (jj, kk)], dtype=float
-    )
-    pmf = _conditional_size_pmf(d, pair)
-
-    if method == "exact":
-        if d > ENUMERATION_LIMIT:
-            raise ValueError(
-                f"enumeration too large (d = {d} > {ENUMERATION_LIMIT}); "
-                "use method='approx' or method='mc'"
-            )
-        sums, sizes = _subset_sums(rest)
-        m = len(rest)
-        weight_by_size = np.zeros(m + 1)
-        for s in range(1, m + 1):
-            weight_by_size[s] = pmf[s] / math.comb(m, s)
-        value = float(np.sum(weight_by_size[sizes] / np.sqrt(1.0 - sums)))
-        return RenormEstimate(value=value, method=method)
+    if method in ("exact", "approx"):
+        e_single, e_pair = _renormalization_expectations(omega, method == "exact")
+        value = e_single[jj] if kk is None else e_pair[jj, kk]
+        return RenormEstimate(value=float(value), method=method)
 
     if method == "mc":
+        if n_mc < 2:
+            raise ValueError("need at least two Monte Carlo samples")
+        rest = np.array(
+            [w for i, w in enumerate(omega.values) if i not in (jj, kk)], dtype=float
+        )
+        pmf = _conditional_size_pmf(d, kk is not None)
         rng = np.random.default_rng(seed)
-        m = len(rest)
         sizes = rng.choice(d + 1, size=n_mc, p=pmf / pmf.sum())
-        ranks = rng.random((n_mc, m)).argsort(axis=1).argsort(axis=1)
+        ranks = rng.random((n_mc, len(rest))).argsort(axis=1).argsort(axis=1)
         removed_mass = ((ranks < sizes[:, None]) * rest).sum(axis=1)
         draws = 1.0 / np.sqrt(1.0 - removed_mass)
         value = float(draws.mean())
@@ -504,9 +535,6 @@ def beta_linear(
     idf: IdfTable,
     *,
     mode: str = "simplified",
-    e_method: str | None = None,
-    n_mc: int = 200_000,
-    seed=0,
 ) -> TheoryExplanation:
     """Large-bandwidth population explanation of a linear model.
 
@@ -516,8 +544,9 @@ def beta_linear(
     mode="simplified" applies the flat constant: coefficient j becomes
     (3 E - 2 E') * lambda_j * phi_j with E, E' the limiting
     renormalization factors above (about 1.36). mode="full" keeps the
-    per-word conditional renormalization expectations, computed by
-    `e_term` with the chosen method, and evaluates the exact
+    per-word conditional renormalization expectations, enumerated exactly
+    for d <= ENUMERATION_LIMIT and by the swapped expectation above it
+    (`_renormalization_expectations`), and evaluates the exact
     infinite-bandwidth product of inverse covariance and expected
     responses, including the intercept.
     """
@@ -561,24 +590,8 @@ def beta_linear(
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}; expected 'simplified' or 'full'")
 
-    if e_method is None:
-        e_method = "exact" if d <= ENUMERATION_LIMIT else "approx"
-    omega = omega_weights(document, idf)
-    rng = np.random.default_rng(seed)
-
-    def term(j: int, k: int | None) -> float:
-        term_seed = rng.integers(0, 2**63 - 1) if e_method == "mc" else 0
-        return e_term(
-            omega, j, k, method=e_method, n_mc=n_mc, seed=term_seed
-        ).value
-
-    e_single = np.array([term(j, None) for j in range(d)])
-    e_pair = np.zeros((d, d))
-    for j in range(d):
-        for k in range(j + 1, d):
-            value = term(j, k)
-            e_pair[j, k] = value
-            e_pair[k, j] = value
+    exact = d <= ENUMERATION_LIMIT
+    e_single, e_pair = _renormalization_expectations(omega_weights(document, idf), exact)
 
     # Expected responses in the infinite-bandwidth limit. Source word j
     # contributes to coordinate 0 and j through its single-survivor factor
@@ -598,7 +611,7 @@ def beta_linear(
         coefficients=tuple(float(c) for c in coeffs),
         provenance=LARGE_BANDWIDTH,
         words=local.words,
-        notes={"mode": "full", "e_method": e_method},
+        notes={"mode": "full", "e_method": "exact" if exact else "approx"},
     )
 
 
@@ -698,102 +711,5 @@ def population_explanation(
         if terms is not None:
             return beta_tree(TreeModel(terms=terms), local_dictionary(document), nu)
         if isinstance(model, LinearModel):
-            return beta_linear(model, document, idf, mode=linear_mode, seed=seed)
+            return beta_linear(model, document, idf, mode=linear_mode)
     return beta_general_mc(model, document, idf, nu=nu, n_mc=n_mc, seed=seed)
-
-
-def beta_large_bandwidth(
-    model: Model,
-    document: Document,
-    idf: IdfTable,
-    *,
-    n_mc: int = 200_000,
-    seed=0,
-) -> TheoryExplanation:
-    """Large-bandwidth approximation of the population explanation, via
-    Monte Carlo conditional means.
-
-    Coefficient j is 3 E[f | word j survives] minus 3/d times the sum of
-    the other conditional means; the intercept is twice the unconditional
-    mean minus the same average. Standard errors are approximate: they
-    keep only the leading conditional-mean term.
-    """
-    if not document.tokens:
-        raise ValueError("cannot explain an empty document")
-    if n_mc < 2:
-        raise ValueError("need at least two Monte Carlo samples")
-    local = local_dictionary(document)
-    d = local.d
-    w_vec = tfidf_weights(local, idf)
-
-    rng = np.random.default_rng(seed)
-    count = 0
-    sum_f = 0.0
-    sum_f_sq = 0.0
-    cond_count = np.zeros(d)
-    cond_sum = np.zeros(d)
-    cond_sum_sq = np.zeros(d)
-    for size in _mc_chunks(n_mc):
-        _, z = draw_feature_matrix(rng, size, d)
-        responses = model.evaluate_matrix(renormalized_tfidf(z, w_vec), local.words)
-        count += size
-        sum_f += float(responses.sum())
-        sum_f_sq += float((responses**2).sum())
-        cond_count += z.sum(axis=0)
-        cond_sum += responses @ z
-        cond_sum_sq += (responses**2) @ z
-
-    if np.any(cond_count < 2):
-        raise ValueError("not enough conditional samples; increase n_mc")
-    mean_f = sum_f / count
-    cond_mean = cond_sum / cond_count
-    cond_var = np.maximum(
-        cond_sum_sq / cond_count - cond_mean**2, 0.0
-    ) * cond_count / (cond_count - 1)
-    cond_se = np.sqrt(cond_var / cond_count)
-    avg_term = cond_mean.sum() / d
-
-    coeffs = 3.0 * cond_mean - 3.0 * avg_term
-    intercept = 2.0 * mean_f - 3.0 * avg_term
-    var_f = max(sum_f_sq / count - mean_f**2, 0.0) * count / (count - 1)
-    return TheoryExplanation(
-        intercept=float(intercept),
-        coefficients=tuple(float(v) for v in coeffs),
-        provenance=LARGE_BANDWIDTH,
-        words=local.words,
-        coefficient_stderr=tuple(float(v) for v in 3.0 * cond_se),
-        intercept_stderr=float(2.0 * math.sqrt(var_f / count)),
-        notes={"n_mc": n_mc, "stderr": "leading-term approximation"},
-    )
-
-
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def sample_size_bound(
-    bound_m: float, d: int, nu: float, epsilon: float, eta: float
-) -> float:
-    """Sample count guaranteeing concentration of the fitted coefficients
-    within epsilon with probability 1 - eta, from the explicit constants.
-
-    A diagnostic only: the constants are loose enough that the value is
-    astronomically large for realistic inputs (and infinite where the
-    exponentials overflow).
-    """
-    if bound_m <= 0:
-        raise ValueError("model bound must be positive")
-    if not 0 < epsilon < bound_m:
-        raise ValueError("epsilon must lie in (0, bound_m)")
-    if not 0 < eta < 1:
-        raise ValueError("eta must lie in (0, 1)")
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if not nu > 0:
-        raise ValueError("bandwidth nu must be positive")
-    first = 2**9 * 70**4 * bound_m**2 * d**9 * _exp_or_inf(10.0 / nu**2)
-    second = 2**9 * 70**2 * bound_m * d**5 * _exp_or_inf(5.0 / nu**2)
-    return max(first, second) * math.log(8.0 * d / eta) / epsilon**2

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from textlime import (
-    CombinedModel,
     IndicatorProduct,
     LinearModel,
     TreeModel,
@@ -62,9 +61,6 @@ class TestIndicatorProduct:
         m = IndicatorProduct(words=frozenset({"a", "b"}))
         assert ev(m, a=0.9, b=0.01) == ev(m, a=0.0001, b=0.7)
 
-    def test_bound(self):
-        assert IndicatorProduct(words=frozenset({"a"}), coefficient=-3.0).bound == 3.0
-
 
 class TestLinearModel:
     def test_all_zero_coefficients(self):
@@ -83,11 +79,8 @@ class TestLinearModel:
         m = LinearModel(coefficients=lam)
         raw = np.abs(rng.normal(size=(200, 6))) + 1e-9
         phi = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        assert np.all(np.abs(m.evaluate_matrix(phi, words)) <= m.bound + 1e-12)
-
-    def test_bound_is_euclidean_norm(self):
-        m = LinearModel(coefficients={"a": 3.0, "b": 4.0})
-        assert m.bound == pytest.approx(5.0)
+        norm = math.sqrt(math.fsum(c * c for c in lam.values()))
+        assert np.all(np.abs(m.evaluate_matrix(phi, words)) <= norm + 1e-12)
 
     def test_json_loading(self, tmp_path):
         path = tmp_path / "linear.json"
@@ -127,13 +120,6 @@ class TestCombine:
         assert isinstance(c, TreeModel)
         by_support = {t.words: t.coefficient for t in c.terms}
         assert by_support == {frozenset({"a"}): 3.0, frozenset({"b"}): 1.0}
-
-    def test_bound_accumulates(self):
-        f = IndicatorProduct(words=frozenset({"a"}))
-        g = LinearModel(coefficients={"b": 2.0})
-        c = combine([(2.0, f), (-1.0, g)])
-        assert isinstance(c, CombinedModel)
-        assert c.bound == pytest.approx(2.0 * 1.0 + 1.0 * 2.0)
 
 
 class TestTreeFromSpec:
@@ -205,10 +191,6 @@ class TestTreeFromSpec:
             tree_from_spec('("a" & "b"')
         with pytest.raises(TreeSpecError, match="end of input"):
             tree_from_spec('"a" + ')
-
-    def test_tree_bound_is_coefficient_sum(self):
-        tree = tree_from_spec(FOOD_TREE_SPEC)
-        assert tree.bound == pytest.approx(3.0)
 
 
 # Sub-expressions over at most four words, with at most four leaves.

@@ -24,26 +24,26 @@ from textlime import (
     alpha_values,
     beta_general_mc,
     beta_indicator_product,
-    beta_large_bandwidth,
     beta_linear,
     beta_tree,
+    bundled_corpus_path,
     combine,
     e_term,
     expected_removed_mass,
     fit_idf,
+    load_corpus,
     local_dictionary,
     mc_alpha,
     normalized_tfidf,
     omega_weights,
     population_explanation,
-    sample_size_bound,
     sigma_inverse,
     sigma_matrix,
     sigma_set,
     tokenize,
     tree_from_spec,
 )
-from textlime.corpus import Corpus
+from textlime.corpus import Corpus, tfidf_weights
 from textlime.sampling import psi
 from textlime.theory import (
     ClosedFormDomainError,
@@ -113,19 +113,15 @@ def exact_sigma_identity_residual(d, nu):
 
 def enumerate_conditional(d, kept, func):
     """Exhaustive oracle: E[func(S) | S avoids kept], iterating every
-    (size, subset) pair of the uniform removal scheme."""
+    (size, subset) pair of the uniform removal scheme that avoids kept."""
     kept = set(kept)
     total = Fraction(0)
     weighted = 0.0
     indices = [i for i in range(d) if i not in kept]
     for s in range(1, d + 1):
-        p_s = Fraction(1, d)
-        all_subsets = math.comb(d, s)
-        for subset in itertools.combinations(range(d), s):
-            if kept & set(subset):
-                continue
-            prob = p_s / all_subsets
-            total += prob
+        prob = Fraction(1, d) / math.comb(d, s)
+        total += math.comb(len(indices), s) * prob
+        for subset in itertools.combinations(indices, s):
             weighted += float(prob) * func(frozenset(subset))
     return weighted / float(total)
 
@@ -385,21 +381,41 @@ class TestExpectedRemovedMass:
 
 class TestETerm:
     def test_exact_matches_enumeration_oracle(self):
+        # Every single survivor and every pair, including the smallest d
+        # with pairs and a d that spans no more than one enumeration block.
         rng = np.random.default_rng(37)
-        for d in (4, 7, 10):
+        for d in (3, 4, 7, 10, 12):
             omega = random_omega(d, rng)
             values = np.array(omega.values)
 
             def renorm(subset):
                 return 1.0 / math.sqrt(1.0 - values[list(subset)].sum())
 
-            got = e_term(omega, 2, method="exact").value
+            for j in range(d):
+                got = e_term(omega, j, method="exact").value
+                assert got == pytest.approx(
+                    enumerate_conditional(d, {j}, renorm), abs=1e-12
+                )
+            for j, k in itertools.combinations(range(d), 2):
+                want = enumerate_conditional(d, {j, k}, renorm)
+                for pair in ((j, k), (k, j)):
+                    got = e_term(omega, *pair, method="exact").value
+                    assert got == pytest.approx(want, abs=1e-12)
+
+    def test_exact_spans_several_enumeration_blocks(self):
+        # d = 14 walks the survivor sets in four blocks.
+        rng = np.random.default_rng(39)
+        d = 14
+        omega = random_omega(d, rng)
+        values = np.array(omega.values)
+
+        def renorm(subset):
+            return 1.0 / math.sqrt(1.0 - values[list(subset)].sum())
+
+        for kept in ((3,), (13,), (0, 13), (5, 9)):
+            got = e_term(omega, *kept, method="exact").value
             assert got == pytest.approx(
-                enumerate_conditional(d, {2}, renorm), abs=1e-12
-            )
-            got_pair = e_term(omega, 0, 3, method="exact").value
-            assert got_pair == pytest.approx(
-                enumerate_conditional(d, {0, 3}, renorm), abs=1e-12
+                enumerate_conditional(d, set(kept), renorm), abs=1e-12
             )
 
     def test_exact_matches_conditional_monte_carlo(self):
@@ -418,6 +434,23 @@ class TestETerm:
         assert e_term(omega, 5, method="approx").value == pytest.approx(
             1.0 / math.sqrt(1.0 - expected)
         )
+
+    def test_approx_follows_the_formula_in_either_order(self):
+        # The pair value is evaluated as (1 - w_j - w_k) with j < k, so both
+        # orders give the same bits even where float addition does not
+        # commute.
+        rng = np.random.default_rng(42)
+        d = 25
+        omega = random_omega(d, rng)
+        w = omega.values
+        for j in range(d):
+            want = 1.0 / math.sqrt(1.0 - (1.0 - w[j]) * (d + 1) / (3.0 * (d - 1)))
+            assert e_term(omega, j, method="approx").value == want
+        for j, k in itertools.combinations(range(d), 2):
+            mass = (1.0 - w[j] - w[k]) * (d + 1) / (4.0 * (d - 2))
+            want = 1.0 / math.sqrt(1.0 - mass)
+            assert e_term(omega, j, k, method="approx").value == want
+            assert e_term(omega, k, j, method="approx").value == want
 
     def test_approx_underestimates_exact(self):
         # The swap sits under the true value (the integrand is convex).
@@ -446,6 +479,17 @@ class TestETerm:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             e_term(uniform_omega(5), 0, method="bogus")
+
+    @pytest.mark.parametrize("method", ["exact", "approx", "mc"])
+    @pytest.mark.parametrize("kept", [(9,), (-1,), (0, 9)], ids=["9", "-1", "0-9"])
+    def test_out_of_range_index_rejected(self, method, kept):
+        with pytest.raises(ValueError, match="out of range"):
+            e_term(uniform_omega(5), *kept, method=method, n_mc=100)
+
+    @pytest.mark.parametrize("n_mc", [0, 1])
+    def test_monte_carlo_needs_two_samples(self, n_mc):
+        with pytest.raises(ValueError, match="at least two"):
+            e_term(uniform_omega(5), 0, method="mc", n_mc=n_mc)
 
 
 class TestBetaIndicatorProduct:
@@ -520,14 +564,6 @@ class TestBetaIndicatorProduct:
         assert all(math.isfinite(c) for c in result.coefficients)
         assert math.isfinite(result.intercept)
         assert len(set(result.coefficients)) == 1
-
-    def test_with_words_attaches_labels(self):
-        result = beta_indicator_product([0], 3, 0.25)
-        labeled = result.with_words(("x", "y", "z"))
-        assert labeled.words == ("x", "y", "z")
-        assert labeled.coefficients == result.coefficients
-        with pytest.raises(ValueError):
-            result.with_words(("too", "few"))
 
 
 @pytest.fixture(scope="module")
@@ -740,7 +776,8 @@ class TestBetaLinear:
     def test_full_mode_matches_monte_carlo_at_huge_bandwidth(self, linear_setup):
         _, doc, idf, local, lam = linear_setup
         model = LinearModel(coefficients=lam)
-        full = beta_linear(lam, doc, idf, mode="full", e_method="exact")
+        full = beta_linear(lam, doc, idf, mode="full")
+        assert full.notes["e_method"] == "exact"
         oracle = beta_general_mc(model, doc, idf, nu=1e3, n_mc=400_000, seed=67)
         slack = 1.0 / local.d
         for j in range(local.d):
@@ -751,13 +788,57 @@ class TestBetaLinear:
         )
 
     def test_full_mode_is_linear_in_lambda(self, linear_setup):
-        _, doc, idf, local, lam = linear_setup
-        half = {w: 0.5 * c for w, c in lam.items()}
-        a = beta_linear(lam, doc, idf, mode="full", e_method="approx")
-        b = beta_linear(half, doc, idf, mode="full", e_method="approx")
-        assert np.allclose(
-            a.coefficient_array(), 2.0 * b.coefficient_array(), atol=1e-12
+        # One document of each branch: enumeration (d = 14) and the
+        # swapped expectation (bundled document 0, d = 31).
+        _, doc, idf, _, _ = linear_setup
+        corpus = load_corpus(bundled_corpus_path())
+        cases = [(doc, idf, "exact"), (corpus.documents[0], fit_idf(corpus), "approx")]
+        for document, table, branch in cases:
+            rng = np.random.default_rng(63)
+            lam = {w: float(rng.normal()) for w in local_dictionary(document).words}
+            half = {w: 0.5 * c for w, c in lam.items()}
+            a = beta_linear(lam, document, table, mode="full")
+            b = beta_linear(half, document, table, mode="full")
+            assert a.notes["e_method"] == branch
+            assert np.allclose(
+                a.coefficient_array(), 2.0 * b.coefficient_array(), atol=1e-12
+            )
+
+    def test_full_mode_above_enumeration_limit_is_pairwise_swap(self):
+        # Above the enumeration limit the full mode must reproduce, bit for
+        # bit, the pair-by-pair assembly from expected_removed_mass.
+        corpus = load_corpus(bundled_corpus_path())
+        doc, idf = corpus.documents[0], fit_idf(corpus)
+        local = local_dictionary(doc)
+        d = local.d
+        assert d > theory.ENUMERATION_LIMIT
+        rng = np.random.default_rng(65)
+        lam = {w: float(rng.normal()) for w in local.words}
+        got = beta_linear(lam, doc, idf, mode="full")
+
+        omega = omega_weights(doc, idf)
+        e_single = np.array(
+            [1.0 / math.sqrt(1.0 - expected_removed_mass(omega, j)) for j in range(d)]
         )
+        e_pair = np.zeros((d, d))
+        for j, k in itertools.combinations(range(d), 2):
+            value = 1.0 / math.sqrt(1.0 - expected_removed_mass(omega, (j, k)))
+            e_pair[j, k] = e_pair[k, j] = value
+        weights = tfidf_weights(local, idf)
+        phi = weights / math.sqrt(float(weights @ weights))
+        signal = np.array([lam[w] for w in local.words]) * phi
+        single_factor = (d - 1) / (2.0 * d)
+        pair_factor = (d - 2) / (3.0 * d)
+        gamma0 = float(np.sum(signal * single_factor * e_single))
+        gamma = pair_factor * (e_pair @ signal) + single_factor * e_single * signal
+        r0, r1, r2, r3 = theory._sigma_inverse_limit_ratios(d)
+        gamma_sum = float(gamma.sum())
+        want_intercept = r0 * gamma0 + r1 * gamma_sum
+        want = r1 * gamma0 + r2 * gamma + r3 * (gamma_sum - gamma)
+
+        assert got.notes["e_method"] == "approx"
+        assert got.intercept == want_intercept
+        assert got.coefficients == tuple(float(c) for c in want)
 
     def test_accepts_linear_model_instance(self, linear_setup):
         _, doc, idf, local, lam = linear_setup
@@ -899,7 +980,7 @@ class TestPopulationExplanation:
         _, doc, idf, _, lam = linear_setup
         model = LinearModel(coefficients=lam)
         got = population_explanation(model, doc, idf, nu=0.3, linear_mode=mode, seed=4)
-        assert got == beta_linear(model, doc, idf, mode=mode, seed=4)
+        assert got == beta_linear(model, doc, idf, mode=mode)
         assert got.provenance == "large-bandwidth-approx"
 
     def test_other_models_and_forced_monte_carlo_take_the_oracle(self, doc_idf):
@@ -912,66 +993,6 @@ class TestPopulationExplanation:
             )
             assert got == beta_general_mc(model, doc, idf, nu=0.3, n_mc=5000, seed=9)
             assert got.provenance == "monte-carlo"
-
-
-class TestBetaLargeBandwidth:
-    def test_constant_model_coefficients_vanish(self, linear_setup):
-        _, doc, idf, local, _ = linear_setup
-        model = IndicatorProduct(words=frozenset(), coefficient=2.0)
-        result = beta_large_bandwidth(model, doc, idf, n_mc=50_000, seed=81)
-        assert np.abs(result.coefficient_array()).max() < 1e-12
-        assert result.provenance == "large-bandwidth-approx"
-
-    def test_single_indicator_structure(self, linear_setup):
-        _, doc, idf, local, _ = linear_setup
-        word = local.words[0]
-        model = IndicatorProduct(words=frozenset({word}))
-        result = beta_large_bandwidth(model, doc, idf, n_mc=200_000, seed=83)
-        j = local.index_of(word)
-        slack = 3.0 / local.d
-        assert abs(result.coefficients[j] - 1.0) <= slack
-        others = np.delete(result.coefficient_array(), j)
-        assert np.abs(others).max() <= slack
-
-    def test_consistent_with_general_mc_at_huge_bandwidth(self, linear_setup):
-        # The truncation hides order-1/d remainders whose constant is a few
-        # units; 4/d is a comfortable envelope for them.
-        _, doc, idf, local, lam = linear_setup
-        model = LinearModel(coefficients=lam)
-        approx = beta_large_bandwidth(model, doc, idf, n_mc=300_000, seed=85)
-        oracle = beta_general_mc(model, doc, idf, nu=1e3, n_mc=300_000, seed=86)
-        slack = 4.0 / local.d
-        for j in range(local.d):
-            tol = 3 * (approx.coefficient_stderr[j] + oracle.coefficient_stderr[j])
-            assert abs(approx.coefficients[j] - oracle.coefficients[j]) <= tol + slack
-
-
-class TestSampleSizeBound:
-    def test_monotone_in_epsilon_and_d(self):
-        base = sample_size_bound(1.0, 10, 0.5, 0.1, 0.05)
-        assert sample_size_bound(1.0, 10, 0.5, 0.05, 0.05) > base
-        assert sample_size_bound(1.0, 20, 0.5, 0.1, 0.05) > base
-
-    def test_doubling_d_scales_dominant_branch(self):
-        # With the first branch dominant the d^9 factor gives exactly 2^9.
-        lo = sample_size_bound(1.0, 10, 1.0, 0.1, 0.05)
-        hi = sample_size_bound(1.0, 20, 1.0, 0.1, 0.05)
-        ratio_without_log = (hi / math.log(8 * 20 / 0.05)) / (
-            lo / math.log(8 * 10 / 0.05)
-        )
-        assert ratio_without_log == pytest.approx(512.0, rel=1e-12)
-
-    def test_reproducible_to_last_digit(self):
-        a = sample_size_bound(2.0, 15, 0.25, 0.5, 0.1)
-        b = sample_size_bound(2.0, 15, 0.25, 0.5, 0.1)
-        assert a == b
-
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            sample_size_bound(1.0, 10, 0.25, 1.5, 0.05)
-
-    def test_tiny_bandwidth_overflows_to_infinity(self):
-        assert sample_size_bound(1.0, 10, 0.05, 0.1, 0.05) == math.inf
 
 
 # Bandwidths log-uniform on [0.03, 100], where the closed forms are meant
