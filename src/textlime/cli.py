@@ -313,12 +313,6 @@ def cmd_verify(model_spec, config, n_exp, linear_mode, **cli_values):
     model = parse_model(spec)
     idf = fit_idf(corpus)
 
-    stats = run_repeated(
-        model, document, idf,
-        n=options["n"], nu=options["nu"], ridge=options["ridge"],
-        n_exp=options["n_exp"], master_seed=options["seed"],
-        threads=options["threads"],
-    )
     try:
         theory = population_explanation(
             model, document, idf,
@@ -326,6 +320,12 @@ def cmd_verify(model_spec, config, n_exp, linear_mode, **cli_values):
         )
     except ClosedFormDomainError as exc:
         raise fail("doc", str(exc))
+    stats = run_repeated(
+        model, document, idf,
+        n=options["n"], nu=options["nu"], ridge=options["ridge"],
+        n_exp=options["n_exp"], master_seed=options["seed"],
+        threads=options["threads"],
+    )
     report = compare(stats, theory)
 
     tag = model_tag(spec)

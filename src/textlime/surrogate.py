@@ -78,13 +78,13 @@ def fit_weighted_ridge(
     gram.flat[:: p + 1] += ridge
     try:
         np.linalg.cholesky(gram)
+        return np.linalg.solve(gram, a.T @ b)  # LU can still hit a zero pivot
     except np.linalg.LinAlgError:
         if ridge > 0:
             a = np.vstack([a, np.sqrt(ridge) * np.eye(p)])
             b = np.concatenate([b, np.zeros(p)])
         beta, *_ = np.linalg.lstsq(a, b, rcond=None)
         return beta
-    return np.linalg.solve(gram, a.T @ b)
 
 
 def fit_batch(

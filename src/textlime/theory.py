@@ -2,12 +2,12 @@
 
 As the number of perturbed samples grows, the surrogate coefficients
 concentrate around a population vector determined by the kernel moment
-sequence alpha_p = E[weight * z_1 ... z_p], the inverse of the weighted
-feature covariance (expressible through four sigma coefficients and a
-normalization constant c_d), and the expected weighted responses. This
-module computes those pieces exactly, specializes them to indicator
-products, trees and linear models, and provides Monte Carlo estimators
-that serve as independent oracles for everything else.
+sequence alpha_p = E[weight * z_1 ... z_p], the weighted feature covariance
+(whose block pattern reduces every solve to a 2x2 system; see SigmaSet), and
+the expected weighted responses. This module computes those pieces exactly,
+specializes them to indicator products, trees and linear models, and
+provides Monte Carlo estimators that serve as independent oracles for
+everything else.
 """
 
 from __future__ import annotations
@@ -30,10 +30,15 @@ MONTE_CARLO = "monte-carlo"
 # subsets of the local dictionary; beyond this size, use approx or mc.
 ENUMERATION_LIMIT = 20
 
+# A covariance solve whose condition number times the machine epsilon
+# exceeds this could be off by more than it, so it raises instead.
+SOLVE_TOLERANCE = 1e-9
+_EPS = float(np.finfo(float).eps)
+
 
 class ClosedFormDomainError(ValueError):
     """Raised where the closed forms need d >= 2 and the input is smaller, or
-    where the bandwidth is so narrow that their normalizers underflow to 0."""
+    where the bandwidth is so narrow that they cannot reach SOLVE_TOLERANCE."""
 
 
 @dataclass(frozen=True)
@@ -71,13 +76,20 @@ def alpha(p: int, d: int, nu: float) -> float:
 
 
 def alpha_values(d: int, nu: float, p_max: int) -> list[float]:
-    """alpha_0 .. alpha_{p_max} from one kernel evaluation.
+    """alpha_0 .. alpha_{p_max} from one kernel evaluation."""
+    return _alpha_moments(d, nu, p_max)[0]
+
+
+def _alpha_moments(d: int, nu: float, p_max: int) -> tuple[list[float], dict[int, float]]:
+    """alpha_0 .. alpha_{p_max}, and the drops alpha_q - alpha_{q+1} keyed by
+    q for 1 <= q < min(p_max, d), from one kernel evaluation.
 
     Row p of a (p_max + 1) x d table holds psi(s/d) prod_{k<p} (d-s-k)/(d-k)
     for s = 1..d: row 0 is one psi call, and a running product
     (np.multiply.accumulate) takes each row to the next, in the same order
     as the per-s loop it replaces. Each row is summed exactly rounded
-    (math.fsum) and divided by d.
+    (math.fsum) and divided by d. A drop is the nonnegative sum
+    (1/d) sum_s row_q(s) s/(d-q), which does not cancel as the difference does.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -89,7 +101,10 @@ def alpha_values(d: int, nu: float, p_max: int) -> list[float]:
     table[0] = psi(s / d, nu)
     table[1:] = (d - s - k) / (d - k)
     np.multiply.accumulate(table, axis=0, out=table)
-    return [math.fsum(row) / d for row in table]
+    # math.fsum reads Python floats faster than numpy scalars.
+    alphas = [math.fsum(row) / d for row in table.tolist()]
+    weighted = (table[1 : min(p_max, d)] * s).tolist()
+    return alphas, {q: math.fsum(r) / ((d - q) * d) for q, r in enumerate(weighted, 1)}
 
 
 def alpha_limit(p: int, d: int) -> float:
@@ -111,18 +126,36 @@ def alpha_bounds(p: int, d: int, nu: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SigmaSet:
-    """Entries of the closed-form inverse covariance, plus its normalizer."""
+    """The weighted feature covariance at (d, nu) and its one structured solve.
+
+    Sigma = [[a0, a1 1^T], [a1 1, gap I + a2 1 1^T]] with gap = a1 - a2, so
+    Sigma [b0; beta] = [g0; g] reduces to the 2x2 system
+    [[a0, a1], [d a1, gap + d a2]] [b0; S] = [g0; sum_j g_j] in the intercept
+    and S = sum_j beta_j, whose determinant is c_d; then
+    beta_j = (g_j - a1 b0 - a2 S) / gap. `condition` is the 1-norm condition
+    number of that system with its second row divided by d: d (a0 + a1)^2 / c_d.
+    """
 
     d: int
     nu: float
     c_d: float
-    sigma0: float
-    sigma1: float
-    sigma2: float
-    sigma3: float
     alpha0: float
     alpha1: float
     alpha2: float
+    gap: float
+    condition: float
+
+    def solve(self, g0, total):
+        """(b0, S) for the right-hand side g0, `total` (floats or arrays);
+        raises where that is nonzero and the condition is too large."""
+        if self.condition * _EPS > SOLVE_TOLERANCE and (np.any(g0) or np.any(total)):
+            raise ClosedFormDomainError(
+                f"out of closed-form domain: at d={self.d}, nu={self.nu} the "
+                f"covariance condition number {self.condition:.3g} is too large"
+            )
+        d, a1 = self.d, self.alpha1
+        b0 = ((self.gap + d * self.alpha2) * g0 - a1 * total) / self.c_d
+        return b0, (self.alpha0 * total - d * a1 * g0) / self.c_d
 
 
 def normalization_constant(d: int, nu: float) -> float:
@@ -147,41 +180,23 @@ def normalization_constant(d: int, nu: float) -> float:
     return total * math.fsum(kernel * (t - mean) ** 2) / d**3
 
 
-def _alpha_gap(d: int, nu: float) -> float:
-    """alpha_1 - alpha_2 as the direct nonnegative sum
-    (1/d) sum_s (1 - s/d) (s / (d-1)) psi(s/d)."""
-    s = np.arange(1, d + 1, dtype=float)
-    terms = (1.0 - s / d) * (s / (d - 1)) * psi(s / d, nu)
-    return float(math.fsum(terms)) / d
-
-
 def sigma_set(d: int, nu: float) -> SigmaSet:
-    """Closed-form inverse-covariance coefficients from alpha_0..alpha_2."""
+    """The covariance at (d, nu), from alpha_0..alpha_2, gap and c_d."""
     if d < 2:
         raise ClosedFormDomainError(
-            "out of closed-form domain: sigma coefficients require d >= 2"
+            "out of closed-form domain: need at least 2 distinct words"
         )
-    a0, a1, a2 = alpha_values(d, nu, 2)
+    (a0, a1, a2), drops = _alpha_moments(d, nu, 2)
     c_d = normalization_constant(d, nu)
-    gap = _alpha_gap(d, nu)
+    gap = drops[1]
     if c_d == 0.0 or gap == 0.0:
         raise ClosedFormDomainError(
             f"out of closed-form domain: at d={d}, nu={nu} the covariance "
             "normalizers underflow to 0"
         )
     return SigmaSet(
-        d=d,
-        nu=nu,
-        c_d=c_d,
-        sigma0=(d - 1) * a2 + a1,
-        sigma1=-a1,
-        # (d-2) a0 a2 - (d-1) a1^2 + a0 a1 rewritten as c_d + (a1^2 - a0 a2)
-        # so the stable normalizer is reused.
-        sigma2=(c_d + a1 * a1 - a0 * a2) / gap,
-        sigma3=(a1 * a1 - a0 * a2) / gap,
-        alpha0=a0,
-        alpha1=a1,
-        alpha2=a2,
+        d=d, nu=nu, c_d=c_d, alpha0=a0, alpha1=a1, alpha2=a2, gap=gap,
+        condition=d * (a0 + a1) ** 2 / c_d,
     )
 
 
@@ -199,39 +214,36 @@ def sigma_matrix(d: int, nu: float) -> np.ndarray:
 
 
 def sigma_inverse(d: int, nu: float) -> np.ndarray:
-    """Closed-form inverse of the weighted feature covariance."""
+    """Closed-form inverse of the weighted feature covariance, entry by entry."""
     ss = sigma_set(d, nu)
-    m = np.full((d + 1, d + 1), ss.sigma3)
-    m[0, :] = ss.sigma1
-    m[:, 0] = ss.sigma1
-    np.fill_diagonal(m, ss.sigma2)
-    m[0, 0] = ss.sigma0
+    off_diagonal = (ss.alpha1**2 - ss.alpha0 * ss.alpha2) / ss.gap
+    m = np.full((d + 1, d + 1), off_diagonal)
+    m[0, :] = m[:, 0] = -ss.alpha1
+    np.fill_diagonal(m, off_diagonal + ss.c_d / ss.gap)
+    m[0, 0] = ss.gap + d * ss.alpha2
     return m / ss.c_d
 
 
 def _indicator_parts(
-    p: int, d: int, ss: SigmaSet, alphas: Sequence[float]
+    p: int, ss: SigmaSet, alphas: Sequence[float], drops: dict[int, float]
 ) -> tuple[float, float, float]:
     """Intercept, member coefficient and non-member coefficient of the
-    population explanation of a product of p indicators, from the sigma
-    coefficients and alpha_0 .. alpha_{min(p + 1, d)}."""
-    a_p = alphas[p]
-    a_p1 = alphas[p + 1] if p < d else 0.0
-    c = ss.c_d
-    intercept = (ss.sigma0 * a_p + p * ss.sigma1 * a_p + (d - p) * ss.sigma1 * a_p1) / c
-    coef_in = (
-        ss.sigma1 * a_p
-        + ss.sigma2 * a_p
-        + (d - p) * ss.sigma3 * a_p1
-        + (p - 1) * ss.sigma3 * a_p
-    ) / c
-    coef_out = (
-        ss.sigma1 * a_p
-        + ss.sigma2 * a_p1
-        + (d - p - 1) * ss.sigma3 * a_p1
-        + p * ss.sigma3 * a_p
-    ) / c
-    return intercept, coef_in, coef_out
+    population explanation of a product of p indicators, from
+    `_alpha_moments` up to order min(p + 1, d).
+
+    The right-hand side is alpha_p on the intercept and the members and
+    alpha_{p+1} elsewhere, so members exceed non-members by exactly
+    delta = (alpha_p - alpha_{p+1}) / gap. With delta taken out, the rest
+    is uniform and solved by S / d. For p = 1, delta is 1 and the rest is 0.
+    """
+    if p == 0:  # the constant model explains itself
+        return 1.0, 0.0, 0.0
+    d = ss.d
+    delta, a_p1 = (drops[p] / ss.gap, alphas[p + 1]) if p < d else (0.0, 0.0)
+    intercept, total = ss.solve(
+        alphas[p] - p * ss.alpha1 * delta, d * (a_p1 - p * ss.alpha2 * delta)
+    )
+    return intercept, total / d + delta, total / d
 
 
 def beta_indicator_product(
@@ -243,15 +255,15 @@ def beta_indicator_product(
     Only |J| and membership matter: all indexed words share one value, all
     others share another. J = empty set yields the constant model
     (intercept 1, all coefficients 0); |J| = 1 yields exactly 1 for the
-    indexed word and 0 elsewhere, at every bandwidth.
+    indexed word and 0 elsewhere, at every bandwidth where c_d > 0.
     """
     member = frozenset(int(i) for i in indices)
     if any(i < 0 or i >= d for i in member):
         raise ValueError("indicator indices must lie in 0..d-1")
     p = len(member)
     ss = sigma_set(d, nu)
-    alphas = alpha_values(d, nu, min(p + 1, d))
-    intercept, coef_in, coef_out = _indicator_parts(p, d, ss, alphas)
+    alphas, drops = _alpha_moments(d, nu, min(p + 1, d))
+    intercept, coef_in, coef_out = _indicator_parts(p, ss, alphas, drops)
     coefficients = tuple(coef_in if j in member else coef_out for j in range(d))
     return TheoryExplanation(
         intercept=intercept,
@@ -264,16 +276,12 @@ def beta_tree(tree, local: LocalDictionary, nu: float) -> TheoryExplanation:
     """Exact population explanation of a tree: signed sum over its indicator
     terms (the explanation map is linear in the model).
 
-    The sigma coefficients and the alpha moments depend only on (d, nu),
-    so they are computed once per call and shared by every term.
+    The covariance and the alpha moments depend only on (d, nu), so they
+    are computed once per call and shared by every term.
     Terms naming a word outside the local dictionary vanish on every
     perturbed sample and contribute nothing.
     """
     d = local.d
-    if d < 2:
-        raise ClosedFormDomainError(
-            "out of closed-form domain: need at least 2 distinct words"
-        )
     terms = [
         (term.coefficient, [local.index_of(w) for w in term.words])
         for term in tree.terms
@@ -281,11 +289,11 @@ def beta_tree(tree, local: LocalDictionary, nu: float) -> TheoryExplanation:
     ]
     ss = sigma_set(d, nu)
     p_top = max((len(member) for _, member in terms), default=0)
-    alphas = alpha_values(d, nu, min(p_top + 1, d))
+    alphas, drops = _alpha_moments(d, nu, min(p_top + 1, d))
     intercept = 0.0
     coefficients = np.zeros(d)
     for coefficient, member in terms:
-        part_intercept, coef_in, coef_out = _indicator_parts(len(member), d, ss, alphas)
+        part_intercept, coef_in, coef_out = _indicator_parts(len(member), ss, alphas, drops)
         part = np.full(d, coef_out)
         part[member] = coef_in
         intercept += coefficient * part_intercept
@@ -520,15 +528,6 @@ SIMPLIFIED_LINEAR_CONSTANT_ROUNDED = 1.36
 SIMPLIFIED_LINEAR_INTERCEPT_CONSTANT = 2.0 * SIMPLIFIED_E_SINGLE - 2.0 * SIMPLIFIED_E_PAIR
 
 
-def _sigma_inverse_limit_ratios(d: int) -> tuple[float, float, float, float]:
-    """Large-bandwidth limits of sigma_i / c_d, exact in d."""
-    r0 = 2.0 * (2 * d - 1) / (d + 1)
-    r1 = -6.0 / (d + 1)
-    r2 = 6.0 * (d * d - 2 * d + 3) / ((d + 1) * (d - 1))
-    r3 = -6.0 * (d - 3) / ((d + 1) * (d - 1))
-    return r0, r1, r2, r3
-
-
 def beta_linear(
     coefficients,
     document: Document,
@@ -546,9 +545,9 @@ def beta_linear(
     renormalization factors above (about 1.36). mode="full" keeps the
     per-word conditional renormalization expectations, enumerated exactly
     for d <= ENUMERATION_LIMIT and by the swapped expectation above it
-    (`_renormalization_expectations`), and evaluates the exact
-    infinite-bandwidth product of inverse covariance and expected
-    responses, including the intercept.
+    (`_renormalization_expectations`), and solves the infinite-bandwidth
+    covariance (psi is 1 at nu = inf) against the expected responses,
+    including the intercept.
     """
     lam_map = getattr(coefficients, "coefficients", coefficients)
     if not document.tokens:
@@ -602,10 +601,9 @@ def beta_linear(
     gamma0 = float(np.sum(signal * single_factor * e_single))
     gamma = pair_factor * (e_pair @ signal) + single_factor * e_single * signal
 
-    r0, r1, r2, r3 = _sigma_inverse_limit_ratios(d)
-    gamma_sum = float(gamma.sum())
-    intercept = r0 * gamma0 + r1 * gamma_sum
-    coeffs = r1 * gamma0 + r2 * gamma + r3 * (gamma_sum - gamma)
+    ss = sigma_set(d, math.inf)
+    intercept, gamma_sum = ss.solve(gamma0, float(gamma.sum()))
+    coeffs = (gamma - ss.alpha1 * intercept - ss.alpha2 * gamma_sum) / ss.gap
     return TheoryExplanation(
         intercept=float(intercept),
         coefficients=tuple(float(c) for c in coeffs),
@@ -635,9 +633,9 @@ def beta_general_mc(
     """Monte Carlo estimate of the population explanation of any bounded
     model, with per-coordinate standard errors.
 
-    Estimates the expected weighted responses by sampling and combines
-    them with the exact closed-form inverse covariance. This is the
-    universal oracle: it works for every model in scope, at any bandwidth.
+    Estimates the expected weighted responses by sampling and solves the
+    exact covariance against them. This is the universal oracle: it works
+    for every model in scope, at any bandwidth the covariance solve resolves.
     """
     if not document.tokens:
         raise ValueError("cannot explain an empty document")
@@ -648,13 +646,12 @@ def beta_general_mc(
     ss = sigma_set(d, nu)
     w_vec = tfidf_weights(local, idf)
 
-    # Sample i contributes c_i = (sigma0 + sigma1 kept_i) t_i / c_d to the
-    # intercept and a_i + b z_ij t_i to coefficient j, with
-    # a_i = (sigma1 + sigma3 kept_i) t_i / c_d and b = (sigma2 - sigma3) / c_d.
-    # z is binary, so the column sums and sums of squares of those
-    # contributions come from three products with z, and no (chunk, d)
-    # float array of contributions is formed.
-    b = (ss.sigma2 - ss.sigma3) / ss.c_d
+    # Sample i solves the right-hand side t_i [1; z_i] into (c_i, S_i): it
+    # contributes c_i to the intercept and a_i + b z_ij t_i to coefficient j,
+    # with a_i = -(a1 c_i + a2 S_i) / gap and b = 1 / gap. z is binary, so
+    # the column sums and sums of squares of those contributions come from
+    # three products with z, and no (chunk, d) float array is formed.
+    b = 1.0 / ss.gap
     rng = np.random.default_rng(seed)
     total = np.zeros(d + 1)
     total_sq = np.zeros(d + 1)
@@ -665,8 +662,8 @@ def beta_general_mc(
 
         t = kernel * responses
         kept = z.sum(axis=1)
-        c = (ss.sigma0 + ss.sigma1 * kept) * t / ss.c_d
-        a = (ss.sigma1 + ss.sigma3 * kept) * t / ss.c_d
+        c, coefficient_sum = ss.solve(t, t * kept)
+        a = -(ss.alpha1 * c + ss.alpha2 * coefficient_sum) / ss.gap
         t_z, at_z, tt_z = np.stack([t, a * t, t * t]) @ z
         total[0] += c.sum()
         total_sq[0] += c @ c

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import textlime.cli
 from textlime import bundled_corpus_path
 from textlime.cli import cli
 
@@ -139,6 +140,19 @@ class TestExplainCommand:
 
 
 class TestTheoryCommand:
+    def test_single_indicator_on_two_words_is_exact(self, runner, tmp_path):
+        result = runner.invoke(
+            cli,
+            [
+                "theory", "--corpus", CORPUS, "--doc", "alpha beta",
+                "--model", '"alpha"', "--nu", "0.1", "--out", str(tmp_path),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        lines = (tmp_path / "theory-alpha-0.1-5000.csv").read_text().splitlines()
+        assert lines[1].startswith("alpha,1,")
+        assert lines[2].startswith("beta,0,")
+
     def test_tree_gets_exact_provenance(self, runner, tmp_path):
         result = runner.invoke(
             cli,
@@ -245,6 +259,38 @@ class TestVerifyCommand:
         table = (tmp_path / "verify-report-food-0.25-400.txt").read_text()
         assert "(intercept)" in table
         assert "theory inside whisker range: yes" in result.output
+
+    def test_singular_gram_falls_back_to_least_squares(self, runner, tmp_path):
+        # At d = 2 and nu = 0.1 the all-removed samples weigh about 1e-22,
+        # and some runs' Gram matrices pass Cholesky but are exactly
+        # singular to the solve.
+        result = runner.invoke(
+            cli,
+            [
+                "verify", "--corpus", CORPUS, "--doc", "alpha beta",
+                "--model", '"alpha"', "--nu", "0.1", "--out", str(tmp_path),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert "theory inside whisker range: yes" in result.output
+
+    def test_out_of_domain_document_fails_before_any_run(
+        self, runner, tmp_path, monkeypatch
+    ):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("run_repeated called before the theory")
+
+        monkeypatch.setattr(textlime.cli, "run_repeated", no_runs)
+        result = runner.invoke(
+            cli,
+            [
+                "verify", "--corpus", CORPUS, "--doc", "alpha",
+                "--model", '"alpha"', "--out", str(tmp_path),
+            ],
+        )
+        assert result.exit_code != 0
+        assert "doc:" in result.output and "closed-form domain" in result.output
+        assert list(tmp_path.iterdir()) == []
 
     def test_monte_carlo_sample_count_is_not_an_option(self, runner, tmp_path):
         # verify only ever compares against a closed form.

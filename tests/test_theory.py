@@ -8,6 +8,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,22 +205,23 @@ class TestSigmaSet:
             )
 
     def test_large_bandwidth_ratios(self):
-        # Exact limits of sigma_i / c_d as the bandwidth grows.
+        # Exact limits of the four distinct inverse entries (corner, first
+        # row, diagonal, off-diagonal) as the bandwidth grows.
         d = 7
-        ss = sigma_set(d, 1e5)
-        assert ss.sigma0 / ss.c_d == pytest.approx(2 * (2 * d - 1) / (d + 1), rel=1e-4)
-        assert ss.sigma1 / ss.c_d == pytest.approx(-6 / (d + 1), rel=1e-4)
-        assert ss.sigma2 / ss.c_d == pytest.approx(
+        inverse = sigma_inverse(d, 1e5)
+        assert inverse[0, 0] == pytest.approx(2 * (2 * d - 1) / (d + 1), rel=1e-4)
+        assert inverse[0, 1] == pytest.approx(-6 / (d + 1), rel=1e-4)
+        assert inverse[1, 1] == pytest.approx(
             6 * (d * d - 2 * d + 3) / ((d + 1) * (d - 1)), rel=1e-4
         )
-        assert ss.sigma3 / ss.c_d == pytest.approx(
+        assert inverse[1, 2] == pytest.approx(
             -6 * (d - 3) / ((d + 1) * (d - 1)), rel=1e-4
         )
 
     def test_sigma2_ratio_large_d_expansion(self):
+        # The diagonal inverse entry.
         d = 400
-        ss = sigma_set(d, 1e5)
-        assert abs(ss.sigma2 / ss.c_d - (6 - 12 / d)) <= 100 / d**2
+        assert abs(sigma_inverse(d, 1e5)[1, 1] - (6 - 12 / d)) <= 100 / d**2
 
     def test_invertibility_bounds(self):
         for d, nu in GRID:
@@ -240,8 +242,12 @@ class TestSigmaSet:
         assert abs(normalization_constant(d, nu) - want) <= 1e-14 * want
 
     def test_sigma1_is_negated_alpha1(self):
+        # The first row and column of the inverse, past the corner, are
+        # -alpha_1 / c_d.
         ss = sigma_set(9, 0.3)
-        assert ss.sigma1 == -ss.alpha1
+        inverse = sigma_inverse(9, 0.3)
+        assert np.all(inverse[0, 1:] == -ss.alpha1 / ss.c_d)
+        assert np.all(inverse[1:, 0] == -ss.alpha1 / ss.c_d)
 
     def test_small_d_rejected(self):
         with pytest.raises(ClosedFormDomainError):
@@ -254,27 +260,26 @@ class TestSigmaSet:
         # must not happen.
         try:
             ss = sigma_set(d, nu)
+            inverse = sigma_inverse(d, nu)
         except ClosedFormDomainError:
             return
-        assert ss.c_d > 0
-        assert all(
-            math.isfinite(v) for v in (ss.sigma0, ss.sigma1, ss.sigma2, ss.sigma3)
-        )
+        assert ss.c_d > 0 and ss.gap > 0
+        assert np.all(np.isfinite(inverse))
 
     def test_constant_model_identities(self):
-        # sigma0 a0 + d sigma1 a1 = c_d and sigma1 a0 + sigma2 a1
-        # + (d-1) sigma3 a1 = 0.
+        # The inverse maps the first column [a0; a1 ... a1] of the
+        # covariance to e_0: the corner row gives 1 and every other row 0.
         for d, nu in GRID:
             ss = sigma_set(d, nu)
-            lhs1 = ss.sigma0 * ss.alpha0 + d * ss.sigma1 * ss.alpha1
-            scale1 = max(abs(ss.sigma0 * ss.alpha0), abs(d * ss.sigma1 * ss.alpha1))
-            assert abs(lhs1 - ss.c_d) <= 1e-10 * scale1
-            lhs2 = (
-                ss.sigma1 * ss.alpha0
-                + ss.sigma2 * ss.alpha1
-                + (d - 1) * ss.sigma3 * ss.alpha1
+            inverse = sigma_inverse(d, nu)
+            corner, top, diagonal, off = (
+                inverse[0, 0], inverse[0, 1], inverse[1, 1], inverse[1, 2]
             )
-            assert abs(lhs2) <= 1e-10 * max(abs(ss.sigma2 * ss.alpha1), 1e-300)
+            lhs1 = corner * ss.alpha0 + d * top * ss.alpha1
+            scale1 = max(abs(corner * ss.alpha0), abs(d * top * ss.alpha1))
+            assert abs(lhs1 - 1.0) <= 1e-10 * scale1
+            lhs2 = top * ss.alpha0 + diagonal * ss.alpha1 + (d - 1) * off * ss.alpha1
+            assert abs(lhs2) <= 1e-10 * max(abs(diagonal * ss.alpha1), 1e-300)
 
 
 class TestSigmaMatrices:
@@ -509,16 +514,18 @@ class TestBetaIndicatorProduct:
             assert result.intercept == pytest.approx(0.0, abs=1e-10)
 
     def test_branch_difference_identity(self):
-        # Inside minus outside: expanding the two branch formulas leaves
-        # (sigma2 - sigma3)(a_p - a_{p+1}) / c_d, and since
-        # sigma2 - sigma3 = c_d / (a_1 - a_2) this is the exact ratio
+        # Inside minus outside: the right-hand sides of a member and a
+        # non-member differ by a_p - a_{p+1}, so the coefficients differ by
+        # that times the diagonal minus the off-diagonal inverse entry,
+        # which is 1 / (a_1 - a_2): the exact ratio
         # (a_p - a_{p+1}) / (a_1 - a_2); p = 1 forces the difference to 1.
         for d, nu, p in [(10, 0.25, 2), (25, 0.1, 4), (8, 1.0, 3)]:
             result = beta_indicator_product(range(p), d, nu)
             ss = sigma_set(d, nu)
+            inverse = sigma_inverse(d, nu)
             a_p = alpha(p, d, nu)
             a_p1 = alpha(p + 1, d, nu)
-            want = (ss.sigma2 - ss.sigma3) * (a_p - a_p1) / ss.c_d
+            want = (inverse[1, 1] - inverse[1, 2]) * (a_p - a_p1)
             got = result.coefficients[0] - result.coefficients[p]
             assert got == pytest.approx(want, rel=1e-9)
             ratio = (a_p - a_p1) / (ss.alpha1 - ss.alpha2)
@@ -529,10 +536,11 @@ class TestBetaIndicatorProduct:
         )
 
     def test_branch_difference_scale_at_large_bandwidth(self):
-        # In the wide-kernel regime (sigma2 - sigma3)/c_d approaches 6, so
-        # support words stand far above the rest.
-        ss = sigma_set(40, 1e4)
-        assert (ss.sigma2 - ss.sigma3) / ss.c_d == pytest.approx(6.0, abs=0.2)
+        # In the wide-kernel regime the diagonal minus the off-diagonal
+        # inverse entry approaches 6, so support words stand far above the
+        # rest.
+        inverse = sigma_inverse(40, 1e4)
+        assert inverse[1, 1] - inverse[1, 2] == pytest.approx(6.0, abs=0.2)
 
     def test_support_words_dominate(self):
         result = beta_indicator_product([0, 1], 20, 0.25)
@@ -805,8 +813,10 @@ class TestBetaLinear:
             )
 
     def test_full_mode_above_enumeration_limit_is_pairwise_swap(self):
-        # Above the enumeration limit the full mode must reproduce, bit for
-        # bit, the pair-by-pair assembly from expected_removed_mass.
+        # Above the enumeration limit the full mode must reproduce the
+        # pair-by-pair assembly from expected_removed_mass, solved with the
+        # exact infinite-bandwidth inverse entries r0 .. r3 (corner, first
+        # row, diagonal, off-diagonal, each times c_d).
         corpus = load_corpus(bundled_corpus_path())
         doc, idf = corpus.documents[0], fit_idf(corpus)
         local = local_dictionary(doc)
@@ -831,14 +841,17 @@ class TestBetaLinear:
         pair_factor = (d - 2) / (3.0 * d)
         gamma0 = float(np.sum(signal * single_factor * e_single))
         gamma = pair_factor * (e_pair @ signal) + single_factor * e_single * signal
-        r0, r1, r2, r3 = theory._sigma_inverse_limit_ratios(d)
+        r0 = 2.0 * (2 * d - 1) / (d + 1)
+        r1 = -6.0 / (d + 1)
+        r2 = 6.0 * (d * d - 2 * d + 3) / ((d + 1) * (d - 1))
+        r3 = -6.0 * (d - 3) / ((d + 1) * (d - 1))
         gamma_sum = float(gamma.sum())
         want_intercept = r0 * gamma0 + r1 * gamma_sum
         want = r1 * gamma0 + r2 * gamma + r3 * (gamma_sum - gamma)
 
         assert got.notes["e_method"] == "approx"
-        assert got.intercept == want_intercept
-        assert got.coefficients == tuple(float(c) for c in want)
+        assert abs(got.intercept - want_intercept) <= 1e-13
+        assert np.abs(got.coefficient_array() - want).max() <= 1e-13
 
     def test_accepts_linear_model_instance(self, linear_setup):
         _, doc, idf, local, lam = linear_setup
@@ -916,16 +929,9 @@ class TestBetaGeneralMc:
         values = np.zeros((n_mc, d))
         np.divide(z * w_vec, norms[:, None], out=values, where=norms[:, None] > 0)
         responses = model.evaluate_matrix(values, local.words)
-        ss = sigma_set(d, nu)
         t = kernel * responses
-        q = z * t[:, None]
-        contrib = np.empty((n_mc, d + 1))
-        contrib[:, 0] = (ss.sigma0 * t + ss.sigma1 * q.sum(axis=1)) / ss.c_d
-        contrib[:, 1:] = (
-            ss.sigma1 * t[:, None]
-            + (ss.sigma2 - ss.sigma3) * q
-            + ss.sigma3 * q.sum(axis=1)[:, None]
-        ) / ss.c_d
+        rhs = np.hstack([t[:, None], z * t[:, None]])
+        contrib = np.linalg.solve(sigma_matrix(d, nu), rhs.T).T
         want = contrib.mean(axis=0)
         want_se = contrib.std(axis=0, ddof=1) / math.sqrt(n_mc)
         assert result.intercept == pytest.approx(want[0], abs=1e-10)
@@ -1002,31 +1008,68 @@ bandwidths = st.floats(*NU_LOG10).map(lambda e: 10.0**e)
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
 
 
-def single_indicator_error(d, nu, j):
-    local = synthetic_local(d)
-    word = local.words[j % d]
-    got = beta_tree(TreeModel(terms=(IndicatorProduct(words=frozenset({word})),)), local, nu)
-    expected = np.zeros(d)
-    expected[j % d] = 1.0
-    return max(abs(got.intercept), np.abs(got.coefficient_array() - expected).max())
+def mpmath_indicator_parts(p, d, nu):
+    """Intercept, member and non-member coefficient of a product of p
+    indicators (0 < p < d), by an 80-digit solve of the 3 x 3 system the
+    symmetry reduces the covariance system to. Only the kernel weights are
+    taken from float64, as exact binary values."""
+    with mpmath.workdps(80):
+        kernel = [mpmath.mpf(float(psi(s / d, nu))) for s in range(1, d + 1)]
+
+        def moment(q):
+            total = mpmath.mpf(0)
+            for s, k in zip(range(1, d + 1), kernel):
+                for i in range(q):
+                    k *= mpmath.mpf(d - s - i) / (d - i)
+                total += k
+            return total / d
+
+        a0, a1, a2, a_p, a_p1 = (moment(q) for q in (0, 1, 2, p, p + 1))
+        # Rows: the intercept, one member, one non-member.
+        system = mpmath.matrix(
+            [
+                [a0, p * a1, (d - p) * a1],
+                [a1, a1 + (p - 1) * a2, (d - p) * a2],
+                [a1, p * a2, a1 + (d - p - 1) * a2],
+            ]
+        )
+        solution = mpmath.lu_solve(system, mpmath.matrix([a_p, a_p, a_p1]))
+        return [float(v) for v in solution]
 
 
 class TestTheoryProperties:
     @PROPERTY_SETTINGS
-    @given(d=st.integers(8, 1000), nu=bandwidths, j=st.integers(0, 999))
-    def test_single_indicator_is_unit_vector(self, d, nu, j):
-        # Starts at d = 8: below it the narrowest bandwidths hit the known
-        # cancellation in the sigma coefficients, pinned by the test below.
-        assert single_indicator_error(d, nu, j) <= 1e-9
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect: a1^2 - a0 a2 and sigma1 + sigma2 cancel at small d "
-        "and narrow bandwidth, and no ClosedFormDomainError is raised",
+    @given(
+        d=st.integers(2, 1000),
+        nu=st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+        j=st.integers(0, 999),
     )
-    @pytest.mark.parametrize("d, nu", [(2, 0.03), (3, 0.03), (5, 0.03)])
-    def test_single_indicator_small_d_narrow_bandwidth(self, d, nu):
-        assert single_indicator_error(d, nu, 0) <= 1e-9
+    def test_single_indicator_is_unit_vector(self, d, nu, j):
+        # Exactly e_j, or declined, down to nu = 0.001 and d = 2.
+        local = synthetic_local(d)
+        model = TreeModel(terms=(IndicatorProduct(words=frozenset({local.words[j % d]})),))
+        try:
+            got = beta_tree(model, local, nu)
+        except ClosedFormDomainError:
+            return
+        expected = np.zeros(d)
+        expected[j % d] = 1.0
+        assert got.intercept == 0.0
+        assert np.array_equal(got.coefficient_array(), expected)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("d", [7, 12, 31, 200])
+    @pytest.mark.parametrize("nu", [0.003, 0.01, 0.03, 0.25, 10.0])
+    def test_indicator_product_matches_80_digit_solve_or_raises(self, p, d, nu):
+        try:
+            got = beta_indicator_product(range(p), d, nu)
+        except ClosedFormDomainError:
+            # Declining is allowed only where the system is ill-conditioned.
+            assert nu < 0.03 or d < 12
+            return
+        want = mpmath_indicator_parts(p, d, nu)
+        values = [got.intercept, got.coefficients[0], got.coefficients[-1]]
+        assert max(abs(a - b) for a, b in zip(values, want)) <= theory.SOLVE_TOLERANCE
 
     @PROPERTY_SETTINGS
     @given(d=st.integers(2, 1000), nu=bandwidths)
