@@ -1,9 +1,12 @@
 """Command-line interface wiring corpora, models, and experiments together.
 
-Subcommands: explain, theory, verify, sweep, alpha-table. Option values
-resolve as CLI flag > config file > built-in default; every option can
-also come from the environment as TEXTLIME_<COMMAND>_<OPTION> for CI use.
-All stochastic outputs are fully determined by --seed.
+Subcommands: explain, theory, verify, sweep, alpha-table. Each option is
+declared once, with its default, below. A value comes from the flag or the
+environment (TEXTLIME_<COMMAND>_<OPTION>, e.g. TEXTLIME_EXPLAIN_FORMAT),
+else from the --config JSON file, whose keys are option names (with - or
+_), else from the default. Config keys for options the command does not
+take are ignored. --threads is capped at the CPU count. All stochastic
+outputs are fully determined by --seed.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import serialize
-from .corpus import Corpus, Document, fit_idf, load_corpus, tokenize
+from .corpus import Corpus, Document, IdfTable, fit_idf, load_corpus, tokenize
 from .models import (
     IndicatorProduct,
     Model,
@@ -32,21 +36,6 @@ from .verify import (
     run_repeated,
     sweep_bandwidth,
 )
-
-DEFAULTS = {
-    "n": 5000,
-    "nu": 0.25,
-    "ridge": 0.0,
-    "n_exp": 100,
-    "seed": 0,
-    "out": ".",
-    "format": "csv",
-    "threads": 1,
-    "n_mc": 200_000,
-    "linear_mode": "simplified",
-    "theory_method": "auto",
-    "p_max": 4,
-}
 
 
 def fail(field: str, message: str) -> "click.ClickException":
@@ -68,74 +57,53 @@ def _load_config(config_path: str | None) -> dict:
     return {str(k).replace("-", "_"): v for k, v in data.items()}
 
 
-_INT_FIELDS = ("n", "n_exp", "seed", "threads", "n_mc", "p_max")
-_FLOAT_FIELDS = ("nu", "nu_lime", "ridge")
-_CHOICE_FIELDS = {
-    "format": ("csv", "json"),
-    "linear_mode": ("simplified", "full"),
-    "theory_method": ("auto", "mc"),
-}
+# Range checks, in the order they are reported, for the options a command has.
+_RANGE_CHECKS = (
+    ("nu", lambda v: v > 0, "bandwidth must be positive"),
+    ("n", lambda v: v >= 1, "need at least one perturbed sample"),
+    ("n_exp", lambda v: v >= 1, "need at least one repetition"),
+    ("ridge", lambda v: v >= 0, "ridge parameter must be nonnegative"),
+    ("threads", lambda v: v >= 1, "worker count must be at least 1"),
+    ("n_mc", lambda v: v >= 2, "need at least two Monte Carlo samples"),
+)
 
 
-def _coerce(merged: dict) -> None:
-    for key in _INT_FIELDS:
-        if key in merged and merged[key] is not None:
-            try:
-                merged[key] = int(merged[key])
-            except (TypeError, ValueError):
-                raise fail(key.replace("_", "-"), f"not an integer: {merged[key]!r}")
-    for key in _FLOAT_FIELDS:
-        if key in merged and merged[key] is not None:
-            try:
-                merged[key] = float(merged[key])
-            except (TypeError, ValueError):
-                raise fail(key.replace("_", "-"), f"not a number: {merged[key]!r}")
-    for key, choices in _CHOICE_FIELDS.items():
-        if key in merged and merged[key] is not None and merged[key] not in choices:
-            raise fail(
-                key.replace("_", "-"),
-                f"must be one of {', '.join(choices)} (got {merged[key]!r})",
-            )
+def _field(name: str) -> str:
+    return name.replace("_", "-")
 
 
-def resolve_options(cli_values: dict, config_path: str | None) -> dict:
-    """Merge CLI flags over config-file values over built-in defaults."""
-    cli_values = {("format" if k == "fmt" else k): v for k, v in cli_values.items()}
-    config = _load_config(config_path)
-    merged = dict(DEFAULTS)
-    for key, value in config.items():
-        merged[key] = value
-    for key, value in cli_values.items():
-        if value is not None:
-            merged[key] = value
-    _coerce(merged)
+def resolve_options(config_path: str | None) -> dict:
+    """The current command's options, with config-file values filling the
+    ones that neither a flag nor the environment set."""
+    ctx = click.get_current_context()
+    options = dict(ctx.params)
+    params = {param.name: param for param in ctx.command.params}
+    for key, value in _load_config(config_path).items():
+        param = params.get(key)
+        if param is None or value is None:
+            continue
+        if ctx.get_parameter_source(key) is not ParameterSource.DEFAULT:
+            continue
+        try:
+            options[key] = param.type_cast_value(ctx, value)
+        except click.BadParameter as exc:
+            raise fail(_field(key), exc.message)
+        except TypeError:
+            raise fail(_field(key), f"{value!r} is not a valid {param.type.name}.")
+        # The config file plays the part of click's default map.
+        ctx.set_parameter_source(key, ParameterSource.DEFAULT_MAP)
 
-    nu = merged.get("nu")
-    nu_lime = merged.get("nu_lime")
-    explicit_nu = cli_values.get("nu") is not None or "nu" in config
-    explicit_lime = cli_values.get("nu_lime") is not None or "nu_lime" in config
-    if explicit_nu and explicit_lime:
-        raise fail("nu/nu-lime", "give exactly one of --nu and --nu-lime")
-    if explicit_lime:
-        merged["nu"] = float(nu_lime) / 100.0
-    elif not explicit_nu:
-        merged["nu"] = DEFAULTS["nu"]
-    if not merged["nu"] > 0:
-        raise fail("nu", "bandwidth must be positive")
-    if merged["n"] < 1:
-        raise fail("n", "need at least one perturbed sample")
-    if merged["n_exp"] < 1:
-        raise fail("n-exp", "need at least one repetition")
-    if not merged["ridge"] >= 0:
-        raise fail("ridge", "ridge parameter must be nonnegative")
-    if merged["threads"] < 1:
-        raise fail("threads", "worker count must be at least 1")
-    if merged["n_mc"] < 2:
-        raise fail("n-mc", "need at least two Monte Carlo samples")
-    return merged
+    if ctx.get_parameter_source("nu_lime") is not ParameterSource.DEFAULT:
+        if ctx.get_parameter_source("nu") is not ParameterSource.DEFAULT:
+            raise fail("nu/nu-lime", "give exactly one of --nu and --nu-lime")
+        options["nu"] = options["nu_lime"] / 100.0
+    for name, valid, message in _RANGE_CHECKS:
+        if name in options and not valid(options[name]):
+            raise fail(_field(name), message)
+    return options
 
 
-def load_corpus_or_fail(path: str | None) -> tuple[Corpus, Path]:
+def load_corpus_or_fail(path: str | None) -> Corpus:
     if path is None:
         raise fail("corpus", "required (path to a corpus file)")
     corpus_path = Path(path)
@@ -144,7 +112,7 @@ def load_corpus_or_fail(path: str | None) -> tuple[Corpus, Path]:
     corpus = load_corpus(corpus_path)
     if corpus.size == 0:
         raise fail("corpus", f"{corpus_path} holds no documents")
-    return corpus, corpus_path
+    return corpus
 
 
 def select_document(corpus: Corpus, selector: str | None) -> Document:
@@ -168,19 +136,27 @@ def select_document(corpus: Corpus, selector: str | None) -> Document:
     return doc
 
 
+def _model_file(spec: str) -> Path | None:
+    """The linear-model file a --model value names, or None for a tree."""
+    candidate = Path(spec)
+    if candidate.suffix.lower() == ".json" or candidate.is_file():
+        return candidate
+    return None
+
+
 def parse_model(spec: str | None) -> Model:
     if spec is None:
         raise fail("model", "required (tree expression, linear JSON path, or 'constant')")
     if spec == "constant":
         return IndicatorProduct(words=frozenset(), coefficient=1.0)
-    candidate = Path(spec)
-    if candidate.suffix.lower() == ".json" or candidate.is_file():
-        if not candidate.is_file():
-            raise fail("model", f"no such file: {candidate}")
+    path = _model_file(spec)
+    if path is not None:
+        if not path.is_file():
+            raise fail("model", f"no such file: {path}")
         try:
-            return load_linear_model(candidate)
+            return load_linear_model(path)
         except (ValueError, json.JSONDecodeError) as exc:
-            raise fail("model", f"bad linear model file {candidate}: {exc}")
+            raise fail("model", f"bad linear model file {path}: {exc}")
     try:
         return tree_from_spec(spec)
     except TreeSpecError as exc:
@@ -190,41 +166,57 @@ def parse_model(spec: str | None) -> Model:
 def model_tag(spec: str) -> str:
     if spec == "constant":
         return "constant"
-    candidate = Path(spec)
-    if candidate.suffix.lower() == ".json" or candidate.is_file():
-        stem = candidate.stem
-    else:
-        stem = spec
+    path = _model_file(spec)
+    stem = spec if path is None else path.stem
     tag = re.sub(r"[^0-9A-Za-z_-]+", "_", stem).strip("_")
     return tag[:40] or "model"
 
 
-def out_path(out: str, experiment: str, tag: str, nu, n, ext: str) -> Path:
-    directory = Path(out)
+def load_inputs(options: dict) -> tuple[Document, Model, IdfTable]:
+    """The document, model and IDF table that --corpus, --doc and --model name."""
+    corpus = load_corpus_or_fail(options["corpus"])
+    document = select_document(corpus, options["doc"])
+    return document, parse_model(options["model"]), fit_idf(corpus)
+
+
+def out_path(options: dict, experiment: str, tag: str, nu=None, n=None, ext=None) -> Path:
+    """`<out>/<experiment>-<tag>-<nu>-<n>.<ext>`; nu, n and ext default to
+    the --nu, --n and --format options."""
+    directory = Path(options["out"])
     directory.mkdir(parents=True, exist_ok=True)
-    return directory / f"{experiment}-{tag}-{nu:g}-{n}.{ext}"
+    nu = options["nu"] if nu is None else nu
+    n = options["n"] if n is None else n
+    return directory / f"{experiment}-{tag}-{nu:g}-{n}.{ext or options['format']}"
+
+
+# Each option is declared here once; the commands below pick theirs.
+corpus_option = click.option("--corpus", type=str, help="Corpus file (text lines or .jsonl).")
+doc_option = click.option("--doc", type=str, help="0-based document index, or inline text.")
+model_option = click.option("--model", type=str, help="Tree expression, linear JSON path, or 'constant'.")
+n_option = click.option("--n", type=int, default=5000, help="Perturbed samples per explanation.")
+nu_option = click.option("--nu", type=float, default=0.25, help="Kernel bandwidth.")
+nu_lime_option = click.option("--nu-lime", type=float, help="Bandwidth in reference-implementation units (100x nu).")
+ridge_option = click.option("--ridge", type=float, default=0.0, help="Ridge penalty of the surrogate.")
+seed_option = click.option("--seed", type=int, default=0, help="Master seed; fixes all stochastic output.")
+out_option = click.option("--out", type=str, default=".", help="Output directory.")
+format_option = click.option("--format", type=click.Choice(["csv", "json"]), default="csv", help="Output format.")
+threads_option = click.option("--threads", type=int, default=1, help="Worker cap for repeated runs (at most the CPU count).")
+config_option = click.option("--config", type=str, help="JSON config file (flags and environment win over it).")
+n_exp_option = click.option("--n-exp", type=int, default=100, help="Repeated runs (per bandwidth, for sweep).")
+linear_mode_option = click.option("--linear-mode", type=click.Choice(["simplified", "full"]), default="simplified", help="Linear-model prediction mode.")
 
 
 def common_options(command):
     decorators = [
-        click.option("--corpus", type=str, default=None, help="Corpus file (text lines or .jsonl)."),
-        click.option("--doc", type=str, default=None, help="0-based document index, or inline text."),
-        click.option("--n", type=int, default=None, help="Perturbed samples per explanation."),
-        click.option("--nu", type=float, default=None, help="Kernel bandwidth."),
-        click.option("--nu-lime", type=float, default=None, help="Bandwidth in reference-implementation units (100x nu)."),
-        click.option("--ridge", type=float, default=None, help="Ridge penalty of the surrogate (default 0)."),
-        click.option("--seed", type=int, default=None, help="Master seed; fixes all stochastic output."),
-        click.option("--out", type=str, default=None, help="Output directory."),
-        click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None, help="Output format."),
-        click.option("--threads", type=int, default=None, help="Worker cap for repeated runs."),
-        click.option("--config", type=str, default=None, help="JSON config file (flags win over it)."),
+        corpus_option, doc_option, model_option, n_option, nu_option, nu_lime_option,
+        ridge_option, seed_option, out_option, format_option, threads_option, config_option,
     ]
     for decorator in reversed(decorators):
         command = decorator(command)
     return command
 
 
-@click.group(context_settings={"auto_envvar_prefix": "TEXTLIME"})
+@click.group(context_settings={"auto_envvar_prefix": "TEXTLIME", "show_default": True})
 @click.version_option(package_name="textlime")
 def cli() -> None:
     """Explain text models by word-removal sampling, and check the
@@ -233,14 +225,10 @@ def cli() -> None:
 
 @cli.command("explain")
 @common_options
-@click.option("--model", "model_spec", type=str, default=None, help="Tree expression, linear JSON path, or 'constant'.")
-def cmd_explain(model_spec, config, **cli_values):
+def cmd_explain(config, **_):
     """Fit the surrogate once and write the explanation."""
-    options = resolve_options(cli_values, config)
-    corpus, _ = load_corpus_or_fail(options.get("corpus"))
-    document = select_document(corpus, options.get("doc"))
-    model = parse_model(model_spec or options.get("model"))
-    idf = fit_idf(corpus)
+    options = resolve_options(config)
+    document, model, idf = load_inputs(options)
     explanation = run_explain(
         model,
         document,
@@ -250,36 +238,20 @@ def cmd_explain(model_spec, config, **cli_values):
         ridge=options["ridge"],
         seed=options["seed"],
     )
-    path = out_path(
-        options["out"],
-        "explanation",
-        model_tag(model_spec or options.get("model")),
-        options["nu"],
-        options["n"],
-        options["format"],
-    )
+    path = out_path(options, "explanation", model_tag(options["model"]))
     serialize.write_explanation(explanation, path, options["format"])
     click.echo(f"wrote {path}")
 
 
 @cli.command("theory")
 @common_options
-@click.option("--model", "model_spec", type=str, default=None, help="Tree expression, linear JSON path, or 'constant'.")
-@click.option("--linear-mode", type=click.Choice(["simplified", "full"]), default=None, help="Linear-model prediction mode.")
-@click.option("--theory-method", type=click.Choice(["auto", "mc"]), default=None, help="'mc' forces the Monte Carlo oracle.")
-@click.option("--n-mc", type=int, default=None, help="Monte Carlo sample count.")
-def cmd_theory(model_spec, config, linear_mode, theory_method, n_mc, **cli_values):
+@linear_mode_option
+@click.option("--theory-method", type=click.Choice(["auto", "mc"]), default="auto", help="'mc' forces the Monte Carlo oracle.")
+@click.option("--n-mc", type=int, default=200_000, help="Monte Carlo sample count.")
+def cmd_theory(config, **_):
     """Write the closed-form (or Monte Carlo) population explanation."""
-    cli_values.update(
-        {"linear_mode": linear_mode, "theory_method": theory_method, "n_mc": n_mc}
-    )
-    options = resolve_options(cli_values, config)
-    corpus, _ = load_corpus_or_fail(options.get("corpus"))
-    document = select_document(corpus, options.get("doc"))
-    spec = model_spec or options.get("model")
-    model = parse_model(spec)
-    idf = fit_idf(corpus)
-
+    options = resolve_options(config)
+    document, model, idf = load_inputs(options)
     try:
         theory = population_explanation(
             model, document, idf,
@@ -289,30 +261,20 @@ def cmd_theory(model_spec, config, linear_mode, theory_method, n_mc, **cli_value
         )
     except ClosedFormDomainError as exc:
         raise fail("doc", str(exc))
-    path = out_path(
-        options["out"], "theory", model_tag(spec), options["nu"], options["n"],
-        options["format"],
-    )
+    path = out_path(options, "theory", model_tag(options["model"]))
     serialize.write_theory(theory, path, options["format"])
     click.echo(f"wrote {path} (provenance: {theory.provenance})")
 
 
 @cli.command("verify")
 @common_options
-@click.option("--model", "model_spec", type=str, default=None, help="Tree expression, linear JSON path, or 'constant'.")
-@click.option("--n-exp", type=int, default=None, help="Number of repeated runs.")
-@click.option("--linear-mode", type=click.Choice(["simplified", "full"]), default=None)
-def cmd_verify(model_spec, config, n_exp, linear_mode, **cli_values):
+@n_exp_option
+@linear_mode_option
+def cmd_verify(config, **_):
     """Run repeated explanations, compare them against theory, and write
     whisker statistics plus a comparison report."""
-    cli_values.update({"n_exp": n_exp, "linear_mode": linear_mode})
-    options = resolve_options(cli_values, config)
-    corpus, _ = load_corpus_or_fail(options.get("corpus"))
-    document = select_document(corpus, options.get("doc"))
-    spec = model_spec or options.get("model")
-    model = parse_model(spec)
-    idf = fit_idf(corpus)
-
+    options = resolve_options(config)
+    document, model, idf = load_inputs(options)
     try:
         theory = population_explanation(
             model, document, idf,
@@ -328,13 +290,12 @@ def cmd_verify(model_spec, config, n_exp, linear_mode, **cli_values):
     )
     report = compare(stats, theory)
 
-    tag = model_tag(spec)
-    ext = options["format"]
-    stats_path = out_path(options["out"], "verify-stats", tag, options["nu"], options["n"], ext)
-    report_path = out_path(options["out"], "verify-report", tag, options["nu"], options["n"], ext)
-    table_path = out_path(options["out"], "verify-report", tag, options["nu"], options["n"], "txt")
-    serialize.write_run_statistics(stats, stats_path, ext)
-    serialize.write_comparison(report, report_path, ext)
+    tag = model_tag(options["model"])
+    stats_path = out_path(options, "verify-stats", tag)
+    report_path = out_path(options, "verify-report", tag)
+    table_path = out_path(options, "verify-report", tag, ext="txt")
+    serialize.write_run_statistics(stats, stats_path, options["format"])
+    serialize.write_comparison(report, report_path, options["format"])
     table_path.write_text(serialize.comparison_table(report) + "\n", encoding="utf-8")
     click.echo(f"wrote {stats_path}")
     click.echo(f"wrote {report_path}")
@@ -347,30 +308,21 @@ def cmd_verify(model_spec, config, n_exp, linear_mode, **cli_values):
 
 @cli.command("sweep")
 @common_options
-@click.option("--model", "model_spec", type=str, default=None, help="Tree expression, linear JSON path, or 'constant'.")
-@click.option("--word", type=str, default=None, help="Word whose coefficient is tracked.")
-@click.option("--n-exp", type=int, default=None, help="Repetitions per bandwidth.")
-@click.option("--nu-grid", type=str, default=None, help="Comma-separated bandwidths (default: 24 log-spaced in [0.03, 3]).")
-def cmd_sweep(model_spec, config, word, n_exp, nu_grid, **cli_values):
+@click.option("--word", type=str, help="Word whose coefficient is tracked.")
+@n_exp_option
+@click.option("--nu-grid", type=str, help="Comma-separated bandwidths (default: 24 log-spaced in [0.03, 3]).")
+def cmd_sweep(config, **_):
     """Track one word's coefficient across bandwidths; one CSV row per nu."""
-    cli_values.update({"n_exp": n_exp})
-    options = resolve_options(cli_values, config)
-    corpus, _ = load_corpus_or_fail(options.get("corpus"))
-    document = select_document(corpus, options.get("doc"))
-    spec = model_spec or options.get("model")
-    model = parse_model(spec)
-    if word is None:
-        word = options.get("word")
+    options = resolve_options(config)
+    document, model, idf = load_inputs(options)
+    word, nu_grid = options["word"], options["nu_grid"]
     if word is None:
         raise fail("word", "required (word whose coefficient is swept)")
-    idf = fit_idf(corpus)
-    if nu_grid is None:
-        nu_grid = options.get("nu_grid")
     if nu_grid is None:
         grid = default_nu_grid()
     else:
         try:
-            grid = np.array([float(v) for v in str(nu_grid).split(",") if v.strip()])
+            grid = np.array([float(v) for v in nu_grid.split(",") if v.strip()])
         except ValueError:
             raise fail("nu-grid", f"not a comma-separated float list: {nu_grid}")
         if len(grid) == 0:
@@ -385,28 +337,28 @@ def cmd_sweep(model_spec, config, word, n_exp, nu_grid, **cli_values):
         )
     except ValueError as exc:
         raise fail("word", str(exc))
-    path = out_path(options["out"], "sweep", model_tag(spec), float(grid[0]), options["n"], options["format"])
+    path = out_path(options, "sweep", model_tag(options["model"]), nu=float(grid[0]))
     serialize.write_sweep(points, path, options["format"])
     click.echo(f"wrote {path}")
 
 
 @cli.command("alpha-table")
-@click.option("--d", "d", type=int, required=True, help="Local dictionary size.")
-@click.option("--nu", type=float, default=None, help="Kernel bandwidth.")
-@click.option("--nu-lime", type=float, default=None, help="Bandwidth in reference-implementation units.")
-@click.option("--p-max", type=int, default=None, help="Largest moment order.")
-@click.option("--out", type=str, default=None, help="Output directory.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
-@click.option("--config", type=str, default=None, help="JSON config file.")
-def cmd_alpha_table(d, config, **cli_values):
+@click.option("--d", type=int, required=True, help="Local dictionary size.")
+@nu_option
+@nu_lime_option
+@click.option("--p-max", type=int, default=4, help="Largest moment order.")
+@out_option
+@format_option
+@config_option
+def cmd_alpha_table(config, **_):
     """Tabulate the kernel moment sequence with its limit and bounds."""
-    options = resolve_options(cli_values, config)
+    options = resolve_options(config)
+    d, p_max = options["d"], options["p_max"]
     if d < 1:
         raise fail("d", "must be at least 1")
-    p_max = options["p_max"]
     if not 0 <= p_max <= d:
         raise fail("p-max", f"must lie in 0..{d}")
-    path = out_path(options["out"], "alpha-table", f"d{d}", options["nu"], p_max, options["format"])
+    path = out_path(options, "alpha-table", f"d{d}", n=p_max)
     serialize.write_alpha_table(d, options["nu"], p_max, path, options["format"])
     click.echo(f"wrote {path}")
 

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .surrogate import Explanation
-from .theory import TheoryExplanation
+from .theory import TheoryExplanation, alpha_bounds, alpha_limit, alpha_values
 from .verify import ComparisonReport, RunStatistics, SweepPoint
 
 _JSON_DIGITS = 17
@@ -69,112 +69,79 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _ranked_items(words: Sequence[str], values: Sequence[float]) -> list[tuple[str, float]]:
-    return sorted(zip(words, values), key=lambda kv: (-abs(kv[1]), kv[0]))
+def _records(header: Sequence[str], rows: Iterable[Sequence]) -> list[dict]:
+    return [dict(zip(header, row)) for row in rows]
 
 
-def explanation_json_dict(explanation: Explanation) -> dict:
-    return {
-        "intercept": explanation.intercept,
-        "coefficients": [
-            {"word": w, "coefficient": c} for w, c in explanation.ranked()
-        ],
-        "meta": dict(explanation.meta),
-    }
-
-
-def write_explanation(explanation: Explanation, path: str | Path, fmt: str) -> None:
+def write_table(
+    path: str | Path, fmt: str, header: Sequence[str], rows: Sequence[Sequence], payload=None
+) -> None:
+    """Write `rows` as CSV under `header`, or as JSON: `payload` when given,
+    else one object per row."""
     if fmt == "json":
-        dump_json(explanation_json_dict(explanation), path)
+        dump_json(_records(header, rows) if payload is None else payload, path)
     elif fmt == "csv":
-        rows = [
-            (w, c, rank)
-            for rank, (w, c) in enumerate(explanation.ranked(), start=1)
-        ]
-        write_csv(path, ["word", "coefficient", "rank"], rows)
+        write_csv(path, header, rows)
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def theory_json_dict(theory: TheoryExplanation) -> dict:
+def write_explanation(explanation: Explanation, path: str | Path, fmt: str) -> None:
+    ranked = explanation.ranked()
+    rows = [(w, c, rank) for rank, (w, c) in enumerate(ranked, start=1)]
+    payload = {
+        "intercept": explanation.intercept,
+        "coefficients": [{"word": w, "coefficient": c} for w, c in ranked],
+        "meta": dict(explanation.meta),
+    }
+    write_table(path, fmt, ["word", "coefficient", "rank"], rows, payload)
+
+
+def _blank(value):
+    """CSV and JSON write a missing value as an empty string."""
+    return "" if value is None else value
+
+
+def write_theory(theory: TheoryExplanation, path: str | Path, fmt: str) -> None:
     words = theory.words or tuple(str(j) for j in range(theory.d))
+    stderr = dict(zip(words, theory.coefficient_stderr or (None,) * theory.d))
+    ranked = sorted(zip(words, theory.coefficients), key=lambda kv: (-abs(kv[1]), kv[0]))
+    rows = [
+        (w, c, rank, _blank(stderr[w]), theory.provenance)
+        for rank, (w, c) in enumerate(ranked, start=1)
+    ]
     coefficients = []
-    stderr_by_word = {}
-    if theory.coefficient_stderr is not None:
-        stderr_by_word = dict(zip(words, theory.coefficient_stderr))
-    for w, c in _ranked_items(words, theory.coefficients):
+    for w, c in ranked:
         entry = {"word": w, "coefficient": c}
-        if stderr_by_word:
-            entry["stderr"] = stderr_by_word[w]
+        if stderr[w] is not None:
+            entry["stderr"] = stderr[w]
         coefficients.append(entry)
-    out = {
+    payload = {
         "intercept": theory.intercept,
         "coefficients": coefficients,
         "provenance": theory.provenance,
     }
     if theory.intercept_stderr is not None:
-        out["intercept_stderr"] = theory.intercept_stderr
+        payload["intercept_stderr"] = theory.intercept_stderr
     if theory.notes:
-        out["notes"] = dict(theory.notes)
-    return out
+        payload["notes"] = dict(theory.notes)
+    header = ["word", "coefficient", "rank", "stderr", "provenance"]
+    write_table(path, fmt, header, rows, payload)
 
 
-def write_theory(theory: TheoryExplanation, path: str | Path, fmt: str) -> None:
-    if fmt == "json":
-        dump_json(theory_json_dict(theory), path)
-        return
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}")
-    words = theory.words or tuple(str(j) for j in range(theory.d))
-    stderr = theory.coefficient_stderr or (None,) * theory.d
-    by_word = {w: (c, s) for w, c, s in zip(words, theory.coefficients, stderr)}
-    rows = []
-    for rank, (w, c) in enumerate(_ranked_items(words, theory.coefficients), start=1):
-        s = by_word[w][1]
-        rows.append((w, c, rank, "" if s is None else s, theory.provenance))
-    write_csv(path, ["word", "coefficient", "rank", "stderr", "provenance"], rows)
+_SUMMARY_HEADER = ["median", "q1", "q3", "min", "max", "std"]
 
 
 def write_run_statistics(stats: RunStatistics, path: str | Path, fmt: str) -> None:
-    std = stats.std
-    header = ["word", "median", "q1", "q3", "min", "max", "std"]
-    rows = []
     summary = stats.intercept_summary()
-    rows.append(
-        (
-            "(intercept)",
-            summary["median"],
-            summary["q1"],
-            summary["q3"],
-            summary["min"],
-            summary["max"],
-            "" if summary["std"] is None else summary["std"],
-        )
-    )
-    for j, w in enumerate(stats.words):
-        rows.append(
-            (
-                w,
-                stats.median[j],
-                stats.q1[j],
-                stats.q3[j],
-                stats.minimum[j],
-                stats.maximum[j],
-                "" if std is None else std[j],
-            )
-        )
-    if fmt == "json":
-        dump_json(
-            {
-                "config": dict(stats.config),
-                "rows": [dict(zip(header, row)) for row in rows],
-            },
-            path,
-        )
-    elif fmt == "csv":
-        write_csv(path, header, rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    std = [""] * len(stats.words) if stats.std is None else stats.std
+    rows = [
+        ("(intercept)", *(_blank(summary[key]) for key in _SUMMARY_HEADER)),
+        *zip(stats.words, stats.median, stats.q1, stats.q3, stats.minimum, stats.maximum, std),
+    ]
+    header = ["word", *_SUMMARY_HEADER]
+    payload = {"config": dict(stats.config), "rows": _records(header, rows)}
+    write_table(path, fmt, header, rows, payload)
 
 
 _REPORT_HEADER = [
@@ -189,37 +156,22 @@ _REPORT_HEADER = [
 
 
 def _report_rows(report: ComparisonReport) -> list[tuple]:
-    rows = [report.intercept_row, *report.rows]
     return [
-        (
-            r.word,
-            r.empirical_median,
-            r.theory_value,
-            r.abs_deviation,
-            r.rel_deviation,
-            r.inside_iqr,
-            r.inside_range,
-        )
-        for r in rows
+        tuple(getattr(r, field) for field in _REPORT_HEADER)
+        for r in (report.intercept_row, *report.rows)
     ]
 
 
 def write_comparison(report: ComparisonReport, path: str | Path, fmt: str) -> None:
-    if fmt == "json":
-        dump_json(
-            {
-                "rows": [dict(zip(_REPORT_HEADER, row)) for row in _report_rows(report)],
-                "summary": {
-                    "max_abs_deviation": report.max_abs_deviation,
-                    "mean_abs_deviation": report.mean_abs_deviation,
-                },
-            },
-            path,
-        )
-    elif fmt == "csv":
-        write_csv(path, _REPORT_HEADER, _report_rows(report))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    rows = _report_rows(report)
+    payload = {
+        "rows": _records(_REPORT_HEADER, rows),
+        "summary": {
+            "max_abs_deviation": report.max_abs_deviation,
+            "mean_abs_deviation": report.mean_abs_deviation,
+        },
+    }
+    write_table(path, fmt, _REPORT_HEADER, rows, payload)
 
 
 def comparison_table(report: ComparisonReport) -> str:
@@ -241,47 +193,23 @@ def comparison_table(report: ComparisonReport) -> str:
 
 
 def write_sweep(points: Sequence[SweepPoint], path: str | Path, fmt: str) -> None:
-    header = ["nu", "median", "q1", "q3", "min", "max", "std"]
     rows = [
-        (
-            p.nu,
-            p.median,
-            p.q1,
-            p.q3,
-            p.minimum,
-            p.maximum,
-            "" if p.std is None else p.std,
-        )
+        (p.nu, p.median, p.q1, p.q3, p.minimum, p.maximum, _blank(p.std))
         for p in points
     ]
-    if fmt == "json":
-        dump_json([dict(zip(header, row)) for row in rows], path)
-    elif fmt == "csv":
-        write_csv(path, header, rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    write_table(path, fmt, ["nu", *_SUMMARY_HEADER], rows)
 
 
 def alpha_table_rows(d: int, nu: float, p_max: int) -> list[tuple]:
     """Rows (p, d, nu, alpha, limit, lower bound, upper bound)."""
-    from .theory import alpha_bounds, alpha_limit, alpha_values
-
-    values = alpha_values(d, nu, p_max)
-    rows = []
-    for p, value in enumerate(values):
-        lo, hi = alpha_bounds(p, d, nu)
-        rows.append((p, d, nu, value, alpha_limit(p, d), lo, hi))
-    return rows
+    return [
+        (p, d, nu, value, alpha_limit(p, d), *alpha_bounds(p, d, nu))
+        for p, value in enumerate(alpha_values(d, nu, p_max))
+    ]
 
 
 ALPHA_TABLE_HEADER = ["p", "d", "nu", "alpha", "limit", "lower_bound", "upper_bound"]
 
 
 def write_alpha_table(d: int, nu: float, p_max: int, path: str | Path, fmt: str) -> None:
-    rows = alpha_table_rows(d, nu, p_max)
-    if fmt == "json":
-        dump_json([dict(zip(ALPHA_TABLE_HEADER, row)) for row in rows], path)
-    elif fmt == "csv":
-        write_csv(path, ALPHA_TABLE_HEADER, rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    write_table(path, fmt, ALPHA_TABLE_HEADER, alpha_table_rows(d, nu, p_max))

@@ -649,12 +649,16 @@ def beta_general_mc(
     # Sample i solves the right-hand side t_i [1; z_i] into (c_i, S_i): it
     # contributes c_i to the intercept and a_i + b z_ij t_i to coefficient j,
     # with a_i = -(a1 c_i + a2 S_i) / gap and b = 1 / gap. z is binary, so
-    # the column sums and sums of squares of those contributions come from
-    # three products with z, and no (chunk, d) float array is formed.
+    # the column sums and sums of squares of those contributions, which give
+    # the standard errors, come from three products with z, and no (chunk, d)
+    # float array is formed. The mean is one solve of the averaged right-hand
+    # side (the sums of t, t * kept and t z), so it carries the rounding of
+    # one solve rather than the average of n_mc solves' rounding.
     b = 1.0 / ss.gap
     rng = np.random.default_rng(seed)
     total = np.zeros(d + 1)
     total_sq = np.zeros(d + 1)
+    rhs = np.zeros(d + 2)
     for size in _mc_chunks(n_mc):
         sizes, z = draw_feature_matrix(rng, size, d)
         kernel = psi(sizes / d, nu)
@@ -669,13 +673,17 @@ def beta_general_mc(
         total_sq[0] += c @ c
         total[1:] += a.sum() + b * t_z
         total_sq[1:] += a @ a + 2.0 * b * at_z + b * b * tt_z
+        rhs += [t.sum(), t @ kept, *t_z]
 
-    mean = total / n_mc
-    variance = np.maximum(total_sq / n_mc - mean**2, 0.0) * n_mc / (n_mc - 1)
+    rhs /= n_mc
+    intercept, coefficient_sum = ss.solve(rhs[0], rhs[1])
+    coefficients = (rhs[2:] - ss.alpha1 * intercept - ss.alpha2 * coefficient_sum) / ss.gap
+    per_sample_mean = total / n_mc
+    variance = np.maximum(total_sq / n_mc - per_sample_mean**2, 0.0) * n_mc / (n_mc - 1)
     stderr = np.sqrt(variance / n_mc)
     return TheoryExplanation(
-        intercept=float(mean[0]),
-        coefficients=tuple(float(v) for v in mean[1:]),
+        intercept=float(intercept),
+        coefficients=tuple(float(v) for v in coefficients),
         provenance=MONTE_CARLO,
         words=local.words,
         coefficient_stderr=tuple(float(v) for v in stderr[1:]),

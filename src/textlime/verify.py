@@ -9,6 +9,7 @@ can run on any number of workers without changing the outcome.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -101,12 +102,13 @@ def run_repeated(
     Run r is `explain(..., seed=derive_seed(master_seed, r))` bit for bit.
     With threads > 1 the runs are split into contiguous chunks, one per
     worker, and each worker reuses its own workspace, so the result does
-    not depend on the thread count.
+    not depend on the thread count. Workers are capped at the run count and
+    at the CPU count.
     """
     if n_exp < 1:
         raise ValueError("need at least one repetition")
     seeds = [derive_seed(master_seed, run) for run in range(n_exp)]
-    workers = max(1, min(threads, n_exp))
+    workers = max(1, min(threads, n_exp, os.cpu_count() or 1))
     chunks = [seeds[i * n_exp // workers : (i + 1) * n_exp // workers] for i in range(workers)]
 
     def work(chunk: list) -> list:

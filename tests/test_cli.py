@@ -438,26 +438,92 @@ class TestConfigResolution:
         assert result.exit_code != 0
         assert "config:" in result.output
 
-    def test_config_bad_field_values_named(self, runner, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"format": "xml"}))
+    @pytest.mark.parametrize(
+        "command, config, field",
+        [
+            ("explain", {"format": "xml"}, "format:"),
+            ("explain", {"n": "many"}, "n:"),
+            ("explain", {"n": [1]}, "n:"),
+            ("explain", {"nu": "wide"}, "nu:"),
+            ("theory", {"linear_mode": "bogus"}, "linear-mode:"),
+        ],
+    )
+    def test_config_bad_field_values_named(self, runner, tmp_path, command, config, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
         result = runner.invoke(
             cli,
             [
-                "explain", "--corpus", CORPUS, "--doc", "0",
-                "--model", "constant", "--config", str(config),
+                command, "--corpus", CORPUS, "--doc", "0",
+                "--model", "constant", "--config", str(path),
+                "--out", str(tmp_path / "out"),
             ],
         )
-        assert result.exit_code != 0
-        assert "format:" in result.output
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {field} ")
+        assert not (tmp_path / "out").exists()
 
-        config.write_text(json.dumps({"n": "many"}))
+    @pytest.mark.parametrize(
+        "env, name",
+        [
+            ({"TEXTLIME_EXPLAIN_FORMAT": "json"}, "explanation-constant-0.25-5000.json"),
+            ({"TEXTLIME_EXPLAIN_MODEL": "constant", "TEXTLIME_EXPLAIN_N": "300"},
+             "explanation-constant-0.25-300.csv"),
+        ],
+    )
+    def test_documented_environment_names(self, runner, tmp_path, env, name):
+        args = ["explain", "--corpus", CORPUS, "--doc", "0", "--out", str(tmp_path)]
+        if "TEXTLIME_EXPLAIN_MODEL" not in env:
+            args += ["--model", "constant"]
+        result = runner.invoke(cli, args, env=env)
+        assert result.exit_code == 0, result.output
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_environment_beats_config(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 250, "format": "json"}))
         result = runner.invoke(
             cli,
             [
-                "explain", "--corpus", CORPUS, "--doc", "0",
-                "--model", "constant", "--config", str(config),
+                "explain", "--corpus", CORPUS, "--doc", "0", "--model", "constant",
+                "--config", str(config), "--out", str(tmp_path / "out"),
+            ],
+            env={"TEXTLIME_EXPLAIN_N": "350"},
+        )
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "out" / "explanation-constant-0.25-350.json").exists()
+
+    def test_config_nu_lime_converts_like_the_flag(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"nu-lime": 10}))
+        base = [
+            "explain", "--corpus", CORPUS, "--doc", "0", "--model", '"food"',
+            "--n", "300", "--seed", "5", "--format", "json",
+        ]
+        flag = runner.invoke(cli, base + ["--nu-lime", "10", "--out", str(tmp_path / "a")])
+        conf = runner.invoke(
+            cli, base + ["--config", str(config), "--out", str(tmp_path / "b")]
+        )
+        assert flag.exit_code == 0 and conf.exit_code == 0, conf.output
+        file_a = tmp_path / "a" / "explanation-food-0.1-300.json"
+        file_b = tmp_path / "b" / "explanation-food-0.1-300.json"
+        assert file_a.read_bytes() == file_b.read_bytes()
+
+        # A config bandwidth still conflicts with the other spelling.
+        result = runner.invoke(cli, base + ["--config", str(config), "--nu", "0.1"])
+        assert result.exit_code == 1
+        assert "nu/nu-lime" in result.output
+
+    def test_config_keys_of_other_commands_are_ignored(self, runner, tmp_path):
+        # explain has no --n-exp or --n-mc, so their range checks do not apply.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_exp": 0, "n_mc": 1, "colour": "red"}))
+        result = runner.invoke(
+            cli,
+            [
+                "explain", "--corpus", CORPUS, "--doc", "0", "--model", "constant",
+                "--n", "200", "--config", str(config), "--out", str(tmp_path),
             ],
         )
-        assert result.exit_code != 0
-        assert "n:" in result.output
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "explanation-constant-0.25-200.csv").exists()

@@ -1,8 +1,11 @@
 """The repeated-run harness: statistics, comparisons, sweeps, rates."""
 
+import os
+
 import numpy as np
 import pytest
 
+import textlime.verify
 from textlime import (
     IndicatorProduct,
     LinearModel,
@@ -62,11 +65,13 @@ class TestRunRepeated:
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.intercepts, b.intercepts)
 
-    def test_threading_does_not_change_results(self, setup):
+    def test_threading_does_not_change_results(self, setup, monkeypatch):
         doc, idf, _ = setup
         model = tree_from_spec('"garden" + ("gate" & "morning")')
         # Each worker takes a contiguous chunk of runs; 7 runs on 3 workers
-        # give chunks of unequal length.
+        # give chunks of unequal length. Workers are capped at the CPU
+        # count, so pretend there are enough CPUs for 4.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         for n_exp, threads in ((6, 4), (7, 3)):
             serial = run_repeated(model, doc, idf, n=300, n_exp=n_exp, master_seed=5)
             threaded = run_repeated(
@@ -74,6 +79,37 @@ class TestRunRepeated:
             )
             assert np.array_equal(serial.coefficients, threaded.coefficients)
             assert np.array_equal(serial.intercepts, threaded.intercepts)
+
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
+    def test_workers_capped_at_cpu_count(self, setup, monkeypatch, cpus, pools):
+        # --threads 5000 must not ask the OS for 5000 threads. The fake pool
+        # records its size and maps serially, so no thread starts.
+        doc, idf, _ = setup
+        model = tree_from_spec('"garden" + ("gate" & "morning")')
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        serial = run_repeated(model, doc, idf, n=200, n_exp=8, master_seed=2)
+        monkeypatch.setattr(textlime.verify, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        capped = run_repeated(
+            model, doc, idf, n=200, n_exp=8, master_seed=2, threads=5000
+        )
+        assert sizes == pools
+        assert np.array_equal(serial.coefficients, capped.coefficients)
+        assert np.array_equal(serial.intercepts, capped.intercepts)
 
     @pytest.mark.parametrize("ridge", [0.0, 1.0])
     @pytest.mark.parametrize("kind", ["tree", "linear", "constant", "one-word"])
