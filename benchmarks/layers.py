@@ -7,8 +7,12 @@ d in {12, 31, 200, 1000}. Each theory case times `alpha_values` (orders 0..4),
 `sigma_set`, `normalization_constant` or a 20-term `beta_tree` at
 d in {31, 200, 1000}, or the full-mode `beta_linear` of a linear model over
 every word at d in {12, 17, 20}, where it enumerates all 2^d survivor sets.
-The end-to-end case times `run_repeated` with
-n_exp = 100 runs of a 20-term tree at n = 5000 and d in {12, 31}. Seeds are
+The model case times a 20-term tree's `evaluate_matrix` on renormalized
+TF-IDF samples of n x d in {5000 x 12, 5000 x 31, 5000 x 1000, 65536 x 31}
+(65536 is the Monte Carlo oracle's chunk). The end-to-end cases time
+`run_repeated` with n_exp = 100 runs of a 20-term tree at n = 5000 and d in
+{12, 31}, and the Monte Carlo oracle `beta_general_mc` of a 20-term tree with
+n_mc = 200,000 samples at d = 31. Seeds are
 fixed, and every case keeps the minimum of K = 7 runs and the mean number of
 minor page faults per call (`resource.getrusage`, whole process). Only the
 standard library is used for timing. The record stores the
@@ -19,7 +23,7 @@ when the package differs from that commit) and a SHA-256 over the package's
 replacing an earlier record with the same label, so records of two commits
 can sit side by side:
 
-    PYTHONPATH=src python benchmarks/layers.py --label change --out BENCH_7.json
+    PYTHONPATH=src python benchmarks/layers.py --label change --out BENCH_10.json
 
 Set OPENBLAS_NUM_THREADS before the run to fix the BLAS thread count; the
 script reads it and does not change it. The textlime package is imported
@@ -48,6 +52,7 @@ from textlime.sampling import draw_feature_matrix, sample_batch
 from textlime.surrogate import fit_weighted_ridge
 from textlime.theory import (
     alpha_values,
+    beta_general_mc,
     beta_linear,
     beta_tree,
     normalization_constant,
@@ -60,7 +65,10 @@ DICTIONARY_SIZES = (12, 31, 200, 1000)
 THEORY_SIZES = (31, 200, 1000)
 LINEAR_SIZES = (12, 17, 20)
 REPEATED_SIZES = (12, 31)
+EVALUATE_SHAPES = ((5000, 12), (5000, 31), (5000, 1000), (65536, 31))
 N_EXP = 100
+N_MC = 200_000
+MC_SIZE = 31
 TREE_TERMS = 20
 NU = 0.25
 SEED = 20201023
@@ -111,7 +119,8 @@ def _record(cases: list[dict], layer: str, fn, **shape) -> None:
     cases.append(
         {"layer": layer, **shape, "k": K, "min_ms": best, "minor_faults_per_call": faults}
     )
-    print(f"{layer:32s} d={shape['d']:5d}  {best:9.3f} ms  {faults:8.1f} faults")
+    where = " ".join(f"{key}={value}" for key, value in shape.items())
+    print(f"{layer:32s} {where:28s} {best:9.3f} ms  {faults:8.1f} faults")
 
 
 def run_cases() -> list[dict]:
@@ -130,6 +139,28 @@ def run_cases() -> list[dict]:
             n_exp=N_EXP,
             d=d,
         )
+    for n, d in EVALUATE_SHAPES:
+        doc, idf = _document(d)
+        local = local_dictionary(doc)
+        tree = _tree(local.words, np.random.default_rng(SEED))
+        values = sample_batch(doc, local, n, NU, SEED).tfidf_matrix(idf)
+        _record(
+            cases,
+            "models.evaluate_matrix",
+            lambda: tree.evaluate_matrix(values, local.words),
+            model="tree",
+            n=n,
+            d=d,
+        )
+    doc, idf = _document(MC_SIZE)
+    tree = _tree(local_dictionary(doc).words, np.random.default_rng(SEED))
+    _record(
+        cases,
+        "theory.beta_general_mc",
+        lambda: beta_general_mc(tree, doc, idf, nu=NU, n_mc=N_MC, seed=SEED),
+        n_mc=N_MC,
+        d=MC_SIZE,
+    )
     for d in DICTIONARY_SIZES:
         doc, idf = _document(d)
         local = local_dictionary(doc)

@@ -9,6 +9,7 @@ and linear combinations of any of these.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -39,14 +40,7 @@ class IndicatorProduct(Model):
     coefficient: float = 1.0
 
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
-        index = {w: j for j, w in enumerate(words)}
-        mask = np.ones(len(values), dtype=bool)
-        for w in self.words:
-            j = index.get(w)
-            if j is None:
-                return np.zeros(len(values))
-            mask &= values[:, j] > 0.0
-        return np.where(mask, self.coefficient, 0.0)
+        return TreeModel(terms=(self,)).evaluate_matrix(values, words)
 
 
 @dataclass(frozen=True)
@@ -57,9 +51,37 @@ class TreeModel(Model):
     terms: tuple[IndicatorProduct, ...]
 
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
-        out = np.zeros(len(values))
+        """Reads each column a term names once, into a contiguous presence
+        row, and adds each term's value (its coefficient where all its words
+        are present, else 0) left to right into zeros. A term naming a word
+        outside `words` is zero on every row and is skipped."""
+        index = {w: j for j, w in enumerate(words)}
+        rows: dict[int, int] = {}
+        supports = []
         for term in self.terms:
-            out += term.evaluate_matrix(values, words)
+            if all(w in index for w in term.words):
+                support = [rows.setdefault(index[w], len(rows)) for w in term.words]
+                supports.append((term.coefficient, support))
+        columns = list(rows)
+        # A strided read of one column costs a cache line (8 floats) per row;
+        # where the terms name more than a quarter of the columns, comparing
+        # the whole row-major matrix and gathering bytes is cheaper.
+        if values.shape[1] <= 4 * len(columns):
+            present = (values > 0.0).T[columns]
+        else:
+            present = values.T[columns] > 0.0
+        out = np.zeros(len(values))
+        for coefficient, support in supports:
+            mask = present[support[0]] if support else np.ones(len(values), dtype=bool)
+            for r in support[1:]:
+                mask = mask & present[r]
+            # mask * c is c or a signed zero on each row, and out never holds
+            # -0.0, so for a finite c this adds exactly what np.where(mask, c, 0)
+            # adds, without a select per row.
+            if math.isfinite(coefficient):
+                out += mask * coefficient
+            else:
+                out += np.where(mask, coefficient, 0.0)
         return out
 
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
 from .models import LinearModel, Model, TreeModel, indicator_terms
-from .sampling import draw_feature_matrix, psi, renormalized_tfidf
+from .sampling import _kernel_table, draw_feature_matrix, psi, renormalized_tfidf
 
 EXACT_CLOSED_FORM = "exact-closed-form"
 LARGE_BANDWIDTH = "large-bandwidth-approx"
@@ -77,10 +77,19 @@ def alpha(p: int, d: int, nu: float) -> float:
 
 def alpha_values(d: int, nu: float, p_max: int) -> list[float]:
     """alpha_0 .. alpha_{p_max} from one kernel evaluation."""
-    return _alpha_moments(d, nu, p_max)[0]
+    return _alpha_moments(d, nu, p_max).alphas
 
 
-def _alpha_moments(d: int, nu: float, p_max: int) -> tuple[list[float], dict[int, float]]:
+class _Moments(NamedTuple):
+    """What one kernel evaluation at (d, nu) gives every closed form."""
+
+    alphas: list[float]
+    drops: dict[int, float]
+    kernel: np.ndarray  # psi(s/d) for s = 1..d
+    kernel_sum: float  # its exactly rounded sum, d * alpha_0
+
+
+def _alpha_moments(d: int, nu: float, p_max: int) -> _Moments:
     """alpha_0 .. alpha_{p_max}, and the drops alpha_q - alpha_{q+1} keyed by
     q for 1 <= q < min(p_max, d), from one kernel evaluation.
 
@@ -102,9 +111,14 @@ def _alpha_moments(d: int, nu: float, p_max: int) -> tuple[list[float], dict[int
     table[1:] = (d - s - k) / (d - k)
     np.multiply.accumulate(table, axis=0, out=table)
     # math.fsum reads Python floats faster than numpy scalars.
-    alphas = [math.fsum(row) / d for row in table.tolist()]
+    sums = [math.fsum(row) for row in table.tolist()]
     weighted = (table[1 : min(p_max, d)] * s).tolist()
-    return alphas, {q: math.fsum(r) / ((d - q) * d) for q, r in enumerate(weighted, 1)}
+    return _Moments(
+        alphas=[total / d for total in sums],
+        drops={q: math.fsum(r) / ((d - q) * d) for q, r in enumerate(weighted, 1)},
+        kernel=table[0],
+        kernel_sum=sums[0],
+    )
 
 
 def alpha_limit(p: int, d: int) -> float:
@@ -169,35 +183,46 @@ def normalization_constant(d: int, nu: float) -> float:
     one ulp of its terms), this one never does. A kernel that underflows
     to zero everywhere gives 0.
     """
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    t = np.arange(1, d + 1, dtype=float)
-    kernel = psi(t / d, nu)
-    total = math.fsum(kernel)
+    return _normalizer(_alpha_moments(d, nu, 0))
+
+
+def _normalizer(moments: _Moments) -> float:
+    """`normalization_constant` from the kernel row and sum of `moments`."""
+    kernel, total = moments.kernel, moments.kernel_sum
     if total == 0.0:
         return 0.0
-    mean = math.fsum(t * kernel) / total
-    return total * math.fsum(kernel * (t - mean) ** 2) / d**3
+    d = len(kernel)
+    t = np.arange(1, d + 1, dtype=float)
+    mean = math.fsum((t * kernel).tolist()) / total
+    return total * math.fsum((kernel * (t - mean) ** 2).tolist()) / d**3
 
 
 def sigma_set(d: int, nu: float) -> SigmaSet:
     """The covariance at (d, nu), from alpha_0..alpha_2, gap and c_d."""
+    return _covariance_and_moments(d, nu, 2)[0]
+
+
+def _covariance_and_moments(d: int, nu: float, order: int) -> tuple[SigmaSet, _Moments]:
+    """The covariance at (d, nu) and the alpha moments up to
+    max(2, min(order, d)), all from one kernel evaluation."""
     if d < 2:
         raise ClosedFormDomainError(
             "out of closed-form domain: need at least 2 distinct words"
         )
-    (a0, a1, a2), drops = _alpha_moments(d, nu, 2)
-    c_d = normalization_constant(d, nu)
-    gap = drops[1]
+    moments = _alpha_moments(d, nu, max(2, min(order, d)))
+    a0, a1, a2 = moments.alphas[:3]
+    c_d = _normalizer(moments)
+    gap = moments.drops[1]
     if c_d == 0.0 or gap == 0.0:
         raise ClosedFormDomainError(
             f"out of closed-form domain: at d={d}, nu={nu} the covariance "
             "normalizers underflow to 0"
         )
-    return SigmaSet(
+    covariance = SigmaSet(
         d=d, nu=nu, c_d=c_d, alpha0=a0, alpha1=a1, alpha2=a2, gap=gap,
         condition=d * (a0 + a1) ** 2 / c_d,
     )
+    return covariance, moments
 
 
 def sigma_matrix(d: int, nu: float) -> np.ndarray:
@@ -225,11 +250,11 @@ def sigma_inverse(d: int, nu: float) -> np.ndarray:
 
 
 def _indicator_parts(
-    p: int, ss: SigmaSet, alphas: Sequence[float], drops: dict[int, float]
+    p: int, ss: SigmaSet, moments: _Moments
 ) -> tuple[float, float, float]:
     """Intercept, member coefficient and non-member coefficient of the
     population explanation of a product of p indicators, from
-    `_alpha_moments` up to order min(p + 1, d).
+    moments up to order min(p + 1, d).
 
     The right-hand side is alpha_p on the intercept and the members and
     alpha_{p+1} elsewhere, so members exceed non-members by exactly
@@ -238,8 +263,8 @@ def _indicator_parts(
     """
     if p == 0:  # the constant model explains itself
         return 1.0, 0.0, 0.0
-    d = ss.d
-    delta, a_p1 = (drops[p] / ss.gap, alphas[p + 1]) if p < d else (0.0, 0.0)
+    d, alphas = ss.d, moments.alphas
+    delta, a_p1 = (moments.drops[p] / ss.gap, alphas[p + 1]) if p < d else (0.0, 0.0)
     intercept, total = ss.solve(
         alphas[p] - p * ss.alpha1 * delta, d * (a_p1 - p * ss.alpha2 * delta)
     )
@@ -261,9 +286,8 @@ def beta_indicator_product(
     if any(i < 0 or i >= d for i in member):
         raise ValueError("indicator indices must lie in 0..d-1")
     p = len(member)
-    ss = sigma_set(d, nu)
-    alphas, drops = _alpha_moments(d, nu, min(p + 1, d))
-    intercept, coef_in, coef_out = _indicator_parts(p, ss, alphas, drops)
+    ss, moments = _covariance_and_moments(d, nu, p + 1)
+    intercept, coef_in, coef_out = _indicator_parts(p, ss, moments)
     coefficients = tuple(coef_in if j in member else coef_out for j in range(d))
     return TheoryExplanation(
         intercept=intercept,
@@ -277,7 +301,7 @@ def beta_tree(tree, local: LocalDictionary, nu: float) -> TheoryExplanation:
     terms (the explanation map is linear in the model).
 
     The covariance and the alpha moments depend only on (d, nu), so they
-    are computed once per call and shared by every term.
+    come from one kernel evaluation per call, shared by every term.
     Terms naming a word outside the local dictionary vanish on every
     perturbed sample and contribute nothing.
     """
@@ -287,20 +311,19 @@ def beta_tree(tree, local: LocalDictionary, nu: float) -> TheoryExplanation:
         for term in tree.terms
         if all(w in local for w in term.words)
     ]
-    ss = sigma_set(d, nu)
     p_top = max((len(member) for _, member in terms), default=0)
-    alphas, drops = _alpha_moments(d, nu, min(p_top + 1, d))
+    ss, moments = _covariance_and_moments(d, nu, p_top + 1)
     intercept = 0.0
     coefficients = np.zeros(d)
     for coefficient, member in terms:
-        part_intercept, coef_in, coef_out = _indicator_parts(len(member), ss, alphas, drops)
+        part_intercept, coef_in, coef_out = _indicator_parts(len(member), ss, moments)
         part = np.full(d, coef_out)
         part[member] = coef_in
         intercept += coefficient * part_intercept
         coefficients += coefficient * part
     return TheoryExplanation(
         intercept=intercept,
-        coefficients=tuple(float(c) for c in coefficients),
+        coefficients=tuple(coefficients.tolist()),
         provenance=EXACT_CLOSED_FORM,
         words=local.words,
     )
@@ -411,11 +434,12 @@ _ENUMERATION_BLOCK = 4096
 
 
 def _renormalization_expectations(
-    omega: OmegaWeights, exact: bool
-) -> tuple[np.ndarray, np.ndarray]:
+    omega: OmegaWeights, exact: bool, *, pairs: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Expected renormalization factor (kept mass)^(-1/2) given that word j
     survives, for every j (shape (d,)), and given that words j and k
-    survive, for every pair (shape (d, d), zero diagonal; pairs need d >= 3).
+    survive, for every pair (shape (d, d), zero diagonal; pairs need d >= 3;
+    None unless `pairs`).
 
     exact=True enumerates every survivor set once: with keep the 0/1 row of
     a set, h_1(s) and h_2(s) its probability given one or two fixed
@@ -426,8 +450,10 @@ def _renormalization_expectations(
     d = omega.d
     if not exact:
         single, pair = _removed_mass_means(omega)
-        e_pair = 1.0 / np.sqrt(1.0 - pair)
-        np.fill_diagonal(e_pair, 0.0)
+        e_pair = None
+        if pairs:
+            e_pair = 1.0 / np.sqrt(1.0 - pair)
+            np.fill_diagonal(e_pair, 0.0)
         return 1.0 / np.sqrt(1.0 - single), e_pair
     if d > ENUMERATION_LIMIT:
         raise ValueError(
@@ -439,7 +465,7 @@ def _renormalization_expectations(
     h_pair = _subset_weights(d, pair=True) if d >= 3 else np.zeros(d + 1)
     bits = np.arange(d)
     e_single = np.zeros(d)
-    e_pair = np.zeros((d, d))
+    e_pair = np.zeros((d, d)) if pairs else None
     # Bit i of code c keeps word i. Code 0 keeps nothing, which has
     # probability 0 given any survivor, so the walk starts at 1.
     n_sets = 2**d
@@ -449,8 +475,10 @@ def _renormalization_expectations(
         factor = 1.0 / np.sqrt(keep @ w)
         removed = d - keep.sum(axis=1).astype(np.intp)
         e_single += (h_single[removed] * factor) @ keep
-        e_pair += (keep * (h_pair[removed] * factor)[:, None]).T @ keep
-    np.fill_diagonal(e_pair, 0.0)
+        if pairs:
+            e_pair += (keep * (h_pair[removed] * factor)[:, None]).T @ keep
+    if pairs:
+        np.fill_diagonal(e_pair, 0.0)
     return e_single, e_pair
 
 
@@ -490,7 +518,9 @@ def e_term(
     jj, kk = _kept_pair(j if k is None else (j, k), d)
 
     if method in ("exact", "approx"):
-        e_single, e_pair = _renormalization_expectations(omega, method == "exact")
+        e_single, e_pair = _renormalization_expectations(
+            omega, method == "exact", pairs=kk is not None
+        )
         value = e_single[jj] if kk is None else e_pair[jj, kk]
         return RenormEstimate(value=float(value), method=method)
 
@@ -655,13 +685,14 @@ def beta_general_mc(
     # side (the sums of t, t * kept and t z), so it carries the rounding of
     # one solve rather than the average of n_mc solves' rounding.
     b = 1.0 / ss.gap
+    kernel_table = _kernel_table(d, nu)
     rng = np.random.default_rng(seed)
     total = np.zeros(d + 1)
     total_sq = np.zeros(d + 1)
     rhs = np.zeros(d + 2)
     for size in _mc_chunks(n_mc):
         sizes, z = draw_feature_matrix(rng, size, d)
-        kernel = psi(sizes / d, nu)
+        kernel = kernel_table[sizes]
         responses = model.evaluate_matrix(renormalized_tfidf(z, w_vec), local.words)
 
         t = kernel * responses

@@ -256,3 +256,63 @@ class TestMatrixEvaluation:
         m = IndicatorProduct(words=frozenset({"missing"}))
         out = m.evaluate_matrix(np.ones((3, 2)), ["a", "b"])
         assert np.array_equal(out, np.zeros(3))
+
+    # Terms with coefficients +inf and -inf on one row add to NaN.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        n=st.integers(1, 200),
+        d=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tree_is_left_to_right_sum_of_its_terms(self, n, d, seed):
+        # Bit for bit, whether the terms name few or most of the columns and
+        # for signed zero and non-finite coefficients: zeros plus each term's
+        # value in order, a term naming a word not among the columns being
+        # zero everywhere.
+        rng = np.random.default_rng(seed)
+        pool = [f"w{i}" for i in range(16)]
+        words = list(rng.choice(pool, d, replace=False))
+        values = rng.normal(size=(n, d)) * (rng.random((n, d)) < rng.random())
+        terms = tuple(
+            IndicatorProduct(
+                words=frozenset(str(w) for w in rng.choice(pool, rng.integers(0, 4), replace=False)),
+                coefficient=float(
+                    rng.choice([0.0, -0.0, 1.0, rng.uniform(-3.0, 3.0), -np.inf, np.inf, np.nan])
+                ),
+            )
+            for _ in range(rng.integers(0, 21))
+        )
+        index = {w: j for j, w in enumerate(words)}
+        want = np.zeros(n)
+        for term in terms:
+            want += [
+                term.coefficient
+                if all(w in index and row[index[w]] > 0.0 for w in term.words)
+                else 0.0
+                for row in values
+            ]
+        got = TreeModel(terms=terms).evaluate_matrix(values, words)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [31, 1000])
+    def test_tree_evaluation_on_wide_and_narrow_columns(self, d):
+        # 20 terms name most columns at d = 31 and few at d = 1000.
+        rng = np.random.default_rng(d)
+        words = [f"w{i}" for i in range(d)]
+        values = rng.random((300, d)) * (rng.random((300, d)) < 0.5)
+        terms = tuple(
+            IndicatorProduct(
+                words=frozenset(str(w) for w in rng.choice(words, 1 + i % 3, replace=False)),
+                coefficient=float(rng.uniform(-2.0, 2.0)),
+            )
+            for i in range(20)
+        )
+        want = np.zeros(len(values))
+        for term in terms:
+            mask = np.ones(len(values), dtype=bool)
+            for w in term.words:
+                mask &= values[:, words.index(w)] > 0.0
+            want += np.where(mask, term.coefficient, 0.0)
+        got = TreeModel(terms=terms).evaluate_matrix(values, words)
+        assert got.tobytes() == want.tobytes()

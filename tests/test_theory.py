@@ -423,6 +423,19 @@ class TestETerm:
                 enumerate_conditional(d, set(kept), renorm), abs=1e-12
             )
 
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("d", [2, 3, 12, 14])
+    def test_single_survivor_skips_pairs_bit_identically(self, d, exact):
+        # Without the pair product E_single keeps the same bits, and a
+        # single-survivor e_term reads it from there.
+        omega = random_omega(d, np.random.default_rng(d))
+        single, pair = theory._renormalization_expectations(omega, exact)
+        alone, no_pair = theory._renormalization_expectations(omega, exact, pairs=False)
+        assert no_pair is None and pair.shape == (d, d)
+        assert alone.tobytes() == single.tobytes()
+        method = "exact" if exact else "approx"
+        assert [e_term(omega, j, method=method).value for j in range(d)] == single.tolist()
+
     def test_exact_matches_conditional_monte_carlo(self):
         rng = np.random.default_rng(41)
         omega = random_omega(10, rng)
@@ -637,15 +650,17 @@ class TestBetaTree:
             assert abs(got.intercept - expected_intercept) <= 1e-12
 
     @pytest.mark.parametrize("n_terms", [0, 1, 20])
-    def test_sigma_set_computed_once_per_call(self, monkeypatch, n_terms):
+    def test_psi_evaluated_once_per_call(self, monkeypatch, n_terms):
+        # The covariance, its normalizer and every term's moments share one
+        # kernel evaluation.
         local = synthetic_local(50)
         calls = []
 
-        def counting_sigma_set(d, nu):
-            calls.append((d, nu))
-            return sigma_set(d, nu)
+        def counting_psi(t, nu):
+            calls.append(nu)
+            return psi(t, nu)
 
-        monkeypatch.setattr(theory, "sigma_set", counting_sigma_set)
+        monkeypatch.setattr(theory, "psi", counting_psi)
         tree = TreeModel(
             terms=tuple(
                 IndicatorProduct(words=frozenset(local.words[i : i + 1 + i % 3]))
@@ -653,7 +668,7 @@ class TestBetaTree:
             )
         )
         beta_tree(tree, local, 0.25)
-        assert calls == [(50, 0.25)]
+        assert calls == [0.25]
 
     def test_tree_plus_negation_cancels(self, doc_idf):
         doc, _ = doc_idf
@@ -1079,6 +1094,56 @@ def mpmath_indicator_parts(p, d, nu):
         return [float(v) for v in solution]
 
 
+def composed_sigma_set(d, nu):
+    """The covariance as two separate kernel passes build it: the order-2
+    moments, then the two-pass normalizer from its own psi call."""
+    if d < 2:
+        raise ClosedFormDomainError("need at least 2 distinct words")
+    moments = theory._alpha_moments(d, nu, 2)
+    t = np.arange(1, d + 1, dtype=float)
+    kernel = psi(t / d, nu)
+    total = math.fsum(kernel)
+    c_d = 0.0
+    if total != 0.0:
+        mean = math.fsum(t * kernel) / total
+        c_d = total * math.fsum(kernel * (t - mean) ** 2) / d**3
+    a0, a1, a2 = moments.alphas
+    gap = moments.drops[1]
+    if c_d == 0.0 or gap == 0.0:
+        raise ClosedFormDomainError("normalizers underflow to 0")
+    return theory.SigmaSet(
+        d=d, nu=nu, c_d=c_d, alpha0=a0, alpha1=a1, alpha2=a2, gap=gap,
+        condition=d * (a0 + a1) ** 2 / c_d,
+    )
+
+
+def composed_beta_tree(tree, local, nu):
+    """(intercept, coefficients) of `beta_tree` from `composed_sigma_set`
+    and a second moment pass of order min(p_top + 1, d)."""
+    d = local.d
+    terms = [
+        (term.coefficient, [local.index_of(w) for w in term.words])
+        for term in tree.terms
+        if all(w in local for w in term.words)
+    ]
+    ss = composed_sigma_set(d, nu)
+    p_top = max((len(member) for _, member in terms), default=0)
+    moments = theory._alpha_moments(d, nu, min(p_top + 1, d))
+    intercept = 0.0
+    coefficients = np.zeros(d)
+    for coefficient, member in terms:
+        part_intercept, coef_in, coef_out = theory._indicator_parts(len(member), ss, moments)
+        part = np.full(d, coef_out)
+        part[member] = coef_in
+        intercept += coefficient * part_intercept
+        coefficients += coefficient * part
+    return intercept, tuple(float(c) for c in coefficients)
+
+
+def float_bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
 class TestTheoryProperties:
     @PROPERTY_SETTINGS
     @given(
@@ -1098,6 +1163,57 @@ class TestTheoryProperties:
         expected[j % d] = 1.0
         assert got.intercept == 0.0
         assert np.array_equal(got.coefficient_array(), expected)
+
+    @PROPERTY_SETTINGS
+    @given(
+        d=st.integers(2, 1000),
+        nu=st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=2, nu=0.25, seed=0)
+    @example(d=3, nu=1.0, seed=1)
+    @example(d=3, nu=0.05, seed=2)  # order-2 terms are declined here
+    @example(d=5, nu=0.003, seed=3)  # c_d underflows to 0
+    def test_one_kernel_pass_matches_composed_forms(self, d, nu, seed):
+        # sigma_set and beta_tree take everything from one kernel pass; the
+        # bits must equal the composition of separate passes, raises included.
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ClosedFormDomainError:
+                return ClosedFormDomainError
+
+        got, want = outcome(sigma_set, d, nu), outcome(composed_sigma_set, d, nu)
+        if want is ClosedFormDomainError:
+            assert got is ClosedFormDomainError
+        else:
+            fields = ("c_d", "alpha0", "alpha1", "alpha2", "gap", "condition")
+            assert (got.d, got.nu) == (d, nu)
+            assert float_bits([getattr(got, f) for f in fields]) == float_bits(
+                [getattr(want, f) for f in fields]
+            )
+        local = synthetic_local(d)
+        rng = np.random.default_rng(seed)
+        pool = [*local.words, "elsewhere"]
+        tree = TreeModel(
+            terms=tuple(
+                IndicatorProduct(
+                    words=frozenset(
+                        str(w) for w in rng.choice(pool, rng.integers(0, min(d, 3) + 1), replace=False)
+                    ),
+                    coefficient=float(rng.uniform(-2.0, 2.0)),
+                )
+                for _ in range(rng.integers(0, 21))
+            )
+        )
+        got = outcome(beta_tree, tree, local, nu)
+        want = outcome(composed_beta_tree, tree, local, nu)
+        if want is ClosedFormDomainError:
+            assert got is ClosedFormDomainError
+        else:
+            assert float_bits([got.intercept, *got.coefficients]) == float_bits(
+                [want[0], *want[1]]
+            )
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("d", [7, 12, 31, 200])
