@@ -1,17 +1,19 @@
 """Per-layer timings of the explanation pipeline (sampler, TF-IDF
 renormalization, weighted least-squares solve) and of the theory layer, plus
-the end-to-end repeated run.
+the end-to-end explanation and repeated run.
 
 Each pipeline case times one layer at n = 5000 samples and dictionary size
-d in {12, 31, 200, 1000}. Each theory case times `alpha_values` (orders 0..4),
-`sigma_set`, `normalization_constant` or a 20-term `beta_tree` at
+d in {12, 31, 200, 1000}; the solve is timed on a float64 design and on the
+int8 one that `fit_batch` passes. Each theory case times `alpha_values`
+(orders 0..4), `sigma_set`, `normalization_constant` or a 20-term `beta_tree` at
 d in {31, 200, 1000}, or the full-mode `beta_linear` of a linear model over
 every word at d in {12, 17, 20}, where it enumerates all 2^d survivor sets.
 The model case times a 20-term tree's `evaluate_matrix` on renormalized
 TF-IDF samples of n x d in {5000 x 12, 5000 x 31, 5000 x 1000, 65536 x 31}
 (65536 is the Monte Carlo oracle's chunk). The end-to-end cases time
 `run_repeated` with n_exp = 100 runs of a 20-term tree at n = 5000 and d in
-{12, 31}, and the Monte Carlo oracle `beta_general_mc` of a 20-term tree with
+{12, 31}, one `explain` of a 20-term tree at n = 5000 and d in {31, 1000},
+and the Monte Carlo oracle `beta_general_mc` of a 20-term tree with
 n_mc = 200,000 samples at d = 31. Seeds are
 fixed, and every case keeps the minimum of K = 7 runs and the mean number of
 minor page faults per call (`resource.getrusage`, whole process). Only the
@@ -23,7 +25,7 @@ when the package differs from that commit) and a SHA-256 over the package's
 replacing an earlier record with the same label, so records of two commits
 can sit side by side:
 
-    PYTHONPATH=src python benchmarks/layers.py --label change --out BENCH_10.json
+    PYTHONPATH=src python benchmarks/layers.py --label change --out BENCH_11.json
 
 Set OPENBLAS_NUM_THREADS before the run to fix the BLAS thread count; the
 script reads it and does not change it. The textlime package is imported
@@ -49,7 +51,7 @@ import textlime
 from textlime.corpus import Document, IdfTable, local_dictionary
 from textlime.models import IndicatorProduct, TreeModel
 from textlime.sampling import draw_feature_matrix, sample_batch
-from textlime.surrogate import fit_weighted_ridge
+from textlime.surrogate import explain, fit_weighted_ridge
 from textlime.theory import (
     alpha_values,
     beta_general_mc,
@@ -65,6 +67,7 @@ DICTIONARY_SIZES = (12, 31, 200, 1000)
 THEORY_SIZES = (31, 200, 1000)
 LINEAR_SIZES = (12, 17, 20)
 REPEATED_SIZES = (12, 31)
+EXPLAIN_SIZES = (31, 1000)
 EVALUATE_SHAPES = ((5000, 12), (5000, 31), (5000, 1000), (65536, 31))
 N_EXP = 100
 N_MC = 200_000
@@ -161,23 +164,41 @@ def run_cases() -> list[dict]:
         n_mc=N_MC,
         d=MC_SIZE,
     )
+    for d in EXPLAIN_SIZES:
+        doc, idf = _document(d)
+        tree = _tree(local_dictionary(doc).words, np.random.default_rng(SEED))
+        _record(
+            cases,
+            "surrogate.explain",
+            lambda: explain(tree, doc, idf, n=N, nu=NU, seed=SEED),
+            model="tree",
+            n=N,
+            d=d,
+        )
     for d in DICTIONARY_SIZES:
         doc, idf = _document(d)
         local = local_dictionary(doc)
         batch = sample_batch(doc, local, N, NU, SEED)
         responses = batch.tfidf_matrix(idf) @ np.linspace(-1.0, 1.0, d)
-        design = np.hstack([np.ones((N, 1)), batch.z.astype(float)])
+        design = np.hstack([np.ones((N, 1), np.int8), batch.z])
         timed = {
             "sampling.draw_feature_matrix": lambda: draw_feature_matrix(
                 np.random.default_rng(SEED), N, d
             ),
             "sampling.tfidf_matrix": lambda: batch.tfidf_matrix(idf),
-            "surrogate.fit_weighted_ridge": lambda: fit_weighted_ridge(
-                design, batch.weights, responses
-            ),
         }
         for layer, fn in timed.items():
             _record(cases, layer, fn, n=N, d=d)
+        for dtype in ("float64", "int8"):
+            typed = design.astype(dtype)
+            _record(
+                cases,
+                "surrogate.fit_weighted_ridge",
+                lambda: fit_weighted_ridge(typed, batch.weights, responses),
+                n=N,
+                d=d,
+                design=dtype,
+            )
     for d in THEORY_SIZES:
         local = local_dictionary(_document(d)[0])
         tree = _tree(local.words, np.random.default_rng(SEED))

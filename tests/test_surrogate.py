@@ -18,7 +18,7 @@ from textlime import (
     tree_from_spec,
 )
 from textlime.corpus import Corpus
-from textlime.surrogate import fit_batch
+from textlime.surrogate import _cholesky_solve, fit_batch
 
 
 def minimum_norm_oracle(design, weights, responses, ridge=0.0):
@@ -66,23 +66,46 @@ class TestFitWeightedRidge:
         )
         assert np.max(np.abs(beta)) < 1e-8
 
-    def test_matches_independent_minimizer(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.int8, np.bool_])
+    def test_matches_independent_minimizer(self, dtype):
         # Binary presence designs with an intercept column, as `fit_batch`
-        # builds them; the inputs must come back unmodified.
+        # builds them (int8); the inputs must come back unmodified. An int8
+        # or bool design is scaled from its integers, which is exact, so it
+        # gives the float64 design's coefficients bit for bit.
         rng = np.random.default_rng(2)
         for n, d, atol in ((200, 4, 1e-8), (5000, 200, 1e-10)):
             design = np.hstack(
                 [np.ones((n, 1)), rng.integers(0, 2, size=(n, d)).astype(float)]
             )
+            typed = design.astype(dtype)
             weights = rng.random(n)
             responses = rng.normal(size=n)
-            inputs = (design.copy(), weights.copy(), responses.copy())
+            inputs = (typed.copy(), weights.copy(), responses.copy())
             for ridge in (0.0, 1.0):
-                got = fit_weighted_ridge(design, weights, responses, ridge)
+                got = fit_weighted_ridge(typed, weights, responses, ridge)
                 want = minimum_norm_oracle(design, weights, responses, ridge)
                 assert np.allclose(got, want, rtol=0.0, atol=atol)
-            for before, after in zip(inputs, (design, weights, responses)):
+                assert np.array_equal(
+                    got, fit_weighted_ridge(design, weights, responses, ridge)
+                )
+            for before, after in zip(inputs, (typed, weights, responses)):
+                assert before.dtype == after.dtype
                 assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("p", [1, 127, 128, 129, 257, 1001])
+    def test_cholesky_substitution_matches_dense_solve(self, p):
+        # Sizes on, beside and across the 128-row block boundary. Both
+        # solves are backward stable, so each lies within about
+        # (3p + 1) eps cond(G) of the exact solution (relative, 2-norm);
+        # the two may differ by twice that.
+        rng = np.random.default_rng(p)
+        x = rng.normal(size=(p + 20, p))
+        gram = x.T @ x
+        rhs = rng.normal(size=p)
+        want = np.linalg.solve(gram, rhs)
+        got = _cholesky_solve(gram, rhs)
+        tolerance = 2 * (3 * p + 1) * np.finfo(float).eps * np.linalg.cond(gram)
+        assert np.linalg.norm(got - want) <= tolerance * np.linalg.norm(want)
 
     def test_rank_deficient_falls_back_to_minimum_norm(self):
         # Duplicate column makes the normal equations singular at ridge 0.
@@ -107,8 +130,8 @@ class TestFitWeightedRidge:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_inputs_rejected(self, bad):
-        # Without the check one NaN or inf response silently turns every
-        # coefficient into NaN.
+        # Without the checks one NaN or inf response or design entry
+        # silently turns every coefficient into NaN.
         rng = np.random.default_rng(4)
         design = np.hstack([np.ones((50, 1)), rng.integers(0, 2, size=(50, 3))])
         responses = rng.normal(size=50)
@@ -119,6 +142,9 @@ class TestFitWeightedRidge:
         weights[7] = bad
         with pytest.raises(ValueError, match="finite"):
             fit_weighted_ridge(design, weights, rng.normal(size=50))
+        design[7, 2] = bad
+        with pytest.raises(ValueError, match="design must be finite"):
+            fit_weighted_ridge(design, np.ones(50), rng.normal(size=50))
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(3)
