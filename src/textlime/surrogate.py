@@ -42,7 +42,8 @@ class Explanation:
 # Rows per step of the Cholesky substitution. numpy has no triangular
 # solve, so each step solves its diagonal block densely, at O(_BLOCK^3),
 # and reaches the rest of the factor through one matrix-vector product.
-# At p = 1001, 64 and 128 took alike and 256 and 512 longer.
+# At p = 1001 (2 CPUs, one BLAS thread) 64 and 128 took alike, 256 and 512
+# longer.
 _BLOCK = 128
 
 
