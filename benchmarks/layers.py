@@ -3,8 +3,8 @@ renormalization, weighted least-squares solve) and of the theory layer, plus
 the end-to-end explanation and repeated run.
 
 Each pipeline case times one layer at n = 5000 samples and dictionary size
-d in {12, 31, 200, 1000}; the solve is timed on a float64 design and on the
-int8 one that `fit_batch` passes. Each theory case times `alpha_values`
+d in {12, 31, 200, 1000}; the solve is timed on the int8 design that
+`fit_batch` passes. Each theory case times `alpha_values`
 (orders 0..4), `sigma_set`, `normalization_constant` or a 20-term `beta_tree` at
 d in {31, 200, 1000}, or the full-mode `beta_linear` of a linear model over
 every word at d in {12, 17, 20}, where it enumerates all 2^d survivor sets.
@@ -189,16 +189,13 @@ def run_cases() -> list[dict]:
         }
         for layer, fn in timed.items():
             _record(cases, layer, fn, n=N, d=d)
-        for dtype in ("float64", "int8"):
-            typed = design.astype(dtype)
-            _record(
-                cases,
-                "surrogate.fit_weighted_ridge",
-                lambda: fit_weighted_ridge(typed, batch.weights, responses),
-                n=N,
-                d=d,
-                design=dtype,
-            )
+        _record(
+            cases,
+            "surrogate.fit_weighted_ridge",
+            lambda: fit_weighted_ridge(design, batch.weights, responses),
+            n=N,
+            d=d,
+        )
     for d in THEORY_SIZES:
         local = local_dictionary(_document(d)[0])
         tree = _tree(local.words, np.random.default_rng(SEED))

@@ -107,17 +107,13 @@ def fit_weighted_ridge(
 
     p = design.shape[1]
     sw = np.sqrt(weights)
-    if design.dtype.kind in "biu":
-        # Integers and bools cannot be NaN or inf. The cast is exact, so this
-        # gives the bits of sqrt(w) times the float64 design, and it is faster
-        # than a mixed-type product, whose buffered casts cost most at small p.
-        a = design.astype(float)
-        a *= sw[:, None]
-    else:
-        design = np.asarray(design, dtype=float)
-        if not np.all(np.isfinite(design)):
-            raise ValueError("design must be finite")
-        a = sw[:, None] * design
+    # The cast is exact for integers and bools, so every design dtype gives
+    # the bits of sqrt(w) times the float64 design. Integers and bools cannot
+    # be NaN or inf; the check is left to other kinds.
+    a = design.astype(float)
+    if design.dtype.kind not in "biu" and not np.all(np.isfinite(a)):
+        raise ValueError("design must be finite")
+    a *= sw[:, None]
     b = sw * responses
     gram = a.T @ a
     gram.flat[:: p + 1] += ridge
