@@ -40,7 +40,6 @@ from .theory import (
     OmegaWeights,
     SigmaSet,
     TheoryExplanation,
-    alpha,
     alpha_bounds,
     alpha_limit,
     alpha_values,
@@ -49,11 +48,8 @@ from .theory import (
     beta_linear,
     beta_tree,
     e_term,
-    expected_removed_mass,
     omega_weights,
     population_explanation,
-    sigma_inverse,
-    sigma_matrix,
     sigma_set,
 )
 from .verify import (
@@ -63,7 +59,6 @@ from .verify import (
     concentration_check,
     default_nu_grid,
     linearity_check,
-    mc_alpha,
     run_repeated,
     sweep_bandwidth,
 )

@@ -65,6 +65,7 @@ _RANGE_CHECKS = (
     ("ridge", lambda v: v >= 0, "ridge parameter must be nonnegative"),
     ("threads", lambda v: v >= 1, "worker count must be at least 1"),
     ("n_mc", lambda v: v >= 2, "need at least two Monte Carlo samples"),
+    ("seed", lambda v: v >= 0, "master seed must be nonnegative"),
 )
 
 

@@ -99,28 +99,6 @@ class IdfTable:
         idx = self._index.get(word)
         return self._unseen_idf if idx is None else self.idf_values[idx]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "corpus_size": self.corpus_size,
-            "entries": [
-                {"word": w, "doc_count": c, "idf": v}
-                for w, c, v in zip(self.words, self.doc_counts, self.idf_values)
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "IdfTable":
-        words = tuple(e["word"] for e in data["entries"])
-        counts = tuple(int(e["doc_count"]) for e in data["entries"])
-        return cls(words, counts, int(data["corpus_size"]))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "IdfTable":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
 
 @dataclass(frozen=True)
 class LocalDictionary:

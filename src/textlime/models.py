@@ -124,6 +124,18 @@ def indicator_terms(model: Model) -> tuple[IndicatorProduct, ...] | None:
     return None
 
 
+def _tree_from_polynomial(poly: dict[frozenset[str], float]) -> TreeModel:
+    """The tree of a {word set: coefficient} polynomial: zero coefficients
+    drop, and the terms go by support size, then alphabetically."""
+    return TreeModel(
+        terms=tuple(
+            IndicatorProduct(words=k, coefficient=v)
+            for k, v in sorted(poly.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+            if v != 0.0
+        )
+    )
+
+
 def combine(parts: Sequence[tuple[float, Model]]) -> Model:
     """Weighted sum of models.
 
@@ -137,12 +149,7 @@ def combine(parts: Sequence[tuple[float, Model]]) -> Model:
         for a, terms in term_lists:
             for t in terms:  # type: ignore[union-attr]
                 merged[t.words] = merged.get(t.words, 0.0) + a * t.coefficient
-        terms = tuple(
-            IndicatorProduct(words=k, coefficient=v)
-            for k, v in sorted(merged.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-            if v != 0.0
-        )
-        return TreeModel(terms=terms)
+        return _tree_from_polynomial(merged)
     return CombinedModel(parts=tuple((float(a), m) for a, m in parts))
 
 
@@ -249,13 +256,7 @@ def tree_from_spec(text: str) -> TreeModel:
     The expansion drops vanishing terms and orders the rest by support
     size, then alphabetically, so equal expressions build equal models.
     """
-    poly = _TreeParser(text).parse()
-    terms = tuple(
-        IndicatorProduct(words=k, coefficient=v)
-        for k, v in sorted(poly.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        if v != 0.0
-    )
-    return TreeModel(terms=terms)
+    return _tree_from_polynomial(_TreeParser(text).parse())
 
 
 def load_linear_model(path: str | Path) -> LinearModel:

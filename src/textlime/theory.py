@@ -6,8 +6,8 @@ sequence alpha_p = E[weight * z_1 ... z_p], the weighted feature covariance
 (whose block pattern reduces every solve to a 2x2 system; see SigmaSet), and
 the expected weighted responses. This module computes those pieces exactly,
 specializes them to indicator products, trees and linear models, and
-provides Monte Carlo estimators that serve as independent oracles for
-everything else.
+provides `beta_general_mc`, the package's one Monte Carlo oracle, which
+serves every model the closed forms do not.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ LARGE_BANDWIDTH = "large-bandwidth-approx"
 MONTE_CARLO = "monte-carlo"
 
 # Exact enumeration of conditional renormalization expectations walks all
-# subsets of the local dictionary; beyond this size, use approx or mc.
+# subsets of the local dictionary; beyond this size, use approx.
 ENUMERATION_LIMIT = 20
 
 # A covariance solve whose condition number times the machine epsilon
@@ -66,17 +66,11 @@ class TheoryExplanation:
         return np.array(self.coefficients)
 
 
-def alpha(p: int, d: int, nu: float) -> float:
-    """Expected kernel weight times p distinct presence indicators.
-
-    Exact finite sum over the deletion count s, with exact-rounded
-    accumulation: (1/d) sum_s prod_{k<p} (d-s-k)/(d-k) * psi(s/d).
-    """
-    return alpha_values(d, nu, p)[p]
-
-
 def alpha_values(d: int, nu: float, p_max: int) -> list[float]:
-    """alpha_0 .. alpha_{p_max} from one kernel evaluation."""
+    """alpha_0 .. alpha_{p_max} from one kernel evaluation: alpha_p is the
+    expected kernel weight times p distinct presence indicators, the exact
+    finite sum (1/d) sum_s prod_{k<p} (d-s-k)/(d-k) * psi(s/d) over the
+    deletion count s, accumulated exactly rounded."""
     return _alpha_moments(d, nu, p_max).alphas
 
 
@@ -223,30 +217,6 @@ def _covariance_and_moments(d: int, nu: float, order: int) -> tuple[SigmaSet, _M
         condition=d * (a0 + a1) ** 2 / c_d,
     )
     return covariance, moments
-
-
-def sigma_matrix(d: int, nu: float) -> np.ndarray:
-    """Weighted feature covariance: block pattern in alpha_0, alpha_1, alpha_2."""
-    if d < 2:
-        raise ClosedFormDomainError("covariance block pattern requires d >= 2")
-    a0, a1, a2 = alpha_values(d, nu, 2)
-    m = np.full((d + 1, d + 1), a2)
-    m[0, :] = a1
-    m[:, 0] = a1
-    np.fill_diagonal(m, a1)
-    m[0, 0] = a0
-    return m
-
-
-def sigma_inverse(d: int, nu: float) -> np.ndarray:
-    """Closed-form inverse of the weighted feature covariance, entry by entry."""
-    ss = sigma_set(d, nu)
-    off_diagonal = (ss.alpha1**2 - ss.alpha0 * ss.alpha2) / ss.gap
-    m = np.full((d + 1, d + 1), off_diagonal)
-    m[0, :] = m[:, 0] = -ss.alpha1
-    np.fill_diagonal(m, off_diagonal + ss.c_d / ss.gap)
-    m[0, 0] = ss.gap + d * ss.alpha2
-    return m / ss.c_d
 
 
 def _indicator_parts(
@@ -397,14 +367,6 @@ def _removed_mass_means(omega: OmegaWeights) -> tuple[np.ndarray, np.ndarray]:
     return single, upper + upper.T
 
 
-def expected_removed_mass(omega: OmegaWeights, kept) -> float:
-    """Exact expectation of the removed mass given that the kept word (or
-    pair of words) survives; see `_removed_mass_means`."""
-    j, k = _kept_pair(kept, omega.d)
-    single, pair = _removed_mass_means(omega)
-    return float(single[j] if k is None else pair[j, k])
-
-
 def _conditional_size_pmf(d: int, pair: bool) -> np.ndarray:
     """Distribution of the deletion count given one (or two) fixed survivors.
 
@@ -458,7 +420,7 @@ def _renormalization_expectations(
     if d > ENUMERATION_LIMIT:
         raise ValueError(
             f"enumeration too large (d = {d} > {ENUMERATION_LIMIT}); "
-            "use method='approx' or method='mc'"
+            "use method='approx'"
         )
     w = omega.array()
     h_single = _subset_weights(d, pair=False)
@@ -482,65 +444,28 @@ def _renormalization_expectations(
     return e_single, e_pair
 
 
-@dataclass(frozen=True)
-class RenormEstimate:
-    """Conditional expectation of the survivor renormalization factor
-    (1 - removed mass)^(-1/2), with a standard error when Monte Carlo."""
-
-    value: float
-    method: str
-    stderr: float | None = None
-
-
 def e_term(
-    omega: OmegaWeights,
-    j: int,
-    k: int | None = None,
-    *,
-    method: str = "exact",
-    n_mc: int = 200_000,
-    seed=0,
-) -> RenormEstimate:
-    """Expected renormalization factor given that word j (and word k, when
-    given) survives the deletion.
+    omega: OmegaWeights, j: int, k: int | None = None, *, method: str = "exact"
+) -> float:
+    """Expected renormalization factor (1 - removed mass)^(-1/2) given that
+    word j (and word k, when given) survives the deletion.
 
     method="exact" enumerates every survivor set (only allowed for
     d <= 20); "approx" swaps the expectation inside, returning
     (1 - expected removed mass)^(-1/2), a deliberate underestimate (the
     map is strictly convex, so by Jensen the exact value lies above it);
-    both read one entry of `_renormalization_expectations`. "mc" samples
-    the conditional law directly and reports a standard error.
+    both read one entry of `_renormalization_expectations`.
     With near-uniform masses and large d the exact values tend to 4/3 (one
     survivor) and 6/5 (a pair), while "approx" tends to the constants
     SIMPLIFIED_E_SINGLE and SIMPLIFIED_E_PAIR (about 1.2247 and 1.1547).
     """
-    d = omega.d
-    jj, kk = _kept_pair(j if k is None else (j, k), d)
-
-    if method in ("exact", "approx"):
-        e_single, e_pair = _renormalization_expectations(
-            omega, method == "exact", pairs=kk is not None
-        )
-        value = e_single[jj] if kk is None else e_pair[jj, kk]
-        return RenormEstimate(value=float(value), method=method)
-
-    if method == "mc":
-        if n_mc < 2:
-            raise ValueError("need at least two Monte Carlo samples")
-        rest = np.array(
-            [w for i, w in enumerate(omega.values) if i not in (jj, kk)], dtype=float
-        )
-        pmf = _conditional_size_pmf(d, kk is not None)
-        rng = np.random.default_rng(seed)
-        sizes = rng.choice(d + 1, size=n_mc, p=pmf / pmf.sum())
-        ranks = rng.random((n_mc, len(rest))).argsort(axis=1).argsort(axis=1)
-        removed_mass = ((ranks < sizes[:, None]) * rest).sum(axis=1)
-        draws = 1.0 / np.sqrt(1.0 - removed_mass)
-        value = float(draws.mean())
-        stderr = float(draws.std(ddof=1) / math.sqrt(n_mc))
-        return RenormEstimate(value=value, method=method, stderr=stderr)
-
-    raise ValueError(f"unknown method {method!r}; expected exact, approx or mc")
+    jj, kk = _kept_pair(j if k is None else (j, k), omega.d)
+    if method not in ("exact", "approx"):
+        raise ValueError(f"unknown method {method!r}; expected exact or approx")
+    e_single, e_pair = _renormalization_expectations(
+        omega, method == "exact", pairs=kk is not None
+    )
+    return float(e_single[jj] if kk is None else e_pair[jj, kk])
 
 
 # Large-bandwidth constants of the simplified linear-model prediction,

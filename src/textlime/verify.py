@@ -17,7 +17,6 @@ import numpy as np
 
 from .corpus import Document, IdfTable, local_dictionary
 from .models import Model, combine, indicator_terms
-from .sampling import draw_feature_matrix, psi
 from .surrogate import _explain_runs
 from .theory import TheoryExplanation, population_explanation
 
@@ -464,44 +463,3 @@ def concentration_check(
         slopes=slopes,
         median_slope=float(np.median(finite)),
     )
-
-
-@dataclass(frozen=True)
-class McAlphaEstimates:
-    """Raw-sampling estimates of the kernel moment sequence."""
-
-    d: int
-    nu: float
-    n_mc: int
-    values: np.ndarray
-    stderrs: np.ndarray
-
-    def value(self, p: int) -> float:
-        return float(self.values[p])
-
-    def stderr(self, p: int) -> float:
-        return float(self.stderrs[p])
-
-
-def mc_alpha(
-    d: int, nu: float, n_mc: int, p_max: int, seed=0
-) -> McAlphaEstimates:
-    """Monte Carlo estimates of E[weight * z_1 ... z_p] for p = 0..p_max,
-    straight from the sampling scheme; the independent oracle for the
-    closed-form moments."""
-    if not 0 <= p_max <= d:
-        raise ValueError("p_max must lie in 0..d")
-    if n_mc < 2:
-        raise ValueError("need at least two Monte Carlo samples")
-    rng = np.random.default_rng(seed)
-    sizes, z = draw_feature_matrix(rng, n_mc, d)
-    kernel = psi(sizes / d, nu)
-    values = np.empty(p_max + 1)
-    stderrs = np.empty(p_max + 1)
-    draws = kernel.astype(float)
-    for p in range(p_max + 1):
-        if p > 0:
-            draws = draws * z[:, p - 1]
-        values[p] = draws.mean()
-        stderrs[p] = draws.std(ddof=1) / math.sqrt(n_mc)
-    return McAlphaEstimates(d=d, nu=nu, n_mc=n_mc, values=values, stderrs=stderrs)

@@ -18,7 +18,6 @@ import pytest
 from textlime import (
     IndicatorProduct,
     LinearModel,
-    alpha,
     alpha_bounds,
     alpha_limit,
     alpha_values,
@@ -27,16 +26,12 @@ from textlime import (
     compare,
     concentration_check,
     e_term,
-    expected_removed_mass,
     fit_idf,
     linearity_check,
     load_corpus,
     local_dictionary,
-    mc_alpha,
     normalized_tfidf,
     run_repeated,
-    sigma_inverse,
-    sigma_matrix,
     sigma_set,
 )
 from textlime.theory import (
@@ -44,8 +39,10 @@ from textlime.theory import (
     SIMPLIFIED_E_PAIR,
     SIMPLIFIED_E_SINGLE,
     SIMPLIFIED_LINEAR_CONSTANT,
+    _removed_mass_means,
 )
 from textlime import tree_from_spec
+from oracles import mc_alpha, sigma_inverse, sigma_matrix
 from test_theory import exact_sigma_identity_residual
 
 MATRIX_GRID = [(d, nu) for d in (2, 5, 10, 30, 100) for nu in (0.1, 0.25, 1.0, 10.0)]
@@ -70,11 +67,11 @@ def bundle():
 def test_a1_alpha_closed_form_matches_monte_carlo():
     worst = 0.0
     for seed, (d, nu) in enumerate([(d, nu) for d in (5, 15, 35) for nu in (0.1, 0.25, 1.0)]):
-        estimates = mc_alpha(d, nu, 200_000, 3, seed=100 + seed)
+        values, stderrs = mc_alpha(d, nu, 200_000, 3, seed=100 + seed)
+        closed = alpha_values(d, nu, 3)
         for p in range(4):
-            closed = alpha(p, d, nu)
-            deviation = abs(closed - estimates.value(p))
-            tolerance = max(3 * estimates.stderr(p), 5e-3)
+            deviation = abs(closed[p] - values[p])
+            tolerance = max(3 * stderrs[p], 5e-3)
             worst = max(worst, deviation / tolerance)
     report(
         "A1 alpha oracle agreement",
@@ -281,6 +278,7 @@ def test_a11_subset_expectation_exactness():
             values=tuple(float(v) for v in raw / raw.sum()),
         )
         values = np.array(omega.values)
+        single, pair = _removed_mass_means(omega)
         cases = [(0,)] if d < 3 else [(0,), (0, d - 1)]
         for kept in cases:
             kept_set = set(kept)
@@ -294,7 +292,7 @@ def test_a11_subset_expectation_exactness():
                     total += prob
                     acc += float(prob) * float(values[list(subset)].sum())
             enumerated = acc / float(total)
-            closed = expected_removed_mass(omega, kept if len(kept) > 1 else kept[0])
+            closed = single[0] if len(kept) == 1 else pair[kept]
             worst = max(worst, abs(closed - enumerated))
     report(
         "A11 subset-expectation exactness",
@@ -394,10 +392,10 @@ def test_a14_renormalization_expectations_at_d18():
         words=tuple(f"w{i}" for i in range(d)),
         values=tuple(float(v) for v in raw / raw.sum()),
     )
-    single = e_term(omega, 0, method="exact").value
-    pair = e_term(omega, 0, 1, method="exact").value
-    approx_single = e_term(omega, 0, method="approx").value
-    approx_pair = e_term(omega, 0, 1, method="approx").value
+    single = e_term(omega, 0, method="exact")
+    pair = e_term(omega, 0, 1, method="exact")
+    approx_single = e_term(omega, 0, method="approx")
+    approx_pair = e_term(omega, 0, 1, method="approx")
     oracle_single = _removal_oracle(omega.values, {0})
     oracle_pair = _removal_oracle(omega.values, {0, 1})
     # Uniform masses, large d: the removed mass x has conditional density

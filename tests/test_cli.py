@@ -463,6 +463,27 @@ class TestConfigResolution:
         assert result.output.startswith(f"Error: {field} ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["explain", "theory", "verify", "sweep"])
+    def test_negative_seed_is_a_field_error(self, runner, tmp_path, command, source):
+        # numpy rejects a negative seed with a raw ValueError; the CLI
+        # names the field first, whichever way the value arrives.
+        args = [
+            command, "--corpus", CORPUS, "--doc", "0", "--model", "constant",
+            "--out", str(tmp_path / "out"),
+        ]
+        if source == "flag":
+            args += ["--seed", "-1"]
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"seed": -1}))
+            args += ["--config", str(path)]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "Error: seed: master seed must be nonnegative\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "env, name",
         [

@@ -1,6 +1,5 @@
 """Tokenization, IDF fitting, local dictionaries, and the unit-norm embedding."""
 
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from textlime import (
     Corpus,
     Document,
-    IdfTable,
     bundled_corpus_path,
     fit_idf,
     load_corpus,
@@ -69,18 +67,6 @@ class TestFitIdf:
         idf = fit_idf(make_corpus("a b", "b c", "c b"))
         assert idf.doc_count("b") == 3
         assert idf.doc_count("a") == 1
-
-    def test_json_roundtrip(self, tmp_path):
-        idf = fit_idf(make_corpus("a a b", "b c"))
-        path = tmp_path / "idf.json"
-        idf.save(path)
-        loaded = IdfTable.load(path)
-        assert loaded.words == idf.words
-        assert loaded.doc_counts == idf.doc_counts
-        assert loaded.idf_values == pytest.approx(idf.idf_values)
-        assert loaded.corpus_size == idf.corpus_size
-        raw = json.loads(path.read_text())
-        assert {"word", "doc_count", "idf"} <= set(raw["entries"][0])
 
 
 class TestLocalDictionary:

@@ -17,7 +17,7 @@ from textlime import (
 )
 from textlime.corpus import Corpus, tfidf_weights
 from textlime.sampling import draw_feature_matrix, renormalized_tfidf
-from textlime.theory import alpha
+from textlime.theory import alpha_values
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +265,7 @@ class TestSampleBatch:
         d, nu, n = 15, 0.25, 200_000
         doc = Document(tokens=tuple(f"w{i}" for i in range(d)))
         batch = sample_batch(doc, local_dictionary(doc), n, nu, seed=11)
-        target = alpha(0, d, nu)
+        target = alpha_values(d, nu, 0)[0]
         se = batch.weights.std(ddof=1) / math.sqrt(n)
         assert abs(batch.weights.mean() - target) <= 3 * se
 

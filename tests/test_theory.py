@@ -19,7 +19,6 @@ from textlime import (
     IndicatorProduct,
     LinearModel,
     TreeModel,
-    alpha,
     alpha_bounds,
     alpha_limit,
     alpha_values,
@@ -30,20 +29,17 @@ from textlime import (
     bundled_corpus_path,
     combine,
     e_term,
-    expected_removed_mass,
     fit_idf,
     load_corpus,
     local_dictionary,
-    mc_alpha,
     normalized_tfidf,
     omega_weights,
     population_explanation,
-    sigma_inverse,
-    sigma_matrix,
     sigma_set,
     tokenize,
     tree_from_spec,
 )
+from oracles import mc_alpha, mc_e_term, sigma_inverse, sigma_matrix
 from textlime.corpus import Corpus, tfidf_weights
 from textlime.sampling import draw_feature_matrix, psi, renormalized_tfidf
 from textlime.theory import (
@@ -155,22 +151,22 @@ def synthetic_local(d):
 class TestAlpha:
     def test_large_bandwidth_limit(self):
         for d, p in [(5, 1), (12, 0), (12, 3)]:
-            assert alpha(p, d, 1e3) == pytest.approx(alpha_limit(p, d), abs=1e-4)
+            assert alpha_values(d, 1e3, p)[p] == pytest.approx(alpha_limit(p, d), abs=1e-4)
         assert alpha_limit(1, 5) == pytest.approx(0.4)
 
     def test_order_d_vanishes(self):
         for d in (1, 3, 8):
             for nu in (0.1, 0.25, 2.0):
-                assert alpha(d, d, nu) == 0.0
+                assert alpha_values(d, nu, d)[d] == 0.0
 
     def test_order_beyond_d_rejected(self):
         with pytest.raises(ValueError):
-            alpha(6, 5, 0.25)
+            alpha_values(5, 0.25, 6)
 
-    def test_alpha_values_consistent_with_scalar(self):
+    def test_alpha_values_independent_of_p_max(self):
         values = alpha_values(9, 0.25, 4)
         for p, v in enumerate(values):
-            assert v == alpha(p, 9, 0.25)
+            assert v == alpha_values(9, 0.25, p)[p]
 
     @pytest.mark.parametrize("d", [1, 2, 12, 31, 200, 1000])
     @pytest.mark.parametrize("nu", [0.03, 0.25, 100.0])
@@ -179,11 +175,21 @@ class TestAlpha:
             assert alpha_values(d, nu, p_max) == loop_alpha_values(d, nu, p_max)
 
     def test_against_monte_carlo(self):
-        estimates = mc_alpha(15, 0.25, 200_000, 3, seed=23)
+        values, stderrs = mc_alpha(15, 0.25, 200_000, 3, seed=23)
+        closed = alpha_values(15, 0.25, 3)
         for p in range(4):
-            closed = alpha(p, 15, 0.25)
-            tol = max(3 * estimates.stderr(p), 5e-3)
-            assert abs(closed - estimates.value(p)) <= tol
+            tol = max(3 * stderrs[p], 5e-3)
+            assert abs(closed[p] - values[p]) <= tol
+
+    def test_monte_carlo_reaches_limit_at_huge_bandwidth(self):
+        values, stderrs = mc_alpha(12, 1e3, 100_000, 2, seed=21)
+        for p in range(3):
+            tol = max(3 * stderrs[p], 5e-3)
+            assert abs(values[p] - alpha_limit(p, 12)) <= tol
+
+    def test_monte_carlo_top_order_vanishes(self):
+        values, _ = mc_alpha(6, 0.25, 50_000, 6, seed=23)
+        assert values[6] == pytest.approx(0.0, abs=1e-4)
 
     def test_monotone_ordering_and_bounds(self):
         for d, nu in GRID:
@@ -360,28 +366,36 @@ class TestSubsetSumIdentity:
 
 class TestExpectedRemovedMass:
     def test_uniform_d3_single(self):
-        assert expected_removed_mass(uniform_omega(3), 0) == pytest.approx(4 / 9)
+        single, _ = theory._removed_mass_means(uniform_omega(3))
+        assert single == pytest.approx([4 / 9] * 3)
 
     def test_matches_enumeration(self):
+        # Every survivor and every pair, mirrored, with a zero diagonal.
         rng = np.random.default_rng(31)
         for d in (3, 5, 8, 12):
             omega = random_omega(d, rng)
             values = np.array(omega.values)
-            got = expected_removed_mass(omega, 1)
-            want = enumerate_conditional(d, {1}, lambda s: values[list(s)].sum())
-            assert got == pytest.approx(want, abs=1e-12)
-            got2 = expected_removed_mass(omega, (0, 2))
-            want2 = enumerate_conditional(d, {0, 2}, lambda s: values[list(s)].sum())
-            assert got2 == pytest.approx(want2, abs=1e-12)
+            single, pair = theory._removed_mass_means(omega)
+
+            def removed(subset):
+                return values[list(subset)].sum()
+
+            for j in range(d):
+                want = enumerate_conditional(d, {j}, removed)
+                assert single[j] == pytest.approx(want, abs=1e-12)
+                assert pair[j, j] == 0.0
+            for j, k in itertools.combinations(range(d), 2):
+                want2 = enumerate_conditional(d, {j, k}, removed)
+                assert pair[j, k] == pytest.approx(want2, abs=1e-12)
+                assert pair[k, j] == pair[j, k]
 
     def test_large_d_small_mass_limit(self):
-        omega = uniform_omega(300)
-        got = expected_removed_mass(omega, 0)
-        assert abs(got - (1 - 1 / 300) / 3) <= 1.0 / 300
+        single, _ = theory._removed_mass_means(uniform_omega(300))
+        assert np.abs(single - (1 - 1 / 300) / 3).max() <= 1.0 / 300
 
     def test_pair_with_d2_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            expected_removed_mass(uniform_omega(2), (0, 1))
+            e_term(uniform_omega(2), 0, 1, method="approx")
 
 
 class TestETerm:
@@ -397,14 +411,14 @@ class TestETerm:
                 return 1.0 / math.sqrt(1.0 - values[list(subset)].sum())
 
             for j in range(d):
-                got = e_term(omega, j, method="exact").value
+                got = e_term(omega, j, method="exact")
                 assert got == pytest.approx(
                     enumerate_conditional(d, {j}, renorm), abs=1e-12
                 )
             for j, k in itertools.combinations(range(d), 2):
                 want = enumerate_conditional(d, {j, k}, renorm)
                 for pair in ((j, k), (k, j)):
-                    got = e_term(omega, *pair, method="exact").value
+                    got = e_term(omega, *pair, method="exact")
                     assert got == pytest.approx(want, abs=1e-12)
 
     def test_exact_spans_several_enumeration_blocks(self):
@@ -418,7 +432,7 @@ class TestETerm:
             return 1.0 / math.sqrt(1.0 - values[list(subset)].sum())
 
         for kept in ((3,), (13,), (0, 13), (5, 9)):
-            got = e_term(omega, *kept, method="exact").value
+            got = e_term(omega, *kept, method="exact")
             assert got == pytest.approx(
                 enumerate_conditional(d, set(kept), renorm), abs=1e-12
             )
@@ -434,22 +448,22 @@ class TestETerm:
         assert no_pair is None and pair.shape == (d, d)
         assert alone.tobytes() == single.tobytes()
         method = "exact" if exact else "approx"
-        assert [e_term(omega, j, method=method).value for j in range(d)] == single.tolist()
+        assert [e_term(omega, j, method=method) for j in range(d)] == single.tolist()
 
     def test_exact_matches_conditional_monte_carlo(self):
         rng = np.random.default_rng(41)
         omega = random_omega(10, rng)
-        exact = e_term(omega, 4, method="exact").value
-        estimate = e_term(omega, 4, method="mc", n_mc=200_000, seed=3)
-        assert abs(exact - estimate.value) <= 3 * estimate.stderr
-        exact_pair = e_term(omega, 4, 7, method="exact").value
-        estimate_pair = e_term(omega, 4, 7, method="mc", n_mc=200_000, seed=4)
-        assert abs(exact_pair - estimate_pair.value) <= 3 * estimate_pair.stderr
+        exact = e_term(omega, 4, method="exact")
+        value, stderr = mc_e_term(omega, 4, n_mc=200_000, seed=3)
+        assert abs(exact - value) <= 3 * stderr
+        exact_pair = e_term(omega, 4, 7, method="exact")
+        value_pair, stderr_pair = mc_e_term(omega, 4, 7, n_mc=200_000, seed=4)
+        assert abs(exact_pair - value_pair) <= 3 * stderr_pair
 
     def test_approx_is_swapped_expectation(self):
         omega = uniform_omega(12)
-        expected = expected_removed_mass(omega, 5)
-        assert e_term(omega, 5, method="approx").value == pytest.approx(
+        expected = theory._removed_mass_means(omega)[0][5]
+        assert e_term(omega, 5, method="approx") == pytest.approx(
             1.0 / math.sqrt(1.0 - expected)
         )
 
@@ -463,30 +477,30 @@ class TestETerm:
         w = omega.values
         for j in range(d):
             want = 1.0 / math.sqrt(1.0 - (1.0 - w[j]) * (d + 1) / (3.0 * (d - 1)))
-            assert e_term(omega, j, method="approx").value == want
+            assert e_term(omega, j, method="approx") == want
         for j, k in itertools.combinations(range(d), 2):
             mass = (1.0 - w[j] - w[k]) * (d + 1) / (4.0 * (d - 2))
             want = 1.0 / math.sqrt(1.0 - mass)
-            assert e_term(omega, j, k, method="approx").value == want
-            assert e_term(omega, k, j, method="approx").value == want
+            assert e_term(omega, j, k, method="approx") == want
+            assert e_term(omega, k, j, method="approx") == want
 
     def test_approx_underestimates_exact(self):
         # The swap sits under the true value (the integrand is convex).
         rng = np.random.default_rng(43)
         omega = random_omega(9, rng)
         assert (
-            e_term(omega, 0, method="approx").value
-            < e_term(omega, 0, method="exact").value
+            e_term(omega, 0, method="approx")
+            < e_term(omega, 0, method="exact")
         )
 
     def test_small_mass_approx_limits(self):
         # With many near-equal small masses the approx method approaches
         # (1 - 1/3)^(-1/2) and (1 - 1/4)^(-1/2).
         omega = uniform_omega(200)
-        assert e_term(omega, 0, method="approx").value == pytest.approx(
+        assert e_term(omega, 0, method="approx") == pytest.approx(
             SIMPLIFIED_E_SINGLE, abs=2e-3
         )
-        assert e_term(omega, 0, 1, method="approx").value == pytest.approx(
+        assert e_term(omega, 0, 1, method="approx") == pytest.approx(
             SIMPLIFIED_E_PAIR, abs=2e-3
         )
 
@@ -498,16 +512,11 @@ class TestETerm:
         with pytest.raises(ValueError, match="unknown method"):
             e_term(uniform_omega(5), 0, method="bogus")
 
-    @pytest.mark.parametrize("method", ["exact", "approx", "mc"])
+    @pytest.mark.parametrize("method", ["exact", "approx"])
     @pytest.mark.parametrize("kept", [(9,), (-1,), (0, 9)], ids=["9", "-1", "0-9"])
     def test_out_of_range_index_rejected(self, method, kept):
         with pytest.raises(ValueError, match="out of range"):
-            e_term(uniform_omega(5), *kept, method=method, n_mc=100)
-
-    @pytest.mark.parametrize("n_mc", [0, 1])
-    def test_monte_carlo_needs_two_samples(self, n_mc):
-        with pytest.raises(ValueError, match="at least two"):
-            e_term(uniform_omega(5), 0, method="mc", n_mc=n_mc)
+            e_term(uniform_omega(5), *kept, method=method)
 
 
 class TestBetaIndicatorProduct:
@@ -536,8 +545,7 @@ class TestBetaIndicatorProduct:
             result = beta_indicator_product(range(p), d, nu)
             ss = sigma_set(d, nu)
             inverse = sigma_inverse(d, nu)
-            a_p = alpha(p, d, nu)
-            a_p1 = alpha(p + 1, d, nu)
+            a_p, a_p1 = alpha_values(d, nu, p + 1)[p:]
             want = (inverse[1, 1] - inverse[1, 2]) * (a_p - a_p1)
             got = result.coefficients[0] - result.coefficients[p]
             assert got == pytest.approx(want, rel=1e-9)
@@ -829,7 +837,7 @@ class TestBetaLinear:
 
     def test_full_mode_above_enumeration_limit_is_pairwise_swap(self):
         # Above the enumeration limit the full mode must reproduce the
-        # pair-by-pair assembly from expected_removed_mass, solved with the
+        # pair-by-pair assembly from the removed-mass means, solved with the
         # exact infinite-bandwidth inverse entries r0 .. r3 (corner, first
         # row, diagonal, off-diagonal, each times c_d).
         corpus = load_corpus(bundled_corpus_path())
@@ -841,13 +849,11 @@ class TestBetaLinear:
         lam = {w: float(rng.normal()) for w in local.words}
         got = beta_linear(lam, doc, idf, mode="full")
 
-        omega = omega_weights(doc, idf)
-        e_single = np.array(
-            [1.0 / math.sqrt(1.0 - expected_removed_mass(omega, j)) for j in range(d)]
-        )
+        single, pair = theory._removed_mass_means(omega_weights(doc, idf))
+        e_single = np.array([1.0 / math.sqrt(1.0 - single[j]) for j in range(d)])
         e_pair = np.zeros((d, d))
         for j, k in itertools.combinations(range(d), 2):
-            value = 1.0 / math.sqrt(1.0 - expected_removed_mass(omega, (j, k)))
+            value = 1.0 / math.sqrt(1.0 - pair[j, k])
             e_pair[j, k] = e_pair[k, j] = value
         weights = tfidf_weights(local, idf)
         phi = weights / math.sqrt(float(weights @ weights))
@@ -908,8 +914,7 @@ class TestBetaGeneralMc:
         sizes, z = draw_feature_matrix(rng, 200_000, d)
         kernel = psi(sizes / d, 0.25)
         response = (z[:, 0] & z[:, 1]).astype(float)
-        a_p = alpha(p, d, 0.25)
-        a_p1 = alpha(p + 1, d, 0.25)
+        a_p, a_p1 = alpha_values(d, 0.25, p + 1)[p:]
         for k, target in [(0, a_p), (1, a_p), (4, a_p1), (d - 1, a_p1)]:
             draws = kernel * z[:, k] * response
             se = draws.std(ddof=1) / math.sqrt(len(draws))

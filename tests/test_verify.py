@@ -19,14 +19,12 @@ from textlime import (
     fit_idf,
     linearity_check,
     local_dictionary,
-    mc_alpha,
     run_repeated,
     sweep_bandwidth,
     tokenize,
     tree_from_spec,
 )
 from textlime.corpus import Corpus
-from textlime.theory import alpha, alpha_limit
 from textlime.verify import derive_seed
 
 
@@ -394,24 +392,3 @@ class TestConcentrationCheck:
                 tree_from_spec('"garden"'), doc, idf, [200, 800], n_exp=5
             )
 
-
-class TestMcAlpha:
-    def test_matches_closed_form_at_default_bandwidth(self):
-        estimates = mc_alpha(15, 0.25, 200_000, 3, seed=19)
-        for p in range(4):
-            tol = max(3 * estimates.stderr(p), 5e-3)
-            assert abs(estimates.value(p) - alpha(p, 15, 0.25)) <= tol
-
-    def test_limit_at_huge_bandwidth(self):
-        estimates = mc_alpha(12, 1e3, 100_000, 2, seed=21)
-        for p in range(3):
-            tol = max(3 * estimates.stderr(p), 5e-3)
-            assert abs(estimates.value(p) - alpha_limit(p, 12)) <= tol
-
-    def test_top_order_vanishes(self):
-        estimates = mc_alpha(6, 0.25, 50_000, 6, seed=23)
-        assert estimates.value(6) == pytest.approx(0.0, abs=1e-4)
-
-    def test_p_max_validation(self):
-        with pytest.raises(ValueError):
-            mc_alpha(5, 0.25, 1000, 6, seed=0)
