@@ -1,0 +1,165 @@
+"""SHA-256 digests of every output the CLI writes and of the theory values,
+for checking that two checkouts produce byte-identical results.
+
+The CLI cases run `explain`, `theory` (auto and `--linear-mode full`),
+`verify` (both linear modes), `sweep` and `alpha-table`, in csv and json,
+on bundled documents 0 (d = 31) and 5 (d = 12, where the full linear mode
+enumerates exactly), for a tree, a linear and the constant model at small
+sample counts. Each case writes into its own directory, and every file it
+writes gets one line. The theory cases print the 17-digit values of
+`beta_tree` at four bandwidths, of `beta_linear` in both modes on every
+bundled document, of `beta_general_mc` (means and standard errors,
+n_mc = 20000) and of `e_term`, exact and approximate. Each line reads
+`sha256  name`, sorted by name:
+
+    python benchmarks/output_digest.py > change.txt
+    PYTHONPATH=<other checkout>/src python benchmarks/output_digest.py > other.txt
+    diff other.txt change.txt
+
+The textlime package comes from the Python path when it is there, else from
+this checkout's `src`. The script takes no options and runs in seconds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+try:
+    import textlime  # noqa: F401
+except ImportError:
+    sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np
+from click.testing import CliRunner
+
+from textlime import (
+    LinearModel,
+    beta_general_mc,
+    beta_linear,
+    beta_tree,
+    bundled_corpus_path,
+    e_term,
+    fit_idf,
+    load_corpus,
+    local_dictionary,
+    omega_weights,
+    tree_from_spec,
+)
+from textlime.cli import cli
+
+CORPUS = str(bundled_corpus_path())
+TREES = {
+    0: '"food" + (!"food" & "about" & "Everything")',
+    5: '"brunch" + (!"brunch" & "tea" & "good")',
+}
+LINEAR = {"food": 1.5, "about": -0.75, "fast": 0.5, "brunch": 1.25, "tea": -2.0, "good": 0.3}
+NUS = (0.1, 0.25, 1.0, 10.0)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def values_text(*groups) -> bytes:
+    """Every float of `groups` (numbers or sequences) at 17 digits."""
+    flat = []
+    for group in groups:
+        flat.extend(np.atleast_1d(np.asarray(group, dtype=float)).tolist())
+    return " ".join(format(v, ".17g") for v in flat).encode()
+
+
+def cli_cases(linear_path: Path):
+    """(case name, argument list) for every CLI run."""
+    for doc, tree in TREES.items():
+        word = "food" if doc == 0 else "brunch"
+        models = {"tree": tree, "linear": str(linear_path), "constant": "constant"}
+        for model_name, model in models.items():
+            for fmt in ("csv", "json"):
+                base = ["--corpus", CORPUS, "--doc", str(doc), "--model", model]
+                base += ["--format", fmt, "--seed", "7"]
+                tag = f"doc{doc}-{model_name}-{fmt}"
+                yield f"explain-{tag}", ["explain", *base, "--n", "300"]
+                yield f"theory-{tag}", ["theory", *base]
+                yield f"theory-full-{tag}", ["theory", *base, "--linear-mode", "full"]
+                verify = ["verify", *base, "--n", "300", "--n-exp", "4", "--threads", "2"]
+                yield f"verify-{tag}", verify
+                yield f"verify-full-{tag}", [*verify, "--linear-mode", "full"]
+                yield f"sweep-{tag}", [
+                    "sweep", *base, "--word", word, "--n", "200", "--n-exp", "3",
+                    "--nu-grid", "0.1,0.5,2",
+                ]
+    for d in (12, 31):
+        for fmt in ("csv", "json"):
+            args = ["alpha-table", "--d", str(d), "--p-max", "4", "--format", fmt]
+            yield f"alpha-table-d{d}-{fmt}", args
+
+
+def cli_digests(root: Path) -> dict[str, str]:
+    linear_path = root / "linear.json"
+    linear_path.write_text(json.dumps(LINEAR), encoding="utf-8")
+    runner = CliRunner()
+    digests = {}
+    for name, args in cli_cases(linear_path):
+        out = root / name
+        result = runner.invoke(cli, [*args, "--out", str(out)])
+        if result.exit_code != 0:
+            raise SystemExit(f"{name}: exit {result.exit_code}: {result.output}")
+        for path in sorted(out.iterdir()):
+            digests[f"cli/{name}/{path.name}"] = sha256(path.read_bytes())
+    return digests
+
+
+def theory_digests() -> dict[str, str]:
+    corpus = load_corpus(bundled_corpus_path())
+    idf = fit_idf(corpus)
+    digests = {}
+
+    def record(name, *groups):
+        digests[name] = sha256(values_text(*groups))
+
+    for doc, spec in TREES.items():
+        document = corpus.documents[doc]
+        local = local_dictionary(document)
+        tree = tree_from_spec(spec)
+        for nu in NUS:
+            result = beta_tree(tree, local, nu)
+            record(f"beta_tree/doc{doc}/nu{nu:g}", result.intercept, result.coefficients)
+        models = {"tree": tree, "linear": LinearModel(coefficients=LINEAR)}
+        for model_name, model in models.items():
+            result = beta_general_mc(model, document, idf, nu=0.25, n_mc=20000, seed=11)
+            record(
+                f"beta_general_mc/doc{doc}/{model_name}",
+                result.intercept, result.coefficients,
+                result.intercept_stderr, result.coefficient_stderr,
+            )
+        omega = omega_weights(document, idf)
+        d = local.d
+        methods = ("exact", "approx") if d <= 20 else ("approx",)
+        for method in methods:
+            for kept in ((0,), (d - 1,), (0, 1), (0, d - 1)):
+                value = e_term(omega, *kept, method=method)
+                record(f"e_term/doc{doc}/{method}/{'-'.join(map(str, kept))}", value)
+
+    rng = np.random.default_rng(5)
+    for doc, document in enumerate(corpus.documents):
+        words = local_dictionary(document).words
+        lam = dict(zip(words, rng.normal(size=len(words)).tolist()))
+        for mode in ("simplified", "full"):
+            result = beta_linear(lam, document, idf, mode=mode)
+            record(f"beta_linear/doc{doc:02d}/{mode}", result.intercept, result.coefficients)
+    return digests
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {**cli_digests(Path(tmp)), **theory_digests()}
+    for name in sorted(digests):
+        print(f"{digests[name]}  {name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -11,12 +11,10 @@ from .corpus import (
     Document,
     IdfTable,
     LocalDictionary,
-    TfIdfVector,
     bundled_corpus_path,
     fit_idf,
     load_corpus,
     local_dictionary,
-    normalized_tfidf,
     tokenize,
 )
 from .models import (
@@ -30,14 +28,13 @@ from .models import (
     load_linear_model,
     tree_from_spec,
 )
-from .sampling import SampleBatch, psi, sample_batch
+from .sampling import SampleBatch, normalized_tfidf, psi, sample_batch
 from .surrogate import Explanation, explain, fit_batch, fit_weighted_ridge
 from .theory import (
     EXACT_CLOSED_FORM,
     LARGE_BANDWIDTH,
     MONTE_CARLO,
     ClosedFormDomainError,
-    OmegaWeights,
     SigmaSet,
     TheoryExplanation,
     alpha_bounds,

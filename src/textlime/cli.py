@@ -110,7 +110,10 @@ def load_corpus_or_fail(path: str | None) -> Corpus:
     corpus_path = Path(path)
     if not corpus_path.is_file():
         raise fail("corpus", f"no such file: {corpus_path}")
-    corpus = load_corpus(corpus_path)
+    try:
+        corpus = load_corpus(corpus_path)
+    except ValueError as exc:
+        raise fail("corpus", str(exc))
     if corpus.size == 0:
         raise fail("corpus", f"{corpus_path} holds no documents")
     return corpus

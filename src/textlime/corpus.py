@@ -1,8 +1,9 @@
-"""Tokenization, corpus statistics, and the normalized TF-IDF embedding.
+"""Tokenization, corpus statistics, and the TF-IDF masses.
 
-Every model evaluation in this package goes through the embedding computed
-here: token counts times smoothed inverse document frequency, scaled to
-unit Euclidean norm.
+The TF-IDF mass of a word in a document is its count times its smoothed
+inverse document frequency. Every model evaluation in this package reads
+these masses, scaled to unit Euclidean norm over the words a perturbed
+document keeps (`sampling.renormalized_tfidf`).
 """
 
 from __future__ import annotations
@@ -129,27 +130,6 @@ class LocalDictionary:
         return self._index[word]
 
 
-@dataclass(frozen=True)
-class TfIdfVector:
-    """Normalized TF-IDF embedding of a document.
-
-    Only nonzero coordinates are stored; `get` returns 0.0 for any word
-    absent from the document. The zero vector (empty mapping) represents
-    the empty document.
-    """
-
-    coordinates: dict
-
-    def get(self, word: str) -> float:
-        return self.coordinates.get(word, 0.0)
-
-    def norm(self) -> float:
-        return math.sqrt(math.fsum(v * v for v in self.coordinates.values()))
-
-    def __len__(self) -> int:
-        return len(self.coordinates)
-
-
 def fit_idf(corpus: Corpus) -> IdfTable:
     """Fit document counts and IDF values on a corpus of size >= 1."""
     if corpus.size == 0:
@@ -185,40 +165,40 @@ def tfidf_weights(local: LocalDictionary, idf: IdfTable) -> np.ndarray:
     )
 
 
-def normalized_tfidf(doc: Document, idf: IdfTable) -> TfIdfVector:
-    """Unit-norm TF-IDF vector of a document; empty document maps to zero."""
-    if not doc.tokens:
-        return TfIdfVector(coordinates={})
-    local = local_dictionary(doc)
-    weights = tfidf_weights(local, idf)
-    norm = math.sqrt(math.fsum(float(w) * float(w) for w in weights))
-    return TfIdfVector(
-        coordinates={w: float(v) / norm for w, v in zip(local.words, weights)}
-    )
-
-
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus file.
 
     Supported formats: plain UTF-8 text with one document per line, and
     JSON lines with a "text" field (selected by a .jsonl/.ndjson suffix).
-    Blank lines are skipped; documents are indexed in file order.
+    Blank lines are skipped; documents are indexed in file order. A file
+    that is not UTF-8, or a JSON line that is not an object with a string
+    "text" field, raises ValueError naming the file (and line).
     """
     path = Path(path)
-    raw_lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        raw_lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path.name}: not UTF-8 text: {exc}") from None
     docs: list[Document] = []
     jsonl = path.suffix.lower() in {".jsonl", ".ndjson"}
     for lineno, line in enumerate(raw_lines, start=1):
         if not line.strip():
             continue
+        where = f"{path.name}:{lineno}"
+        text = line
         if jsonl:
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: invalid JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: expected a JSON object with a 'text' field")
             if "text" not in record:
-                raise ValueError(f"{path.name}:{lineno}: missing 'text' field")
+                raise ValueError(f"{where}: missing 'text' field")
             text = record["text"]
-        else:
-            text = line
-        docs.append(tokenize(text, source_id=f"{path.name}:{lineno}"))
+            if not isinstance(text, str):
+                raise ValueError(f"{where}: 'text' must be a string")
+        docs.append(tokenize(text, source_id=where))
     return Corpus(documents=tuple(docs))
 
 

@@ -175,9 +175,7 @@ def explain(
     closed-form comparisons exact. Pass ridge = 1.0 to mirror the
     reference implementation.
     """
-    (explanation,) = _explain_runs(
-        model, document, idf, [seed], n=n, nu=nu, ridge=ridge, reuse=False
-    )
+    (explanation,) = _explain_runs(model, document, idf, [seed], n=n, nu=nu, ridge=ridge)
     return explanation
 
 
@@ -190,17 +188,17 @@ def _explain_runs(
     n: int,
     nu: float,
     ridge: float,
-    reuse: bool,
 ) -> list[Explanation]:
     """One explanation per seed, all from one `_Workspace` of the document.
 
-    `explain` is the one-seed case. With `reuse` the runs overwrite one set
-    of arrays instead of each allocating its own. Each call builds its own
-    workspace, so concurrent calls share no arrays.
+    `explain` is the one-seed case. Two or more runs overwrite one set of
+    arrays instead of each allocating its own; a lone run gets fresh arrays,
+    freed as it goes. Each call builds its own workspace, so concurrent
+    calls share no arrays.
     """
     if not document.tokens:
         raise ValueError("cannot explain an empty document")
-    workspace = _Workspace(local_dictionary(document), idf, nu, reuse=reuse)
+    workspace = _Workspace(local_dictionary(document), idf, nu, reuse=len(seeds) > 1)
     return [
         fit_batch(
             model,

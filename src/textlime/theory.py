@@ -299,35 +299,19 @@ def beta_tree(tree, local: LocalDictionary, nu: float) -> TheoryExplanation:
     )
 
 
-@dataclass(frozen=True)
-class OmegaWeights:
-    """Normalized squared TF-IDF mass of each distinct word of a document.
-
-    The mass removed together with a word subset drives how the embedding
-    of the survivor is rescaled.
-    """
-
-    words: tuple[str, ...]
-    values: tuple[float, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.values)
-
-    def array(self) -> np.ndarray:
-        return np.array(self.values)
-
-
-def omega_weights(document: Document, idf: IdfTable) -> OmegaWeights:
-    """Per-word share of the squared TF-IDF mass; positive, sums to 1."""
+def omega_weights(document: Document, idf: IdfTable) -> np.ndarray:
+    """Per-word share of the squared TF-IDF mass, in local-dictionary
+    order; positive, sums to 1. The mass removed together with a word
+    subset drives how the embedding of the survivor is rescaled."""
     if not document.tokens:
         raise ValueError("cannot compute mass weights of an empty document")
-    local = local_dictionary(document)
-    squared = tfidf_weights(local, idf) ** 2
-    total = squared.sum()
-    return OmegaWeights(
-        words=local.words, values=tuple(float(v) for v in squared / total)
-    )
+    return _mass_shares(tfidf_weights(local_dictionary(document), idf))
+
+
+def _mass_shares(masses: np.ndarray) -> np.ndarray:
+    """omega_j = m_j^2 / sum_k m_k^2 for the TF-IDF masses m."""
+    squared = masses**2
+    return squared / squared.sum()
 
 
 def _kept_pair(kept, d: int) -> tuple[int, int | None]:
@@ -349,7 +333,7 @@ def _kept_pair(kept, d: int) -> tuple[int, int | None]:
     return pair[0], pair[1]
 
 
-def _removed_mass_means(omega: OmegaWeights) -> tuple[np.ndarray, np.ndarray]:
+def _removed_mass_means(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact expectation of the removed mass given that word j survives, for
     every j, and given that words j and k survive, for every pair (zero
     diagonal; all zero when d < 3).
@@ -358,12 +342,11 @@ def _removed_mass_means(omega: OmegaWeights) -> tuple[np.ndarray, np.ndarray]:
     Surviving pair j, k: (1 - w_j - w_k) (d + 1) / (4 (d - 2)), evaluated
     with j < k and mirrored.
     """
-    d = omega.d
-    w = omega.array()
-    single = (1.0 - w) * (d + 1) / (3.0 * (d - 1))
+    d = len(omega)
+    single = (1.0 - omega) * (d + 1) / (3.0 * (d - 1))
     if d < 3:
         return single, np.zeros((d, d))
-    upper = np.triu((1.0 - w[:, None] - w) * (d + 1) / (4.0 * (d - 2)), 1)
+    upper = np.triu((1.0 - omega[:, None] - omega) * (d + 1) / (4.0 * (d - 2)), 1)
     return single, upper + upper.T
 
 
@@ -396,7 +379,7 @@ _ENUMERATION_BLOCK = 4096
 
 
 def _renormalization_expectations(
-    omega: OmegaWeights, exact: bool, *, pairs: bool = True
+    omega: np.ndarray, exact: bool, *, pairs: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Expected renormalization factor (kept mass)^(-1/2) given that word j
     survives, for every j (shape (d,)), and given that words j and k
@@ -409,7 +392,7 @@ def _renormalization_expectations(
     and E_pair = keep^T diag(h_2 f) keep. exact=False swaps the expectation
     inside: (1 - expected removed mass)^(-1/2).
     """
-    d = omega.d
+    d = len(omega)
     if not exact:
         single, pair = _removed_mass_means(omega)
         e_pair = None
@@ -422,7 +405,6 @@ def _renormalization_expectations(
             f"enumeration too large (d = {d} > {ENUMERATION_LIMIT}); "
             "use method='approx'"
         )
-    w = omega.array()
     h_single = _subset_weights(d, pair=False)
     h_pair = _subset_weights(d, pair=True) if d >= 3 else np.zeros(d + 1)
     bits = np.arange(d)
@@ -434,7 +416,7 @@ def _renormalization_expectations(
     for start in range(1, n_sets, _ENUMERATION_BLOCK):
         codes = np.arange(start, min(start + _ENUMERATION_BLOCK, n_sets))
         keep = ((codes[:, None] >> bits) & 1).astype(float)
-        factor = 1.0 / np.sqrt(keep @ w)
+        factor = 1.0 / np.sqrt(keep @ omega)
         removed = d - keep.sum(axis=1).astype(np.intp)
         e_single += (h_single[removed] * factor) @ keep
         if pairs:
@@ -445,10 +427,11 @@ def _renormalization_expectations(
 
 
 def e_term(
-    omega: OmegaWeights, j: int, k: int | None = None, *, method: str = "exact"
+    omega: np.ndarray, j: int, k: int | None = None, *, method: str = "exact"
 ) -> float:
     """Expected renormalization factor (1 - removed mass)^(-1/2) given that
-    word j (and word k, when given) survives the deletion.
+    word j (and word k, when given) survives the deletion; `omega` holds the
+    mass shares (`omega_weights`).
 
     method="exact" enumerates every survivor set (only allowed for
     d <= 20); "approx" swaps the expectation inside, returning
@@ -459,7 +442,7 @@ def e_term(
     survivor) and 6/5 (a pair), while "approx" tends to the constants
     SIMPLIFIED_E_SINGLE and SIMPLIFIED_E_PAIR (about 1.2247 and 1.1547).
     """
-    jj, kk = _kept_pair(j if k is None else (j, k), omega.d)
+    jj, kk = _kept_pair(j if k is None else (j, k), len(omega))
     if method not in ("exact", "approx"):
         raise ValueError(f"unknown method {method!r}; expected exact or approx")
     e_single, e_pair = _renormalization_expectations(
@@ -513,8 +496,8 @@ def beta_linear(
         raise ClosedFormDomainError(
             "out of closed-form domain: linear predictions require d >= 3"
         )
-    weights = tfidf_weights(local, idf)
-    phi = weights / math.sqrt(float(weights @ weights))
+    masses = tfidf_weights(local, idf)
+    phi = renormalized_tfidf(np.ones((1, d), np.int8), masses)[0]
     lam = np.zeros(d)
     for w, c in lam_map.items():
         if w in local:
@@ -545,7 +528,7 @@ def beta_linear(
         raise ValueError(f"unknown mode {mode!r}; expected 'simplified' or 'full'")
 
     exact = d <= ENUMERATION_LIMIT
-    e_single, e_pair = _renormalization_expectations(omega_weights(document, idf), exact)
+    e_single, e_pair = _renormalization_expectations(_mass_shares(masses), exact)
 
     # Expected responses in the infinite-bandwidth limit. Source word j
     # contributes to coordinate 0 and j through its single-survivor factor

@@ -111,9 +111,7 @@ def run_repeated(
     chunks = [seeds[i * n_exp // workers : (i + 1) * n_exp // workers] for i in range(workers)]
 
     def work(chunk: list) -> list:
-        return _explain_runs(
-            model, document, idf, chunk, n=n, nu=nu, ridge=ridge, reuse=True
-        )
+        return _explain_runs(model, document, idf, chunk, n=n, nu=nu, ridge=ridge)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -13,7 +13,6 @@ import numpy as np
 from textlime.sampling import draw_feature_matrix, psi
 from textlime.theory import (
     ClosedFormDomainError,
-    OmegaWeights,
     _conditional_size_pmf,
     alpha_values,
     sigma_set,
@@ -64,16 +63,14 @@ def mc_alpha(
 
 
 def mc_e_term(
-    omega: OmegaWeights, j: int, k: int | None = None, *, n_mc: int, seed
+    omega: np.ndarray, j: int, k: int | None = None, *, n_mc: int, seed
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the renormalization factor
     (1 - removed mass)^(-1/2) given that word j (and word k, when given)
     survives, sampled from the conditional law directly, and its standard
-    error."""
-    d = omega.d
-    rest = np.array(
-        [w for i, w in enumerate(omega.values) if i not in (j, k)], dtype=float
-    )
+    error. `omega` holds the mass shares."""
+    d = len(omega)
+    rest = np.array([w for i, w in enumerate(omega) if i not in (j, k)], dtype=float)
     pmf = _conditional_size_pmf(d, k is not None)
     rng = np.random.default_rng(seed)
     sizes = rng.choice(d + 1, size=n_mc, p=pmf / pmf.sum())

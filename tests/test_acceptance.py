@@ -35,7 +35,6 @@ from textlime import (
     sigma_set,
 )
 from textlime.theory import (
-    OmegaWeights,
     SIMPLIFIED_E_PAIR,
     SIMPLIFIED_E_SINGLE,
     SIMPLIFIED_LINEAR_CONSTANT,
@@ -208,7 +207,7 @@ def test_a8_linear_model_against_simplified_prediction(bundle):
     )
     phi = normalized_tfidf(doc, idf)
     targets = np.array(
-        [SIMPLIFIED_LINEAR_CONSTANT * lam[w] * phi.get(w) for w in local.words]
+        [SIMPLIFIED_LINEAR_CONSTANT * lam[w] * phi[j] for j, w in enumerate(local.words)]
     )
     strong = np.abs(targets) >= 0.05
     deviations = np.abs(stats.median - targets)
@@ -273,12 +272,8 @@ def test_a11_subset_expectation_exactness():
     worst = 0.0
     for d in range(2, 13):
         raw = rng.random(d) + 0.05
-        omega = OmegaWeights(
-            words=tuple(f"w{i}" for i in range(d)),
-            values=tuple(float(v) for v in raw / raw.sum()),
-        )
-        values = np.array(omega.values)
-        single, pair = _removed_mass_means(omega)
+        values = raw / raw.sum()
+        single, pair = _removed_mass_means(values)
         cases = [(0,)] if d < 3 else [(0,), (0, d - 1)]
         for kept in cases:
             kept_set = set(kept)
@@ -388,16 +383,13 @@ def test_a14_renormalization_expectations_at_d18():
     d = 18
     rng = np.random.default_rng(1401)
     raw = 1.0 + 0.02 * rng.standard_normal(d)
-    omega = OmegaWeights(
-        words=tuple(f"w{i}" for i in range(d)),
-        values=tuple(float(v) for v in raw / raw.sum()),
-    )
+    omega = raw / raw.sum()
     single = e_term(omega, 0, method="exact")
     pair = e_term(omega, 0, 1, method="exact")
     approx_single = e_term(omega, 0, method="approx")
     approx_pair = e_term(omega, 0, 1, method="approx")
-    oracle_single = _removal_oracle(omega.values, {0})
-    oracle_pair = _removal_oracle(omega.values, {0, 1})
+    oracle_single = _removal_oracle(omega, {0})
+    oracle_pair = _removal_oracle(omega, {0, 1})
     # Uniform masses, large d: the removed mass x has conditional density
     # 2(1 - x) given one survivor and 3(1 - x)^2 given two, so the limits
     # are int_0^1 2(1 - x)^(1/2) dx = 4/3 and int_0^1 3(1 - x)^(3/2) dx = 6/5.

@@ -63,6 +63,28 @@ class TestExplainCommand:
         assert result.exit_code != 0
         assert "corpus:" in result.output
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("string.jsonl", b'"a review with text in it"\n'),
+            ("number.jsonl", b'{"text": 5}\n'),
+            ("invalid.jsonl", b'{"text": "unclosed\n'),
+            ("missing.jsonl", b'{"body": "alpha"}\n'),
+            ("latin1.txt", b"caf\xe9 review\n"),
+        ],
+        ids=["string-line", "number-text", "invalid-json", "missing-text", "non-utf8"],
+    )
+    def test_malformed_corpus_is_a_field_error(self, runner, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        result = runner.invoke(
+            cli,
+            ["explain", "--corpus", str(path), "--doc", "0", "--model", "constant"],
+        )
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"Error: corpus: {name}" in result.output
+        assert "Traceback" not in result.output
+
     def test_doc_index_out_of_range(self, runner):
         result = runner.invoke(
             cli,
@@ -137,6 +159,24 @@ class TestExplainCommand:
         (file_a,) = list(out_a.iterdir())
         (file_b,) = list(out_b.iterdir())
         assert file_a.read_bytes() == file_b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["explain", "theory", "verify"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e309", '"nan"'])
+def test_non_finite_linear_coefficient_is_a_model_error(runner, tmp_path, command, value):
+    spec = tmp_path / "linear.json"
+    spec.write_text('{"food": 1.0, "about": %s}' % value)
+    result = runner.invoke(
+        cli,
+        [
+            command, "--corpus", CORPUS, "--doc", "0", "--model", str(spec),
+            "--n", "200", "--out", str(tmp_path / "out"),
+        ],
+    )
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Error: model: bad linear model file" in result.output
+    assert "not a finite number" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 class TestTheoryCommand:

@@ -95,25 +95,26 @@ class TestNormalizedTfidf:
     def test_single_distinct_word_has_unit_coordinate(self):
         idf = fit_idf(make_corpus("solo solo", "other"))
         phi = normalized_tfidf(tokenize("solo solo solo"), idf)
-        assert phi.get("solo") == pytest.approx(1.0)
-        assert phi.get("other") == 0.0
+        # One coordinate, for "solo": "other" is not in the document.
+        assert phi.shape == (1,)
+        assert phi[0] == pytest.approx(1.0)
 
     def test_hand_corpus(self):
         # Direct evaluation: v_a = log(3/2) + 1, v_b = 1, counts (2, 1).
         idf = fit_idf(make_corpus("a a b", "b c"))
-        phi = normalized_tfidf(tokenize("a a b"), idf)
+        phi_a, phi_b = normalized_tfidf(tokenize("a a b"), idf)
         va = math.log(3 / 2) + 1.0
         norm = math.sqrt((2 * va) ** 2 + 1.0)
-        assert phi.get("a") == pytest.approx(2 * va / norm, abs=1e-12)
-        assert phi.get("b") == pytest.approx(1.0 / norm, abs=1e-12)
-        assert phi.get("a") == pytest.approx(0.9422, abs=5e-4)
-        assert phi.get("b") == pytest.approx(0.3352, abs=5e-4)
+        assert phi_a == pytest.approx(2 * va / norm, abs=1e-12)
+        assert phi_b == pytest.approx(1.0 / norm, abs=1e-12)
+        assert phi_a == pytest.approx(0.9422, abs=5e-4)
+        assert phi_b == pytest.approx(0.3352, abs=5e-4)
 
     def test_empty_document_is_zero_vector(self):
         idf = fit_idf(make_corpus("a b"))
         phi = normalized_tfidf(Document(tokens=()), idf)
         assert len(phi) == 0
-        assert phi.norm() == 0.0
+        assert np.linalg.norm(phi) == 0.0
 
     def test_unit_norm_on_random_documents(self):
         rng = np.random.default_rng(0)
@@ -124,30 +125,30 @@ class TestNormalizedTfidf:
         idf = fit_idf(corpus)
         for doc in corpus.documents:
             phi = normalized_tfidf(doc, idf)
-            assert abs(phi.norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(phi) - 1.0) < 1e-12
 
     def test_multiplicity_scaling_invariance(self):
+        # Both documents have the local words a, b, c in that order.
         idf = fit_idf(make_corpus("a a b c", "c d"))
         doc = tokenize("a a b c c c")
         tripled = Document(tokens=doc.tokens * 3)
         phi = normalized_tfidf(doc, idf)
         phi3 = normalized_tfidf(tripled, idf)
-        for w in ("a", "b", "c"):
-            assert phi3.get(w) == pytest.approx(phi.get(w), abs=1e-12)
+        assert phi3 == pytest.approx(phi, abs=1e-12)
 
     def test_removal_rescales_remaining_coordinates_uniformly(self):
         # Dropping one word zeroes its coordinate and multiplies the others
-        # by the common factor (1 - removed mass share)^(-1/2).
+        # by the common factor (1 - removed mass share)^(-1/2). The local
+        # words are a, b, c, d before the removal and a, b, c after it.
         idf = fit_idf(make_corpus("a a b c d", "c d e"))
         doc = tokenize("a a b c d d")
         phi = normalized_tfidf(doc, idf)
         survivor = Document(tokens=tuple(t for t in doc.tokens if t != "d"))
         phi_after = normalized_tfidf(survivor, idf)
-        removed_share = phi.get("d") ** 2
+        removed_share = phi[3] ** 2
         factor = 1.0 / math.sqrt(1.0 - removed_share)
-        assert phi_after.get("d") == 0.0
-        for w in ("a", "b", "c"):
-            assert phi_after.get(w) == pytest.approx(phi.get(w) * factor, abs=1e-12)
+        assert len(phi_after) == 3
+        assert phi_after == pytest.approx(phi[:3] * factor, abs=1e-12)
 
     def test_tfidf_weights_match_counts_times_idf(self):
         idf = fit_idf(make_corpus("a a b", "b c"))
@@ -178,6 +179,27 @@ class TestCorpusLoading:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"body": "alpha"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="missing 'text'"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('"a review with text in it"', "expected a JSON object"),
+            ('{"text": 5}', "'text' must be a string"),
+            ('{"text": "unclosed', "invalid JSON"),
+        ],
+        ids=["string-line", "number-text", "invalid-json"],
+    )
+    def test_jsonl_malformed_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"text": "fine"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^corpus.jsonl:2: {message}"):
+            load_corpus(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"caf\xe9 review\n")
+        with pytest.raises(ValueError, match="^corpus.txt: not UTF-8 text"):
             load_corpus(path)
 
     def test_bundled_corpus_scale(self):

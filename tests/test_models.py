@@ -91,6 +91,15 @@ class TestLinearModel:
             path.write_text(json.dumps([1, 2]))
             load_linear_model(path)
 
+    @pytest.mark.parametrize(
+        "value", ["NaN", "Infinity", "-Infinity", "1e309", '"nan"', '"inf"', "null", "[1]"]
+    )
+    def test_json_coefficient_must_be_finite(self, tmp_path, value):
+        path = tmp_path / "linear.json"
+        path.write_text('{"food": 1.5, "about": %s}' % value)
+        with pytest.raises(ValueError, match="'about' is not a finite number"):
+            load_linear_model(path)
+
 
 class TestCombine:
     def test_single_part_identity(self):

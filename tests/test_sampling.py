@@ -61,8 +61,10 @@ def embedding_row(doc, idf, z_row):
     return renormalized_tfidf(np.array([z_row]), tfidf_weights(local, idf))[0]
 
 
-def dense(phi, words):
-    return np.array([phi.get(w) for w in words])
+def dense(doc, idf, words):
+    """The embedding of `doc` placed over `words`, 0 where `doc` lacks one."""
+    phi = dict(zip(local_dictionary(doc).words, normalized_tfidf(doc, idf)))
+    return np.array([phi.get(w, 0.0) for w in words])
 
 
 class TestDrawRemoval:
@@ -101,7 +103,7 @@ class TestApplyRemoval:
         doc, idf = doc_and_idf
         local = local_dictionary(doc)
         got = embedding_row(doc, idf, np.ones(local.d, dtype=np.int8))
-        assert np.allclose(got, dense(normalized_tfidf(doc, idf), local.words), atol=1e-15)
+        assert np.allclose(got, normalized_tfidf(doc, idf), atol=1e-15)
 
     def test_total_removal_empties_document(self, doc_and_idf):
         doc, idf = doc_and_idf
@@ -301,8 +303,8 @@ class TestSampleBatch:
         batch = sample_batch(doc, local, 50, 0.25, seed=3)
         values = batch.tfidf_matrix(idf)
         for i, z_row in enumerate(batch.z):
-            phi = normalized_tfidf(survivor(doc, local, z_row), idf)
-            assert np.allclose(values[i], dense(phi, local.words), rtol=0, atol=1e-12)
+            phi = dense(survivor(doc, local, z_row), idf, local.words)
+            assert np.allclose(values[i], phi, rtol=0, atol=1e-12)
 
     def test_invalid_arguments(self, doc_and_idf):
         doc, _ = doc_and_idf

@@ -44,7 +44,6 @@ from textlime.corpus import Corpus, tfidf_weights
 from textlime.sampling import draw_feature_matrix, psi, renormalized_tfidf
 from textlime.theory import (
     ClosedFormDomainError,
-    OmegaWeights,
     SIMPLIFIED_E_PAIR,
     SIMPLIFIED_E_SINGLE,
     SIMPLIFIED_LINEAR_CONSTANT,
@@ -55,18 +54,12 @@ GRID = [(d, nu) for d in (2, 5, 10, 30) for nu in (0.1, 0.25, 1.0, 10.0)]
 
 
 def uniform_omega(d):
-    return OmegaWeights(
-        words=tuple(f"w{i}" for i in range(d)), values=tuple([1.0 / d] * d)
-    )
+    return np.full(d, 1.0 / d)
 
 
 def random_omega(d, rng):
     raw = rng.random(d) + 0.05
-    values = raw / raw.sum()
-    return OmegaWeights(
-        words=tuple(f"w{i}" for i in range(d)),
-        values=tuple(float(v) for v in values),
-    )
+    return raw / raw.sum()
 
 
 def exact_sigma_identity_residual(d, nu):
@@ -374,7 +367,7 @@ class TestExpectedRemovedMass:
         rng = np.random.default_rng(31)
         for d in (3, 5, 8, 12):
             omega = random_omega(d, rng)
-            values = np.array(omega.values)
+            values = omega
             single, pair = theory._removed_mass_means(omega)
 
             def removed(subset):
@@ -405,7 +398,7 @@ class TestETerm:
         rng = np.random.default_rng(37)
         for d in (3, 4, 7, 10, 12):
             omega = random_omega(d, rng)
-            values = np.array(omega.values)
+            values = omega
 
             def renorm(subset):
                 return 1.0 / math.sqrt(1.0 - values[list(subset)].sum())
@@ -426,7 +419,7 @@ class TestETerm:
         rng = np.random.default_rng(39)
         d = 14
         omega = random_omega(d, rng)
-        values = np.array(omega.values)
+        values = omega
 
         def renorm(subset):
             return 1.0 / math.sqrt(1.0 - values[list(subset)].sum())
@@ -474,7 +467,7 @@ class TestETerm:
         rng = np.random.default_rng(42)
         d = 25
         omega = random_omega(d, rng)
-        w = omega.values
+        w = omega
         for j in range(d):
             want = 1.0 / math.sqrt(1.0 - (1.0 - w[j]) * (d + 1) / (3.0 * (d - 1)))
             assert e_term(omega, j, method="approx") == want
@@ -721,13 +714,13 @@ class TestOmegaWeights:
         doc = tokenize("echo echo")
         idf = fit_idf(Corpus(documents=(doc,)))
         omega = omega_weights(doc, idf)
-        assert omega.values == (1.0,)
+        assert omega.tolist() == [1.0]
 
     def test_uniform_counts_and_idf(self):
         doc = tokenize("a b c d")
         idf = fit_idf(Corpus(documents=(doc,)))
         omega = omega_weights(doc, idf)
-        assert omega.values == pytest.approx([0.25] * 4)
+        assert omega == pytest.approx([0.25] * 4)
 
     def test_hand_corpus(self):
         corpus = Corpus(documents=(tokenize("a a b"), tokenize("b c")))
@@ -735,9 +728,9 @@ class TestOmegaWeights:
         omega = omega_weights(corpus.documents[0], idf)
         va = 2 * (math.log(1.5) + 1)
         want = va * va / (va * va + 1.0)
-        assert omega.values[0] == pytest.approx(want, abs=1e-12)
-        assert omega.values[0] == pytest.approx(0.8876, abs=5e-4)
-        assert sum(omega.values) == pytest.approx(1.0, abs=1e-12)
+        assert omega[0] == pytest.approx(want, abs=1e-12)
+        assert omega[0] == pytest.approx(0.8876, abs=5e-4)
+        assert sum(omega) == pytest.approx(1.0, abs=1e-12)
 
     def test_equals_squared_embedding(self):
         corpus = Corpus(documents=(tokenize("u v v w x"), tokenize("w x y")))
@@ -745,8 +738,7 @@ class TestOmegaWeights:
         doc = corpus.documents[0]
         omega = omega_weights(doc, idf)
         phi = normalized_tfidf(doc, idf)
-        for w, value in zip(omega.words, omega.values):
-            assert value == pytest.approx(phi.get(w) ** 2, abs=1e-12)
+        assert omega == pytest.approx(phi**2, abs=1e-12)
 
     def test_empty_document_rejected(self):
         idf = fit_idf(Corpus(documents=(tokenize("a"),)))
@@ -788,11 +780,42 @@ class TestBetaLinear:
         phi = normalized_tfidf(doc, idf)
         j = local.index_of(word)
         assert result.coefficients[j] == pytest.approx(
-            SIMPLIFIED_LINEAR_CONSTANT * phi.get(word)
+            SIMPLIFIED_LINEAR_CONSTANT * phi[j]
         )
         others = np.delete(result.coefficient_array(), j)
         assert np.abs(others).max() == 0.0
         assert result.provenance == "large-bandwidth-approx"
+
+    def test_simplified_reads_the_all_kept_embedding(self):
+        # On every bundled document phi is the all-kept row of the
+        # renormalization, bit for bit, and the simplified prediction is
+        # the flat constant times lambda * phi, bit for bit.
+        corpus = load_corpus(bundled_corpus_path())
+        idf = fit_idf(corpus)
+        rng = np.random.default_rng(67)
+        for doc in corpus.documents:
+            local = local_dictionary(doc)
+            phi = normalized_tfidf(doc, idf)
+            all_kept = np.ones((1, local.d), np.int8)
+            row = renormalized_tfidf(all_kept, tfidf_weights(local, idf))[0]
+            assert phi.tobytes() == row.tobytes()
+            lam = rng.normal(size=local.d)
+            result = beta_linear(dict(zip(local.words, lam)), doc, idf)
+            want = SIMPLIFIED_LINEAR_CONSTANT * (lam * phi)
+            assert result.coefficient_array().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", ["simplified", "full"])
+    def test_reads_dictionary_and_masses_once(self, linear_setup, monkeypatch, mode):
+        _, doc, idf, _, lam = linear_setup
+        calls = []
+        for name in ("local_dictionary", "tfidf_weights"):
+            def counted(*args, _name=name, _original=getattr(theory, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(theory, name, counted)
+        beta_linear(lam, doc, idf, mode=mode)
+        assert sorted(calls) == ["local_dictionary", "tfidf_weights"]
 
     def test_simplified_constant_provenance(self, linear_setup):
         _, doc, idf, local, lam = linear_setup
