@@ -9,8 +9,12 @@ sample counts. Each case writes into its own directory, and every file it
 writes gets one line. The theory cases print the 17-digit values of
 `beta_tree` at four bandwidths, of `beta_linear` in both modes on every
 bundled document, of `beta_general_mc` (means and standard errors,
-n_mc = 20000) and of `e_term`, exact and approximate. Each line reads
-`sha256  name`, sorted by name:
+n_mc = 20000) and of `e_term`, exact and approximate. The verify cases
+print, on document 0 at small n, the 17-digit values of `linearity_check`
+(tree + tree with the closed-form residual and its comparison, and tree +
+linear), `concentration_check` (the linear model, n in 200, 400, 800), `sweep_bandwidth` at
+two bandwidths and `compare` on a one-run `run_repeated`, whose std is
+missing. Each line reads `sha256  name`, sorted by name:
 
     python benchmarks/output_digest.py > change.txt
     PYTHONPATH=<other checkout>/src python benchmarks/output_digest.py > other.txt
@@ -42,11 +46,17 @@ from textlime import (
     beta_linear,
     beta_tree,
     bundled_corpus_path,
+    compare,
+    concentration_check,
     e_term,
     fit_idf,
+    linearity_check,
     load_corpus,
     local_dictionary,
     omega_weights,
+    population_explanation,
+    run_repeated,
+    sweep_bandwidth,
     tree_from_spec,
 )
 from textlime.cli import cli
@@ -65,10 +75,10 @@ def sha256(data: bytes) -> str:
 
 
 def values_text(*groups) -> bytes:
-    """Every float of `groups` (numbers or sequences) at 17 digits."""
+    """Every float of `groups` (numbers or arrays, flattened) at 17 digits."""
     flat = []
     for group in groups:
-        flat.extend(np.atleast_1d(np.asarray(group, dtype=float)).tolist())
+        flat.extend(np.ravel(np.asarray(group, dtype=float)).tolist())
     return " ".join(format(v, ".17g") for v in flat).encode()
 
 
@@ -154,9 +164,68 @@ def theory_digests() -> dict[str, str]:
     return digests
 
 
+def report_values(report) -> list:
+    """Every number of a `ComparisonReport`, flags as 0 or 1."""
+    values = [report.max_abs_deviation, report.mean_abs_deviation]
+    for r in (report.intercept_row, *report.rows):
+        values += [
+            r.empirical_median, r.theory_value, r.abs_deviation, r.rel_deviation,
+            float(r.inside_iqr), float(r.inside_range),
+        ]
+    return values
+
+
+def verify_digests() -> dict[str, str]:
+    corpus = load_corpus(bundled_corpus_path())
+    idf = fit_idf(corpus)
+    document = corpus.documents[0]
+    food = tree_from_spec('"food"')
+    rest = tree_from_spec('!"food" & "about" & "Everything"')
+    linear = LinearModel(coefficients=LINEAR)
+    digests = {}
+
+    def record(name, *groups):
+        digests[name] = sha256(values_text(*groups))
+
+    for name, g in (("tree-tree", rest), ("tree-linear", linear)):
+        report = linearity_check(food, g, document, idf, n=300, n_exp=4, master_seed=3)
+        values = [report.max_abs_deviation]
+        for r in report.rows:
+            values += [
+                r.sum_of_medians, r.combined_median, r.deviation, r.pooled_std,
+                float(r.within_envelope),
+            ]
+        if report.theory_max_residual is not None:
+            values += [report.theory_max_residual, *report_values(report.theory_vs_combined)]
+        record(f"linearity_check/doc0/{name}", values)
+
+    table = concentration_check(
+        linear, document, idf, [200, 400, 800], n_exp=5, master_seed=4
+    )
+    record(
+        "concentration_check/doc0",
+        table.stds, table.ratios, table.slopes, table.median_slope,
+    )
+
+    points = sweep_bandwidth(
+        food, document, idf, "food", [0.1, 1.0], n=200, n_exp=3, master_seed=5
+    )
+    for point in points:
+        record(
+            f"sweep_bandwidth/doc0/nu{point.nu:g}",
+            point.nu, point.median, point.q1, point.q3,
+            point.minimum, point.maximum, point.std,
+        )
+
+    stats = run_repeated(food, document, idf, n=300, n_exp=1, master_seed=6)
+    theory = population_explanation(food, document, idf, nu=0.25)
+    record("compare/doc0/n_exp1", report_values(compare(stats, theory)))
+    return digests
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {**cli_digests(Path(tmp)), **theory_digests()}
+        digests = {**cli_digests(Path(tmp)), **theory_digests(), **verify_digests()}
     for name in sorted(digests):
         print(f"{digests[name]}  {name}")
 

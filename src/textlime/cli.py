@@ -1,7 +1,8 @@
 """Command-line interface wiring corpora, models, and experiments together.
 
 Subcommands: explain, theory, verify, sweep, alpha-table. Each option is
-declared once, with its default, below. A value comes from the flag or the
+declared once, with its default, below, and each command takes only the
+options it reads. A value comes from the flag or the
 environment (TEXTLIME_<COMMAND>_<OPTION>, e.g. TEXTLIME_EXPLAIN_FORMAT),
 else from the --config JSON file, whose keys are option names (with - or
 _), else from the default. Config keys for options the command does not
@@ -50,6 +51,8 @@ def _load_config(config_path: str | None) -> dict:
         raise fail("config", f"no such file: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise fail("config", f"not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise fail("config", f"invalid JSON: {exc}")
     if not isinstance(data, dict):
@@ -94,7 +97,7 @@ def resolve_options(config_path: str | None) -> dict:
         # The config file plays the part of click's default map.
         ctx.set_parameter_source(key, ParameterSource.DEFAULT_MAP)
 
-    if ctx.get_parameter_source("nu_lime") is not ParameterSource.DEFAULT:
+    if "nu_lime" in options and ctx.get_parameter_source("nu_lime") is not ParameterSource.DEFAULT:
         if ctx.get_parameter_source("nu") is not ParameterSource.DEFAULT:
             raise fail("nu/nu-lime", "give exactly one of --nu and --nu-lime")
         options["nu"] = options["nu_lime"] / 100.0
@@ -193,7 +196,8 @@ def out_path(options: dict, experiment: str, tag: str, nu=None, n=None, ext=None
     return directory / f"{experiment}-{tag}-{nu:g}-{n}.{ext or options['format']}"
 
 
-# Each option is declared here once; the commands below pick theirs.
+# Each option is declared here once; each command below lists the ones it
+# reads, so no command accepts an option that changes nothing.
 corpus_option = click.option("--corpus", type=str, help="Corpus file (text lines or .jsonl).")
 doc_option = click.option("--doc", type=str, help="0-based document index, or inline text.")
 model_option = click.option("--model", type=str, help="Tree expression, linear JSON path, or 'constant'.")
@@ -210,14 +214,15 @@ n_exp_option = click.option("--n-exp", type=int, default=100, help="Repeated run
 linear_mode_option = click.option("--linear-mode", type=click.Choice(["simplified", "full"]), default="simplified", help="Linear-model prediction mode.")
 
 
-def common_options(command):
-    decorators = [
-        corpus_option, doc_option, model_option, n_option, nu_option, nu_lime_option,
-        ridge_option, seed_option, out_option, format_option, threads_option, config_option,
-    ]
-    for decorator in reversed(decorators):
-        command = decorator(command)
-    return command
+def with_options(*decorators):
+    """Apply option decorators; --help lists them in the given order."""
+
+    def apply(command):
+        for decorator in reversed(decorators):
+            command = decorator(command)
+        return command
+
+    return apply
 
 
 @click.group(context_settings={"auto_envvar_prefix": "TEXTLIME", "show_default": True})
@@ -228,7 +233,10 @@ def cli() -> None:
 
 
 @cli.command("explain")
-@common_options
+@with_options(
+    corpus_option, doc_option, model_option, n_option, nu_option, nu_lime_option,
+    ridge_option, seed_option, out_option, format_option, config_option,
+)
 def cmd_explain(config, **_):
     """Fit the surrogate once and write the explanation."""
     options = resolve_options(config)
@@ -248,8 +256,10 @@ def cmd_explain(config, **_):
 
 
 @cli.command("theory")
-@common_options
-@linear_mode_option
+@with_options(
+    corpus_option, doc_option, model_option, n_option, nu_option, nu_lime_option,
+    seed_option, out_option, format_option, config_option, linear_mode_option,
+)
 @click.option("--theory-method", type=click.Choice(["auto", "mc"]), default="auto", help="'mc' forces the Monte Carlo oracle.")
 @click.option("--n-mc", type=int, default=200_000, help="Monte Carlo sample count.")
 def cmd_theory(config, **_):
@@ -271,9 +281,11 @@ def cmd_theory(config, **_):
 
 
 @cli.command("verify")
-@common_options
-@n_exp_option
-@linear_mode_option
+@with_options(
+    corpus_option, doc_option, model_option, n_option, nu_option, nu_lime_option,
+    ridge_option, seed_option, out_option, format_option, threads_option, config_option,
+    n_exp_option, linear_mode_option,
+)
 def cmd_verify(config, **_):
     """Run repeated explanations, compare them against theory, and write
     whisker statistics plus a comparison report."""
@@ -311,7 +323,10 @@ def cmd_verify(config, **_):
 
 
 @cli.command("sweep")
-@common_options
+@with_options(
+    corpus_option, doc_option, model_option, n_option, ridge_option, seed_option,
+    out_option, format_option, threads_option, config_option,
+)
 @click.option("--word", type=str, help="Word whose coefficient is tracked.")
 @n_exp_option
 @click.option("--nu-grid", type=str, help="Comma-separated bandwidths (default: 24 log-spaced in [0.03, 3]).")

@@ -50,34 +50,29 @@ def _kernel_table(d: int, nu: float) -> np.ndarray:
 class _Workspace:
     """What the runs of one (document, idf, n, nu) share.
 
-    The invariants are computed once: the local dictionary, the TF-IDF
-    `masses` and the `_kernel_table`. With `reuse`, each scratch array is
-    allocated by the first run and overwritten by every later one, so
-    repeated runs neither allocate nor fault in fresh pages; a batch's
-    arrays then hold only until the next run. Without it every run gets
-    fresh arrays, freed as soon as it drops them, so a lone run holds no
-    more memory than it needs. Not thread-safe: one workspace per worker.
+    The invariants are computed once: the TF-IDF `masses` and the
+    `_kernel_table`. Each scratch array is allocated by the first run and
+    overwritten by every later one, so repeated runs neither allocate nor
+    fault in fresh pages; a batch's arrays then hold only until the next
+    run. A lone run needs no workspace: without one it gets fresh arrays,
+    freed as soon as it drops them. Not thread-safe: one workspace per
+    worker.
     """
 
-    def __init__(
-        self, local: LocalDictionary, idf: IdfTable, nu: float, *, reuse: bool
-    ) -> None:
-        self.local = local
+    def __init__(self, local: LocalDictionary, idf: IdfTable, nu: float) -> None:
         self.idf = idf
         self.masses = tfidf_weights(local, idf)
         self.kernel = _kernel_table(local.d, nu)
-        self.arrays: dict[str, np.ndarray] | None = {} if reuse else None
+        self.arrays: dict[str, np.ndarray] = {}
 
 
 def _scratch(workspace: _Workspace | None, name: str, shape, dtype=np.float64):
-    """Uninitialized array `name`: the workspace's own when it reuses
-    arrays, else a fresh one."""
-    arrays = None if workspace is None else workspace.arrays
-    if arrays is None:
+    """Uninitialized array `name`: the workspace's own, else a fresh one."""
+    if workspace is None:
         return np.empty(shape, dtype)
-    out = arrays.get(name)
+    out = workspace.arrays.get(name)
     if out is None:
-        out = arrays[name] = np.empty(shape, dtype)
+        out = workspace.arrays[name] = np.empty(shape, dtype)
     return out
 
 
@@ -142,7 +137,7 @@ class SampleBatch:
     presence row over the local dictionary and `weights[i]` its kernel
     weight psi(sizes[i] / d). Survivor documents are never materialized:
     `tfidf_matrix` embeds all n survivors at once. Immutable once built;
-    a batch drawn into a reusing workspace is valid until its next run.
+    a batch drawn into a workspace is valid until its next run.
     """
 
     def __init__(

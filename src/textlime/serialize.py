@@ -15,7 +15,7 @@ import numpy as np
 
 from .surrogate import Explanation
 from .theory import TheoryExplanation, alpha_bounds, alpha_limit, alpha_values
-from .verify import ComparisonReport, RunStatistics, SweepPoint
+from .verify import SUMMARY_FIELDS, ComparisonReport, RunStatistics, SweepPoint
 
 _JSON_DIGITS = 17
 _CSV_DIGITS = 10
@@ -129,15 +129,19 @@ def write_theory(theory: TheoryExplanation, path: str | Path, fmt: str) -> None:
     write_table(path, fmt, header, rows, payload)
 
 
+# Column names of SUMMARY_FIELDS in the files.
 _SUMMARY_HEADER = ["median", "q1", "q3", "min", "max", "std"]
 
 
+def _summary_cells(summary: dict) -> tuple:
+    """The SUMMARY_FIELDS of `summary` in order, a missing std blank."""
+    return tuple(_blank(summary[name]) for name in SUMMARY_FIELDS)
+
+
 def write_run_statistics(stats: RunStatistics, path: str | Path, fmt: str) -> None:
-    summary = stats.intercept_summary()
-    std = [""] * len(stats.words) if stats.std is None else stats.std
     rows = [
-        ("(intercept)", *(_blank(summary[key]) for key in _SUMMARY_HEADER)),
-        *zip(stats.words, stats.median, stats.q1, stats.q3, stats.minimum, stats.maximum, std),
+        ("(intercept)", *_summary_cells(stats.summary())),
+        *((w, *_summary_cells(stats.summary(j))) for j, w in enumerate(stats.words)),
     ]
     header = ["word", *_SUMMARY_HEADER]
     payload = {"config": dict(stats.config), "rows": _records(header, rows)}
@@ -193,10 +197,7 @@ def comparison_table(report: ComparisonReport) -> str:
 
 
 def write_sweep(points: Sequence[SweepPoint], path: str | Path, fmt: str) -> None:
-    rows = [
-        (p.nu, p.median, p.q1, p.q3, p.minimum, p.maximum, _blank(p.std))
-        for p in points
-    ]
+    rows = [(p.nu, *_summary_cells(vars(p))) for p in points]
     write_table(path, fmt, ["nu", *_SUMMARY_HEADER], rows)
 
 

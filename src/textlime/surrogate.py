@@ -189,20 +189,21 @@ def _explain_runs(
     nu: float,
     ridge: float,
 ) -> list[Explanation]:
-    """One explanation per seed, all from one `_Workspace` of the document.
+    """One explanation per seed; two or more share one `_Workspace`.
 
     `explain` is the one-seed case. Two or more runs overwrite one set of
-    arrays instead of each allocating its own; a lone run gets fresh arrays,
-    freed as it goes. Each call builds its own workspace, so concurrent
-    calls share no arrays.
+    arrays instead of each allocating its own; a lone run has no workspace
+    and gets fresh arrays, freed as it goes. Each call builds its own
+    workspace, so concurrent calls share no arrays.
     """
     if not document.tokens:
         raise ValueError("cannot explain an empty document")
-    workspace = _Workspace(local_dictionary(document), idf, nu, reuse=len(seeds) > 1)
+    local = local_dictionary(document)
+    workspace = _Workspace(local, idf, nu) if len(seeds) > 1 else None
     return [
         fit_batch(
             model,
-            sample_batch(document, workspace.local, n, nu, seed, _workspace=workspace),
+            sample_batch(document, local, n, nu, seed, _workspace=workspace),
             idf,
             ridge,
         )

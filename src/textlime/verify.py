@@ -33,6 +33,23 @@ def derive_seed(master_seed, run_index: int) -> list[int]:
     return [*(int(s) for s in master_seed), run_index]
 
 
+# The whisker summary of repeated runs, in the order the writers emit it.
+SUMMARY_FIELDS = ("median", "q1", "q3", "minimum", "maximum", "std")
+
+
+def _whiskers(values: np.ndarray) -> dict:
+    """The whisker summary of `values` down axis 0, keyed by SUMMARY_FIELDS.
+    `std` is None below two rows."""
+    return {
+        "median": np.median(values, axis=0),
+        "q1": np.quantile(values, 0.25, axis=0),
+        "q3": np.quantile(values, 0.75, axis=0),
+        "minimum": values.min(axis=0),
+        "maximum": values.max(axis=0),
+        "std": values.std(axis=0, ddof=1) if len(values) >= 2 else None,
+    }
+
+
 @dataclass(frozen=True)
 class RunStatistics:
     """Per-word whisker summaries over repeated explanations.
@@ -55,14 +72,8 @@ class RunStatistics:
     std: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
-        coef = self.coefficients
-        object.__setattr__(self, "median", np.median(coef, axis=0))
-        object.__setattr__(self, "q1", np.quantile(coef, 0.25, axis=0))
-        object.__setattr__(self, "q3", np.quantile(coef, 0.75, axis=0))
-        object.__setattr__(self, "minimum", coef.min(axis=0))
-        object.__setattr__(self, "maximum", coef.max(axis=0))
-        std = coef.std(axis=0, ddof=1) if len(coef) >= 2 else None
-        object.__setattr__(self, "std", std)
+        for name, value in _whiskers(self.coefficients).items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_exp(self) -> int:
@@ -72,15 +83,16 @@ class RunStatistics:
     def d(self) -> int:
         return len(self.words)
 
-    def intercept_summary(self) -> dict:
-        x = self.intercepts
+    def summary(self, j: int | None = None) -> dict:
+        """Word j's whisker summary, or the intercept's when j is None, as
+        floats keyed by SUMMARY_FIELDS; `std` is None below two runs."""
+        if j is None:
+            whiskers = _whiskers(self.intercepts)
+        else:
+            whiskers = {name: getattr(self, name) for name in SUMMARY_FIELDS}
         return {
-            "median": float(np.median(x)),
-            "q1": float(np.quantile(x, 0.25)),
-            "q3": float(np.quantile(x, 0.75)),
-            "min": float(x.min()),
-            "max": float(x.max()),
-            "std": float(x.std(ddof=1)) if len(x) >= 2 else None,
+            name: None if value is None else float(value if j is None else value[j])
+            for name, value in whiskers.items()
         }
 
 
@@ -166,25 +178,18 @@ class ComparisonReport:
         return all(r.inside_iqr for r in self.rows)
 
 
-def _comparison_row(
-    word: str,
-    median: float,
-    theory: float,
-    q1: float,
-    q3: float,
-    lo: float,
-    hi: float,
-) -> ComparisonRow:
-    abs_dev = abs(median - theory)
+def _comparison_row(word: str, theory: float, summary: dict) -> ComparisonRow:
+    """One word's theory value against its whisker `summary`."""
+    abs_dev = abs(summary["median"] - theory)
     rel_dev = abs_dev / abs(theory) if theory != 0.0 else math.nan
     return ComparisonRow(
         word=word,
-        empirical_median=median,
+        empirical_median=summary["median"],
         theory_value=theory,
         abs_deviation=abs_dev,
         rel_deviation=rel_dev,
-        inside_iqr=q1 - RANGE_EPS <= theory <= q3 + RANGE_EPS,
-        inside_range=lo - RANGE_EPS <= theory <= hi + RANGE_EPS,
+        inside_iqr=summary["q1"] - RANGE_EPS <= theory <= summary["q3"] + RANGE_EPS,
+        inside_range=summary["minimum"] - RANGE_EPS <= theory <= summary["maximum"] + RANGE_EPS,
     )
 
 
@@ -197,27 +202,10 @@ def compare(stats: RunStatistics, theory: TheoryExplanation) -> ComparisonReport
         raise ValueError("local dictionary mismatch between statistics and theory")
     theory_by_word = dict(zip(theory.words, theory.coefficients))
     rows = tuple(
-        _comparison_row(
-            w,
-            float(stats.median[j]),
-            float(theory_by_word[w]),
-            float(stats.q1[j]),
-            float(stats.q3[j]),
-            float(stats.minimum[j]),
-            float(stats.maximum[j]),
-        )
+        _comparison_row(w, float(theory_by_word[w]), stats.summary(j))
         for j, w in enumerate(stats.words)
     )
-    summary = stats.intercept_summary()
-    intercept_row = _comparison_row(
-        "(intercept)",
-        summary["median"],
-        theory.intercept,
-        summary["q1"],
-        summary["q3"],
-        summary["min"],
-        summary["max"],
-    )
+    intercept_row = _comparison_row("(intercept)", theory.intercept, stats.summary())
     devs = [r.abs_deviation for r in rows]
     return ComparisonReport(
         rows=rows,
@@ -278,17 +266,7 @@ def sweep_bandwidth(
             master_seed=derive_seed(master_seed, idx),
             threads=threads,
         )
-        points.append(
-            SweepPoint(
-                nu=float(nu),
-                median=float(stats.median[j]),
-                q1=float(stats.q1[j]),
-                q3=float(stats.q3[j]),
-                minimum=float(stats.minimum[j]),
-                maximum=float(stats.maximum[j]),
-                std=float(stats.std[j]) if stats.std is not None else None,
-            )
-        )
+        points.append(SweepPoint(nu=float(nu), **stats.summary(j)))
     return points
 
 
@@ -337,17 +315,12 @@ def linearity_check(
     three per-word standard deviations.
     """
     combined = combine([(1.0, f), (1.0, g)])
-    stats_f = run_repeated(
-        model=f, document=document, idf=idf, n=n, nu=nu, ridge=ridge,
-        n_exp=n_exp, master_seed=derive_seed(master_seed, 0), threads=threads,
-    )
-    stats_g = run_repeated(
-        model=g, document=document, idf=idf, n=n, nu=nu, ridge=ridge,
-        n_exp=n_exp, master_seed=derive_seed(master_seed, 1), threads=threads,
-    )
-    stats_fg = run_repeated(
-        model=combined, document=document, idf=idf, n=n, nu=nu, ridge=ridge,
-        n_exp=n_exp, master_seed=derive_seed(master_seed, 2), threads=threads,
+    stats_f, stats_g, stats_fg = (
+        run_repeated(
+            model, document, idf, n=n, nu=nu, ridge=ridge, n_exp=n_exp,
+            master_seed=derive_seed(master_seed, i), threads=threads,
+        )
+        for i, model in enumerate((f, g, combined))
     )
 
     if stats_fg.std is None:

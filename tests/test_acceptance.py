@@ -139,7 +139,7 @@ def test_a5_constant_model_at_defaults(bundle):
         n_exp=100,
         master_seed=501,
     )
-    intercept_dev = abs(stats.intercept_summary()["median"] - 1.0)
+    intercept_dev = abs(stats.summary()["median"] - 1.0)
     coef_dev = float(np.abs(stats.median).max())
     ok = intercept_dev <= 0.02 and coef_dev <= 0.02
     report(

@@ -345,6 +345,29 @@ class TestVerifyCommand:
         assert "No such option" in result.output and "--n-mc" in result.output
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("explain", "--threads", "2"),
+        ("theory", "--ridge", "1.0"),
+        ("theory", "--threads", "2"),
+        ("sweep", "--nu", "0.5"),
+        ("sweep", "--nu-lime", "50"),
+    ],
+)
+def test_commands_refuse_options_they_ignore(runner, tmp_path, command, flag, value):
+    args = [
+        command, "--corpus", CORPUS, "--doc", "0", "--model", '"food"',
+        "--n", "100", flag, value, "--out", str(tmp_path),
+    ]
+    if command == "sweep":
+        args += ["--word", "food", "--nu-grid", "0.25", "--n-exp", "2"]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert "No such option" in result.output and flag in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSweepCommand:
     def test_one_row_per_bandwidth(self, runner, tmp_path):
         result = runner.invoke(
@@ -440,6 +463,38 @@ class TestConfigResolution:
         )
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "explanation-constant-0.25-300.csv").exists()
+
+    def test_non_utf8_config_is_a_field_error(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"n": 5\xff}')
+        result = runner.invoke(
+            cli,
+            [
+                "explain", "--corpus", CORPUS, "--doc", "0",
+                "--model", "constant", "--config", str(config),
+                "--out", str(tmp_path / "out"),
+            ],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: config: not UTF-8 text:" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_ignores_a_config_bandwidth(self, runner, tmp_path):
+        # sweep reads --nu-grid; a "nu" key is one it does not take.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"nu": 0.9}))
+        result = runner.invoke(
+            cli,
+            [
+                "sweep", "--corpus", CORPUS, "--doc", "0", "--model", '"food"',
+                "--word", "food", "--nu-grid", "0.1,0.5", "--n", "100",
+                "--n-exp", "2", "--config", str(config), "--out", str(tmp_path / "out"),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "out" / "sweep-food-0.1-100.csv").exists()
 
     def test_environment_variables_feed_options(self, runner, tmp_path):
         result = runner.invoke(

@@ -25,7 +25,7 @@ from textlime import (
     tree_from_spec,
 )
 from textlime.corpus import Corpus
-from textlime.verify import derive_seed
+from textlime.verify import SUMMARY_FIELDS, SweepPoint, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +170,41 @@ class TestRunRepeated:
             "master_seed": 7,
         }
 
+    def test_word_summary_is_the_summary_arrays(self, setup):
+        doc, idf, _ = setup
+        model = tree_from_spec('"garden" + ("gate" & "morning")')
+        stats = run_repeated(model, doc, idf, n=300, n_exp=5, master_seed=4)
+        for j in range(stats.d):
+            summary = stats.summary(j)
+            assert tuple(summary) == SUMMARY_FIELDS
+            expected = (
+                stats.median[j], stats.q1[j], stats.q3[j],
+                stats.minimum[j], stats.maximum[j], stats.std[j],
+            )
+            assert tuple(summary.values()) == tuple(float(v) for v in expected)
+
+    def test_intercept_summary_is_the_one_dimensional_numpy_calls(self, setup):
+        doc, idf, _ = setup
+        model = tree_from_spec('"garden" + ("gate" & "morning")')
+        stats = run_repeated(model, doc, idf, n=300, n_exp=5, master_seed=4)
+        x = stats.intercepts
+        assert stats.summary() == {
+            "median": float(np.median(x)),
+            "q1": float(np.quantile(x, 0.25)),
+            "q3": float(np.quantile(x, 0.75)),
+            "minimum": float(x.min()),
+            "maximum": float(x.max()),
+            "std": float(x.std(ddof=1)),
+        }
+
+    def test_single_repetition_summaries_have_no_std(self, setup):
+        doc, idf, _ = setup
+        stats = run_repeated(
+            tree_from_spec('"garden"'), doc, idf, n=300, n_exp=1, master_seed=4
+        )
+        assert stats.summary()["std"] is None
+        assert all(stats.summary(j)["std"] is None for j in range(stats.d))
+
     def test_derived_seeds_extend_master(self):
         assert derive_seed(5, 3) == [5, 3]
         assert derive_seed([5, 1], 3) == [5, 1, 3]
@@ -308,6 +343,21 @@ class TestSweepBandwidth:
             n=5000, n_exp=10, master_seed=12,
         )
         assert points[0].median > 0 > points[-1].median
+
+    def test_points_are_word_summaries_of_repeated_runs(self, setup):
+        doc, idf, local = setup
+        model = tree_from_spec('"garden" + ("gate" & "morning")')
+        grid = [0.1, 0.5, 2.0]
+        points = sweep_bandwidth(
+            model, doc, idf, "gate", grid, n=300, ridge=0.5, n_exp=3, master_seed=7
+        )
+        j = local.index_of("gate")
+        for k, point in enumerate(points):
+            stats = run_repeated(
+                model, doc, idf, n=300, nu=grid[k], ridge=0.5, n_exp=3,
+                master_seed=derive_seed(7, k),
+            )
+            assert point == SweepPoint(nu=grid[k], **stats.summary(j))
 
     def test_unknown_word_rejected(self, setup):
         doc, idf, _ = setup
