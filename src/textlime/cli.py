@@ -88,12 +88,13 @@ def resolve_options(config_path: str | None) -> dict:
             continue
         if ctx.get_parameter_source(key) is not ParameterSource.DEFAULT:
             continue
+        # A value is parsed from its JSON text, as a flag's text is: JSON
+        # true is not the integer 1, and 7.9 is not the integer 7.
+        text = value if isinstance(value, str) else json.dumps(value)
         try:
-            options[key] = param.type_cast_value(ctx, value)
+            options[key] = param.type_cast_value(ctx, text)
         except click.BadParameter as exc:
             raise fail(_field(key), exc.message)
-        except TypeError:
-            raise fail(_field(key), f"{value!r} is not a valid {param.type.name}.")
         # The config file plays the part of click's default map.
         ctx.set_parameter_source(key, ParameterSource.DEFAULT_MAP)
 

@@ -263,14 +263,15 @@ def load_linear_model(path: str | Path) -> LinearModel:
     """Load a linear model from a JSON object mapping word -> coefficient.
 
     Every coefficient must be a finite number (or a string that parses to
-    one); NaN and infinities, including 1e309, raise ValueError.
+    one); NaN, infinities (including 1e309) and booleans raise ValueError.
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("linear model JSON must be an object of word -> coefficient")
     coefficients = {}
     for word, value in data.items():
-        number = float(value) if isinstance(value, (int, float, str)) else math.nan
+        numeric = isinstance(value, (int, float, str)) and not isinstance(value, bool)
+        number = float(value) if numeric else math.nan
         if not math.isfinite(number):
             raise ValueError(f"coefficient of {word!r} is not a finite number: {value!r}")
         coefficients[str(word)] = number

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
 from .models import LinearModel, Model, TreeModel, indicator_terms
-from .sampling import _kernel_table, draw_feature_matrix, psi, renormalized_tfidf
+from .sampling import psi, renormalized_tfidf, sample_batch
 
 EXACT_CLOSED_FORM = "exact-closed-form"
 LARGE_BANDWIDTH = "large-bandwidth-approx"
@@ -551,12 +551,8 @@ def beta_linear(
     )
 
 
-def _mc_chunks(n_total: int, chunk: int = 65_536):
-    done = 0
-    while done < n_total:
-        size = min(chunk, n_total - done)
-        yield size
-        done += size
+# Samples per Monte Carlo chunk: bounds the oracle's (chunk, d) arrays.
+_MC_CHUNK = 65_536
 
 
 def beta_general_mc(
@@ -582,7 +578,6 @@ def beta_general_mc(
     local = local_dictionary(document)
     d = local.d
     ss = sigma_set(d, nu)
-    w_vec = tfidf_weights(local, idf)
 
     # Sample i solves the right-hand side t_i [1; z_i] into (c_i, S_i): it
     # contributes c_i to the intercept and a_i + b z_ij t_i to coefficient j,
@@ -593,17 +588,17 @@ def beta_general_mc(
     # side (the sums of t, t * kept and t z), so it carries the rounding of
     # one solve rather than the average of n_mc solves' rounding.
     b = 1.0 / ss.gap
-    kernel_table = _kernel_table(d, nu)
+    # One generator runs across the chunks: sample_batch takes it unchanged.
     rng = np.random.default_rng(seed)
     total = np.zeros(d + 1)
     total_sq = np.zeros(d + 1)
     rhs = np.zeros(d + 2)
-    for size in _mc_chunks(n_mc):
-        sizes, z = draw_feature_matrix(rng, size, d)
-        kernel = kernel_table[sizes]
-        responses = model.evaluate_matrix(renormalized_tfidf(z, w_vec), local.words)
+    for start in range(0, n_mc, _MC_CHUNK):
+        batch = sample_batch(document, local, min(_MC_CHUNK, n_mc - start), nu, rng)
+        z = batch.z
+        responses = model.evaluate_matrix(batch.tfidf_matrix(idf), local.words)
 
-        t = kernel * responses
+        t = batch.weights * responses
         kept = z.sum(axis=1)
         c, coefficient_sum = ss.solve(t, t * kept)
         a = -(ss.alpha1 * c + ss.alpha2 * coefficient_sum) / ss.gap

@@ -25,6 +25,9 @@ from .theory import TheoryExplanation, population_explanation
 # endpoints differ from the theory value only by solver round-off.
 RANGE_EPS = 1e-9
 
+# A linearity deviation passes within this many pooled standard deviations.
+LINEARITY_ENVELOPE = 3.0
+
 
 def derive_seed(master_seed, run_index: int) -> list[int]:
     """Seed of one repetition: the master seed extended by the run index."""
@@ -306,14 +309,15 @@ def linearity_check(
     n_exp: int = 100,
     master_seed=0,
     threads: int = 1,
-    envelope: float = 3.0,
 ) -> LinearityReport:
     """Check that explanations add: the combined model's explanation should
     match the sum of the separate ones up to sampling noise.
 
-    All three runs use independent batches; the noise envelope pools the
-    three per-word standard deviations.
+    All three runs use independent batches; the noise envelope is
+    LINEARITY_ENVELOPE times the pooled three per-word standard deviations.
     """
+    if n_exp < 2:
+        raise ValueError("need n_exp >= 2 to pool noise")
     combined = combine([(1.0, f), (1.0, g)])
     stats_f, stats_g, stats_fg = (
         run_repeated(
@@ -323,8 +327,6 @@ def linearity_check(
         for i, model in enumerate((f, g, combined))
     )
 
-    if stats_fg.std is None:
-        raise ValueError("need n_exp >= 2 to pool noise")
     pooled = np.sqrt(stats_f.std**2 + stats_g.std**2 + stats_fg.std**2)
     sums = stats_f.median + stats_g.median
     devs = stats_fg.median - sums
@@ -336,7 +338,7 @@ def linearity_check(
             deviation=float(devs[j]),
             pooled_std=float(pooled[j]),
             within_envelope=abs(float(devs[j]))
-            <= envelope * float(pooled[j]) + RANGE_EPS,
+            <= LINEARITY_ENVELOPE * float(pooled[j]) + RANGE_EPS,
         )
         for j, w in enumerate(stats_fg.words)
     )

@@ -541,6 +541,11 @@ class TestConfigResolution:
             ("explain", {"n": [1]}, "n:"),
             ("explain", {"nu": "wide"}, "nu:"),
             ("theory", {"linear_mode": "bogus"}, "linear-mode:"),
+            # JSON booleans are not numbers and fractions not integers, as with flags.
+            ("explain", {"n": True}, "n:"),
+            ("explain", {"seed": False}, "seed:"),
+            ("explain", {"nu": True}, "nu:"),
+            ("explain", {"n": 7.9}, "n:"),
         ],
     )
     def test_config_bad_field_values_named(self, runner, tmp_path, command, config, field):

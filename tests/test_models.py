@@ -92,7 +92,9 @@ class TestLinearModel:
             load_linear_model(path)
 
     @pytest.mark.parametrize(
-        "value", ["NaN", "Infinity", "-Infinity", "1e309", '"nan"', '"inf"', "null", "[1]"]
+        "value",
+        # float(True) is 1.0, but a JSON boolean is not a coefficient.
+        ["NaN", "Infinity", "-Infinity", "1e309", '"nan"', '"inf"', "null", "[1]", "true", "false"],
     )
     def test_json_coefficient_must_be_finite(self, tmp_path, value):
         path = tmp_path / "linear.json"

@@ -376,6 +376,18 @@ class TestSweepBandwidth:
 
 
 class TestLinearityCheck:
+    def test_single_repetition_rejected_before_any_run(self, setup, monkeypatch):
+        doc, idf, _ = setup
+
+        def no_runs(*args, **kwargs):
+            raise AssertionError("run_repeated called before n_exp was checked")
+
+        monkeypatch.setattr(textlime.verify, "run_repeated", no_runs)
+        with pytest.raises(ValueError, match="n_exp >= 2"):
+            linearity_check(
+                tree_from_spec('"garden"'), LinearModel(coefficients={}), doc, idf, n_exp=1
+            )
+
     def test_zero_second_model_pure_noise(self, setup):
         doc, idf, _ = setup
         f = tree_from_spec('"garden" + ("gate" & "morning")')
