@@ -7,27 +7,32 @@ on bundled documents 0 (d = 31) and 5 (d = 12, where the full linear mode
 enumerates exactly), for a tree, a linear and the constant model at small
 sample counts. Each case writes into its own directory, and every file it
 writes gets one line. The theory cases print the 17-digit values of
-`beta_tree` at four bandwidths, of `beta_linear` in both modes on every
-bundled document, of `beta_general_mc` (means and standard errors,
-n_mc = 20000) and of `e_term`, exact and approximate. The verify cases
+`beta_tree` at four bandwidths, of `beta_linear` on every bundled document
+(simplified, and full at nu = 0.25 and nu = inf), of `population_explanation`
+of a tree-plus-linear `CombinedModel` on document 5, of `beta_general_mc`
+(means and standard errors, n_mc = 20000) and of `e_term`. The verify cases
 print, on document 0 at small n, the 17-digit values of `linearity_check`
 (tree + tree with the closed-form residual and its comparison, and tree +
 linear), `concentration_check` (the linear model, n in 200, 400, 800), `sweep_bandwidth` at
 two bandwidths and `compare` on a one-run `run_repeated`, whose std is
-missing. Each line reads `sha256  name`, sorted by name:
+missing. Each line reads `sha256  name`, sorted by name. Run each
+checkout's own script, since the functions it calls may change their
+signatures between checkouts:
 
     python benchmarks/output_digest.py > change.txt
-    PYTHONPATH=<other checkout>/src python benchmarks/output_digest.py > other.txt
+    python <other checkout>/benchmarks/output_digest.py > other.txt
     diff other.txt change.txt
 
 The textlime package comes from the Python path when it is there, else from
-this checkout's `src`. The script takes no options and runs in seconds.
+the `src` of the checkout that holds the script. The script takes no options
+and runs in seconds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -46,6 +51,7 @@ from textlime import (
     beta_linear,
     beta_tree,
     bundled_corpus_path,
+    combine,
     compare,
     concentration_check,
     e_term,
@@ -148,19 +154,26 @@ def theory_digests() -> dict[str, str]:
             )
         omega = omega_weights(document, idf)
         d = local.d
-        methods = ("exact", "approx") if d <= 20 else ("approx",)
-        for method in methods:
-            for kept in ((0,), (d - 1,), (0, 1), (0, d - 1)):
-                value = e_term(omega, *kept, method=method)
-                record(f"e_term/doc{doc}/{method}/{'-'.join(map(str, kept))}", value)
+        for kept in ((0,), (d - 1,), (0, 1), (0, d - 1)):
+            value = e_term(omega, *kept)
+            record(f"e_term/doc{doc}/approx/{'-'.join(map(str, kept))}", value)
+
+    mixed = combine([(1.0, tree_from_spec(TREES[5])), (1.0, LinearModel(coefficients=LINEAR))])
+    result = population_explanation(mixed, corpus.documents[5], idf, nu=0.25)
+    record("population_explanation/doc5/combined", result.intercept, result.coefficients)
 
     rng = np.random.default_rng(5)
     for doc, document in enumerate(corpus.documents):
         words = local_dictionary(document).words
         lam = dict(zip(words, rng.normal(size=len(words)).tolist()))
-        for mode in ("simplified", "full"):
-            result = beta_linear(lam, document, idf, mode=mode)
-            record(f"beta_linear/doc{doc:02d}/{mode}", result.intercept, result.coefficients)
+        cases = (
+            ("simplified", "simplified", 0.25),
+            ("full", "full", 0.25),
+            ("full-nuinf", "full", math.inf),
+        )
+        for name, mode, nu in cases:
+            result = beta_linear(lam, document, idf, mode=mode, nu=nu)
+            record(f"beta_linear/doc{doc:02d}/{name}", result.intercept, result.coefficients)
     return digests
 
 

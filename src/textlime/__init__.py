@@ -32,6 +32,7 @@ from .sampling import SampleBatch, normalized_tfidf, psi, sample_batch
 from .surrogate import Explanation, explain, fit_batch, fit_weighted_ridge
 from .theory import (
     EXACT_CLOSED_FORM,
+    EXACT_ENUMERATION,
     LARGE_BANDWIDTH,
     MONTE_CARLO,
     ClosedFormDomainError,
@@ -40,6 +41,7 @@ from .theory import (
     alpha_bounds,
     alpha_limit,
     alpha_values,
+    beta_enumerated,
     beta_general_mc,
     beta_indicator_product,
     beta_linear,

@@ -264,7 +264,7 @@ def cmd_explain(config, **_):
 @click.option("--theory-method", type=click.Choice(["auto", "mc"]), default="auto", help="'mc' forces the Monte Carlo oracle.")
 @click.option("--n-mc", type=int, default=200_000, help="Monte Carlo sample count.")
 def cmd_theory(config, **_):
-    """Write the closed-form (or Monte Carlo) population explanation."""
+    """Write the population explanation: closed form, enumeration or Monte Carlo."""
     options = resolve_options(config)
     document, model, idf = load_inputs(options)
     try:

@@ -65,7 +65,9 @@ class IdfTable:
 
     For a corpus of N documents, a word appearing in N_j of them gets
     idf = log((N + 1) / (N_j + 1)) + 1 (natural log). Words never seen in
-    the corpus fall back to N_j = 0. Immutable once built.
+    the corpus fall back to N_j = 0. Counts must satisfy 0 <= N_j <= N, so
+    every idf is at least 1 and every word a document holds has positive
+    mass. Immutable once built.
     """
 
     def __init__(
@@ -76,6 +78,10 @@ class IdfTable:
     ) -> None:
         if len(words) != len(doc_counts):
             raise ValueError("words and doc_counts must have equal length")
+        if corpus_size < 0:
+            raise ValueError("corpus_size must be nonnegative")
+        if any(not 0 <= count <= corpus_size for count in doc_counts):
+            raise ValueError("every doc_count must lie in 0..corpus_size")
         self.words = words
         self.doc_counts = doc_counts
         self.corpus_size = corpus_size

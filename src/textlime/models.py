@@ -34,7 +34,7 @@ class Model:
 
 @dataclass(frozen=True)
 class IndicatorProduct(Model):
-    """coefficient * prod_{w in words} 1{phi_w > 0}; empty product is 1."""
+    """coefficient * prod_{w in words} 1{w is present}; empty product is 1."""
 
     words: frozenset[str]
     coefficient: float = 1.0
@@ -262,16 +262,19 @@ def tree_from_spec(text: str) -> TreeModel:
 def load_linear_model(path: str | Path) -> LinearModel:
     """Load a linear model from a JSON object mapping word -> coefficient.
 
-    Every coefficient must be a finite number (or a string that parses to
-    one); NaN, infinities (including 1e309) and booleans raise ValueError.
+    Every coefficient must be a finite JSON number; NaN, infinities
+    (including 1e309), strings, booleans and null raise ValueError.
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("linear model JSON must be an object of word -> coefficient")
     coefficients = {}
     for word, value in data.items():
-        numeric = isinstance(value, (int, float, str)) and not isinstance(value, bool)
-        number = float(value) if numeric else math.nan
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        try:
+            number = float(value) if numeric else math.nan
+        except OverflowError:  # a JSON integer beyond the float range
+            number = math.inf
         if not math.isfinite(number):
             raise ValueError(f"coefficient of {word!r} is not a finite number: {value!r}")
         coefficients[str(word)] = number

@@ -5,9 +5,9 @@ concentrate around a population vector determined by the kernel moment
 sequence alpha_p = E[weight * z_1 ... z_p], the weighted feature covariance
 (whose block pattern reduces every solve to a 2x2 system; see SigmaSet), and
 the expected weighted responses. This module computes those pieces exactly,
-specializes them to indicator products, trees and linear models, and
-provides `beta_general_mc`, the package's one Monte Carlo oracle, which
-serves every model the closed forms do not.
+specializes them to indicator products and trees, enumerates them for any
+model at d <= ENUMERATION_LIMIT (`beta_enumerated`), and provides
+`beta_general_mc`, the package's one Monte Carlo oracle, for the rest.
 """
 
 from __future__ import annotations
@@ -20,14 +20,15 @@ import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
 from .models import LinearModel, Model, TreeModel, indicator_terms
-from .sampling import psi, renormalized_tfidf, sample_batch
+from .sampling import _kernel_table, psi, renormalized_tfidf, sample_batch
 
 EXACT_CLOSED_FORM = "exact-closed-form"
+EXACT_ENUMERATION = "exact-enumeration"
 LARGE_BANDWIDTH = "large-bandwidth-approx"
 MONTE_CARLO = "monte-carlo"
 
-# Exact enumeration of conditional renormalization expectations walks all
-# subsets of the local dictionary; beyond this size, use approx.
+# `beta_enumerated` walks all 2^d removal sets of the local dictionary, so
+# it serves documents of at most this many distinct words.
 ENUMERATION_LIMIT = 20
 
 # A covariance solve whose condition number times the machine epsilon
@@ -46,8 +47,8 @@ class TheoryExplanation:
     """Population (infinite-sample) explanation with provenance.
 
     `provenance` records how the values were obtained: exact closed form,
-    the large-bandwidth approximation, or Monte Carlo (which also carries
-    standard errors).
+    exact enumeration, the large-bandwidth approximation, or Monte Carlo
+    (which also carries standard errors).
     """
 
     intercept: float
@@ -350,104 +351,29 @@ def _removed_mass_means(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return single, upper + upper.T
 
 
-def _conditional_size_pmf(d: int, pair: bool) -> np.ndarray:
-    """Distribution of the deletion count given one (or two) fixed survivors.
-
-    Index s runs 0..d; entry 0 is zero since at least one word is removed.
+def _renormalization_expectations(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(1 - expected removed mass)^(-1/2) given that word j survives, for
+    every j (shape (d,)), and given that words j and k survive, for every
+    pair (shape (d, d), zero diagonal; pairs need d >= 3): the
+    renormalization factor with the expectation swapped inside.
     """
-    pmf = np.zeros(d + 1)
-    s = np.arange(1, d + 1, dtype=float)
-    if pair:
-        pmf[1:] = 3.0 * (d - s) * (d - s - 1) / (d * (d - 1) * (d - 2))
-    else:
-        pmf[1:] = 2.0 * (d - s) / (d * (d - 1))
-    return np.clip(pmf, 0.0, None)
+    single, pair = _removed_mass_means(omega)
+    e_pair = 1.0 / np.sqrt(1.0 - pair)
+    np.fill_diagonal(e_pair, 0.0)
+    return 1.0 / np.sqrt(1.0 - single), e_pair
 
 
-def _subset_weights(d: int, pair: bool) -> np.ndarray:
-    """Probability of one particular removed set of each size s = 0..d given
-    one (or two) fixed survivors: the size pmf over C(m, s), where m words
-    may go."""
-    pmf = _conditional_size_pmf(d, pair)
-    m = d - 2 if pair else d - 1
-    return np.array([pmf[s] / math.comb(m, s) if s <= m else 0.0 for s in range(d + 1)])
-
-
-# Exact enumeration visits the survivor sets in blocks of this many rows,
-# which keeps each of its temporaries under 1 MB at d = ENUMERATION_LIMIT.
-_ENUMERATION_BLOCK = 4096
-
-
-def _renormalization_expectations(
-    omega: np.ndarray, exact: bool, *, pairs: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Expected renormalization factor (kept mass)^(-1/2) given that word j
-    survives, for every j (shape (d,)), and given that words j and k
-    survive, for every pair (shape (d, d), zero diagonal; pairs need d >= 3;
-    None unless `pairs`).
-
-    exact=True enumerates every survivor set once: with keep the 0/1 row of
-    a set, h_1(s) and h_2(s) its probability given one or two fixed
-    survivors (s words removed) and f its factor, E_single = keep^T (h_1 f)
-    and E_pair = keep^T diag(h_2 f) keep. exact=False swaps the expectation
-    inside: (1 - expected removed mass)^(-1/2).
-    """
-    d = len(omega)
-    if not exact:
-        single, pair = _removed_mass_means(omega)
-        e_pair = None
-        if pairs:
-            e_pair = 1.0 / np.sqrt(1.0 - pair)
-            np.fill_diagonal(e_pair, 0.0)
-        return 1.0 / np.sqrt(1.0 - single), e_pair
-    if d > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"enumeration too large (d = {d} > {ENUMERATION_LIMIT}); "
-            "use method='approx'"
-        )
-    h_single = _subset_weights(d, pair=False)
-    h_pair = _subset_weights(d, pair=True) if d >= 3 else np.zeros(d + 1)
-    bits = np.arange(d)
-    e_single = np.zeros(d)
-    e_pair = np.zeros((d, d)) if pairs else None
-    # Bit i of code c keeps word i. Code 0 keeps nothing, which has
-    # probability 0 given any survivor, so the walk starts at 1.
-    n_sets = 2**d
-    for start in range(1, n_sets, _ENUMERATION_BLOCK):
-        codes = np.arange(start, min(start + _ENUMERATION_BLOCK, n_sets))
-        keep = ((codes[:, None] >> bits) & 1).astype(float)
-        factor = 1.0 / np.sqrt(keep @ omega)
-        removed = d - keep.sum(axis=1).astype(np.intp)
-        e_single += (h_single[removed] * factor) @ keep
-        if pairs:
-            e_pair += (keep * (h_pair[removed] * factor)[:, None]).T @ keep
-    if pairs:
-        np.fill_diagonal(e_pair, 0.0)
-    return e_single, e_pair
-
-
-def e_term(
-    omega: np.ndarray, j: int, k: int | None = None, *, method: str = "exact"
-) -> float:
-    """Expected renormalization factor (1 - removed mass)^(-1/2) given that
-    word j (and word k, when given) survives the deletion; `omega` holds the
-    mass shares (`omega_weights`).
-
-    method="exact" enumerates every survivor set (only allowed for
-    d <= 20); "approx" swaps the expectation inside, returning
-    (1 - expected removed mass)^(-1/2), a deliberate underestimate (the
-    map is strictly convex, so by Jensen the exact value lies above it);
-    both read one entry of `_renormalization_expectations`.
-    With near-uniform masses and large d the exact values tend to 4/3 (one
-    survivor) and 6/5 (a pair), while "approx" tends to the constants
-    SIMPLIFIED_E_SINGLE and SIMPLIFIED_E_PAIR (about 1.2247 and 1.1547).
+def e_term(omega: np.ndarray, j: int, k: int | None = None) -> float:
+    """One entry of `_renormalization_expectations`: the renormalization
+    factor given that word j (and word k, when given) survives, with the
+    expectation swapped inside; `omega` holds the mass shares
+    (`omega_weights`). The map is strictly convex, so by Jensen this
+    underestimates the exact expectation, whose near-uniform large-d limits
+    are 4/3 and 6/5 where this tends to SIMPLIFIED_E_SINGLE and
+    SIMPLIFIED_E_PAIR (about 1.2247 and 1.1547).
     """
     jj, kk = _kept_pair(j if k is None else (j, k), len(omega))
-    if method not in ("exact", "approx"):
-        raise ValueError(f"unknown method {method!r}; expected exact or approx")
-    e_single, e_pair = _renormalization_expectations(
-        omega, method == "exact", pairs=kk is not None
-    )
+    e_single, e_pair = _renormalization_expectations(omega)
     return float(e_single[jj] if kk is None else e_pair[jj, kk])
 
 
@@ -472,22 +398,25 @@ def beta_linear(
     idf: IdfTable,
     *,
     mode: str = "simplified",
+    nu: float = 0.25,
 ) -> TheoryExplanation:
-    """Large-bandwidth population explanation of a linear model.
+    """Population explanation of a linear model.
 
     `coefficients` maps words to their linear weights (a LinearModel is
     accepted too). Words outside the document contribute nothing.
 
-    mode="simplified" applies the flat constant: coefficient j becomes
-    (3 E - 2 E') * lambda_j * phi_j with E, E' the limiting
-    renormalization factors above (about 1.36). mode="full" keeps the
-    per-word conditional renormalization expectations, enumerated exactly
-    for d <= ENUMERATION_LIMIT and by the swapped expectation above it
-    (`_renormalization_expectations`), and solves the infinite-bandwidth
-    covariance (psi is 1 at nu = inf) against the expected responses,
-    including the intercept.
+    mode="simplified" is the paper's large-bandwidth prediction, the flat
+    constant: coefficient j becomes (3 E - 2 E') * lambda_j * phi_j with
+    E, E' the limiting renormalization factors above (about 1.36).
+    mode="full" is exact at bandwidth `nu` for d <= ENUMERATION_LIMIT
+    (`beta_enumerated`). Above it, it is the large-bandwidth limit with the
+    per-word swapped expectations of `_renormalization_expectations`,
+    solved against the infinite-bandwidth covariance (psi is 1 at
+    nu = inf), intercept included; `nu` is not used there.
     """
     lam_map = getattr(coefficients, "coefficients", coefficients)
+    if mode not in ("simplified", "full"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'simplified' or 'full'")
     if not document.tokens:
         raise ValueError("cannot explain an empty document")
     local = local_dictionary(document)
@@ -497,6 +426,8 @@ def beta_linear(
             "out of closed-form domain: linear predictions require d >= 3"
         )
     masses = tfidf_weights(local, idf)
+    if mode == "full" and d <= ENUMERATION_LIMIT:
+        return _enumerated(LinearModel(coefficients=lam_map), local, masses, nu)
     phi = renormalized_tfidf(np.ones((1, d), np.int8), masses)[0]
     lam = np.zeros(d)
     for w, c in lam_map.items():
@@ -524,11 +455,8 @@ def beta_linear(
                 ),
             },
         )
-    if mode != "full":
-        raise ValueError(f"unknown mode {mode!r}; expected 'simplified' or 'full'")
 
-    exact = d <= ENUMERATION_LIMIT
-    e_single, e_pair = _renormalization_expectations(_mass_shares(masses), exact)
+    e_single, e_pair = _renormalization_expectations(_mass_shares(masses))
 
     # Expected responses in the infinite-bandwidth limit. Source word j
     # contributes to coordinate 0 and j through its single-survivor factor
@@ -547,7 +475,67 @@ def beta_linear(
         coefficients=tuple(float(c) for c in coeffs),
         provenance=LARGE_BANDWIDTH,
         words=local.words,
-        notes={"mode": "full", "e_method": "exact" if exact else "approx"},
+        notes={"mode": "full", "e_method": "approx"},
+    )
+
+
+# The enumeration walks the removal sets in blocks of 2**_BLOCK_BITS codes
+# aligned to the block size, which keeps each of its temporaries under 1 MB
+# at d = ENUMERATION_LIMIT.
+_BLOCK_BITS = 12
+
+
+def beta_enumerated(
+    model: Model, document: Document, idf: IdfTable, *, nu: float = 0.25
+) -> TheoryExplanation:
+    """Exact population explanation of any model, by one walk over the
+    2^d removal sets of a document with d <= ENUMERATION_LIMIT distinct words.
+
+    A set S with s words removed is drawn with probability 1 / (d C(d, s))
+    (s uniform on 1..d, then S uniform among sets of that size) and weighted
+    psi(s/d); its response f comes from the sampled path's own embedding
+    (`renormalized_tfidf`) and `model.evaluate_matrix`. The expected weighted
+    responses gamma0 = sum P psi f and gamma = keep^T (P psi f) are solved
+    against the covariance as `beta_general_mc` solves its averaged ones.
+    """
+    if not document.tokens:
+        raise ValueError("cannot explain an empty document")
+    local = local_dictionary(document)
+    return _enumerated(model, local, tfidf_weights(local, idf), nu)
+
+
+def _enumerated(
+    model: Model, local: LocalDictionary, masses: np.ndarray, nu: float
+) -> TheoryExplanation:
+    """`beta_enumerated` from the local dictionary and its TF-IDF masses."""
+    d = local.d
+    if d > ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration too large (d = {d} > {ENUMERATION_LIMIT})")
+    ss = sigma_set(d, nu)
+    weight = _kernel_table(d, nu) / [d * math.comb(d, s) for s in range(d + 1)]
+    weight[0] = 0.0  # the all-kept set is never drawn
+    # Bit i of a code keeps word i. One block holds every setting of the low
+    # bits, built once; the high bits are constant across a block.
+    low = min(d, _BLOCK_BITS)
+    keep = np.zeros((1 << low, d), np.int8)
+    keep[:, :low] = (np.arange(1 << low)[:, None] >> np.arange(low)) & 1
+    low_removed = d - keep.sum(axis=1)
+    high_bits = np.arange(d - low)
+    gamma0, gamma = 0.0, np.zeros(d)
+    for block in range(1 << (d - low)):
+        high = (block >> high_bits) & 1
+        keep[:, low:] = high
+        responses = model.evaluate_matrix(renormalized_tfidf(keep, masses), local.words)
+        t = weight[low_removed - high.sum()] * responses
+        gamma0 += t.sum()
+        gamma += t @ keep
+    intercept, coefficient_sum = ss.solve(gamma0, gamma.sum())
+    coefficients = (gamma - ss.alpha1 * intercept - ss.alpha2 * coefficient_sum) / ss.gap
+    return TheoryExplanation(
+        intercept=float(intercept),
+        coefficients=tuple(coefficients.tolist()),
+        provenance=EXACT_ENUMERATION,
+        words=local.words,
     )
 
 
@@ -640,15 +628,18 @@ def population_explanation(
     """The population explanation of any model, by the best available route.
 
     Models built from indicator products (indicators, trees) get the exact
-    closed form `beta_tree`; linear models get the large-bandwidth
-    `beta_linear` in `linear_mode`; every other model, and every model when
-    `monte_carlo` is set, gets the Monte Carlo oracle `beta_general_mc`
-    with `n_mc` samples. `seed` feeds whichever route draws randomness.
+    closed form `beta_tree`; linear models get `beta_linear` in
+    `linear_mode`; every other model gets the exact `beta_enumerated` on a
+    document with at most ENUMERATION_LIMIT distinct words. The rest, and
+    every model when `monte_carlo` is set, get the Monte Carlo oracle
+    `beta_general_mc` with `n_mc` samples, drawn from `seed`.
     """
     if not monte_carlo:
         terms = indicator_terms(model)
         if terms is not None:
             return beta_tree(TreeModel(terms=terms), local_dictionary(document), nu)
         if isinstance(model, LinearModel):
-            return beta_linear(model, document, idf, mode=linear_mode)
+            return beta_linear(model, document, idf, mode=linear_mode, nu=nu)
+        if local_dictionary(document).d <= ENUMERATION_LIMIT:
+            return beta_enumerated(model, document, idf, nu=nu)
     return beta_general_mc(model, document, idf, nu=nu, n_mc=n_mc, seed=seed)

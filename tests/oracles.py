@@ -1,9 +1,11 @@
 """Reference implementations the tests compare the package against.
 
 None of these runs on a production path: they are the dense covariance
-and its entry-by-entry inverse, and raw Monte Carlo estimates of the kernel
-moments and of the conditional renormalization expectations, each computed
-independently of the structured closed forms they check.
+and its entry-by-entry inverse, raw Monte Carlo estimates of the kernel
+moments and of the conditional renormalization expectations, the exact
+conditional expectations by enumeration, and the large-bandwidth linear
+explanation assembled from them, each computed independently of the
+structured forms they check.
 """
 
 import math
@@ -11,12 +13,10 @@ import math
 import numpy as np
 
 from textlime.sampling import draw_feature_matrix, psi
-from textlime.theory import (
-    ClosedFormDomainError,
-    _conditional_size_pmf,
-    alpha_values,
-    sigma_set,
-)
+from textlime.theory import ClosedFormDomainError, alpha_values, sigma_set
+
+# The enumeration walks the survivor sets in blocks of this many rows.
+_BLOCK = 4096
 
 
 def sigma_matrix(d: int, nu: float) -> np.ndarray:
@@ -71,10 +71,85 @@ def mc_e_term(
     error. `omega` holds the mass shares."""
     d = len(omega)
     rest = np.array([w for i, w in enumerate(omega) if i not in (j, k)], dtype=float)
-    pmf = _conditional_size_pmf(d, k is not None)
+    pmf = conditional_size_pmf(d, k is not None)
     rng = np.random.default_rng(seed)
     sizes = rng.choice(d + 1, size=n_mc, p=pmf / pmf.sum())
     ranks = rng.random((n_mc, len(rest))).argsort(axis=1).argsort(axis=1)
     removed_mass = ((ranks < sizes[:, None]) * rest).sum(axis=1)
     draws = 1.0 / np.sqrt(1.0 - removed_mass)
     return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(n_mc))
+
+
+def conditional_size_pmf(d: int, pair: bool) -> np.ndarray:
+    """Distribution of the deletion count given one (or two) fixed survivors.
+
+    Index s runs 0..d; entry 0 is zero since at least one word is removed.
+    """
+    pmf = np.zeros(d + 1)
+    s = np.arange(1, d + 1, dtype=float)
+    if pair:
+        pmf[1:] = 3.0 * (d - s) * (d - s - 1) / (d * (d - 1) * (d - 2))
+    else:
+        pmf[1:] = 2.0 * (d - s) / (d * (d - 1))
+    return np.clip(pmf, 0.0, None)
+
+
+def exact_renormalization_expectations(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact expectation of the renormalization factor (kept mass)^(-1/2)
+    given that word j survives, for every j (shape (d,)), and given that
+    words j and k survive, for every pair (shape (d, d), zero diagonal;
+    all zero when d < 3); `omega` holds the mass shares.
+
+    Every survivor set is enumerated once: with keep the 0/1 row of a set,
+    h_1(s) and h_2(s) its probability given one or two fixed survivors (s
+    words removed, the size pmf over C(m, s) where m words may go) and f its
+    factor, E_single = keep^T (h_1 f) and E_pair = keep^T diag(h_2 f) keep.
+    """
+    d = len(omega)
+
+    def subset_weights(pair):
+        pmf = conditional_size_pmf(d, pair)
+        m = d - 2 if pair else d - 1
+        return np.array([pmf[s] / math.comb(m, s) if s <= m else 0.0 for s in range(d + 1)])
+
+    h_single = subset_weights(False)
+    h_pair = subset_weights(True) if d >= 3 else np.zeros(d + 1)
+    e_single = np.zeros(d)
+    e_pair = np.zeros((d, d))
+    # Bit i of code c keeps word i. Code 0 keeps nothing, which has
+    # probability 0 given any survivor, so the walk starts at 1.
+    for start in range(1, 2**d, _BLOCK):
+        codes = np.arange(start, min(start + _BLOCK, 2**d))
+        keep = ((codes[:, None] >> np.arange(d)) & 1).astype(float)
+        factor = 1.0 / np.sqrt(keep @ omega)
+        removed = d - keep.sum(axis=1).astype(np.intp)
+        e_single += (h_single[removed] * factor) @ keep
+        e_pair += (keep * (h_pair[removed] * factor)[:, None]).T @ keep
+    np.fill_diagonal(e_pair, 0.0)
+    return e_single, e_pair
+
+
+def large_bandwidth_linear(
+    signal: np.ndarray, e_single: np.ndarray, e_pair: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """(intercept, coefficients) of the infinite-bandwidth explanation of a
+    linear model with signal lambda_j phi_j, assembled pair by pair from the
+    conditional renormalization expectations (e_pair with zero diagonal)
+    and solved with the exact infinite-bandwidth inverse entries r0 .. r3
+    (corner, first row, diagonal, off-diagonal, each times c_d).
+
+    Source word j reaches coordinate 0 and j when it survives, which has
+    probability (d - 1) / (2 d), and coordinate k when j and k both survive,
+    which has probability (d - 2) / (3 d).
+    """
+    d = len(signal)
+    single_factor = (d - 1) / (2.0 * d)
+    pair_factor = (d - 2) / (3.0 * d)
+    gamma0 = float(np.sum(signal * single_factor * e_single))
+    gamma = pair_factor * (e_pair @ signal) + single_factor * e_single * signal
+    r0 = 2.0 * (2 * d - 1) / (d + 1)
+    r1 = -6.0 / (d + 1)
+    r2 = 6.0 * (d * d - 2 * d + 3) / ((d + 1) * (d - 1))
+    r3 = -6.0 * (d - 3) / ((d + 1) * (d - 1))
+    gamma_sum = float(gamma.sum())
+    return r0 * gamma0 + r1 * gamma_sum, r1 * gamma0 + r2 * gamma + r3 * (gamma_sum - gamma)

@@ -41,7 +41,7 @@ from textlime.theory import (
     _removed_mass_means,
 )
 from textlime import tree_from_spec
-from oracles import mc_alpha, sigma_inverse, sigma_matrix
+from oracles import exact_renormalization_expectations, mc_alpha, sigma_inverse, sigma_matrix
 from test_theory import exact_sigma_identity_residual
 
 MATRIX_GRID = [(d, nu) for d in (2, 5, 10, 30, 100) for nu in (0.1, 0.25, 1.0, 10.0)]
@@ -368,7 +368,7 @@ def _removal_oracle(values, kept):
 def test_a14_renormalization_expectations_at_d18():
     """Conditional renormalization expectations at d = 18 with near-uniform
     mass weights: exact enumeration against an independent oracle and
-    against its large-d limits, and the swapped-expectation approximation
+    against its large-d limits, and the swapped expectation `e_term`
     against the paper's constants 1.2247 and 1.1547.
 
     The paper's constants (1 - 1/3)^(-1/2) and (1 - 1/4)^(-1/2) replace
@@ -378,16 +378,17 @@ def test_a14_renormalization_expectations_at_d18():
     concentrates (its conditional law follows the deletion count), so the
     gap does not close as d grows. With uniform masses the exact values
     tend to 4/3 and 6/5 instead. The old constants are still checked,
-    against method="approx", which computes them.
+    against `e_term`, which computes them; the exact enumeration is the
+    reference in tests/oracles.py.
     """
     d = 18
     rng = np.random.default_rng(1401)
     raw = 1.0 + 0.02 * rng.standard_normal(d)
     omega = raw / raw.sum()
-    single = e_term(omega, 0, method="exact")
-    pair = e_term(omega, 0, 1, method="exact")
-    approx_single = e_term(omega, 0, method="approx")
-    approx_pair = e_term(omega, 0, 1, method="approx")
+    exact_single, exact_pair = exact_renormalization_expectations(omega)
+    single, pair = float(exact_single[0]), float(exact_pair[0, 1])
+    approx_single = e_term(omega, 0)
+    approx_pair = e_term(omega, 0, 1)
     oracle_single = _removal_oracle(omega, {0})
     oracle_pair = _removal_oracle(omega, {0, 1})
     # Uniform masses, large d: the removed mass x has conditional density

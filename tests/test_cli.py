@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import textlime.cli
-from textlime import bundled_corpus_path
+from textlime import bundled_corpus_path, load_corpus, local_dictionary
 from textlime.cli import cli
 
 CORPUS = str(bundled_corpus_path())
@@ -299,6 +300,28 @@ class TestVerifyCommand:
         table = (tmp_path / "verify-report-food-0.25-400.txt").read_text()
         assert "(intercept)" in table
         assert "theory inside whisker range: yes" in result.output
+
+    def test_linear_full_mode_theory_inside_every_whisker_range(self, runner, tmp_path):
+        # Full mode is exact at the run's bandwidth on doc 5 (d = 12); the
+        # nu = inf value it gave before sat outside 11 of these 12 ranges.
+        doc = load_corpus(bundled_corpus_path()).documents[5]
+        words = local_dictionary(doc).words
+        lam = np.random.default_rng(1).normal(size=len(words)).tolist()
+        model = tmp_path / "linear.json"
+        model.write_text(json.dumps(dict(zip(words, lam))), encoding="utf-8")
+        result = runner.invoke(
+            cli,
+            [
+                "verify", "--corpus", CORPUS, "--doc", "5", "--model", str(model),
+                "--linear-mode", "full", "--nu", "0.25", "--n", "5000",
+                "--n-exp", "30", "--format", "json", "--out", str(tmp_path),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        report = read_json(tmp_path / "verify-report-linear-0.25-5000.json")
+        rows = [row for row in report["rows"] if row["word"] != "(intercept)"]
+        assert len(rows) == 12
+        assert all(row["inside_range"] for row in rows)
 
     def test_singular_gram_falls_back_to_least_squares(self, runner, tmp_path):
         # At d = 2 and nu = 0.1 the all-removed samples weigh about 1e-22,

@@ -8,6 +8,7 @@ import pytest
 from textlime import (
     Corpus,
     Document,
+    IdfTable,
     bundled_corpus_path,
     fit_idf,
     load_corpus,
@@ -46,6 +47,15 @@ class TestTokenize:
 
 
 class TestFitIdf:
+    @pytest.mark.parametrize(
+        "counts, size", [((10,), 1), ((-1,), 1), ((0,), -1), ((2, 3), 2)]
+    )
+    def test_counts_beyond_the_corpus_rejected(self, counts, size):
+        # A count above N would give idf <= 0, and a present word no mass.
+        words = tuple("ab"[: len(counts)])
+        with pytest.raises(ValueError, match="corpus_size"):
+            IdfTable(words, counts, size)
+
     def test_word_in_every_document_gets_idf_one(self):
         idf = fit_idf(make_corpus("good food", "good wine", "good times"))
         assert idf.idf("good") == pytest.approx(1.0)

@@ -93,8 +93,12 @@ class TestLinearModel:
 
     @pytest.mark.parametrize(
         "value",
-        # float(True) is 1.0, but a JSON boolean is not a coefficient.
-        ["NaN", "Infinity", "-Infinity", "1e309", '"nan"', '"inf"', "null", "[1]", "true", "false"],
+        # float(True) is 1.0, but a JSON boolean is not a coefficient, and
+        # neither is a string, even one that float() would parse.
+        [
+            "NaN", "Infinity", "-Infinity", "1e309", pytest.param("1" + "0" * 400, id="1e400-int"), '"nan"', '"inf"',
+            '"1_000"', '" 2 "', '"abc"', "null", "[1]", "true", "false",
+        ],
     )
     def test_json_coefficient_must_be_finite(self, tmp_path, value):
         path = tmp_path / "linear.json"
