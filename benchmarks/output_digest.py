@@ -10,12 +10,13 @@ writes gets one line. The theory cases print the 17-digit values of
 `beta_tree` at four bandwidths, of `beta_linear` on every bundled document
 (simplified, and full at nu = 0.25 and nu = inf), of `population_explanation`
 of a tree-plus-linear `CombinedModel` on document 5, of `beta_general_mc`
-(means and standard errors, n_mc = 20000) and of `e_term`. The verify cases
-print, on document 0 at small n, the 17-digit values of `linearity_check`
-(tree + tree with the closed-form residual and its comparison, and tree +
-linear), `concentration_check` (the linear model, n in 200, 400, 800), `sweep_bandwidth` at
-two bandwidths and `compare` on a one-run `run_repeated`, whose std is
-missing. Each line reads `sha256  name`, sorted by name. Run each
+(means and standard errors, n_mc = 20000, and on a synthetic d = 40 document
+with n_mc = 60000, which spans more than one sampling chunk) and of `e_term`.
+The verify cases print, on document 0 at small n, the 17-digit values of
+`linearity_check` (tree + tree with the closed-form residual and its
+comparison, and tree + linear), `concentration_check` (the linear model, n in
+200, 400, 800), `sweep_bandwidth` at two bandwidths and `compare` on a
+one-run `run_repeated`, whose std is missing. Each line reads `sha256  name`, sorted by name. Run each
 checkout's own script, since the functions it calls may change their
 signatures between checkouts:
 
@@ -46,6 +47,8 @@ import numpy as np
 from click.testing import CliRunner
 
 from textlime import (
+    Corpus,
+    Document,
     LinearModel,
     beta_general_mc,
     beta_linear,
@@ -59,13 +62,13 @@ from textlime import (
     linearity_check,
     load_corpus,
     local_dictionary,
-    omega_weights,
     population_explanation,
     run_repeated,
     sweep_bandwidth,
     tree_from_spec,
 )
 from textlime.cli import cli
+from textlime.corpus import tfidf_weights
 
 CORPUS = str(bundled_corpus_path())
 TREES = {
@@ -152,7 +155,8 @@ def theory_digests() -> dict[str, str]:
                 result.intercept, result.coefficients,
                 result.intercept_stderr, result.coefficient_stderr,
             )
-        omega = omega_weights(document, idf)
+        squared = tfidf_weights(local, idf) ** 2
+        omega = squared / squared.sum()
         d = local.d
         for kept in ((0,), (d - 1,), (0, 1), (0, d - 1)):
             value = e_term(omega, *kept)
@@ -161,6 +165,21 @@ def theory_digests() -> dict[str, str]:
     mixed = combine([(1.0, tree_from_spec(TREES[5])), (1.0, LinearModel(coefficients=LINEAR))])
     result = population_explanation(mixed, corpus.documents[5], idf, nu=0.25)
     record("population_explanation/doc5/combined", result.intercept, result.coefficients)
+
+    # 1 to 3 copies of each of 40 words, every fifth copy also in a second
+    # document, so that the masses and the IDF vary.
+    synthetic = Document(tokens=tuple(f"w{i:02d}" for i in range(40) for _ in range(1 + i % 3)))
+    synthetic_idf = fit_idf(Corpus(documents=(synthetic, Document(synthetic.tokens[::5]))))
+    mixed = combine([
+        (1.0, tree_from_spec('"w00" + (!"w01" & "w02")')),
+        (1.0, LinearModel(coefficients={"w03": 1.5, "w10": -0.75, "w39": 0.5})),
+    ])
+    result = beta_general_mc(mixed, synthetic, synthetic_idf, nu=0.25, n_mc=60000, seed=11)
+    record(
+        "beta_general_mc/synthetic-d40/combined",
+        result.intercept, result.coefficients,
+        result.intercept_stderr, result.coefficient_stderr,
+    )
 
     rng = np.random.default_rng(5)
     for doc, document in enumerate(corpus.documents):

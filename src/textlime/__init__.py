@@ -28,7 +28,7 @@ from .models import (
     load_linear_model,
     tree_from_spec,
 )
-from .sampling import SampleBatch, normalized_tfidf, psi, sample_batch
+from .sampling import SampleBatch, psi, sample_batch
 from .surrogate import Explanation, explain, fit_batch, fit_weighted_ridge
 from .theory import (
     EXACT_CLOSED_FORM,
@@ -47,7 +47,6 @@ from .theory import (
     beta_linear,
     beta_tree,
     e_term,
-    omega_weights,
     population_explanation,
     sigma_set,
 )

@@ -11,7 +11,7 @@ undefined, gets the limit psi(1).
 
 A sample's embedding is the TF-IDF masses of the words it keeps, scaled
 to unit norm (`renormalized_tfidf`). The document's own embedding phi is
-the all-kept row (`normalized_tfidf`).
+its all-kept row.
 
 Repeated runs on one document share a `_Workspace`: the per-document
 invariants, computed once, and scratch arrays that every run overwrites
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
+from .corpus import Document, IdfTable, LocalDictionary, tfidf_weights
 
 
 def psi(t, nu: float):
@@ -120,14 +120,6 @@ def renormalized_tfidf(
     norms[norms == 0.0] = 1.0
     values /= norms[:, None]
     return values
-
-
-def normalized_tfidf(doc: Document, idf: IdfTable) -> np.ndarray:
-    """The embedding phi of a document over `local_dictionary(doc).words`:
-    the all-kept row of `renormalized_tfidf`. An empty document gives a
-    length-0 array."""
-    masses = tfidf_weights(local_dictionary(doc), idf)
-    return renormalized_tfidf(np.ones((1, len(masses)), np.int8), masses)[0]
 
 
 class SampleBatch:

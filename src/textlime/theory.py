@@ -166,6 +166,12 @@ class SigmaSet:
         b0 = ((self.gap + d * self.alpha2) * g0 - a1 * total) / self.c_d
         return b0, (self.alpha0 * total - d * a1 * g0) / self.c_d
 
+    def explain(self, g0, g, total):
+        """Intercept and coefficient array solving Sigma [b0; beta] = [g0; g],
+        where `total` is sum_j g_j (as the caller accumulated it)."""
+        b0, coefficient_sum = self.solve(g0, total)
+        return b0, (g - self.alpha1 * b0 - self.alpha2 * coefficient_sum) / self.gap
+
 
 def normalization_constant(d: int, nu: float) -> float:
     """The inverse-covariance normalizer (d-1) a0 a2 - d a1^2 + a0 a1.
@@ -253,16 +259,13 @@ def beta_indicator_product(
     (intercept 1, all coefficients 0); |J| = 1 yields exactly 1 for the
     indexed word and 0 elsewhere, at every bandwidth where c_d > 0.
     """
-    member = frozenset(int(i) for i in indices)
+    member = sorted({int(i) for i in indices})
     if any(i < 0 or i >= d for i in member):
         raise ValueError("indicator indices must lie in 0..d-1")
-    p = len(member)
-    ss, moments = _covariance_and_moments(d, nu, p + 1)
-    intercept, coef_in, coef_out = _indicator_parts(p, ss, moments)
-    coefficients = tuple(coef_in if j in member else coef_out for j in range(d))
+    intercept, coefficients = _indicator_sum([(1.0, member)], d, nu)
     return TheoryExplanation(
         intercept=intercept,
-        coefficients=coefficients,
+        coefficients=tuple(coefficients.tolist()),
         provenance=EXACT_CLOSED_FORM,
     )
 
@@ -271,17 +274,30 @@ def beta_tree(tree, local: LocalDictionary, nu: float) -> TheoryExplanation:
     """Exact population explanation of a tree: signed sum over its indicator
     terms (the explanation map is linear in the model).
 
-    The covariance and the alpha moments depend only on (d, nu), so they
-    come from one kernel evaluation per call, shared by every term.
     Terms naming a word outside the local dictionary vanish on every
     perturbed sample and contribute nothing.
     """
-    d = local.d
     terms = [
         (term.coefficient, [local.index_of(w) for w in term.words])
         for term in tree.terms
         if all(w in local for w in term.words)
     ]
+    intercept, coefficients = _indicator_sum(terms, local.d, nu)
+    return TheoryExplanation(
+        intercept=intercept,
+        coefficients=tuple(coefficients.tolist()),
+        provenance=EXACT_CLOSED_FORM,
+        words=local.words,
+    )
+
+
+def _indicator_sum(terms, d: int, nu: float) -> tuple[float, np.ndarray]:
+    """Intercept and coefficients of sum_i c_i prod_{j in J_i} 1{w_j in x}
+    over `terms`, the (c_i, J_i) pairs with J_i a list of word indices.
+
+    The covariance and the alpha moments depend only on (d, nu), so they
+    come from one kernel evaluation, shared by every term.
+    """
     p_top = max((len(member) for _, member in terms), default=0)
     ss, moments = _covariance_and_moments(d, nu, p_top + 1)
     intercept = 0.0
@@ -292,46 +308,7 @@ def beta_tree(tree, local: LocalDictionary, nu: float) -> TheoryExplanation:
         part[member] = coef_in
         intercept += coefficient * part_intercept
         coefficients += coefficient * part
-    return TheoryExplanation(
-        intercept=intercept,
-        coefficients=tuple(coefficients.tolist()),
-        provenance=EXACT_CLOSED_FORM,
-        words=local.words,
-    )
-
-
-def omega_weights(document: Document, idf: IdfTable) -> np.ndarray:
-    """Per-word share of the squared TF-IDF mass, in local-dictionary
-    order; positive, sums to 1. The mass removed together with a word
-    subset drives how the embedding of the survivor is rescaled."""
-    if not document.tokens:
-        raise ValueError("cannot compute mass weights of an empty document")
-    return _mass_shares(tfidf_weights(local_dictionary(document), idf))
-
-
-def _mass_shares(masses: np.ndarray) -> np.ndarray:
-    """omega_j = m_j^2 / sum_k m_k^2 for the TF-IDF masses m."""
-    squared = masses**2
-    return squared / squared.sum()
-
-
-def _kept_pair(kept, d: int) -> tuple[int, int | None]:
-    """The surviving word and, for a pair, the second one (else None),
-    checked against the dictionary size d."""
-    if isinstance(kept, (int, np.integer)):
-        kept = (kept,)
-    pair = tuple(int(i) for i in kept)
-    if len(pair) not in (1, 2) or len(set(pair)) < len(pair):
-        raise ValueError("kept must be one index or a pair of distinct indices")
-    if not all(0 <= i < d for i in pair):
-        raise ValueError("kept index out of range")
-    if len(pair) == 1:
-        if d < 2:
-            raise ValueError("single-survivor expectation requires d >= 2")
-        return pair[0], None
-    if d < 3:
-        raise ValueError("degenerate (d - 2 = 0): pair expectation requires d >= 3")
-    return pair[0], pair[1]
+    return intercept, coefficients
 
 
 def _removed_mass_means(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,14 +344,22 @@ def e_term(omega: np.ndarray, j: int, k: int | None = None) -> float:
     """One entry of `_renormalization_expectations`: the renormalization
     factor given that word j (and word k, when given) survives, with the
     expectation swapped inside; `omega` holds the mass shares
-    (`omega_weights`). The map is strictly convex, so by Jensen this
-    underestimates the exact expectation, whose near-uniform large-d limits
-    are 4/3 and 6/5 where this tends to SIMPLIFIED_E_SINGLE and
-    SIMPLIFIED_E_PAIR (about 1.2247 and 1.1547).
+    (m_j^2 / sum_k m_k^2 for the TF-IDF masses m). The map is strictly
+    convex, so by Jensen this underestimates the exact expectation, whose
+    near-uniform large-d limits are 4/3 and 6/5 where this tends to
+    SIMPLIFIED_E_SINGLE and SIMPLIFIED_E_PAIR (about 1.2247 and 1.1547).
     """
-    jj, kk = _kept_pair(j if k is None else (j, k), len(omega))
+    d = len(omega)
+    if j == k:
+        raise ValueError("kept must be one index or a pair of distinct indices")
+    if not all(0 <= i < d for i in ((j,) if k is None else (j, k))):
+        raise ValueError("kept index out of range")
+    if k is None and d < 2:
+        raise ValueError("single-survivor expectation requires d >= 2")
+    if k is not None and d < 3:
+        raise ValueError("degenerate (d - 2 = 0): pair expectation requires d >= 3")
     e_single, e_pair = _renormalization_expectations(omega)
-    return float(e_single[jj] if kk is None else e_pair[jj, kk])
+    return float(e_single[j] if k is None else e_pair[j, k])
 
 
 # Large-bandwidth constants of the simplified linear-model prediction,
@@ -456,7 +441,8 @@ def beta_linear(
             },
         )
 
-    e_single, e_pair = _renormalization_expectations(_mass_shares(masses))
+    squared = masses**2  # omega_j, the share of the squared TF-IDF mass
+    e_single, e_pair = _renormalization_expectations(squared / squared.sum())
 
     # Expected responses in the infinite-bandwidth limit. Source word j
     # contributes to coordinate 0 and j through its single-survivor factor
@@ -467,9 +453,7 @@ def beta_linear(
     gamma0 = float(np.sum(signal * single_factor * e_single))
     gamma = pair_factor * (e_pair @ signal) + single_factor * e_single * signal
 
-    ss = sigma_set(d, math.inf)
-    intercept, gamma_sum = ss.solve(gamma0, float(gamma.sum()))
-    coeffs = (gamma - ss.alpha1 * intercept - ss.alpha2 * gamma_sum) / ss.gap
+    intercept, coeffs = sigma_set(d, math.inf).explain(gamma0, gamma, float(gamma.sum()))
     return TheoryExplanation(
         intercept=float(intercept),
         coefficients=tuple(float(c) for c in coeffs),
@@ -529,8 +513,7 @@ def _enumerated(
         t = weight[low_removed - high.sum()] * responses
         gamma0 += t.sum()
         gamma += t @ keep
-    intercept, coefficient_sum = ss.solve(gamma0, gamma.sum())
-    coefficients = (gamma - ss.alpha1 * intercept - ss.alpha2 * coefficient_sum) / ss.gap
+    intercept, coefficients = ss.explain(gamma0, gamma, gamma.sum())
     return TheoryExplanation(
         intercept=float(intercept),
         coefficients=tuple(coefficients.tolist()),
@@ -539,8 +522,11 @@ def _enumerated(
     )
 
 
-# Samples per Monte Carlo chunk: bounds the oracle's (chunk, d) arrays.
+# Samples per Monte Carlo chunk: at most _MC_CHUNK rows and _MC_CELLS
+# presence cells, which bounds the oracle's (chunk, d) arrays at any d
+# (a chunk keeps all _MC_CHUNK rows up to d = 32).
 _MC_CHUNK = 65_536
+_MC_CELLS = 2**21
 
 
 def beta_general_mc(
@@ -581,8 +567,9 @@ def beta_general_mc(
     total = np.zeros(d + 1)
     total_sq = np.zeros(d + 1)
     rhs = np.zeros(d + 2)
-    for start in range(0, n_mc, _MC_CHUNK):
-        batch = sample_batch(document, local, min(_MC_CHUNK, n_mc - start), nu, rng)
+    chunk = min(_MC_CHUNK, _MC_CELLS // d)
+    for start in range(0, n_mc, chunk):
+        batch = sample_batch(document, local, min(chunk, n_mc - start), nu, rng)
         z = batch.z
         responses = model.evaluate_matrix(batch.tfidf_matrix(idf), local.words)
 
@@ -598,8 +585,7 @@ def beta_general_mc(
         rhs += [t.sum(), t @ kept, *t_z]
 
     rhs /= n_mc
-    intercept, coefficient_sum = ss.solve(rhs[0], rhs[1])
-    coefficients = (rhs[2:] - ss.alpha1 * intercept - ss.alpha2 * coefficient_sum) / ss.gap
+    intercept, coefficients = ss.explain(rhs[0], rhs[2:], rhs[1])
     per_sample_mean = total / n_mc
     variance = np.maximum(total_sq / n_mc - per_sample_mean**2, 0.0) * n_mc / (n_mc - 1)
     stderr = np.sqrt(variance / n_mc)

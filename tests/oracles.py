@@ -5,18 +5,37 @@ and its entry-by-entry inverse, raw Monte Carlo estimates of the kernel
 moments and of the conditional renormalization expectations, the exact
 conditional expectations by enumeration, and the large-bandwidth linear
 explanation assembled from them, each computed independently of the
-structured forms they check.
+structured forms they check; and the document embedding phi and the mass
+shares omega that the tests feed them.
 """
 
 import math
 
 import numpy as np
 
-from textlime.sampling import draw_feature_matrix, psi
+from textlime.corpus import local_dictionary, tfidf_weights
+from textlime.sampling import draw_feature_matrix, psi, renormalized_tfidf
 from textlime.theory import ClosedFormDomainError, alpha_values, sigma_set
 
 # The enumeration walks the survivor sets in blocks of this many rows.
 _BLOCK = 4096
+
+
+def normalized_tfidf(doc, idf) -> np.ndarray:
+    """The embedding phi of a document over `local_dictionary(doc).words`:
+    the all-kept row of `renormalized_tfidf`. An empty document gives a
+    length-0 array."""
+    masses = tfidf_weights(local_dictionary(doc), idf)
+    return renormalized_tfidf(np.ones((1, len(masses)), np.int8), masses)[0]
+
+
+def omega_weights(doc, idf) -> np.ndarray:
+    """Per-word share of the squared TF-IDF mass, m_j^2 / sum_k m_k^2, in
+    local-dictionary order; positive, sums to 1."""
+    if not doc.tokens:
+        raise ValueError("cannot compute mass weights of an empty document")
+    squared = tfidf_weights(local_dictionary(doc), idf) ** 2
+    return squared / squared.sum()
 
 
 def sigma_matrix(d: int, nu: float) -> np.ndarray:

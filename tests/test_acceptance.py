@@ -30,7 +30,6 @@ from textlime import (
     linearity_check,
     load_corpus,
     local_dictionary,
-    normalized_tfidf,
     run_repeated,
     sigma_set,
 )
@@ -41,7 +40,13 @@ from textlime.theory import (
     _removed_mass_means,
 )
 from textlime import tree_from_spec
-from oracles import exact_renormalization_expectations, mc_alpha, sigma_inverse, sigma_matrix
+from oracles import (
+    exact_renormalization_expectations,
+    mc_alpha,
+    normalized_tfidf,
+    sigma_inverse,
+    sigma_matrix,
+)
 from test_theory import exact_sigma_identity_residual
 
 MATRIX_GRID = [(d, nu) for d in (2, 5, 10, 30, 100) for nu in (0.1, 0.25, 1.0, 10.0)]

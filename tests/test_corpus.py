@@ -13,10 +13,10 @@ from textlime import (
     fit_idf,
     load_corpus,
     local_dictionary,
-    normalized_tfidf,
     tokenize,
 )
 from textlime.corpus import tfidf_weights
+from oracles import normalized_tfidf
 
 
 def make_corpus(*texts):

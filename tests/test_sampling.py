@@ -10,7 +10,6 @@ from textlime import (
     Document,
     fit_idf,
     local_dictionary,
-    normalized_tfidf,
     psi,
     sample_batch,
     tokenize,
@@ -18,6 +17,7 @@ from textlime import (
 from textlime.corpus import Corpus, tfidf_weights
 from textlime.sampling import draw_feature_matrix, renormalized_tfidf
 from textlime.theory import alpha_values
+from oracles import normalized_tfidf
 
 
 @pytest.fixture(scope="module")
