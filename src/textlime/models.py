@@ -21,8 +21,10 @@ class Model:
     """Deterministic, total function of a TF-IDF vector, evaluated in batches.
 
     A model implements `evaluate_matrix`, the one evaluation protocol: the
-    surrogate fit and the Monte Carlo oracles call it on whole batches of
-    perturbed samples.
+    surrogate fit and the population oracles call it on whole batches of
+    perturbed samples. A custom model receives renormalized TF-IDF rows;
+    only `IndicatorProduct` and `TreeModel`, which read nothing but word
+    presence, receive the binary presence rows instead.
     """
 
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
@@ -34,7 +36,9 @@ class Model:
 
 @dataclass(frozen=True)
 class IndicatorProduct(Model):
-    """coefficient * prod_{w in words} 1{w is present}; empty product is 1."""
+    """coefficient * prod_{w in words} 1{w is present}; empty product is 1.
+    A word is present where its coordinate is positive, so the package
+    passes presence rows."""
 
     words: frozenset[str]
     coefficient: float = 1.0
@@ -46,7 +50,8 @@ class IndicatorProduct(Model):
 @dataclass(frozen=True)
 class TreeModel(Model):
     """A decision rule over word presence, stored pre-expanded as a sum of
-    signed indicator products."""
+    signed indicator products. It reads only which coordinates are
+    positive, so the package passes presence rows."""
 
     terms: tuple[IndicatorProduct, ...]
 
@@ -65,11 +70,13 @@ class TreeModel(Model):
         columns = list(rows)
         # A strided read of one column costs a cache line (8 floats) per row;
         # where the terms name more than a quarter of the columns, comparing
-        # the whole row-major matrix and gathering bytes is cheaper.
+        # the whole row-major matrix and gathering bytes is cheaper. The
+        # integer 0 compares int8 presence rows without a cast to float64,
+        # and float rows exactly as 0.0 would.
         if values.shape[1] <= 4 * len(columns):
-            present = (values > 0.0).T[columns]
+            present = (values > 0).T[columns]
         else:
-            present = values.T[columns] > 0.0
+            present = values.T[columns] > 0
         out = np.zeros(len(values))
         for coefficient, support in supports:
             mask = present[support[0]] if support else np.ones(len(values), dtype=bool)

@@ -11,7 +11,10 @@ undefined, gets the limit psi(1).
 
 A sample's embedding is the TF-IDF masses of the words it keeps, scaled
 to unit norm (`renormalized_tfidf`). The document's own embedding phi is
-its all-kept row.
+its all-kept row. A model built only from indicator products asks no more
+than whether each word is present, so it receives the presence rows
+themselves; every other model, a custom `Model` included, receives the
+embedded rows (`_responses`).
 
 Repeated runs on one document share a `_Workspace`: the per-document
 invariants, computed once, and scratch arrays that every run overwrites
@@ -20,9 +23,12 @@ instead of allocating its own.
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, tfidf_weights
+from .models import Model, indicator_terms
 
 
 def psi(t, nu: float):
@@ -120,6 +126,22 @@ def renormalized_tfidf(
     norms[norms == 0.0] = 1.0
     values /= norms[:, None]
     return values
+
+
+def _responses(
+    model: Model, z: np.ndarray, words: Sequence[str], tfidf: Callable[[], np.ndarray]
+) -> np.ndarray:
+    """`model` evaluated on the presence rows `z` over `words`: the one place
+    where sampled or enumerated rows become model responses.
+
+    A model built only from indicator products is evaluated on `z` itself;
+    every other model on the renormalized TF-IDF rows that `tfidf()`
+    returns. Every TF-IDF mass is positive (idf >= 1, counts >= 1), so a
+    coordinate is positive exactly where `z` is 1, and an indicator product
+    gives the same responses on either.
+    """
+    rows = z if indicator_terms(model) is not None else tfidf()
+    return model.evaluate_matrix(rows, words)
 
 
 class SampleBatch:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary
 from .models import Model
-from .sampling import SampleBatch, _scratch, _Workspace, sample_batch
+from .sampling import SampleBatch, _responses, _scratch, _Workspace, sample_batch
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,8 @@ def fit_weighted_ridge(
     weights: np.ndarray,
     responses: np.ndarray,
     ridge: float = 0.0,
+    *,
+    _workspace: _Workspace | None = None,
 ) -> np.ndarray:
     """Solve min_beta sum_i w_i (y_i - beta . design_i)^2 + ridge ||beta||^2.
 
@@ -84,10 +86,12 @@ def fit_weighted_ridge(
     design, such as the int8 presence rows with a column of ones that
     `fit_batch` passes, is written straight into the scaled design, with
     no float64 copy of its own; the coefficients are bit for bit those of
-    the same design in float64. When the factorization fails (rank
-    deficiency, possible at tiny sample counts with ridge = 0) the same
-    scaled arrays give the minimum-norm least-squares solution. Design,
-    weights and responses must be finite; the inputs are not modified.
+    the same design in float64. Repeated runs pass their `_Workspace`, whose
+    buffer then holds the scaled design; a lone call gets a fresh one. When
+    the factorization fails (rank deficiency, possible at tiny sample counts
+    with ridge = 0) the same scaled arrays give the minimum-norm
+    least-squares solution. Design, weights and responses must be finite;
+    the inputs are not modified.
     """
     design = np.asarray(design)
     weights = np.asarray(weights, dtype=float)
@@ -110,7 +114,8 @@ def fit_weighted_ridge(
     # The cast is exact for integers and bools, so every design dtype gives
     # the bits of sqrt(w) times the float64 design. Integers and bools cannot
     # be NaN or inf; the check is left to other kinds.
-    a = design.astype(float)
+    a = _scratch(_workspace, "scaled", design.shape)
+    np.copyto(a, design, casting="unsafe")  # what astype(float) does
     if design.dtype.kind not in "biu" and not np.all(np.isfinite(a)):
         raise ValueError("design must be finite")
     a *= sw[:, None]
@@ -135,15 +140,16 @@ def fit_batch(
 ) -> Explanation:
     """Fit the surrogate on an existing sample batch.
 
-    Responses are the model evaluated on the renormalized TF-IDF of each
-    perturbed document (the renormalization after deletion is what couples
-    the surrogate to the embedding, so it is never skipped).
+    Responses are the model evaluated on each perturbed document: on its
+    renormalized TF-IDF (the renormalization after deletion is what couples
+    the surrogate to the embedding), or on its presence row for a model
+    built only from indicator products, which reads nothing else.
     """
-    responses = model.evaluate_matrix(batch.tfidf_matrix(idf), batch.local.words)
+    responses = _responses(model, batch.z, batch.local.words, lambda: batch.tfidf_matrix(idf))
     design = _scratch(batch._workspace, "design", (batch.n, batch.d + 1), np.int8)
     design[:, 0] = 1
     design[:, 1:] = batch.z
-    beta = fit_weighted_ridge(design, batch.weights, responses, ridge)
+    beta = fit_weighted_ridge(design, batch.weights, responses, ridge, _workspace=batch._workspace)
     return Explanation(
         intercept=float(beta[0]),
         coefficients={w: float(b) for w, b in zip(batch.local.words, beta[1:])},

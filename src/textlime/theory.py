@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
 from .models import LinearModel, Model, TreeModel, indicator_terms
-from .sampling import _kernel_table, psi, renormalized_tfidf, sample_batch
+from .sampling import _kernel_table, _responses, psi, renormalized_tfidf, sample_batch
 
 EXACT_CLOSED_FORM = "exact-closed-form"
 EXACT_ENUMERATION = "exact-enumeration"
@@ -311,20 +311,28 @@ def _indicator_sum(terms, d: int, nu: float) -> tuple[float, np.ndarray]:
     return intercept, coefficients
 
 
-def _removed_mass_means(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact expectation of the removed mass given that word j survives, for
-    every j, and given that words j and k survive, for every pair (zero
-    diagonal; all zero when d < 3).
+def _single_mass_mean(omega_j, d: int):
+    """Exact expectation of the removed mass given that word j survives:
+    (1 - w_j) (d + 1) / (3 (d - 1)), for a share w_j or an array of them."""
+    return (1.0 - omega_j) * (d + 1) / (3.0 * (d - 1))
 
-    Single survivor j:   (1 - w_j) (d + 1) / (3 (d - 1)).
-    Surviving pair j, k: (1 - w_j - w_k) (d + 1) / (4 (d - 2)), evaluated
-    with j < k and mirrored.
+
+def _pair_mass_mean(omega_j, omega_k, d: int):
+    """Exact expectation of the removed mass given that words j and k
+    survive: (1 - w_j - w_k) (d + 1) / (4 (d - 2)), in that operand order;
+    w_j and w_k broadcast."""
+    return (1.0 - omega_j - omega_k) * (d + 1) / (4.0 * (d - 2))
+
+
+def _removed_mass_means(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_single_mass_mean` for every j, and `_pair_mass_mean` for every pair
+    (zero diagonal; all zero when d < 3), evaluated with j < k and mirrored.
     """
     d = len(omega)
-    single = (1.0 - omega) * (d + 1) / (3.0 * (d - 1))
+    single = _single_mass_mean(omega, d)
     if d < 3:
         return single, np.zeros((d, d))
-    upper = np.triu((1.0 - omega[:, None] - omega) * (d + 1) / (4.0 * (d - 2)), 1)
+    upper = np.triu(_pair_mass_mean(omega[:, None], omega, d), 1)
     return single, upper + upper.T
 
 
@@ -348,6 +356,7 @@ def e_term(omega: np.ndarray, j: int, k: int | None = None) -> float:
     convex, so by Jensen this underestimates the exact expectation, whose
     near-uniform large-d limits are 4/3 and 6/5 where this tends to
     SIMPLIFIED_E_SINGLE and SIMPLIFIED_E_PAIR (about 1.2247 and 1.1547).
+    Computes only that entry, in O(1).
     """
     d = len(omega)
     if j == k:
@@ -358,8 +367,11 @@ def e_term(omega: np.ndarray, j: int, k: int | None = None) -> float:
         raise ValueError("single-survivor expectation requires d >= 2")
     if k is not None and d < 3:
         raise ValueError("degenerate (d - 2 = 0): pair expectation requires d >= 3")
-    e_single, e_pair = _renormalization_expectations(omega)
-    return float(e_single[j] if k is None else e_pair[j, k])
+    if k is None:
+        mass = _single_mass_mean(omega[j], d)
+    else:  # the matrix evaluates the pair at (min, max) and mirrors it
+        mass = _pair_mass_mean(omega[min(j, k)], omega[max(j, k)], d)
+    return float(1.0 / np.sqrt(1.0 - mass))
 
 
 # Large-bandwidth constants of the simplified linear-model prediction,
@@ -509,7 +521,7 @@ def _enumerated(
     for block in range(1 << (d - low)):
         high = (block >> high_bits) & 1
         keep[:, low:] = high
-        responses = model.evaluate_matrix(renormalized_tfidf(keep, masses), local.words)
+        responses = _responses(model, keep, local.words, lambda: renormalized_tfidf(keep, masses))
         t = weight[low_removed - high.sum()] * responses
         gamma0 += t.sum()
         gamma += t @ keep
@@ -571,7 +583,7 @@ def beta_general_mc(
     for start in range(0, n_mc, chunk):
         batch = sample_batch(document, local, min(chunk, n_mc - start), nu, rng)
         z = batch.z
-        responses = model.evaluate_matrix(batch.tfidf_matrix(idf), local.words)
+        responses = _responses(model, z, local.words, lambda: batch.tfidf_matrix(idf))
 
         t = batch.weights * responses
         kept = z.sum(axis=1)

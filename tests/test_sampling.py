@@ -6,15 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import textlime.sampling as sampling
+import textlime.theory as theory
 from textlime import (
+    CombinedModel,
     Document,
+    IndicatorProduct,
+    LinearModel,
+    SampleBatch,
+    TreeModel,
+    beta_enumerated,
+    beta_general_mc,
+    fit_batch,
     fit_idf,
     local_dictionary,
     psi,
     sample_batch,
     tokenize,
+    tree_from_spec,
 )
-from textlime.corpus import Corpus, tfidf_weights
+from textlime.corpus import Corpus, IdfTable, tfidf_weights
 from textlime.sampling import draw_feature_matrix, renormalized_tfidf
 from textlime.theory import alpha_values
 from oracles import normalized_tfidf
@@ -331,3 +342,85 @@ def test_kernel_table_lookup_is_bit_identical(d, log10_nu, seed):
     sizes = np.random.default_rng(seed).integers(0, d + 1, size=500)
     table = psi(np.arange(d + 1) / d, nu)
     assert np.array_equal(table[sizes], psi(sizes / d, nu))
+
+
+@st.composite
+def tree_documents(draw):
+    """A random tree over a random document: d 1..64 words with counts
+    1..4 and idf from document counts 0..5 of 5, and 1..20 terms, each a
+    signed coefficient on a support of 1..3 distinct words."""
+    d = draw(st.integers(1, 64))
+    words = tuple(f"w{j}" for j in range(d))
+    counts = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    doc_counts = draw(st.lists(st.integers(0, 5), min_size=d, max_size=d))
+    doc = Document(tokens=tuple(w for w, c in zip(words, counts) for _ in range(c)))
+    support = st.lists(st.integers(0, d - 1), min_size=1, max_size=3, unique=True)
+    terms = draw(
+        st.lists(
+            st.builds(
+                lambda js, c: IndicatorProduct(words=frozenset(words[j] for j in js), coefficient=c),
+                support,
+                st.floats(-1e3, 1e3, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    return TreeModel(terms=tuple(terms)), doc, IdfTable(words, tuple(doc_counts), 5)
+
+
+class TestResponses:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(case=tree_documents(), seed=st.integers(0, 2**32 - 1))
+    def test_tree_reads_presence_rows_as_tfidf_rows(self, case, seed):
+        # Every TF-IDF mass is positive, so a tree gives the same bits on
+        # the presence rows as on their embedding, the all-removed row
+        # (embedded as zeros) included.
+        tree, doc, idf = case
+        local = local_dictionary(doc)
+        drawn = sample_batch(doc, local, 40, 0.25, seed)
+        batch = SampleBatch(
+            doc,
+            local,
+            0.25,
+            seed,
+            np.append(drawn.sizes, local.d),
+            np.vstack([drawn.z, np.zeros((1, local.d), np.int8)]),
+            np.append(drawn.weights, psi(1.0, 0.25)),
+        )
+        on_presence = tree.evaluate_matrix(batch.z, local.words)
+        on_tfidf = tree.evaluate_matrix(batch.tfidf_matrix(idf), local.words)
+        assert on_presence.tobytes() == on_tfidf.tobytes()
+
+    def test_only_models_reading_tfidf_are_embedded(self, doc_and_idf, monkeypatch):
+        # A tree or indicator never reaches the embedding on any route; a
+        # linear model and a combination with a linear part always do.
+        doc, idf = doc_and_idf
+        local = local_dictionary(doc)
+        calls = []
+        embed = sampling.renormalized_tfidf
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return embed(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "renormalized_tfidf", counted)
+        monkeypatch.setattr(theory, "renormalized_tfidf", counted)
+        tree = tree_from_spec('"beta" + ("alpha" & !"gamma")')
+        linear = LinearModel(coefficients={"beta": 1.0, "zeta": -2.0})
+        routes = {
+            "fit_batch": lambda m: fit_batch(m, sample_batch(doc, local, 200, 0.25, 1), idf),
+            "beta_general_mc": lambda m: beta_general_mc(m, doc, idf, n_mc=500, seed=1),
+            "beta_enumerated": lambda m: beta_enumerated(m, doc, idf),
+        }
+        models = {
+            "tree": (tree, False),
+            "indicator": (tree.terms[0], False),
+            "linear": (linear, True),
+            "tree plus linear": (CombinedModel(parts=((1.0, tree), (0.5, linear))), True),
+        }
+        for route_name, route in routes.items():
+            for model_name, (model, embedded) in models.items():
+                calls.clear()
+                route(model)
+                assert bool(calls) == embedded, (route_name, model_name)

@@ -455,6 +455,18 @@ class TestETerm:
         value_pair, stderr_pair = mc_e_term(omega, 4, 7, n_mc=200_000, seed=4)
         assert abs(exact_pair - value_pair) <= 3 * stderr_pair
 
+    @pytest.mark.parametrize("d", [3, 31, 200])
+    def test_every_entry_is_the_matrix_entry(self, d):
+        # e_term computes one entry alone; it must be the bits of the entry
+        # the whole matrices hold, for either order of a pair.
+        omega = random_omega(d, np.random.default_rng(d))
+        e_single, e_pair = theory._renormalization_expectations(omega)
+        for j in range(d):
+            assert e_term(omega, j) == e_single[j]
+            for k in range(d):
+                if k != j:
+                    assert e_term(omega, j, k) == e_pair[j, k]
+
     def test_approx_is_swapped_expectation(self):
         omega = uniform_omega(12)
         expected = theory._removed_mass_means(omega)[0][5]
@@ -699,41 +711,27 @@ class TestBetaTree:
             beta_tree(tree_from_spec('"word"'), local_dictionary(doc), 0.25)
 
 
-class TestOmegaWeights:
-    def test_single_word_document(self):
-        doc = tokenize("echo echo")
-        idf = fit_idf(Corpus(documents=(doc,)))
-        omega = omega_weights(doc, idf)
-        assert omega.tolist() == [1.0]
-
-    def test_uniform_counts_and_idf(self):
-        doc = tokenize("a b c d")
-        idf = fit_idf(Corpus(documents=(doc,)))
-        omega = omega_weights(doc, idf)
-        assert omega == pytest.approx([0.25] * 4)
-
-    def test_hand_corpus(self):
-        corpus = Corpus(documents=(tokenize("a a b"), tokenize("b c")))
-        idf = fit_idf(corpus)
-        omega = omega_weights(corpus.documents[0], idf)
-        va = 2 * (math.log(1.5) + 1)
-        want = va * va / (va * va + 1.0)
-        assert omega[0] == pytest.approx(want, abs=1e-12)
-        assert omega[0] == pytest.approx(0.8876, abs=5e-4)
-        assert sum(omega) == pytest.approx(1.0, abs=1e-12)
-
-    def test_equals_squared_embedding(self):
-        corpus = Corpus(documents=(tokenize("u v v w x"), tokenize("w x y")))
-        idf = fit_idf(corpus)
-        doc = corpus.documents[0]
-        omega = omega_weights(doc, idf)
-        phi = normalized_tfidf(doc, idf)
-        assert omega == pytest.approx(phi**2, abs=1e-12)
-
-    def test_empty_document_rejected(self):
-        idf = fit_idf(Corpus(documents=(tokenize("a"),)))
-        with pytest.raises(ValueError):
-            omega_weights(Document(tokens=()), idf)
+def test_omega_weights_oracle_self_check():
+    # The mass shares the linear tests feed the package: one word has all of
+    # it, equal masses share it evenly, a two-document corpus gives the
+    # hand-computed share, the shares are phi squared, and an empty
+    # document has none.
+    one = tokenize("echo echo")
+    assert omega_weights(one, fit_idf(Corpus(documents=(one,)))).tolist() == [1.0]
+    flat = tokenize("a b c d")
+    assert omega_weights(flat, fit_idf(Corpus(documents=(flat,)))) == pytest.approx([0.25] * 4)
+    hand = Corpus(documents=(tokenize("a a b"), tokenize("b c")))
+    omega = omega_weights(hand.documents[0], fit_idf(hand))
+    va = 2 * (math.log(1.5) + 1)
+    assert omega[0] == pytest.approx(va * va / (va * va + 1.0), abs=1e-12)
+    assert omega[0] == pytest.approx(0.8876, abs=5e-4)
+    assert sum(omega) == pytest.approx(1.0, abs=1e-12)
+    corpus = Corpus(documents=(tokenize("u v v w x"), tokenize("w x y")))
+    idf = fit_idf(corpus)
+    doc = corpus.documents[0]
+    assert omega_weights(doc, idf) == pytest.approx(normalized_tfidf(doc, idf) ** 2, abs=1e-12)
+    with pytest.raises(ValueError):
+        omega_weights(Document(tokens=()), idf)
 
 
 @pytest.fixture(scope="module")
