@@ -5,10 +5,13 @@ The CLI cases run `explain`, `theory` (auto and `--linear-mode full`),
 `verify` (both linear modes), `sweep` and `alpha-table`, in csv and json,
 on bundled documents 0 (d = 31) and 5 (d = 12, where the full linear mode
 enumerates exactly), for a tree, a linear and the constant model at small
-sample counts. Each case writes into its own directory, and every file it
+sample counts, and `theory --linear-mode full` of the linear model on the
+inline two-word document "food good" (the smallest the enumeration serves).
+Each case writes into its own directory, and every file it
 writes gets one line. The theory cases print the 17-digit values of
 `beta_tree` at four bandwidths, of `beta_linear` on every bundled document
-(simplified, and full at nu = 0.25 and nu = inf), of `population_explanation`
+(simplified, and full at nu = 0.25 and nu = inf) and in full mode on the
+two-word document, of `population_explanation`
 of a tree-plus-linear `CombinedModel` on document 5, of `beta_general_mc`
 (means and standard errors, n_mc = 20000, and on a synthetic d = 40 document
 with n_mc = 60000, which spans more than one sampling chunk) and of `e_term`.
@@ -65,6 +68,7 @@ from textlime import (
     population_explanation,
     run_repeated,
     sweep_bandwidth,
+    tokenize,
     tree_from_spec,
 )
 from textlime.cli import cli
@@ -77,6 +81,7 @@ TREES = {
 }
 LINEAR = {"food": 1.5, "about": -0.75, "fast": 0.5, "brunch": 1.25, "tea": -2.0, "good": 0.3}
 NUS = (0.1, 0.25, 1.0, 10.0)
+TWO_WORDS = "food good"
 
 
 def sha256(data: bytes) -> str:
@@ -111,6 +116,11 @@ def cli_cases(linear_path: Path):
                     "sweep", *base, "--word", word, "--n", "200", "--n-exp", "3",
                     "--nu-grid", "0.1,0.5,2",
                 ]
+    for fmt in ("csv", "json"):
+        yield f"theory-full-two-word-linear-{fmt}", [
+            "theory", "--corpus", CORPUS, "--doc", TWO_WORDS, "--model", str(linear_path),
+            "--format", fmt, "--linear-mode", "full",
+        ]
     for d in (12, 31):
         for fmt in ("csv", "json"):
             args = ["alpha-table", "--d", str(d), "--p-max", "4", "--format", fmt]
@@ -193,6 +203,8 @@ def theory_digests() -> dict[str, str]:
         for name, mode, nu in cases:
             result = beta_linear(lam, document, idf, mode=mode, nu=nu)
             record(f"beta_linear/doc{doc:02d}/{name}", result.intercept, result.coefficients)
+    result = beta_linear(LINEAR, tokenize(TWO_WORDS), idf, mode="full", nu=0.25)
+    record("beta_linear/two-word/full", result.intercept, result.coefficients)
     return digests
 
 

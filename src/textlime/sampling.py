@@ -199,13 +199,8 @@ def sample_batch(
     *,
     _workspace: _Workspace | None = None,
 ) -> SampleBatch:
-    """Draw n i.i.d. perturbed samples; fully determined by the seed."""
-    if local.d < 1:
-        raise ValueError("empty local dictionary")
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if not nu > 0:
-        raise ValueError("bandwidth nu must be positive")
+    """Draw n i.i.d. perturbed samples; fully determined by the seed. A bad
+    d or n raises in `draw_feature_matrix`, a bad nu in `psi`."""
     rng = np.random.default_rng(seed)
     sizes, z = draw_feature_matrix(rng, n, local.d, _workspace=_workspace)
     kernel = _kernel_table(local.d, nu) if _workspace is None else _workspace.kernel

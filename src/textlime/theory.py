@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
 from .models import LinearModel, Model, TreeModel, indicator_terms
-from .sampling import _kernel_table, _responses, psi, renormalized_tfidf, sample_batch
+from .sampling import _kernel_table, _responses, renormalized_tfidf, sample_batch
 
 EXACT_CLOSED_FORM = "exact-closed-form"
 EXACT_ENUMERATION = "exact-enumeration"
@@ -89,7 +89,8 @@ def _alpha_moments(d: int, nu: float, p_max: int) -> _Moments:
     q for 1 <= q < min(p_max, d), from one kernel evaluation.
 
     Row p of a (p_max + 1) x d table holds psi(s/d) prod_{k<p} (d-s-k)/(d-k)
-    for s = 1..d: row 0 is one psi call, and a running product
+    for s = 1..d: row 0 is the sampler's `_kernel_table` without its s = 0
+    entry, and a running product
     (np.multiply.accumulate) takes each row to the next, in the same order
     as the per-s loop it replaces. Each row is summed exactly rounded
     (math.fsum) and divided by d. A drop is the nonnegative sum
@@ -102,7 +103,7 @@ def _alpha_moments(d: int, nu: float, p_max: int) -> _Moments:
     s = np.arange(1, d + 1, dtype=float)
     k = np.arange(p_max, dtype=float)[:, None]
     table = np.empty((p_max + 1, d))
-    table[0] = psi(s / d, nu)
+    table[0] = _kernel_table(d, nu)[1:]
     table[1:] = (d - s - k) / (d - k)
     np.multiply.accumulate(table, axis=0, out=table)
     # math.fsum reads Python floats faster than numpy scalars.
@@ -129,6 +130,8 @@ def alpha_limit(p: int, d: int) -> float:
 
 def alpha_bounds(p: int, d: int, nu: float) -> tuple[float, float]:
     """Proved envelope of alpha_p: limit * exp(-1/(2 nu^2)) below, limit above."""
+    if not nu > 0:
+        raise ValueError("bandwidth nu must be positive")
     limit = alpha_limit(p, d)
     return limit * math.exp(-1.0 / (2.0 * nu * nu)), limit
 
@@ -406,10 +409,11 @@ def beta_linear(
     constant: coefficient j becomes (3 E - 2 E') * lambda_j * phi_j with
     E, E' the limiting renormalization factors above (about 1.36).
     mode="full" is exact at bandwidth `nu` for d <= ENUMERATION_LIMIT
-    (`beta_enumerated`). Above it, it is the large-bandwidth limit with the
-    per-word swapped expectations of `_renormalization_expectations`,
-    solved against the infinite-bandwidth covariance (psi is 1 at
-    nu = inf), intercept included; `nu` is not used there.
+    (`beta_enumerated`, which needs d >= 2). Above it, it is the
+    large-bandwidth limit with the per-word swapped expectations of
+    `_renormalization_expectations`, solved against the infinite-bandwidth
+    covariance (psi is 1 at nu = inf), intercept included; `nu` is not used
+    there. Only the two large-bandwidth forms require d >= 3.
     """
     lam_map = getattr(coefficients, "coefficients", coefficients)
     if mode not in ("simplified", "full"):
@@ -418,13 +422,13 @@ def beta_linear(
         raise ValueError("cannot explain an empty document")
     local = local_dictionary(document)
     d = local.d
+    masses = tfidf_weights(local, idf)
+    if mode == "full" and d <= ENUMERATION_LIMIT:
+        return _enumerated(LinearModel(coefficients=lam_map), local, masses, nu)
     if d < 3:
         raise ClosedFormDomainError(
             "out of closed-form domain: linear predictions require d >= 3"
         )
-    masses = tfidf_weights(local, idf)
-    if mode == "full" and d <= ENUMERATION_LIMIT:
-        return _enumerated(LinearModel(coefficients=lam_map), local, masses, nu)
     phi = renormalized_tfidf(np.ones((1, d), np.int8), masses)[0]
     lam = np.zeros(d)
     for w, c in lam_map.items():
@@ -460,8 +464,8 @@ def beta_linear(
     # contributes to coordinate 0 and j through its single-survivor factor
     # and to every other coordinate through the pair factor (the e_pair
     # diagonal is zero, so the matrix product skips j = k).
-    single_factor = (d - 1) / (2.0 * d)
-    pair_factor = (d - 2) / (3.0 * d)
+    single_factor = alpha_limit(1, d)
+    pair_factor = alpha_limit(2, d)
     gamma0 = float(np.sum(signal * single_factor * e_single))
     gamma = pair_factor * (e_pair @ signal) + single_factor * e_single * signal
 
@@ -586,7 +590,7 @@ def beta_general_mc(
         responses = _responses(model, z, local.words, lambda: batch.tfidf_matrix(idf))
 
         t = batch.weights * responses
-        kept = z.sum(axis=1)
+        kept = d - batch.sizes
         c, coefficient_sum = ss.solve(t, t * kept)
         a = -(ss.alpha1 * c + ss.alpha2 * coefficient_sum) / ss.gap
         t_z, at_z, tt_z = np.stack([t, a * t, t * t]) @ z

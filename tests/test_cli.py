@@ -194,6 +194,23 @@ class TestTheoryCommand:
         assert lines[1].startswith("alpha,1,")
         assert lines[2].startswith("beta,0,")
 
+    def test_two_word_linear_full_mode_is_enumerated(self, runner, tmp_path):
+        spec = tmp_path / "linear.json"
+        spec.write_text(json.dumps({"food": 1.0, "good": -0.5}))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            cli,
+            [
+                "theory", "--corpus", CORPUS, "--doc", "food good", "--model", str(spec),
+                "--linear-mode", "full", "--format", "json", "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        payload = read_json(out / "theory-linear-0.25-5000.json")
+        assert payload["provenance"] == "exact-enumeration"
+        rows = {row["word"]: row["coefficient"] for row in payload["coefficients"]}
+        assert rows == pytest.approx({"food": 1.0, "good": -0.5}, abs=1e-12)
+
     def test_tree_gets_exact_provenance(self, runner, tmp_path):
         result = runner.invoke(
             cli,

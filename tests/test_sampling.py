@@ -320,10 +320,11 @@ class TestSampleBatch:
     def test_invalid_arguments(self, doc_and_idf):
         doc, _ = doc_and_idf
         local = local_dictionary(doc)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one sample"):
             sample_batch(doc, local, 0, 0.25, seed=0)
-        with pytest.raises(ValueError):
-            sample_batch(doc, local, 10, -1.0, seed=0)
+        for nu in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="bandwidth nu must be positive"):
+                sample_batch(doc, local, 10, nu, seed=0)
         empty = Document(tokens=())
         with pytest.raises(ValueError, match="empty local dictionary"):
             sample_batch(empty, local_dictionary(empty), 10, 0.25, seed=0)

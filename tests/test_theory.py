@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import textlime.sampling as sampling
 import textlime.theory as theory
 from textlime import (
     Document,
@@ -201,6 +202,11 @@ class TestAlpha:
             for p, v in enumerate(values):
                 lo, hi = alpha_bounds(p, d, nu)
                 assert lo - 1e-12 <= v <= hi + 1e-12
+
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan])
+    def test_bounds_reject_bad_bandwidth(self, nu):
+        with pytest.raises(ValueError, match="bandwidth nu must be positive"):
+            alpha_bounds(1, 5, nu)
 
 
 class TestSigmaSet:
@@ -655,7 +661,7 @@ class TestBetaTree:
     @pytest.mark.parametrize("n_terms", [0, 1, 20])
     def test_psi_evaluated_once_per_call(self, monkeypatch, n_terms):
         # The covariance, its normalizer and every term's moments share one
-        # kernel evaluation.
+        # kernel evaluation, the sampler's own `_kernel_table`.
         local = synthetic_local(50)
         calls = []
 
@@ -663,7 +669,7 @@ class TestBetaTree:
             calls.append(nu)
             return psi(t, nu)
 
-        monkeypatch.setattr(theory, "psi", counting_psi)
+        monkeypatch.setattr(sampling, "psi", counting_psi)
         tree = TreeModel(
             terms=tuple(
                 IndicatorProduct(words=frozenset(local.words[i : i + 1 + i % 3]))
@@ -887,6 +893,27 @@ class TestBetaLinear:
         idf = fit_idf(corpus)
         with pytest.raises(ClosedFormDomainError):
             beta_linear({"a": 1.0}, corpus.documents[0], idf)
+
+    def test_two_word_full_mode_is_the_enumeration(self):
+        # Only the large-bandwidth forms need d >= 3; at d = 2 the full mode
+        # is the exact enumeration, bit for bit.
+        corpus = Corpus(documents=(tokenize("food good"),))
+        idf = fit_idf(corpus)
+        doc = corpus.documents[0]
+        lam = {"food": 1.0, "good": -0.5}
+        got = beta_linear(lam, doc, idf, mode="full")
+        want = beta_enumerated(LinearModel(coefficients=lam), doc, idf)
+        assert got.provenance == "exact-enumeration"
+        assert got.words == want.words == ("food", "good")
+        assert float_bits([got.intercept, *got.coefficients]) == float_bits(
+            [want.intercept, *want.coefficients]
+        )
+
+    def test_one_word_full_mode_rejected(self):
+        corpus = Corpus(documents=(tokenize("food food"),))
+        idf = fit_idf(corpus)
+        with pytest.raises(ClosedFormDomainError, match="at least 2 distinct words"):
+            beta_linear({"food": 1.0}, corpus.documents[0], idf, mode="full")
 
     def test_unknown_mode_rejected(self, linear_setup):
         _, doc, idf, _, lam = linear_setup
