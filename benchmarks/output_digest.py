@@ -19,8 +19,11 @@ The verify cases print, on document 0 at small n, the 17-digit values of
 `linearity_check` (tree + tree with the closed-form residual and its
 comparison, and tree + linear), `concentration_check` (the linear model, n in
 200, 400, 800), `sweep_bandwidth` at two bandwidths and `compare` on a
-one-run `run_repeated`, whose std is missing. Each line reads `sha256  name`, sorted by name. Run each
-checkout's own script, since the functions it calls may change their
+one-run `run_repeated`, whose std is missing, and the intercepts and
+coefficients of `explain` and of a three-run `run_repeated` on a synthetic
+d = 300 document at n = 500, which the sampler draws in several row blocks,
+the last one partial. Each line reads `sha256  name`, sorted by name. Run
+each checkout's own script, since the functions it calls may change their
 signatures between checkouts:
 
     python benchmarks/output_digest.py > change.txt
@@ -61,6 +64,7 @@ from textlime import (
     compare,
     concentration_check,
     e_term,
+    explain,
     fit_idf,
     linearity_check,
     load_corpus,
@@ -264,6 +268,19 @@ def verify_digests() -> dict[str, str]:
     stats = run_repeated(food, document, idf, n=300, n_exp=1, master_seed=6)
     theory = population_explanation(food, document, idf, nu=0.25)
     record("compare/doc0/n_exp1", report_values(compare(stats, theory)))
+
+    # d = 300 at n = 500: the sampler draws 109 rows per block, so four full
+    # blocks and a partial one; the repeated runs share one workspace.
+    wide = Document(tokens=tuple(f"v{i:03d}" for i in range(300) for _ in range(1 + i % 2)))
+    wide_idf = fit_idf(Corpus(documents=(wide, Document(wide.tokens[::7]))))
+    mixed = combine([
+        (1.0, tree_from_spec('"v000" + (!"v001" & "v299")')),
+        (1.0, LinearModel(coefficients={"v002": 1.5, "v150": -0.75})),
+    ])
+    result = explain(mixed, wide, wide_idf, n=500, seed=8)
+    record("explain/synthetic-d300/combined", result.intercept, result.coefficient_array())
+    stats = run_repeated(mixed, wide, wide_idf, n=500, n_exp=3, master_seed=9)
+    record("run_repeated/synthetic-d300/combined", stats.intercepts, stats.coefficients)
     return digests
 
 

@@ -60,9 +60,10 @@ class _Workspace:
     `_kernel_table`. Each scratch array is allocated by the first run and
     overwritten by every later one, so repeated runs neither allocate nor
     fault in fresh pages; a batch's arrays then hold only until the next
-    run. A lone run needs no workspace: without one it gets fresh arrays,
-    freed as soon as it drops them. Not thread-safe: one workspace per
-    worker.
+    run. The sampler's `"keys"` and `"sorted"` buffers hold one row block
+    (`_block_rows`), the presence `"mask"` and the other arrays all n rows.
+    A lone run needs no workspace: without one it gets fresh arrays, freed
+    as soon as it drops them. Not thread-safe: one workspace per worker.
     """
 
     def __init__(self, local: LocalDictionary, idf: IdfTable, nu: float) -> None:
@@ -70,6 +71,16 @@ class _Workspace:
         self.masses = tfidf_weights(local, idf)
         self.kernel = _kernel_table(local.d, nu)
         self.arrays: dict[str, np.ndarray] = {}
+
+
+# Cells per row block of the sampler and of the Monte Carlo oracle's sums:
+# a float64 block (256 KB) and its sorted copy stay in L2 cache.
+_BLOCK_CELLS = 2**15
+
+
+def _block_rows(n: int, d: int) -> int:
+    """Rows per block of n rows of d cells: at least one, at most n."""
+    return max(1, min(n, _BLOCK_CELLS // d))
 
 
 def _scratch(workspace: _Workspace | None, name: str, shape, dtype=np.float64):
@@ -92,20 +103,31 @@ def draw_feature_matrix(
     the sizes[i] smallest entries of an i.i.d. uniform key row, hence a
     uniform subset of that size. One sort per row finds the sizes[i]-th
     smallest key, and the words whose key exceeds it survive.
+
+    All n sizes are drawn first, then the keys one row block at a time:
+    the key and sort buffers are (`_block_rows(n, d)`, d) and stay in
+    cache, and only z is (n, d). Consecutive `rng.random` calls continue
+    one stream of doubles, so every block size gives the same bits.
     """
     if d < 1:
         raise ValueError("empty local dictionary")
     if n < 1:
         raise ValueError("need at least one sample")
     sizes = rng.integers(1, d + 1, size=n)
-    keys = rng.random((n, d), out=_scratch(_workspace, "keys", (n, d)))
-    ordered = _scratch(_workspace, "sorted", (n, d))
-    np.copyto(ordered, keys)
-    ordered.sort(axis=1)
-    cut = ordered[np.arange(n), sizes - 1]
+    rows = _block_rows(n, d)
+    keys = _scratch(_workspace, "keys", (rows, d))
+    ordered = _scratch(_workspace, "sorted", (rows, d))
     mask = _scratch(_workspace, "mask", (n, d), np.bool_)
-    z = np.greater(keys, cut[:, None], out=mask).view(np.int8)
-    return sizes, z
+    index = np.arange(rows)
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        block = rng.random((m, d), out=keys[:m])
+        row_sorted = ordered[:m]
+        np.copyto(row_sorted, block)
+        row_sorted.sort(axis=1)
+        cut = row_sorted[index[:m], sizes[start : start + m] - 1]
+        np.greater(block, cut[:, None], out=mask[start : start + m])
+    return sizes, mask.view(np.int8)
 
 
 def renormalized_tfidf(

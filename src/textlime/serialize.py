@@ -88,7 +88,10 @@ def write_table(
 
 def write_explanation(explanation: Explanation, path: str | Path, fmt: str) -> None:
     ranked = explanation.ranked()
-    rows = [(w, c, rank) for rank, (w, c) in enumerate(ranked, start=1)]
+    rows = [
+        ("(intercept)", explanation.intercept, ""),
+        *((w, c, rank) for rank, (w, c) in enumerate(ranked, start=1)),
+    ]
     payload = {
         "intercept": explanation.intercept,
         "coefficients": [{"word": w, "coefficient": c} for w, c in ranked],
@@ -107,8 +110,11 @@ def write_theory(theory: TheoryExplanation, path: str | Path, fmt: str) -> None:
     stderr = dict(zip(words, theory.coefficient_stderr or (None,) * theory.d))
     ranked = sorted(zip(words, theory.coefficients), key=lambda kv: (-abs(kv[1]), kv[0]))
     rows = [
-        (w, c, rank, _blank(stderr[w]), theory.provenance)
-        for rank, (w, c) in enumerate(ranked, start=1)
+        ("(intercept)", theory.intercept, "", _blank(theory.intercept_stderr), theory.provenance),
+        *(
+            (w, c, rank, _blank(stderr[w]), theory.provenance)
+            for rank, (w, c) in enumerate(ranked, start=1)
+        ),
     ]
     coefficients = []
     for w, c in ranked:

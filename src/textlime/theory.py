@@ -20,7 +20,14 @@ import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
 from .models import LinearModel, Model, TreeModel, indicator_terms
-from .sampling import _kernel_table, _responses, renormalized_tfidf, sample_batch
+from .sampling import (
+    SampleBatch,
+    _block_rows,
+    _kernel_table,
+    _responses,
+    renormalized_tfidf,
+    sample_batch,
+)
 
 EXACT_CLOSED_FORM = "exact-closed-form"
 EXACT_ENUMERATION = "exact-enumeration"
@@ -545,6 +552,36 @@ _MC_CHUNK = 65_536
 _MC_CELLS = 2**21
 
 
+def _mc_chunk_sums(model: Model, batch: SampleBatch, idf: IdfTable, ss: SigmaSet) -> np.ndarray:
+    """The Monte Carlo sums of one chunk: the sums of c, c^2, a, a^2, t and
+    t * kept, then the column sums t z, a t z and t^2 z.
+
+    Sample i solves the right-hand side t_i [1; z_i] into (c_i, S_i), and
+    a_i = -(a1 c_i + a2 S_i) / gap. z is binary, so the column sums of
+    the contributions and of their squares come from three products with
+    z. They are taken per row block of `_block_rows` samples, whose z is
+    copied to a float64 buffer that stays in cache, so no (chunk, d) float
+    array is formed and each product sums at most one block in plain order.
+    """
+    z, d = batch.z, batch.d
+    responses = _responses(model, z, batch.local.words, lambda: batch.tfidf_matrix(idf))
+    t = batch.weights * responses
+    kept = d - batch.sizes
+    c, coefficient_sum = ss.solve(t, t * kept)
+    a = -(ss.alpha1 * c + ss.alpha2 * coefficient_sum) / ss.gap
+    rows = _block_rows(len(t), d)
+    presence = np.empty((rows, d))
+    sums = np.zeros(6 + 3 * d)
+    for i in range(0, len(t), rows):
+        s = slice(i, i + rows)
+        ti, ai, ci = t[s], a[s], c[s]
+        block = presence[: len(ti)]
+        np.copyto(block, z[s])
+        sums[:6] += [ci.sum(), ci @ ci, ai.sum(), ai @ ai, ti.sum(), ti @ kept[s]]
+        sums[6:] += (np.stack([ti, ai * ti, ti * ti]) @ block).ravel()
+    return sums
+
+
 def beta_general_mc(
     model: Model,
     document: Document,
@@ -569,39 +606,26 @@ def beta_general_mc(
     d = local.d
     ss = sigma_set(d, nu)
 
-    # Sample i solves the right-hand side t_i [1; z_i] into (c_i, S_i): it
-    # contributes c_i to the intercept and a_i + b z_ij t_i to coefficient j,
-    # with a_i = -(a1 c_i + a2 S_i) / gap and b = 1 / gap. z is binary, so
-    # the column sums and sums of squares of those contributions, which give
-    # the standard errors, come from three products with z, and no (chunk, d)
-    # float array is formed. The mean is one solve of the averaged right-hand
-    # side (the sums of t, t * kept and t z), so it carries the rounding of
-    # one solve rather than the average of n_mc solves' rounding.
-    b = 1.0 / ss.gap
     # One generator runs across the chunks: sample_batch takes it unchanged.
+    # Each chunk's arrays are freed before the next chunk is drawn, and
+    # math.fsum adds the chunks' sums.
     rng = np.random.default_rng(seed)
-    total = np.zeros(d + 1)
-    total_sq = np.zeros(d + 1)
-    rhs = np.zeros(d + 2)
     chunk = min(_MC_CHUNK, _MC_CELLS // d)
-    for start in range(0, n_mc, chunk):
-        batch = sample_batch(document, local, min(chunk, n_mc - start), nu, rng)
-        z = batch.z
-        responses = _responses(model, z, local.words, lambda: batch.tfidf_matrix(idf))
-
-        t = batch.weights * responses
-        kept = d - batch.sizes
-        c, coefficient_sum = ss.solve(t, t * kept)
-        a = -(ss.alpha1 * c + ss.alpha2 * coefficient_sum) / ss.gap
-        t_z, at_z, tt_z = np.stack([t, a * t, t * t]) @ z
-        total[0] += c.sum()
-        total_sq[0] += c @ c
-        total[1:] += a.sum() + b * t_z
-        total_sq[1:] += a @ a + 2.0 * b * at_z + b * b * tt_z
-        rhs += [t.sum(), t @ kept, *t_z]
-
-    rhs /= n_mc
-    intercept, coefficients = ss.explain(rhs[0], rhs[2:], rhs[1])
+    parts = [
+        _mc_chunk_sums(model, sample_batch(document, local, min(chunk, n_mc - i), nu, rng), idf, ss)
+        for i in range(0, n_mc, chunk)
+    ]
+    sums = np.array([math.fsum(column) for column in np.array(parts).T.tolist()])
+    c_sum, cc_sum, a_sum, aa_sum, t_sum, tk_sum = sums[:6]
+    t_z, at_z, tt_z = sums[6:].reshape(3, d)
+    # Sample i contributes c_i to the intercept and a_i + b z_ij t_i to
+    # coefficient j, with b = 1 / gap. The mean is one solve of the averaged
+    # right-hand side (the sums of t, t * kept and t z), so it carries the
+    # rounding of one solve rather than the average of n_mc solves' rounding.
+    b = 1.0 / ss.gap
+    total = np.concatenate([[c_sum], a_sum + b * t_z])
+    total_sq = np.concatenate([[cc_sum], aa_sum + 2.0 * b * at_z + b * b * tt_z])
+    intercept, coefficients = ss.explain(t_sum / n_mc, t_z / n_mc, tk_sum / n_mc)
     per_sample_mean = total / n_mc
     variance = np.maximum(total_sq / n_mc - per_sample_mean**2, 0.0) * n_mc / (n_mc - 1)
     stderr = np.sqrt(variance / n_mc)

@@ -1,12 +1,12 @@
 """Reference implementations the tests compare the package against.
 
-None of these runs on a production path: they are the dense covariance
-and its entry-by-entry inverse, raw Monte Carlo estimates of the kernel
-moments and of the conditional renormalization expectations, the exact
-conditional expectations by enumeration, and the large-bandwidth linear
-explanation assembled from them, each computed independently of the
-structured forms they check; and the document embedding phi and the mass
-shares omega that the tests feed them.
+None of these runs on a production path: they are the one-shot sampler,
+the dense covariance and its entry-by-entry inverse, raw Monte Carlo
+estimates of the kernel moments and of the conditional renormalization
+expectations, the exact conditional expectations by enumeration, and the
+large-bandwidth linear explanation assembled from them, each computed
+independently of the structured forms they check; and the document
+embedding phi and the mass shares omega that the tests feed them.
 """
 
 import math
@@ -60,6 +60,17 @@ def sigma_inverse(d: int, nu: float) -> np.ndarray:
     np.fill_diagonal(m, off_diagonal + ss.c_d / ss.gap)
     m[0, 0] = ss.gap + d * ss.alpha2
     return m / ss.c_d
+
+
+def one_shot_feature_matrix(rng, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sort-based sampler drawn in one piece: n sizes, then all n x d
+    keys at once, one sorted copy, and the cut. `draw_feature_matrix` draws
+    the same keys one row block at a time and must match it bit for bit."""
+    sizes = rng.integers(1, d + 1, size=n)
+    keys = rng.random((n, d))
+    ordered = np.sort(keys, axis=1)
+    cut = ordered[np.arange(n), sizes - 1]
+    return sizes, (keys > cut[:, None]).view(np.int8)
 
 
 def mc_alpha(

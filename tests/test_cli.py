@@ -191,8 +191,9 @@ class TestTheoryCommand:
         )
         assert result.exit_code == 0, result.output
         lines = (tmp_path / "theory-alpha-0.1-5000.csv").read_text().splitlines()
-        assert lines[1].startswith("alpha,1,")
-        assert lines[2].startswith("beta,0,")
+        assert lines[1].startswith("(intercept),")
+        assert lines[2].startswith("alpha,1,")
+        assert lines[3].startswith("beta,0,")
 
     def test_two_word_linear_full_mode_is_enumerated(self, runner, tmp_path):
         spec = tmp_path / "linear.json"

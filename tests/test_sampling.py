@@ -1,10 +1,12 @@
 """Perturbation sampling: removal draws, features, kernel weights."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import textlime.sampling as sampling
 import textlime.theory as theory
@@ -28,7 +30,7 @@ from textlime import (
 from textlime.corpus import Corpus, IdfTable, tfidf_weights
 from textlime.sampling import draw_feature_matrix, renormalized_tfidf
 from textlime.theory import alpha_values
-from oracles import normalized_tfidf
+from oracles import normalized_tfidf, one_shot_feature_matrix
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +222,83 @@ class TestDrawFeatureMatrix:
             assert np.array_equal(sizes, ref_sizes)
             assert z.dtype == ref_z.dtype
             assert np.array_equal(z, ref_z)
+
+
+def assert_same_draw(got, want):
+    """Sizes and presence rows equal byte for byte, dtypes included."""
+    (sizes, z), (want_sizes, want_z) = got, want
+    assert sizes.dtype == want_sizes.dtype and sizes.tobytes() == want_sizes.tobytes()
+    assert z.dtype == want_z.dtype and z.shape == want_z.shape
+    assert z.tobytes() == want_z.tobytes()
+
+
+class TestBlockedSampler:
+    """`draw_feature_matrix` draws its keys in row blocks; every block size
+    gives the bits of the one-shot sampler."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.integers(1, 2000).flatmap(
+            lambda d: st.tuples(st.integers(1, max(1, 60_000 // d)), st.just(d))
+        ),
+        cells=st.sampled_from([1, 7, 64, 1000, sampling._BLOCK_CELLS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(1, 31), cells=sampling._BLOCK_CELLS, seed=0)  # n = 1
+    @example(shape=(1000, 7), cells=64, seed=1)  # 9 rows per block, 1 in the last
+    @example(shape=(5, 2000), cells=1000, seed=2)  # one row per block
+    def test_matches_one_shot_sampler(self, shape, cells, seed):
+        n, d = shape
+        with mock.patch.object(sampling, "_BLOCK_CELLS", cells):
+            got = draw_feature_matrix(np.random.default_rng(seed), n, d)
+        assert_same_draw(got, one_shot_feature_matrix(np.random.default_rng(seed), n, d))
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [
+            (1, 1),
+            (1, 2000),
+            (500, 300),  # 109 rows per block: four full blocks and one of 64
+            (3, sampling._BLOCK_CELLS // 2 + 1),  # one row per block
+            (2, sampling._BLOCK_CELLS + 5),  # a row is larger than a block
+        ],
+    )
+    def test_block_edges_at_the_real_block_size(self, n, d):
+        rows = sampling._block_rows(n, d)
+        assert 1 <= rows <= n
+        for seed in (0, 93):
+            got = draw_feature_matrix(np.random.default_rng(seed), n, d)
+            assert_same_draw(got, one_shot_feature_matrix(np.random.default_rng(seed), n, d))
+
+    def test_reused_workspace_gives_every_run_the_one_shot_bits(self):
+        n, d = 500, 300
+        doc = Document(tokens=tuple(f"w{i:03d}" for i in range(d)))
+        local = local_dictionary(doc)
+        workspace = sampling._Workspace(local, fit_idf(Corpus(documents=(doc,))), 0.25)
+        for seed in (0, 1, 2, 93):
+            rng = np.random.default_rng(seed)
+            sizes, z = draw_feature_matrix(rng, n, d, _workspace=workspace)
+            want = one_shot_feature_matrix(np.random.default_rng(seed), n, d)
+            assert_same_draw((sizes, z.copy()), want)
+        rows = sampling._block_rows(n, d)
+        assert rows < n
+        assert workspace.arrays["keys"].shape == (rows, d)
+        assert workspace.arrays["sorted"].shape == (rows, d)
+        assert workspace.arrays["mask"].shape == (n, d)
+
+    def test_peak_memory_is_the_mask_and_two_blocks(self):
+        # Only z is (n, d); the float64 keys and their sorted copy are one
+        # row block each.
+        n, d = 5000, 1000
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            draw_feature_matrix(rng, n, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mask_and_blocks = n * d + 2 * 8 * sampling._block_rows(n, d) * d
+        assert peak < 1.1 * mask_and_blocks
 
 
 def where_divide_tfidf(z, masses):

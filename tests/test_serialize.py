@@ -1,5 +1,6 @@
 """Result emission: precision, determinism, ordering."""
 
+import csv
 import json
 import math
 
@@ -10,6 +11,7 @@ from textlime import (
     IndicatorProduct,
     explain,
     fit_idf,
+    population_explanation,
     run_repeated,
     tokenize,
     tree_from_spec,
@@ -23,6 +25,7 @@ from textlime.serialize import (
     format_json_float,
     write_csv,
     write_explanation,
+    write_theory,
 )
 from textlime.theory import alpha_bounds, beta_tree
 from textlime.verify import compare
@@ -103,10 +106,55 @@ class TestExplanationOutput:
         write_explanation(result, path, "csv")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "word,coefficient,rank"
-        assert lines[1].split(",")[0] == "harbor"
-        assert [line.split(",")[2] for line in lines[1:]] == [
-            str(i) for i in range(1, len(lines))
+        assert lines[1].split(",")[::2] == ["(intercept)", ""]
+        assert lines[2].split(",")[0] == "harbor"
+        assert [line.split(",")[2] for line in lines[2:]] == [
+            str(i) for i in range(1, len(lines) - 1)
         ]
+
+
+def csv_records(path):
+    """The rows of a CSV file the writers made, keyed by word."""
+    with open(path, newline="") as f:
+        return {row["word"]: row for row in csv.DictReader(f)}
+
+
+class TestCsvCarriesTheIntercept:
+    """A CSV reader recovers what the JSON file holds, at 10 digits."""
+
+    def test_explanation(self, setup, tmp_path):
+        doc, idf = setup
+        result = explain(tree_from_spec('"harbor" + ("amber" & "dusk")'), doc, idf, n=600, seed=2)
+        write_explanation(result, tmp_path / "e.csv", "csv")
+        write_explanation(result, tmp_path / "e.json", "json")
+        payload = json.loads((tmp_path / "e.json").read_text())
+        rows = csv_records(tmp_path / "e.csv")
+        intercept = rows["(intercept)"]
+        assert float(intercept["coefficient"]) == pytest.approx(payload["intercept"], rel=1e-9)
+        assert intercept["rank"] == ""
+        for entry in payload["coefficients"]:
+            got = float(rows[entry["word"]]["coefficient"])
+            assert got == pytest.approx(entry["coefficient"], rel=1e-9)
+
+    @pytest.mark.parametrize("monte_carlo", [False, True])
+    def test_theory(self, setup, tmp_path, monte_carlo):
+        doc, idf = setup
+        model = tree_from_spec('"harbor" + ("amber" & "dusk")')
+        result = population_explanation(
+            model, doc, idf, nu=0.25, n_mc=5000, seed=1, monte_carlo=monte_carlo
+        )
+        write_theory(result, tmp_path / "t.csv", "csv")
+        write_theory(result, tmp_path / "t.json", "json")
+        payload = json.loads((tmp_path / "t.json").read_text())
+        intercept = csv_records(tmp_path / "t.csv")["(intercept)"]
+        assert float(intercept["coefficient"]) == pytest.approx(payload["intercept"], rel=1e-9)
+        assert intercept["provenance"] == payload["provenance"]
+        if monte_carlo:
+            stderr = payload["intercept_stderr"]
+            assert float(intercept["stderr"]) == pytest.approx(stderr, rel=1e-9)
+        else:
+            assert "intercept_stderr" not in payload
+            assert intercept["stderr"] == ""
 
 
 class TestComparisonTable:

@@ -1077,12 +1077,14 @@ class TestBetaGeneralMc:
         beta_fg = beta_general_mc(fg, doc, idf, **kwargs).coefficient_array()
         assert np.allclose(beta_fg, 2.0 * beta_f - beta_g, atol=1e-12)
 
-    @pytest.mark.parametrize("index", [3, 18])
-    @pytest.mark.parametrize("nu", [0.03, 0.05])
+    @pytest.mark.parametrize(
+        "index, nu", [(3, 0.03), (3, 0.05), (18, 0.03), (18, 0.05), (3, 3.0), (7, 3.0)]
+    )
     def test_mean_matches_60_digit_solve(self, index, nu):
-        # At these bandwidths the covariance solve is ill-conditioned (the
-        # condition number is 1e3 to 4e4), and that, not the summation
-        # order, sets the error of the mean.
+        # At nu = 0.03 and 0.05 the covariance solve is ill-conditioned (the
+        # condition number is 1e3 to 4e4), and that sets the error of the
+        # mean. At nu = 3 (condition about 26) the rounding of the sums sets
+        # it, so they must be taken in row blocks, not over all 20,000 rows.
         corpus = load_corpus(bundled_corpus_path())
         idf = fit_idf(corpus)
         doc = corpus.documents[index]
@@ -1114,9 +1116,27 @@ class TestBetaGeneralMc:
         tolerance = 8 * condition * np.finfo(float).eps * max(1.0, np.abs(want).max())
         assert np.abs(got - want).max() <= tolerance
 
+    def test_peak_memory_is_below_one_float_chunk(self):
+        # No float64 array of the oracle or its sampler is (chunk, d): the
+        # keys and the products with z are formed one row block at a time.
+        corpus = load_corpus(bundled_corpus_path())
+        doc = corpus.documents[0]
+        model = tree_from_spec('"food" + (!"food" & "about" & "Everything")')
+        idf = fit_idf(corpus)
+        d = local_dictionary(doc).d
+        assert d == 31
+        tracemalloc.start()
+        try:
+            beta_general_mc(model, doc, idf, nu=0.25, n_mc=200_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < theory._MC_CHUNK * d * 8
+
     def test_peak_memory_is_bounded_at_large_d(self):
         # A chunk holds at most 2**21 presence cells whatever d is: about
-        # 37 MB peak here, where 65,536-row chunks at d = 1000 took 325 MB.
+        # 19 MB peak here (the linear part's TF-IDF rows of one chunk), where
+        # 65,536-row chunks at d = 1000 took 325 MB.
         doc = Document(tokens=tuple(f"w{i:04d}" for i in range(1000)))
         idf = fit_idf(Corpus(documents=(doc, Document(tokens=doc.tokens[::3]))))
         model = combine([
