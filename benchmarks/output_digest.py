@@ -3,10 +3,10 @@ for checking that two checkouts produce byte-identical results.
 
 The CLI cases run `explain`, `theory` (auto and `--linear-mode full`),
 `verify` (both linear modes), `sweep` and `alpha-table`, in csv and json,
-on bundled documents 0 (d = 31) and 5 (d = 12, where the full linear mode
-enumerates exactly), for a tree, a linear and the constant model at small
-sample counts, and `theory --linear-mode full` of the linear model on the
-inline two-word document "food good" (the smallest the enumeration serves).
+on bundled documents 0 (d = 31, above the enumeration limit) and 5 (d = 12,
+below it), for a tree, a linear and the constant model at small sample
+counts, and `theory --linear-mode full` of the linear model on the inline
+two-word document "food good" (the smallest the full linear mode serves).
 Each case writes into its own directory, and every file it
 writes gets one line. The theory cases print the 17-digit values of
 `beta_tree` at four bandwidths, of `beta_linear` on every bundled document

@@ -5,13 +5,15 @@ concentrate around a population vector determined by the kernel moment
 sequence alpha_p = E[weight * z_1 ... z_p], the weighted feature covariance
 (whose block pattern reduces every solve to a 2x2 system; see SigmaSet), and
 the expected weighted responses. This module computes those pieces exactly,
-specializes them to indicator products and trees, enumerates them for any
-model at d <= ENUMERATION_LIMIT (`beta_enumerated`), and provides
-`beta_general_mc`, the package's one Monte Carlo oracle, for the rest.
+specializes them to indicator products and trees and, by TF-IDF mass
+classes, to linear models (`beta_linear`), enumerates them for any model at
+d <= ENUMERATION_LIMIT (`beta_enumerated`), and provides `beta_general_mc`,
+the package's one Monte Carlo oracle, for the rest.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -334,39 +336,15 @@ def _pair_mass_mean(omega_j, omega_k, d: int):
     return (1.0 - omega_j - omega_k) * (d + 1) / (4.0 * (d - 2))
 
 
-def _removed_mass_means(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_single_mass_mean` for every j, and `_pair_mass_mean` for every pair
-    (zero diagonal; all zero when d < 3), evaluated with j < k and mirrored.
-    """
-    d = len(omega)
-    single = _single_mass_mean(omega, d)
-    if d < 3:
-        return single, np.zeros((d, d))
-    upper = np.triu(_pair_mass_mean(omega[:, None], omega, d), 1)
-    return single, upper + upper.T
-
-
-def _renormalization_expectations(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(1 - expected removed mass)^(-1/2) given that word j survives, for
-    every j (shape (d,)), and given that words j and k survive, for every
-    pair (shape (d, d), zero diagonal; pairs need d >= 3): the
-    renormalization factor with the expectation swapped inside.
-    """
-    single, pair = _removed_mass_means(omega)
-    e_pair = 1.0 / np.sqrt(1.0 - pair)
-    np.fill_diagonal(e_pair, 0.0)
-    return 1.0 / np.sqrt(1.0 - single), e_pair
-
-
 def e_term(omega: np.ndarray, j: int, k: int | None = None) -> float:
-    """One entry of `_renormalization_expectations`: the renormalization
-    factor given that word j (and word k, when given) survives, with the
-    expectation swapped inside; `omega` holds the mass shares
-    (m_j^2 / sum_k m_k^2 for the TF-IDF masses m). The map is strictly
-    convex, so by Jensen this underestimates the exact expectation, whose
-    near-uniform large-d limits are 4/3 and 6/5 where this tends to
-    SIMPLIFIED_E_SINGLE and SIMPLIFIED_E_PAIR (about 1.2247 and 1.1547).
-    Computes only that entry, in O(1).
+    """The renormalization factor (1 - removed mass)^(-1/2) given that word
+    j (and word k, when given) survives, with the removed mass replaced by
+    its exact conditional mean (`_single_mass_mean`, `_pair_mass_mean`);
+    `omega` holds the mass shares (m_j^2 / sum_k m_k^2 for the TF-IDF
+    masses m). The map is strictly convex, so by Jensen this underestimates
+    the exact expectation, whose near-uniform large-d limits are 4/3 and 6/5
+    where this tends to the paper's SIMPLIFIED_E_SINGLE and SIMPLIFIED_E_PAIR
+    (about 1.2247 and 1.1547). O(1); either order of a pair gives one value.
     """
     d = len(omega)
     if j == k:
@@ -379,7 +357,7 @@ def e_term(omega: np.ndarray, j: int, k: int | None = None) -> float:
         raise ValueError("degenerate (d - 2 = 0): pair expectation requires d >= 3")
     if k is None:
         mass = _single_mass_mean(omega[j], d)
-    else:  # the matrix evaluates the pair at (min, max) and mirrors it
+    else:
         mass = _pair_mass_mean(omega[min(j, k)], omega[max(j, k)], d)
     return float(1.0 / np.sqrt(1.0 - mass))
 
@@ -414,13 +392,11 @@ def beta_linear(
 
     mode="simplified" is the paper's large-bandwidth prediction, the flat
     constant: coefficient j becomes (3 E - 2 E') * lambda_j * phi_j with
-    E, E' the limiting renormalization factors above (about 1.36).
-    mode="full" is exact at bandwidth `nu` for d <= ENUMERATION_LIMIT
-    (`beta_enumerated`, which needs d >= 2). Above it, it is the
-    large-bandwidth limit with the per-word swapped expectations of
-    `_renormalization_expectations`, solved against the infinite-bandwidth
-    covariance (psi is 1 at nu = inf), intercept included; `nu` is not used
-    there. Only the two large-bandwidth forms require d >= 3.
+    E, E' the limiting renormalization factors above (about 1.36). It
+    requires d >= 3.
+    mode="full" is exact at bandwidth `nu` (`_linear_full`) for every
+    d >= 2 whose TF-IDF mass classes give at most CLASS_GRID_BUDGET
+    compositions; a larger grid raises ClosedFormDomainError.
     """
     lam_map = getattr(coefficients, "coefficients", coefficients)
     if mode not in ("simplified", "full"):
@@ -430,60 +406,85 @@ def beta_linear(
     local = local_dictionary(document)
     d = local.d
     masses = tfidf_weights(local, idf)
-    if mode == "full" and d <= ENUMERATION_LIMIT:
-        return _enumerated(LinearModel(coefficients=lam_map), local, masses, nu)
-    if d < 3:
-        raise ClosedFormDomainError(
-            "out of closed-form domain: linear predictions require d >= 3"
-        )
-    phi = renormalized_tfidf(np.ones((1, d), np.int8), masses)[0]
     lam = np.zeros(d)
     for w, c in lam_map.items():
         if w in local:
             lam[local.index_of(w)] = float(c)
-    signal = lam * phi
-
-    if mode == "simplified":
+    if mode == "full":
+        intercept, coeffs = _linear_full(lam * masses, masses, nu)
+        provenance, notes = EXACT_CLOSED_FORM, {"mode": "full"}
+    elif d < 3:
+        raise ClosedFormDomainError(
+            "out of closed-form domain: linear predictions require d >= 3"
+        )
+    else:
+        signal = lam * renormalized_tfidf(np.ones((1, d), np.int8), masses)[0]
         coeffs = SIMPLIFIED_LINEAR_CONSTANT * signal
         intercept = SIMPLIFIED_LINEAR_INTERCEPT_CONSTANT * float(signal.sum())
-        return TheoryExplanation(
-            intercept=intercept,
-            coefficients=tuple(float(c) for c in coeffs),
-            provenance=LARGE_BANDWIDTH,
-            words=local.words,
-            notes={
-                "mode": "simplified",
-                "constant": SIMPLIFIED_LINEAR_CONSTANT,
-                "constant_rounded": SIMPLIFIED_LINEAR_CONSTANT_ROUNDED,
-                "constant_terms": (
-                    3.0,
-                    SIMPLIFIED_E_SINGLE,
-                    -2.0,
-                    SIMPLIFIED_E_PAIR,
-                ),
-            },
-        )
-
-    squared = masses**2  # omega_j, the share of the squared TF-IDF mass
-    e_single, e_pair = _renormalization_expectations(squared / squared.sum())
-
-    # Expected responses in the infinite-bandwidth limit. Source word j
-    # contributes to coordinate 0 and j through its single-survivor factor
-    # and to every other coordinate through the pair factor (the e_pair
-    # diagonal is zero, so the matrix product skips j = k).
-    single_factor = alpha_limit(1, d)
-    pair_factor = alpha_limit(2, d)
-    gamma0 = float(np.sum(signal * single_factor * e_single))
-    gamma = pair_factor * (e_pair @ signal) + single_factor * e_single * signal
-
-    intercept, coeffs = sigma_set(d, math.inf).explain(gamma0, gamma, float(gamma.sum()))
+        provenance, notes = LARGE_BANDWIDTH, {
+            "mode": "simplified",
+            "constant": SIMPLIFIED_LINEAR_CONSTANT,
+            "constant_rounded": SIMPLIFIED_LINEAR_CONSTANT_ROUNDED,
+            "constant_terms": (3.0, SIMPLIFIED_E_SINGLE, -2.0, SIMPLIFIED_E_PAIR),
+        }
     return TheoryExplanation(
         intercept=float(intercept),
-        coefficients=tuple(float(c) for c in coeffs),
-        provenance=LARGE_BANDWIDTH,
+        coefficients=tuple(coeffs.tolist()),
+        provenance=provenance,
         words=local.words,
-        notes={"mode": "full", "e_method": "approx"},
+        notes=notes,
     )
+
+
+# `_linear_full` sums over the prod_c (n_c + 1) kept-count compositions of a
+# document's n_c-word mass classes, and declines above this many. At the budget,
+# 15 one-word classes (the most cells) take 13 ms on 2 CPUs and 12 MB at peak.
+CLASS_GRID_BUDGET = 2**15
+
+
+class _ClassGridTooLarge(ClosedFormDomainError):
+    """The mass-class grid of a document exceeds CLASS_GRID_BUDGET."""
+
+
+def _linear_full(signal: np.ndarray, masses: np.ndarray, nu: float):
+    """Exact intercept and coefficients at bandwidth `nu` of the linear
+    model with response sum_k signal_k z_k / sqrt(sum_k m_k^2 z_k), where
+    signal_k = lambda_k m_k for the TF-IDF masses m.
+
+    Words of one mass m_c form a class of n_c words. The removals that keep
+    k_c words of each class (s = d - sum_c k_c >= 1 removed) are
+    prod_c C(n_c, k_c) sets, each drawn with probability 1 / (d C(d, s)),
+    weighted psi(s/d) and keeping squared mass M = sum_c k_c m_c^2; B(k) is
+    their total probability times psi / sqrt(M). Given k, a word of class c
+    is kept with chance k_c / n_c, two distinct words of classes c and e
+    with chance k_c k_e / (n_c n_e), or k_c (k_c - 1) / (n_c (n_c - 1)) if
+    c = e. Summed against B over the grid, these give A_c = E[psi z_j / sqrt(M)]
+    and A_ce = E[psi z_j z_k / sqrt(M)], so gamma0 = sum_k signal_k A_c(k)
+    and gamma_j = signal_j A_c(j) + sum_{k != j} signal_k A_c(j)c(k).
+    """
+    d = len(masses)
+    values, cls, sizes = np.unique(masses, return_inverse=True, return_counts=True)
+    points = math.prod((sizes + 1).tolist())
+    if points > CLASS_GRID_BUDGET:
+        raise _ClassGridTooLarge(
+            f"out of closed-form domain: {points} mass-class compositions, over {CLASS_GRID_BUDGET}"
+        )
+    ss, moments = _covariance_and_moments(d, nu, 2)
+    log_fact = np.array(list(map(math.lgamma, range(1, d + 2))))  # log k!, k = 0..d
+    # The compositions in np.indices order, less none kept (response 0) and all kept (never drawn).
+    kept = np.indices(tuple(sizes + 1)).reshape(len(sizes), -1).T[1:-1]
+    total = kept.sum(axis=1)
+    per_class = [log_fact[n] - log_fact[: n + 1] - log_fact[n::-1] for n in sizes.tolist()]
+    log_count = functools.reduce(np.add.outer, per_class).ravel()[1:-1]  # log prod_c C(n_c, k_c)
+    log_count -= log_fact[d] - log_fact[total] - log_fact[d - total]
+    weight = moments.kernel[d - total - 1] * np.exp(log_count) / (d * np.sqrt(kept @ values**2))
+    share = kept * (weight[:, None] / sizes)  # B(k) k_c / n_c
+    single = share.sum(axis=0)
+    pair = share.T @ (kept / sizes)
+    np.fill_diagonal(pair, np.einsum("pc,pc->c", share, kept - 1) / np.maximum(sizes - 1, 1))
+    by_class = np.bincount(cls, weights=signal, minlength=len(sizes))
+    gamma = signal * (single - np.diag(pair))[cls] + (pair @ by_class)[cls]
+    return ss.explain(single @ by_class, gamma, gamma.sum())
 
 
 # The enumeration walks the removal sets in blocks of 2**_BLOCK_BITS codes
@@ -508,13 +509,7 @@ def beta_enumerated(
     if not document.tokens:
         raise ValueError("cannot explain an empty document")
     local = local_dictionary(document)
-    return _enumerated(model, local, tfidf_weights(local, idf), nu)
-
-
-def _enumerated(
-    model: Model, local: LocalDictionary, masses: np.ndarray, nu: float
-) -> TheoryExplanation:
-    """`beta_enumerated` from the local dictionary and its TF-IDF masses."""
+    masses = tfidf_weights(local, idf)
     d = local.d
     if d > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration too large (d = {d} > {ENUMERATION_LIMIT})")
@@ -655,17 +650,21 @@ def population_explanation(
 
     Models built from indicator products (indicators, trees) get the exact
     closed form `beta_tree`; linear models get `beta_linear` in
-    `linear_mode`; every other model gets the exact `beta_enumerated` on a
-    document with at most ENUMERATION_LIMIT distinct words. The rest, and
-    every model when `monte_carlo` is set, get the Monte Carlo oracle
-    `beta_general_mc` with `n_mc` samples, drawn from `seed`.
+    `linear_mode` where its full mode's grid fits CLASS_GRID_BUDGET; every
+    other model gets the exact `beta_enumerated` on a document with at most
+    ENUMERATION_LIMIT distinct words. The rest, and every model when
+    `monte_carlo` is set, get the Monte Carlo oracle `beta_general_mc` with
+    `n_mc` samples, drawn from `seed`.
     """
     if not monte_carlo:
         terms = indicator_terms(model)
         if terms is not None:
             return beta_tree(TreeModel(terms=terms), local_dictionary(document), nu)
         if isinstance(model, LinearModel):
-            return beta_linear(model, document, idf, mode=linear_mode, nu=nu)
+            try:
+                return beta_linear(model, document, idf, mode=linear_mode, nu=nu)
+            except _ClassGridTooLarge:
+                pass  # explained below like any other model
         if local_dictionary(document).d <= ENUMERATION_LIMIT:
             return beta_enumerated(model, document, idf, nu=nu)
     return beta_general_mc(model, document, idf, nu=nu, n_mc=n_mc, seed=seed)

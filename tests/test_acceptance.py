@@ -37,7 +37,8 @@ from textlime.theory import (
     SIMPLIFIED_E_PAIR,
     SIMPLIFIED_E_SINGLE,
     SIMPLIFIED_LINEAR_CONSTANT,
-    _removed_mass_means,
+    _pair_mass_mean,
+    _single_mass_mean,
 )
 from textlime import tree_from_spec
 from oracles import (
@@ -278,7 +279,6 @@ def test_a11_subset_expectation_exactness():
     for d in range(2, 13):
         raw = rng.random(d) + 0.05
         values = raw / raw.sum()
-        single, pair = _removed_mass_means(values)
         cases = [(0,)] if d < 3 else [(0,), (0, d - 1)]
         for kept in cases:
             kept_set = set(kept)
@@ -292,7 +292,11 @@ def test_a11_subset_expectation_exactness():
                     total += prob
                     acc += float(prob) * float(values[list(subset)].sum())
             enumerated = acc / float(total)
-            closed = single[0] if len(kept) == 1 else pair[kept]
+            closed = (
+                _single_mass_mean(values[0], d)
+                if len(kept) == 1
+                else _pair_mass_mean(values[0], values[d - 1], d)
+            )
             worst = max(worst, abs(closed - enumerated))
     report(
         "A11 subset-expectation exactness",

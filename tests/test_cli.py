@@ -195,7 +195,7 @@ class TestTheoryCommand:
         assert lines[2].startswith("alpha,1,")
         assert lines[3].startswith("beta,0,")
 
-    def test_two_word_linear_full_mode_is_enumerated(self, runner, tmp_path):
+    def test_two_word_linear_full_mode_is_exact(self, runner, tmp_path):
         spec = tmp_path / "linear.json"
         spec.write_text(json.dumps({"food": 1.0, "good": -0.5}))
         out = tmp_path / "out"
@@ -208,7 +208,7 @@ class TestTheoryCommand:
         )
         assert result.exit_code == 0, result.output
         payload = read_json(out / "theory-linear-0.25-5000.json")
-        assert payload["provenance"] == "exact-enumeration"
+        assert payload["provenance"] == "exact-closed-form"
         rows = {row["word"]: row["coefficient"] for row in payload["coefficients"]}
         assert rows == pytest.approx({"food": 1.0, "good": -0.5}, abs=1e-12)
 

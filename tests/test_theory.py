@@ -8,6 +8,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -374,31 +375,30 @@ class TestSubsetSumIdentity:
 
 class TestExpectedRemovedMass:
     def test_uniform_d3_single(self):
-        single, _ = theory._removed_mass_means(uniform_omega(3))
+        single = theory._single_mass_mean(uniform_omega(3), 3)
         assert single == pytest.approx([4 / 9] * 3)
 
     def test_matches_enumeration(self):
-        # Every survivor and every pair, mirrored, with a zero diagonal.
+        # Every survivor and every pair, in either order.
         rng = np.random.default_rng(31)
         for d in (3, 5, 8, 12):
             omega = random_omega(d, rng)
             values = omega
-            single, pair = theory._removed_mass_means(omega)
 
             def removed(subset):
                 return values[list(subset)].sum()
 
             for j in range(d):
                 want = enumerate_conditional(d, {j}, removed)
-                assert single[j] == pytest.approx(want, abs=1e-12)
-                assert pair[j, j] == 0.0
+                assert theory._single_mass_mean(omega[j], d) == pytest.approx(want, abs=1e-12)
             for j, k in itertools.combinations(range(d), 2):
                 want2 = enumerate_conditional(d, {j, k}, removed)
-                assert pair[j, k] == pytest.approx(want2, abs=1e-12)
-                assert pair[k, j] == pair[j, k]
+                for a, b in ((j, k), (k, j)):
+                    got = theory._pair_mass_mean(omega[a], omega[b], d)
+                    assert got == pytest.approx(want2, abs=1e-12)
 
     def test_large_d_small_mass_limit(self):
-        single, _ = theory._removed_mass_means(uniform_omega(300))
+        single = theory._single_mass_mean(uniform_omega(300), 300)
         assert np.abs(single - (1 - 1 / 300) / 3).max() <= 1.0 / 300
 
     def test_pair_with_d2_rejected(self):
@@ -461,24 +461,14 @@ class TestETerm:
         value_pair, stderr_pair = mc_e_term(omega, 4, 7, n_mc=200_000, seed=4)
         assert abs(exact_pair - value_pair) <= 3 * stderr_pair
 
-    @pytest.mark.parametrize("d", [3, 31, 200])
-    def test_every_entry_is_the_matrix_entry(self, d):
-        # e_term computes one entry alone; it must be the bits of the entry
-        # the whole matrices hold, for either order of a pair.
-        omega = random_omega(d, np.random.default_rng(d))
-        e_single, e_pair = theory._renormalization_expectations(omega)
-        for j in range(d):
-            assert e_term(omega, j) == e_single[j]
-            for k in range(d):
-                if k != j:
-                    assert e_term(omega, j, k) == e_pair[j, k]
-
     def test_approx_is_swapped_expectation(self):
         omega = uniform_omega(12)
-        expected = theory._removed_mass_means(omega)[0][5]
+        expected = theory._single_mass_mean(omega[5], 12)
         assert e_term(omega, 5) == pytest.approx(
             1.0 / math.sqrt(1.0 - expected)
         )
+        expected = theory._pair_mass_mean(omega[5], omega[7], 12)
+        assert e_term(omega, 7, 5) == pytest.approx(1.0 / math.sqrt(1.0 - expected))
 
     def test_approx_follows_the_formula_in_either_order(self):
         # The pair value is evaluated as (1 - w_j - w_k) with j < k, so both
@@ -760,6 +750,24 @@ def linear_setup():
     return corpus, doc, idf, local, lam
 
 
+def assert_matches_enumeration(got, want, covariance):
+    """Linear full mode against `beta_enumerated`: within 1e-12 of the
+    largest entry, widened to 8 condition eps of it where that is larger.
+
+    Both routes solve their right-hand sides against one covariance, which
+    scales a difference between those sides by up to its condition number.
+    The enumeration's sums carry a few eps themselves: on bundled document
+    10 at nu = 0.05 (condition 1.9e3), with standard normal weights, it is
+    1.6e-12 of the largest entry away from the same enumeration run at 50
+    digits, and the mass-class route 3.7e-13.
+    """
+    got_values = np.array([got.intercept, *got.coefficients])
+    want_values = np.array([want.intercept, *want.coefficients])
+    cond_eps = covariance.condition * np.finfo(float).eps
+    bound = max(1e-12, 8 * cond_eps) * np.abs(want_values).max()
+    assert np.abs(got_values - want_values).max() <= bound
+
+
 class TestBetaLinear:
     def test_zero_coefficients_give_zero_explanation(self, linear_setup):
         _, doc, idf, local, _ = linear_setup
@@ -825,7 +833,7 @@ class TestBetaLinear:
         _, doc, idf, local, lam = linear_setup
         model = LinearModel(coefficients=lam)
         full = beta_linear(lam, doc, idf, mode="full", nu=1e3)
-        assert full.provenance == "exact-enumeration"
+        assert full.provenance == "exact-closed-form"
         oracle = beta_general_mc(model, doc, idf, nu=1e3, n_mc=400_000, seed=67)
         slack = 1.0 / local.d
         for j in range(local.d):
@@ -836,51 +844,20 @@ class TestBetaLinear:
         )
 
     def test_full_mode_is_linear_in_lambda(self, linear_setup):
-        # One document of each branch: enumeration (d = 14) and the
-        # swapped expectation (bundled document 0, d = 31).
+        # One document on each side of the enumeration limit: d = 14 and
+        # bundled document 0 (d = 31).
         _, doc, idf, _, _ = linear_setup
         corpus = load_corpus(bundled_corpus_path())
-        cases = [
-            (doc, idf, "exact-enumeration"),
-            (corpus.documents[0], fit_idf(corpus), "large-bandwidth-approx"),
-        ]
-        for document, table, route in cases:
+        for document, table in [(doc, idf), (corpus.documents[0], fit_idf(corpus))]:
             rng = np.random.default_rng(63)
             lam = {w: float(rng.normal()) for w in local_dictionary(document).words}
             half = {w: 0.5 * c for w, c in lam.items()}
             a = beta_linear(lam, document, table, mode="full")
             b = beta_linear(half, document, table, mode="full")
-            assert a.provenance == route
+            assert a.provenance == "exact-closed-form"
             assert np.allclose(
                 a.coefficient_array(), 2.0 * b.coefficient_array(), atol=1e-12
             )
-
-    def test_full_mode_above_enumeration_limit_is_pairwise_swap(self):
-        # Above the enumeration limit the full mode must reproduce the
-        # pair-by-pair assembly from the removed-mass means.
-        corpus = load_corpus(bundled_corpus_path())
-        doc, idf = corpus.documents[0], fit_idf(corpus)
-        local = local_dictionary(doc)
-        d = local.d
-        assert d > theory.ENUMERATION_LIMIT
-        rng = np.random.default_rng(65)
-        lam = {w: float(rng.normal()) for w in local.words}
-        got = beta_linear(lam, doc, idf, mode="full")
-
-        single, pair = theory._removed_mass_means(omega_weights(doc, idf))
-        e_single = np.array([1.0 / math.sqrt(1.0 - single[j]) for j in range(d)])
-        e_pair = np.zeros((d, d))
-        for j, k in itertools.combinations(range(d), 2):
-            value = 1.0 / math.sqrt(1.0 - pair[j, k])
-            e_pair[j, k] = e_pair[k, j] = value
-        weights = tfidf_weights(local, idf)
-        phi = weights / math.sqrt(float(weights @ weights))
-        signal = np.array([lam[w] for w in local.words]) * phi
-        want_intercept, want = large_bandwidth_linear(signal, e_single, e_pair)
-
-        assert got.provenance == "large-bandwidth-approx"
-        assert abs(got.intercept - want_intercept) <= 1e-13
-        assert np.abs(got.coefficient_array() - want).max() <= 1e-13
 
     def test_accepts_linear_model_instance(self, linear_setup):
         _, doc, idf, local, lam = linear_setup
@@ -894,20 +871,18 @@ class TestBetaLinear:
         with pytest.raises(ClosedFormDomainError):
             beta_linear({"a": 1.0}, corpus.documents[0], idf)
 
-    def test_two_word_full_mode_is_the_enumeration(self):
-        # Only the large-bandwidth forms need d >= 3; at d = 2 the full mode
-        # is the exact enumeration, bit for bit.
+    def test_two_word_full_mode_matches_the_enumeration(self):
+        # Only the simplified form needs d >= 3; at d = 2 the full mode is
+        # exact, within LINEAR_ROUTE_TOLERANCE of the enumeration.
         corpus = Corpus(documents=(tokenize("food good"),))
         idf = fit_idf(corpus)
         doc = corpus.documents[0]
         lam = {"food": 1.0, "good": -0.5}
         got = beta_linear(lam, doc, idf, mode="full")
         want = beta_enumerated(LinearModel(coefficients=lam), doc, idf)
-        assert got.provenance == "exact-enumeration"
+        assert got.provenance == "exact-closed-form"
         assert got.words == want.words == ("food", "good")
-        assert float_bits([got.intercept, *got.coefficients]) == float_bits(
-            [want.intercept, *want.coefficients]
-        )
+        assert_matches_enumeration(got, want, sigma_set(2, 0.25))
 
     def test_one_word_full_mode_rejected(self):
         corpus = Corpus(documents=(tokenize("food food"),))
@@ -969,12 +944,14 @@ class TestBetaEnumerated:
             z0 = abs(got.intercept - oracle.intercept) / oracle.intercept_stderr
             assert max(z.max(), z0) <= 4.5
 
-    def test_full_linear_mode_is_the_enumeration(self, linear_setup):
-        _, doc, idf, _, lam = linear_setup
+    def test_full_linear_mode_matches_the_enumeration(self, linear_setup):
+        _, doc, idf, local, lam = linear_setup
         model = LinearModel(coefficients=lam)
         for nu in (0.1, 0.25, math.inf):
-            assert beta_linear(lam, doc, idf, mode="full", nu=nu) == beta_enumerated(
-                model, doc, idf, nu=nu
+            assert_matches_enumeration(
+                beta_linear(lam, doc, idf, mode="full", nu=nu),
+                beta_enumerated(model, doc, idf, nu=nu),
+                sigma_set(local.d, nu),
             )
 
     def test_enumeration_guard(self):
@@ -1175,7 +1152,7 @@ class TestPopulationExplanation:
 
     @pytest.mark.parametrize(
         "mode, provenance",
-        [("simplified", "large-bandwidth-approx"), ("full", "exact-enumeration")],
+        [("simplified", "large-bandwidth-approx"), ("full", "exact-closed-form")],
     )
     def test_linear_models_take_beta_linear_in_their_mode(
         self, linear_setup, mode, provenance
@@ -1551,3 +1528,116 @@ class TestTheoryProperties:
         scale = max(1.0, np.abs(want_values).max())
         assert np.abs(got_values - want_values).max() <= max(1e-10, 8 * cond_eps) * scale
         assert got.provenance == "exact-enumeration"
+
+
+def linear_weights(local, seed):
+    """Standard normal weights on every word of `local`, seeded."""
+    rng = np.random.default_rng(seed)
+    return dict(zip(local.words, rng.normal(size=local.d).tolist()))
+
+
+def class_structured_case(structure):
+    """A document with one word per (tf, df) pair of `structure`: the word
+    occurs tf times, and df of the five documents of the idf corpus hold it.
+    Words with one (tf, df) share a TF-IDF mass, so they form one class."""
+    words = [f"w{j:02d}" for j in range(len(structure))]
+    doc = Document(tokens=tuple(w for w, (tf, _) in zip(words, structure) for _ in range(tf)))
+    others = tuple(
+        Document(tokens=tuple(w for w, (_, df) in zip(words, structure) if df > i))
+        for i in range(5)
+    )
+    return doc, fit_idf(Corpus(documents=others))
+
+
+class TestLinearMassClasses:
+    """`beta_linear(mode="full")`: exact sums over the kept-count
+    compositions of the TF-IDF mass classes, at every d within
+    CLASS_GRID_BUDGET."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        structure=st.lists(
+            st.tuples(st.integers(1, 4), st.integers(0, 5)), min_size=2, max_size=14
+        ),
+        nu=st.sampled_from([0.05, 0.25, 1.0, 100.0, math.inf]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(structure=[(1, 0)] * 14, nu=0.25, seed=0)  # one class
+    @example(  # 14 one-word classes: 2^14 compositions
+        structure=[(tf, df) for tf in (1, 2, 3, 4) for df in range(6)][:14], nu=1.0, seed=1
+    )
+    @example(structure=[(1, 0), (2, 5)], nu=0.05, seed=2)  # two words
+    @example(structure=[(3, 2)] * 2 + [(1, 1)] * 5, nu=math.inf, seed=3)
+    def test_matches_the_enumeration(self, structure, nu, seed):
+        doc, idf = class_structured_case(structure)
+        local = local_dictionary(doc)
+        lam = linear_weights(local, seed)
+        try:
+            want = beta_enumerated(LinearModel(lam), doc, idf, nu=nu)
+        except ClosedFormDomainError:
+            with pytest.raises(ClosedFormDomainError):
+                beta_linear(lam, doc, idf, mode="full", nu=nu)
+            return
+        got = beta_linear(lam, doc, idf, mode="full", nu=nu)
+        assert got.provenance == "exact-closed-form"
+        assert got.words == want.words
+        assert_matches_enumeration(got, want, sigma_set(local.d, nu))
+
+    def test_bundled_document_0_matches_monte_carlo(self):
+        # d = 31, above the enumeration limit. One bound, family-wise over
+        # the four bandwidths and all 32 coordinates, intercept included:
+        # 128 z-scores, for which 4.5 is about the two-sided Bonferroni bound
+        # at a family-wise rate of 1e-3.
+        corpus = load_corpus(bundled_corpus_path())
+        doc, idf = corpus.documents[0], fit_idf(corpus)
+        lam = linear_weights(local_dictionary(doc), 2024)
+        worst = 0.0
+        for nu in (0.1, 0.25, 1.0, 100.0):
+            got = beta_linear(lam, doc, idf, mode="full", nu=nu)
+            oracle = beta_general_mc(LinearModel(lam), doc, idf, nu=nu, n_mc=400_000, seed=5)
+            z = np.abs(got.coefficient_array() - oracle.coefficient_array())
+            z /= np.array(oracle.coefficient_stderr)
+            z0 = abs(got.intercept - oracle.intercept) / oracle.intercept_stderr
+            worst = max(worst, z.max(), z0)
+        assert worst <= 4.5
+
+    def test_one_class_at_d_1000_matches_monte_carlo(self):
+        # Words the idf corpus never saw share one mass: d + 1 compositions.
+        # One bound over all 1001 coordinates: 4.9 is about the two-sided
+        # Bonferroni bound at a family-wise rate of 1e-3.
+        doc = Document(tokens=tuple(f"w{i:04d}" for i in range(1000)))
+        idf = fit_idf(Corpus(documents=(Document(tokens=("elsewhere",)),)))
+        lam = linear_weights(local_dictionary(doc), 7)
+        got = beta_linear(lam, doc, idf, mode="full", nu=0.25)
+        oracle = beta_general_mc(LinearModel(lam), doc, idf, nu=0.25, n_mc=20_000, seed=5)
+        z = np.abs(got.coefficient_array() - oracle.coefficient_array())
+        z /= np.array(oracle.coefficient_stderr)
+        z0 = abs(got.intercept - oracle.intercept) / oracle.intercept_stderr
+        assert max(z.max(), z0) <= 4.9
+
+    def test_over_budget_declines_and_the_dispatcher_falls_through(self):
+        # Bundled documents 5 (d = 12) and 0 (d = 31) have 80 and 14,688
+        # compositions. Over the budget, beta_linear declines, and
+        # population_explanation takes the route any other model would.
+        corpus = load_corpus(bundled_corpus_path())
+        idf = fit_idf(corpus)
+        small, large = corpus.documents[5], corpus.documents[0]
+        models = {
+            doc: LinearModel(linear_weights(local_dictionary(doc), 11)) for doc in (small, large)
+        }
+        with mock.patch.object(theory, "CLASS_GRID_BUDGET", 80):
+            assert beta_linear(models[small], small, idf, mode="full").provenance == (
+                "exact-closed-form"
+            )
+        with mock.patch.object(theory, "CLASS_GRID_BUDGET", 79):
+            for doc, model in models.items():
+                with pytest.raises(ClosedFormDomainError, match="compositions"):
+                    beta_linear(model, doc, idf, mode="full")
+            got = population_explanation(models[small], small, idf, nu=0.25, linear_mode="full")
+            assert got == beta_enumerated(models[small], small, idf, nu=0.25)
+            assert got.provenance == "exact-enumeration"
+            got = population_explanation(
+                models[large], large, idf, nu=0.25, linear_mode="full", n_mc=5000, seed=9
+            )
+            assert got == beta_general_mc(models[large], large, idf, nu=0.25, n_mc=5000, seed=9)
+            assert got.provenance == "monte-carlo"
