@@ -20,9 +20,11 @@ The verify cases print, on document 0 at small n, the 17-digit values of
 comparison, and tree + linear), `concentration_check` (the linear model, n in
 200, 400, 800), `sweep_bandwidth` at two bandwidths and `compare` on a
 one-run `run_repeated`, whose std is missing, and the intercepts and
-coefficients of `explain` and of a three-run `run_repeated` on a synthetic
-d = 300 document at n = 500, which the sampler draws in several row blocks,
-the last one partial. Each line reads `sha256  name`, sorted by name. Run
+coefficients of `explain` and of a three-run `run_repeated`, each of a
+tree-plus-linear combination and of a pure linear model, on a synthetic
+d = 300 document at n = 500, which the sampler and the linear responses
+read in several row blocks, the last one partial. Each line reads
+`sha256  name`, sorted by name. Run
 each checkout's own script, since the functions it calls may change their
 signatures between checkouts:
 
@@ -269,18 +271,21 @@ def verify_digests() -> dict[str, str]:
     theory = population_explanation(food, document, idf, nu=0.25)
     record("compare/doc0/n_exp1", report_values(compare(stats, theory)))
 
-    # d = 300 at n = 500: the sampler draws 109 rows per block, so four full
-    # blocks and a partial one; the repeated runs share one workspace.
+    # d = 300 at n = 500: the sampler and the linear responses read 109 rows
+    # per block, so four full blocks and a partial one; the repeated runs
+    # share one workspace.
     wide = Document(tokens=tuple(f"v{i:03d}" for i in range(300) for _ in range(1 + i % 2)))
     wide_idf = fit_idf(Corpus(documents=(wide, Document(wide.tokens[::7]))))
+    wide_linear = LinearModel(coefficients={"v002": 1.5, "v150": -0.75, "v299": 0.25})
     mixed = combine([
         (1.0, tree_from_spec('"v000" + (!"v001" & "v299")')),
         (1.0, LinearModel(coefficients={"v002": 1.5, "v150": -0.75})),
     ])
-    result = explain(mixed, wide, wide_idf, n=500, seed=8)
-    record("explain/synthetic-d300/combined", result.intercept, result.coefficient_array())
-    stats = run_repeated(mixed, wide, wide_idf, n=500, n_exp=3, master_seed=9)
-    record("run_repeated/synthetic-d300/combined", stats.intercepts, stats.coefficients)
+    for name, model in (("combined", mixed), ("linear", wide_linear)):
+        result = explain(model, wide, wide_idf, n=500, seed=8)
+        record(f"explain/synthetic-d300/{name}", result.intercept, result.coefficient_array())
+        stats = run_repeated(model, wide, wide_idf, n=500, n_exp=3, master_seed=9)
+        record(f"run_repeated/synthetic-d300/{name}", stats.intercepts, stats.coefficients)
     return digests
 
 

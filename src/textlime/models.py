@@ -22,9 +22,9 @@ class Model:
 
     A model implements `evaluate_matrix`, the one evaluation protocol: the
     surrogate fit and the population oracles call it on whole batches of
-    perturbed samples. A custom model receives renormalized TF-IDF rows;
-    only `IndicatorProduct` and `TreeModel`, which read nothing but word
-    presence, receive the binary presence rows instead.
+    perturbed samples. Only a custom model receives renormalized TF-IDF
+    rows: the package answers the built-in models from the binary presence
+    rows (and, for linear parts, the TF-IDF masses).
     """
 
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
@@ -68,12 +68,15 @@ class TreeModel(Model):
                 support = [rows.setdefault(index[w], len(rows)) for w in term.words]
                 supports.append((term.coefficient, support))
         columns = list(rows)
-        # A strided read of one column costs a cache line (8 floats) per row;
-        # where the terms name more than a quarter of the columns, comparing
-        # the whole row-major matrix and gathering bytes is cheaper. The
-        # integer 0 compares int8 presence rows without a cast to float64,
-        # and float rows exactly as 0.0 would.
-        if values.shape[1] <= 4 * len(columns):
+        # int8 presence rows are gathered first and compared in place. For
+        # float rows a strided read of one column costs a cache line (8
+        # floats) per row; where the terms name more than a quarter of the
+        # columns, comparing the whole row-major matrix and gathering bytes
+        # is cheaper. The integer 0 compares float rows exactly as 0.0 would.
+        if values.dtype == np.int8:
+            gathered = values.T[columns]
+            present = np.greater(gathered, 0, out=gathered.view(bool))
+        elif values.shape[1] <= 4 * len(columns):
             present = (values > 0).T[columns]
         else:
             present = values.T[columns] > 0
@@ -99,13 +102,19 @@ class LinearModel(Model):
     coefficients: Mapping[str, float]
 
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:
-        index = {w: j for j, w in enumerate(words)}
-        lam = np.zeros(values.shape[1])
-        for w, c in self.coefficients.items():
-            j = index.get(w)
-            if j is not None:
-                lam[j] = c
-        return values @ lam
+        return values @ _weight_vector(self.coefficients, words)
+
+
+def _weight_vector(coefficients: Mapping[str, float], words: Sequence[str]) -> np.ndarray:
+    """lambda over `words`: coefficients[w] at the index of w, else 0; a
+    coefficient of a word outside `words` is dropped."""
+    index = {w: j for j, w in enumerate(words)}
+    lam = np.zeros(len(words))
+    for w, c in coefficients.items():
+        j = index.get(w)
+        if j is not None:
+            lam[j] = float(c)
+    return lam
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ undefined, gets the limit psi(1).
 
 A sample's embedding is the TF-IDF masses of the words it keeps, scaled
 to unit norm (`renormalized_tfidf`). The document's own embedding phi is
-its all-kept row. A model built only from indicator products asks no more
-than whether each word is present, so it receives the presence rows
-themselves; every other model, a custom `Model` included, receives the
-embedded rows (`_responses`).
+its all-kept row. Each built-in model reads the cheapest statistic of the
+presence rows that determines its response (`_responses`): a model built
+only from indicator products reads the presence rows themselves, a linear
+model two products of them with the masses, and a combination each of its
+parts so. Only custom models are embedded.
 
 Repeated runs on one document share a `_Workspace`: the per-document
 invariants, computed once, and scratch arrays that every run overwrites
@@ -23,12 +24,13 @@ instead of allocating its own.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, tfidf_weights
-from .models import Model, indicator_terms
+from .models import CombinedModel, LinearModel, Model, _weight_vector, indicator_terms
 
 
 def psi(t, nu: float):
@@ -60,7 +62,7 @@ class _Workspace:
     `_kernel_table`. Each scratch array is allocated by the first run and
     overwritten by every later one, so repeated runs neither allocate nor
     fault in fresh pages; a batch's arrays then hold only until the next
-    run. The sampler's `"keys"` and `"sorted"` buffers hold one row block
+    run. The `"keys"`, `"sorted"` and `"block"` buffers hold one row block
     (`_block_rows`), the presence `"mask"` and the other arrays all n rows.
     A lone run needs no workspace: without one it gets fresh arrays, freed
     as soon as it drops them. Not thread-safe: one workspace per worker.
@@ -91,6 +93,18 @@ def _scratch(workspace: _Workspace | None, name: str, shape, dtype=np.float64):
     if out is None:
         out = workspace.arrays[name] = np.empty(shape, dtype)
     return out
+
+
+def _float_blocks(z: np.ndarray, workspace: _Workspace | None = None):
+    """(rows, z[rows] as float64) per `_block_rows` row block of z, each cast
+    into one cache-sized buffer that the next overwrites."""
+    n, d = z.shape
+    rows = _block_rows(n, d)
+    buffer = _scratch(workspace, "block", (rows, d))
+    for start in range(0, n, rows):
+        block = buffer[: min(rows, n - start)]
+        np.copyto(block, z[start : start + rows])
+        yield slice(start, start + rows), block
 
 
 def draw_feature_matrix(
@@ -151,21 +165,47 @@ def renormalized_tfidf(
 
 
 def _responses(
-    model: Model, z: np.ndarray, words: Sequence[str], tfidf: Callable[[], np.ndarray]
+    model: Model,
+    z: np.ndarray,
+    words: Sequence[str],
+    masses: np.ndarray,
+    workspace: _Workspace | None = None,
+    embedded: list | None = None,
 ) -> np.ndarray:
-    """`model` evaluated on the presence rows `z` over `words`: the one place
-    where sampled or enumerated rows become model responses.
-
-    A model built only from indicator products is evaluated on `z` itself;
-    every other model on the renormalized TF-IDF rows that `tfidf()`
-    returns. Every TF-IDF mass is positive (idf >= 1, counts >= 1), so a
-    coordinate is positive exactly where `z` is 1, and an indicator product
-    gives the same responses on either.
+    """`model` on the presence rows `z` over `words`, whose TF-IDF masses are
+    `masses`: the one place where sampled or enumerated rows become model
+    responses. A model built from indicator products reads `z` itself:
+    every mass is positive (idf >= 1, counts >= 1), so a coordinate is
+    positive exactly where z is 1. A linear model reads
+    sum_k lambda_k m_k z_k / sqrt(sum_k m_k^2 z_k), 0 on the all-removed
+    row, from one product per `_float_blocks` block. A `CombinedModel` adds
+    its parts in its own `evaluate_matrix` order. Only custom models are
+    embedded (`renormalized_tfidf`), once per call: `embedded` carries the
+    embedding to the parts.
     """
-    rows = z if indicator_terms(model) is not None else tfidf()
-    return model.evaluate_matrix(rows, words)
+    if indicator_terms(model) is not None:
+        return model.evaluate_matrix(z, words)
+    if isinstance(model, LinearModel):
+        signal = _weight_vector(model.coefficients, words) * masses
+        stats = np.stack([signal, masses * masses], axis=1)
+        sums = np.empty((len(z), 2))
+        for rows, block in _float_blocks(z, workspace):
+            np.matmul(block, stats, out=sums[rows])
+        norms = np.sqrt(sums[:, 1])
+        norms[norms == 0.0] = 1.0  # the all-removed row's sum is 0 too
+        return sums[:, 0] / norms
+    embedded = [] if embedded is None else embedded
+    if isinstance(model, CombinedModel):
+        out = np.zeros(len(z))
+        for a, part in model.parts:
+            out += a * _responses(part, z, words, masses, workspace, embedded)
+        return out
+    if not embedded:
+        embedded.append(renormalized_tfidf(z, masses, _workspace=workspace))
+    return model.evaluate_matrix(embedded[0], words)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class SampleBatch:
     """n i.i.d. perturbed samples of one document, as dense arrays.
 
@@ -176,26 +216,14 @@ class SampleBatch:
     a batch drawn into a workspace is valid until its next run.
     """
 
-    def __init__(
-        self,
-        document: Document,
-        local: LocalDictionary,
-        nu: float,
-        seed,
-        sizes: np.ndarray,
-        z: np.ndarray,
-        weights: np.ndarray,
-        *,
-        _workspace: _Workspace | None = None,
-    ) -> None:
-        self.document = document
-        self.local = local
-        self.nu = nu
-        self.seed = seed
-        self.sizes = sizes
-        self.z = z
-        self.weights = weights
-        self._workspace = _workspace
+    document: Document
+    local: LocalDictionary
+    nu: float
+    seed: object
+    sizes: np.ndarray
+    z: np.ndarray
+    weights: np.ndarray
+    _workspace: _Workspace | None = field(default=None, kw_only=True)
 
     @property
     def n(self) -> int:
@@ -205,11 +233,14 @@ class SampleBatch:
     def d(self) -> int:
         return self.local.d
 
+    def _masses(self, idf: IdfTable) -> np.ndarray:
+        """The document's TF-IDF masses: the workspace's, else computed."""
+        ws = self._workspace
+        return ws.masses if ws is not None and ws.idf is idf else tfidf_weights(self.local, idf)
+
     def tfidf_matrix(self, idf: IdfTable) -> np.ndarray:
         """Row i = normalized TF-IDF of survivor i over the local words."""
-        ws = self._workspace
-        masses = ws.masses if ws is not None and ws.idf is idf else tfidf_weights(self.local, idf)
-        return renormalized_tfidf(self.z, masses, _workspace=ws)
+        return renormalized_tfidf(self.z, self._masses(idf), _workspace=self._workspace)
 
 
 def sample_batch(
@@ -226,14 +257,4 @@ def sample_batch(
     rng = np.random.default_rng(seed)
     sizes, z = draw_feature_matrix(rng, n, local.d, _workspace=_workspace)
     kernel = _kernel_table(local.d, nu) if _workspace is None else _workspace.kernel
-    weights = kernel[sizes]
-    return SampleBatch(
-        document=document,
-        local=local,
-        nu=nu,
-        seed=seed,
-        sizes=sizes,
-        z=z,
-        weights=weights,
-        _workspace=_workspace,
-    )
+    return SampleBatch(document, local, nu, seed, sizes, z, kernel[sizes], _workspace=_workspace)

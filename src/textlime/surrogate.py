@@ -140,12 +140,12 @@ def fit_batch(
 ) -> Explanation:
     """Fit the surrogate on an existing sample batch.
 
-    Responses are the model evaluated on each perturbed document: on its
+    Responses are the model evaluated on each perturbed document's
     renormalized TF-IDF (the renormalization after deletion is what couples
-    the surrogate to the embedding), or on its presence row for a model
-    built only from indicator products, which reads nothing else.
+    the surrogate to the embedding), read from its presence row and the
+    TF-IDF masses by `_responses`: only custom models are embedded.
     """
-    responses = _responses(model, batch.z, batch.local.words, lambda: batch.tfidf_matrix(idf))
+    responses = _responses(model, batch.z, batch.local.words, batch._masses(idf), batch._workspace)
     design = _scratch(batch._workspace, "design", (batch.n, batch.d + 1), np.int8)
     design[:, 0] = 1
     design[:, 1:] = batch.z

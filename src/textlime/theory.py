@@ -21,10 +21,10 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
-from .models import LinearModel, Model, TreeModel, indicator_terms
+from .models import LinearModel, Model, TreeModel, _weight_vector, indicator_terms
 from .sampling import (
     SampleBatch,
-    _block_rows,
+    _float_blocks,
     _kernel_table,
     _responses,
     renormalized_tfidf,
@@ -406,10 +406,7 @@ def beta_linear(
     local = local_dictionary(document)
     d = local.d
     masses = tfidf_weights(local, idf)
-    lam = np.zeros(d)
-    for w, c in lam_map.items():
-        if w in local:
-            lam[local.index_of(w)] = float(c)
+    lam = _weight_vector(lam_map, local.words)
     if mode == "full":
         intercept, coeffs = _linear_full(lam * masses, masses, nu)
         provenance, notes = EXACT_CLOSED_FORM, {"mode": "full"}
@@ -501,8 +498,8 @@ def beta_enumerated(
 
     A set S with s words removed is drawn with probability 1 / (d C(d, s))
     (s uniform on 1..d, then S uniform among sets of that size) and weighted
-    psi(s/d); its response f comes from the sampled path's own embedding
-    (`renormalized_tfidf`) and `model.evaluate_matrix`. The expected weighted
+    psi(s/d); its response f comes from the sampled path's own `_responses`
+    on its presence row, where only custom models are embedded. The expected weighted
     responses gamma0 = sum P psi f and gamma = keep^T (P psi f) are solved
     against the covariance as `beta_general_mc` solves its averaged ones.
     """
@@ -527,7 +524,7 @@ def beta_enumerated(
     for block in range(1 << (d - low)):
         high = (block >> high_bits) & 1
         keep[:, low:] = high
-        responses = _responses(model, keep, local.words, lambda: renormalized_tfidf(keep, masses))
+        responses = _responses(model, keep, local.words, masses)
         t = weight[low_removed - high.sum()] * responses
         gamma0 += t.sum()
         gamma += t @ keep
@@ -547,31 +544,25 @@ _MC_CHUNK = 65_536
 _MC_CELLS = 2**21
 
 
-def _mc_chunk_sums(model: Model, batch: SampleBatch, idf: IdfTable, ss: SigmaSet) -> np.ndarray:
+def _mc_chunk_sums(model: Model, batch: SampleBatch, masses: np.ndarray, ss: SigmaSet) -> np.ndarray:
     """The Monte Carlo sums of one chunk: the sums of c, c^2, a, a^2, t and
     t * kept, then the column sums t z, a t z and t^2 z.
 
     Sample i solves the right-hand side t_i [1; z_i] into (c_i, S_i), and
     a_i = -(a1 c_i + a2 S_i) / gap. z is binary, so the column sums of
     the contributions and of their squares come from three products with
-    z. They are taken per row block of `_block_rows` samples, whose z is
-    copied to a float64 buffer that stays in cache, so no (chunk, d) float
-    array is formed and each product sums at most one block in plain order.
+    z. They are taken per row block (`_float_blocks`), so no (chunk, d)
+    float array is formed and each product sums at most one block in plain
+    order.
     """
     z, d = batch.z, batch.d
-    responses = _responses(model, z, batch.local.words, lambda: batch.tfidf_matrix(idf))
-    t = batch.weights * responses
+    t = batch.weights * _responses(model, z, batch.local.words, masses)
     kept = d - batch.sizes
     c, coefficient_sum = ss.solve(t, t * kept)
     a = -(ss.alpha1 * c + ss.alpha2 * coefficient_sum) / ss.gap
-    rows = _block_rows(len(t), d)
-    presence = np.empty((rows, d))
     sums = np.zeros(6 + 3 * d)
-    for i in range(0, len(t), rows):
-        s = slice(i, i + rows)
+    for s, block in _float_blocks(z):
         ti, ai, ci = t[s], a[s], c[s]
-        block = presence[: len(ti)]
-        np.copyto(block, z[s])
         sums[:6] += [ci.sum(), ci @ ci, ai.sum(), ai @ ai, ti.sum(), ti @ kept[s]]
         sums[6:] += (np.stack([ti, ai * ti, ti * ti]) @ block).ravel()
     return sums
@@ -606,8 +597,9 @@ def beta_general_mc(
     # math.fsum adds the chunks' sums.
     rng = np.random.default_rng(seed)
     chunk = min(_MC_CHUNK, _MC_CELLS // d)
+    masses = tfidf_weights(local, idf)
     parts = [
-        _mc_chunk_sums(model, sample_batch(document, local, min(chunk, n_mc - i), nu, rng), idf, ss)
+        _mc_chunk_sums(model, sample_batch(document, local, min(chunk, n_mc - i), nu, rng), masses, ss)
         for i in range(0, n_mc, chunk)
     ]
     sums = np.array([math.fsum(column) for column in np.array(parts).T.tolist()])

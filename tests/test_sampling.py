@@ -15,6 +15,7 @@ from textlime import (
     Document,
     IndicatorProduct,
     LinearModel,
+    Model,
     SampleBatch,
     TreeModel,
     beta_enumerated,
@@ -472,9 +473,10 @@ class TestResponses:
         on_tfidf = tree.evaluate_matrix(batch.tfidf_matrix(idf), local.words)
         assert on_presence.tobytes() == on_tfidf.tobytes()
 
-    def test_only_models_reading_tfidf_are_embedded(self, doc_and_idf, monkeypatch):
-        # A tree or indicator never reaches the embedding on any route; a
-        # linear model and a combination with a linear part always do.
+    def test_only_custom_models_are_embedded(self, doc_and_idf, monkeypatch):
+        # Trees, indicators, linear models and their combinations are read
+        # from the presence rows on every route. A custom model is embedded
+        # once per call, alone or as one or two parts of a combination.
         doc, idf = doc_and_idf
         local = local_dictionary(doc)
         calls = []
@@ -484,23 +486,81 @@ class TestResponses:
             calls.append(1)
             return embed(*args, **kwargs)
 
+        class SquaredNorm(Model):
+            def evaluate_matrix(self, values, words):
+                return (values * values).sum(axis=1)
+
         monkeypatch.setattr(sampling, "renormalized_tfidf", counted)
         monkeypatch.setattr(theory, "renormalized_tfidf", counted)
         tree = tree_from_spec('"beta" + ("alpha" & !"gamma")')
         linear = LinearModel(coefficients={"beta": 1.0, "zeta": -2.0})
+        custom = SquaredNorm()
+        # One batch, one Monte Carlo chunk and one enumeration block (d = 7):
+        # one call of _responses per route.
         routes = {
             "fit_batch": lambda m: fit_batch(m, sample_batch(doc, local, 200, 0.25, 1), idf),
             "beta_general_mc": lambda m: beta_general_mc(m, doc, idf, n_mc=500, seed=1),
             "beta_enumerated": lambda m: beta_enumerated(m, doc, idf),
         }
         models = {
-            "tree": (tree, False),
-            "indicator": (tree.terms[0], False),
-            "linear": (linear, True),
-            "tree plus linear": (CombinedModel(parts=((1.0, tree), (0.5, linear))), True),
+            "tree": (tree, 0),
+            "indicator": (tree.terms[0], 0),
+            "linear": (linear, 0),
+            "tree plus linear": (CombinedModel(parts=((1.0, tree), (0.5, linear))), 0),
+            "custom": (custom, 1),
+            "custom, linear, custom": (
+                CombinedModel(parts=((1.0, custom), (0.5, linear), (2.0, custom))), 1
+            ),
         }
         for route_name, route in routes.items():
-            for model_name, (model, embedded) in models.items():
+            for model_name, (model, embeddings) in models.items():
                 calls.clear()
                 route(model)
-                assert bool(calls) == embedded, (route_name, model_name)
+                assert len(calls) == embeddings, (route_name, model_name)
+
+
+def linear_case(d, n, seed):
+    """A random document of d words, a linear model over it and n + 2
+    presence rows. Counts are 1..4 and idf comes from document counts 0..5
+    of 5. Each word gets a coefficient of magnitude 1e-3..1e3, a zero or
+    none, and four words outside the document get one too. The rows are n
+    sampled ones, then the all-removed and the all-kept row."""
+    rng = np.random.default_rng(seed)
+    words = tuple(f"w{j}" for j in range(d))
+    counts = rng.integers(1, 5, size=d)
+    doc = Document(tokens=tuple(w for w, c in zip(words, counts) for _ in range(c)))
+    idf = IdfTable(words, tuple(rng.integers(0, 6, size=d).tolist()), 5)
+    kind = rng.integers(0, 4, size=d)  # 0: none, 1: zero, 2 and 3: nonzero
+    magnitude = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3, size=d)
+    coefficients = {w: (0.0 if k == 1 else float(m)) for w, k, m in zip(words, kind, magnitude) if k}
+    coefficients.update({f"absent{j}": 1e3 * (j + 1) for j in range(4)})
+    _, sampled = draw_feature_matrix(rng, n, d)
+    z = np.vstack([sampled, np.zeros((1, d), np.int8), np.ones((1, d), np.int8)])
+    return LinearModel(coefficients=coefficients), doc, idf, z
+
+
+class TestLinearPresenceRoute:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(d=st.integers(1, 300), n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+    @example(d=1000, n=50, seed=0)  # 32 rows per block: one full block and one of 20
+    def test_matches_the_embedding(self, d, n, seed):
+        # Both sides take a dot product of at most d terms and a square root
+        # of a sum of d positive terms, plus a few single roundings, so each
+        # is within (1.5 d + 3.5) eps * S / sqrt(M) of the exact response,
+        # where S = sum_k |lambda_k m_k| z_k and M = sum_k m_k^2 z_k. Their
+        # difference is then within 9 d eps * S / sqrt(M) for every d >= 1.
+        model, doc, idf, z = linear_case(d, n, seed)
+        local = local_dictionary(doc)
+        words, masses = local.words, tfidf_weights(local, idf)
+        got = sampling._responses(model, z, words, masses)
+        want = model.evaluate_matrix(renormalized_tfidf(z, masses), words)
+        lam = np.array([model.coefficients.get(w, 0.0) for w in words])
+        norms = np.sqrt(z @ masses**2)
+        scale = np.divide(z @ np.abs(lam * masses), norms, out=np.zeros(len(z)), where=norms > 0)
+        assert np.all(np.abs(got - want) <= 9 * d * np.finfo(float).eps * scale)
+        assert got[-2] == 0.0  # the all-removed row
+        # A workspace's block buffer, reused by a second call, gives the same bits.
+        workspace = sampling._Workspace(local, idf, 0.25)
+        for _ in range(2):
+            again = sampling._responses(model, z, words, masses, workspace)
+            assert again.tobytes() == got.tobytes()

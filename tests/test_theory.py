@@ -1110,10 +1110,49 @@ class TestBetaGeneralMc:
             tracemalloc.stop()
         assert peak < theory._MC_CHUNK * d * 8
 
+    @staticmethod
+    def mc_peak(model, doc, idf, n_mc):
+        """tracemalloc's peak over one `beta_general_mc` call, in bytes."""
+        tracemalloc.start()
+        try:
+            beta_general_mc(model, doc, idf, nu=0.25, n_mc=n_mc, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_linear_model_peaks_near_a_tree(self):
+        # A linear model reads two products of each row block of z, not the
+        # chunk's TF-IDF rows (16 MB here), so its peak is a tree's: about
+        # 6 MB each.
+        corpus = load_corpus(bundled_corpus_path())
+        doc, idf = corpus.documents[0], fit_idf(corpus)
+        words = local_dictionary(doc).words
+        assert len(words) == 31
+        tree = tree_from_spec('"food" + (!"food" & "about" & "Everything")')
+        linear = LinearModel({w: (-1.0) ** j * (j + 1) for j, w in enumerate(words)})
+        n_mc = theory._MC_CHUNK
+        assert self.mc_peak(linear, doc, idf, n_mc) <= 1.25 * self.mc_peak(tree, doc, idf, n_mc)
+
+    def test_peak_does_not_grow_with_the_chunks(self):
+        # Nothing holds a chunk's arrays once its sums are taken: four
+        # chunks peak where one does, for every kind of model.
+        corpus = load_corpus(bundled_corpus_path())
+        doc, idf = corpus.documents[0], fit_idf(corpus)
+        tree = tree_from_spec('"food" + (!"food" & "about" & "Everything")')
+        linear = LinearModel({"food": 1.5, "about": -0.75})
+        models = {
+            "tree": tree,
+            "linear": linear,
+            "tree plus linear": combine([(1.0, tree), (1.0, linear)]),
+        }
+        for name, model in models.items():
+            one = self.mc_peak(model, doc, idf, theory._MC_CHUNK)
+            four = self.mc_peak(model, doc, idf, 4 * theory._MC_CHUNK)
+            assert four <= 1.1 * one, name
+
     def test_peak_memory_is_bounded_at_large_d(self):
         # A chunk holds at most 2**21 presence cells whatever d is: about
-        # 19 MB peak here (the linear part's TF-IDF rows of one chunk), where
-        # 65,536-row chunks at d = 1000 took 325 MB.
+        # 3 MB peak here, where 65,536-row chunks at d = 1000 took 325 MB.
         doc = Document(tokens=tuple(f"w{i:04d}" for i in range(1000)))
         idf = fit_idf(Corpus(documents=(doc, Document(tokens=doc.tokens[::3]))))
         model = combine([
