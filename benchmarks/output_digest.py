@@ -12,9 +12,13 @@ writes gets one line. The theory cases print the 17-digit values of
 `beta_tree` at four bandwidths, of `beta_linear` on every bundled document
 (simplified, and full at nu = 0.25 and nu = inf) and in full mode on the
 two-word document, of `population_explanation`
-of a tree-plus-linear `CombinedModel` on document 5, of `beta_general_mc`
+of a tree-plus-linear `CombinedModel` on documents 0 and 5 (exact, part by
+part), of `beta_general_mc`
 (means and standard errors, n_mc = 20000, and on a synthetic d = 40 document
-with n_mc = 60000, which spans more than one sampling chunk) and of `e_term`.
+with n_mc = 60000, which spans more than one sampling chunk), of
+`population_explanation` of a tree plus a custom model on that synthetic
+document (the tree in closed form, the custom part by the oracle, whose
+standard errors it records) and of `e_term`.
 The verify cases print, on document 0 at small n, the 17-digit values of
 `linearity_check` (tree + tree with the closed-form residual and its
 comparison, and tree + linear), `concentration_check` (the linear model, n in
@@ -55,9 +59,11 @@ import numpy as np
 from click.testing import CliRunner
 
 from textlime import (
+    CombinedModel,
     Corpus,
     Document,
     LinearModel,
+    Model,
     beta_general_mc,
     beta_linear,
     beta_tree,
@@ -88,6 +94,13 @@ TREES = {
 LINEAR = {"food": 1.5, "about": -0.75, "fast": 0.5, "brunch": 1.25, "tea": -2.0, "good": 0.3}
 NUS = (0.1, 0.25, 1.0, 10.0)
 TWO_WORDS = "food good"
+
+
+class TanhOfSum(Model):
+    """A custom model: tanh of the sum of the TF-IDF coordinates."""
+
+    def evaluate_matrix(self, values, words):
+        return np.tanh(values.sum(axis=1))
 
 
 def sha256(data: bytes) -> str:
@@ -178,9 +191,10 @@ def theory_digests() -> dict[str, str]:
             value = e_term(omega, *kept)
             record(f"e_term/doc{doc}/approx/{'-'.join(map(str, kept))}", value)
 
-    mixed = combine([(1.0, tree_from_spec(TREES[5])), (1.0, LinearModel(coefficients=LINEAR))])
-    result = population_explanation(mixed, corpus.documents[5], idf, nu=0.25)
-    record("population_explanation/doc5/combined", result.intercept, result.coefficients)
+    for doc, spec in TREES.items():
+        mixed = combine([(1.0, tree_from_spec(spec)), (1.0, LinearModel(coefficients=LINEAR))])
+        result = population_explanation(mixed, corpus.documents[doc], idf, nu=0.25)
+        record(f"population_explanation/doc{doc}/combined", result.intercept, result.coefficients)
 
     # 1 to 3 copies of each of 40 words, every fifth copy also in a second
     # document, so that the masses and the IDF vary.
@@ -193,6 +207,18 @@ def theory_digests() -> dict[str, str]:
     result = beta_general_mc(mixed, synthetic, synthetic_idf, nu=0.25, n_mc=60000, seed=11)
     record(
         "beta_general_mc/synthetic-d40/combined",
+        result.intercept, result.coefficients,
+        result.intercept_stderr, result.coefficient_stderr,
+    )
+    tree_custom = CombinedModel(parts=(
+        (1.0, tree_from_spec('"w00" + (!"w01" & "w02")')),
+        (2.0, TanhOfSum()),
+    ))
+    result = population_explanation(
+        tree_custom, synthetic, synthetic_idf, nu=0.25, n_mc=60000, seed=11
+    )
+    record(
+        "population_explanation/synthetic-d40/tree-custom",
         result.intercept, result.coefficients,
         result.intercept_stderr, result.coefficient_stderr,
     )

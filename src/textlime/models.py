@@ -68,16 +68,11 @@ class TreeModel(Model):
                 support = [rows.setdefault(index[w], len(rows)) for w in term.words]
                 supports.append((term.coefficient, support))
         columns = list(rows)
-        # int8 presence rows are gathered first and compared in place. For
-        # float rows a strided read of one column costs a cache line (8
-        # floats) per row; where the terms name more than a quarter of the
-        # columns, comparing the whole row-major matrix and gathering bytes
-        # is cheaper. The integer 0 compares float rows exactly as 0.0 would.
+        # int8 presence rows are gathered first and compared in place. The
+        # integer 0 compares float rows exactly as 0.0 would.
         if values.dtype == np.int8:
             gathered = values.T[columns]
             present = np.greater(gathered, 0, out=gathered.view(bool))
-        elif values.shape[1] <= 4 * len(columns):
-            present = (values > 0).T[columns]
         else:
             present = values.T[columns] > 0
         out = np.zeros(len(values))

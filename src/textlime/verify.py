@@ -347,6 +347,7 @@ def linearity_check(
     theory_report = None
     # Only models built from indicator products have an exact closed form
     # whose additivity holds to round-off; `combine` keeps their sum a tree.
+    # Any other sum is explained part by part, so its residual is 0 by construction.
     if indicator_terms(combined) is not None:
         beta_f, beta_g, beta_fg = (
             population_explanation(m, document, idf, nu=nu) for m in (f, g, combined)

@@ -18,9 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 import textlime.sampling as sampling
 import textlime.theory as theory
 from textlime import (
+    CombinedModel,
     Document,
     IndicatorProduct,
     LinearModel,
+    Model,
     TreeModel,
     alpha_bounds,
     alpha_limit,
@@ -150,6 +152,29 @@ def pairwise_normalization_constant(d, nu):
 
 def synthetic_local(d):
     return local_dictionary(Document(tokens=tuple(f"w{i:04d}" for i in range(d))))
+
+
+class TanhOfLinear(Model):
+    """A custom model, nonlinear in the TF-IDF rows: tanh of a weighted sum."""
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def evaluate_matrix(self, values, words):
+        return np.tanh(values @ np.array([self.weights.get(w, 0.0) for w in words]))
+
+
+def explanation_vector(result):
+    return np.array([result.intercept, *result.coefficients])
+
+
+def sum_of_parts(*parts):
+    """sum_i a_i [intercept_i, coefficients_i] over the (a_i, explanation_i)
+    pairs, added left to right into zeros."""
+    total = np.zeros(len(parts[0][1].coefficients) + 1)
+    for a, part in parts:
+        total += a * explanation_vector(part)
+    return total
 
 
 class TestAlpha:
@@ -890,6 +915,21 @@ class TestBetaLinear:
         with pytest.raises(ClosedFormDomainError, match="at least 2 distinct words"):
             beta_linear({"food": 1.0}, corpus.documents[0], idf, mode="full")
 
+    @pytest.mark.parametrize("mode", ["simplified", "full"])
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan])
+    def test_bandwidth_must_be_positive(self, linear_setup, mode, nu):
+        _, doc, idf, _, lam = linear_setup
+        with pytest.raises(ValueError, match="bandwidth nu must be positive"):
+            beta_linear(lam, doc, idf, mode=mode, nu=nu)
+        with pytest.raises(ValueError, match="bandwidth nu must be positive"):
+            population_explanation(LinearModel(lam), doc, idf, nu=nu, linear_mode=mode)
+
+    @pytest.mark.parametrize("mode", ["simplified", "full"])
+    def test_infinite_bandwidth_is_accepted(self, linear_setup, mode):
+        _, doc, idf, _, lam = linear_setup
+        result = beta_linear(lam, doc, idf, mode=mode, nu=math.inf)
+        assert np.isfinite(explanation_vector(result)).all()
+
     def test_unknown_mode_rejected(self, linear_setup):
         _, doc, idf, _, lam = linear_setup
         with pytest.raises(ValueError, match="unknown mode"):
@@ -1153,6 +1193,9 @@ class TestBetaGeneralMc:
     def test_peak_memory_is_bounded_at_large_d(self):
         # A chunk holds at most 2**21 presence cells whatever d is: about
         # 3 MB peak here, where 65,536-row chunks at d = 1000 took 325 MB.
+        # The tree part takes beta_tree, while the linear part's two mass
+        # classes (334 and 666 words) give 335 x 667 = 223,445 compositions,
+        # over CLASS_GRID_BUDGET, so it takes the oracle.
         doc = Document(tokens=tuple(f"w{i:04d}" for i in range(1000)))
         idf = fit_idf(Corpus(documents=(doc, Document(tokens=doc.tokens[::3]))))
         model = combine([
@@ -1203,16 +1246,31 @@ class TestPopulationExplanation:
         assert got.provenance == provenance
 
     def test_other_models_and_forced_monte_carlo_take_the_oracle(self, doc_idf):
-        # At d <= ENUMERATION_LIMIT a model without a closed form is
-        # enumerated exactly; Monte Carlo runs only when forced.
+        # At d <= ENUMERATION_LIMIT a custom model is enumerated exactly, and
+        # a tree-plus-linear combination is the sum of its parts' closed
+        # forms, the linear part in full mode. Monte Carlo runs only when forced.
         doc, idf = doc_idf
-        assert local_dictionary(doc).d <= theory.ENUMERATION_LIMIT
+        local = local_dictionary(doc)
+        assert local.d <= theory.ENUMERATION_LIMIT
         tree = tree_from_spec('"food" + "staff"')
-        mixed = combine([(1.0, tree), (2.0, LinearModel(coefficients={"fun": 1.0}))])
+        linear = LinearModel(coefficients={"fun": 1.0})
+        mixed = combine([(1.0, tree), (2.0, linear)])
         got = population_explanation(mixed, doc, idf, nu=0.3, n_mc=5000, seed=9)
-        assert got == beta_enumerated(mixed, doc, idf, nu=0.3)
+        want = sum_of_parts(
+            (1.0, beta_tree(tree, local, 0.3)),
+            (2.0, beta_linear(linear, doc, idf, mode="full", nu=0.3)),
+        )
+        assert explanation_vector(got).tobytes() == want.tobytes()
+        assert got.provenance == "exact-closed-form"
+        assert got.notes == {"parts": ["beta_tree", "beta_linear"]}
+        assert_matches_enumeration(
+            got, beta_enumerated(mixed, doc, idf, nu=0.3), sigma_set(local.d, 0.3)
+        )
+        custom = TanhOfLinear({"fun": 1.0, "staff": -2.0})
+        got = population_explanation(custom, doc, idf, nu=0.3, n_mc=5000, seed=9)
+        assert got == beta_enumerated(custom, doc, idf, nu=0.3)
         assert got.provenance == "exact-enumeration"
-        for model in (mixed, tree):
+        for model in (mixed, tree, custom):
             got = population_explanation(
                 model, doc, idf, nu=0.3, n_mc=5000, seed=9, monte_carlo=True
             )
@@ -1220,12 +1278,29 @@ class TestPopulationExplanation:
             assert got.provenance == "monte-carlo"
 
     def test_other_models_above_the_enumeration_limit_take_monte_carlo(self):
+        # Above the limit a custom model, and a combination of custom leaves
+        # only, take the oracle unchanged; a tree-plus-linear combination
+        # stays exact.
         corpus = load_corpus(bundled_corpus_path())
         doc, idf = corpus.documents[0], fit_idf(corpus)
-        assert local_dictionary(doc).d > theory.ENUMERATION_LIMIT
-        mixed = combine([(1.0, tree_from_spec('"food"')), (1.0, LinearModel({"fast": 1.0}))])
+        local = local_dictionary(doc)
+        assert local.d > theory.ENUMERATION_LIMIT
+        custom = TanhOfLinear({"food": 1.0, "fast": -0.5})
+        only_custom = CombinedModel(parts=((1.0, custom), (-0.5, TanhOfLinear({"food": 2.0}))))
+        for model in (custom, only_custom):
+            got = population_explanation(model, doc, idf, nu=0.3, n_mc=5000, seed=9)
+            assert got == beta_general_mc(model, doc, idf, nu=0.3, n_mc=5000, seed=9)
+            assert got.provenance == "monte-carlo"
+        tree, linear = tree_from_spec('"food"'), LinearModel({"fast": 1.0})
+        mixed = combine([(1.0, tree), (1.0, linear)])
         got = population_explanation(mixed, doc, idf, nu=0.3, n_mc=5000, seed=9)
-        assert got == beta_general_mc(mixed, doc, idf, nu=0.3, n_mc=5000, seed=9)
+        want = sum_of_parts(
+            (1.0, beta_tree(tree, local, 0.3)),
+            (1.0, beta_linear(linear, doc, idf, mode="full", nu=0.3)),
+        )
+        assert explanation_vector(got).tobytes() == want.tobytes()
+        assert got.provenance == "exact-closed-form"
+        assert got.coefficient_stderr is None and got.intercept_stderr is None
 
 
 # Bandwidths log-uniform on [0.03, 100], where the closed forms are meant
@@ -1680,3 +1755,103 @@ class TestLinearMassClasses:
             )
             assert got == beta_general_mc(models[large], large, idf, nu=0.25, n_mc=5000, seed=9)
             assert got.provenance == "monte-carlo"
+
+
+def random_leaf(kind, words, rng):
+    """A random tree (1 to 5 terms of 0 to 3 words), `LinearModel` or
+    `TanhOfLinear` over `words`, with standard normal weights."""
+    if kind == "tree":
+        return TreeModel(
+            terms=tuple(
+                IndicatorProduct(
+                    words=frozenset(rng.choice(words, rng.integers(0, 4), replace=False).tolist()),
+                    coefficient=float(rng.uniform(-2.0, 2.0)),
+                )
+                for _ in range(rng.integers(1, 6))
+            )
+        )
+    weights = dict(zip(words, rng.normal(size=len(words)).tolist()))
+    return LinearModel(weights) if kind == "linear" else TanhOfLinear(weights)
+
+
+class TestCombinationsByParts:
+    """`population_explanation` of a `CombinedModel`: the sum of its leaves'
+    explanations, trees and linear leaves in closed form, the leaves with
+    none pooled into one call of the enumeration or the oracle."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        structure=st.lists(
+            st.tuples(st.integers(1, 4), st.integers(0, 5)), min_size=5, max_size=14
+        ),
+        kinds=st.lists(st.sampled_from(["tree", "linear", "custom"]), min_size=1, max_size=4),
+        nested=st.booleans(),
+        nu=st.sampled_from([0.05, 0.25, 1.0, 100.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(  # the first two leaves nested in an inner combination
+        structure=[(1, 0)] * 6 + [(2, 3)] * 6, kinds=["tree", "custom", "linear"],
+        nested=True, nu=0.25, seed=0,
+    )
+    @example(structure=[(1, 0)] * 8, kinds=[], nested=False, nu=1.0, seed=1)  # empty
+    def test_matches_the_enumeration(self, structure, kinds, nested, nu, seed):
+        doc, idf = class_structured_case(structure)
+        local = local_dictionary(doc)
+        rng = np.random.default_rng(seed)
+        leaves = [(float(rng.normal()), random_leaf(kind, local.words, rng)) for kind in kinds]
+        if nested and len(leaves) >= 2:
+            inner = CombinedModel(parts=tuple(leaves[:2]))
+            leaves = [(float(rng.normal()), inner), *leaves[2:]]
+        model = CombinedModel(parts=tuple(leaves))
+        want = beta_enumerated(model, doc, idf, nu=nu)
+        got = population_explanation(model, doc, idf, nu=nu)
+        if "tree" not in kinds and "linear" not in kinds:
+            # No leaf has a closed form: the unchanged model is enumerated.
+            assert got == want
+        elif "custom" in kinds:
+            assert got.provenance == "exact-enumeration"
+        else:
+            assert got.provenance == "exact-closed-form"
+        assert got.words == want.words
+        assert_matches_enumeration(got, want, sigma_set(local.d, nu))
+
+    def test_tree_plus_linear_on_bundled_document_0_matches_monte_carlo(self):
+        # d = 31, above the enumeration limit. One bound, family-wise over
+        # the four bandwidths and all 32 coordinates, intercept included:
+        # 128 z-scores, for which 4.5 is about the two-sided Bonferroni bound
+        # at a family-wise rate of 1e-3.
+        corpus = load_corpus(bundled_corpus_path())
+        doc, idf = corpus.documents[0], fit_idf(corpus)
+        tree = tree_from_spec('"food" + (!"food" & "about" & "Everything")')
+        model = combine([(1.0, tree), (1.0, LinearModel(linear_weights(local_dictionary(doc), 2024)))])
+        worst = 0.0
+        for nu in (0.1, 0.25, 1.0, 100.0):
+            got = population_explanation(model, doc, idf, nu=nu)
+            assert got.provenance == "exact-closed-form"
+            oracle = beta_general_mc(model, doc, idf, nu=nu, n_mc=400_000, seed=5)
+            stderr = np.array([oracle.intercept_stderr, *oracle.coefficient_stderr])
+            z = np.abs(explanation_vector(got) - explanation_vector(oracle)) / stderr
+            worst = max(worst, z.max())
+        assert worst <= 4.5
+
+    def test_custom_leaves_above_the_limit_take_one_oracle_call(self):
+        # The custom leaves are pooled, in order, into one remainder, which
+        # the oracle explains once and which is added after the tree.
+        corpus = load_corpus(bundled_corpus_path())
+        doc, idf = corpus.documents[0], fit_idf(corpus)
+        local = local_dictionary(doc)
+        assert local.d > theory.ENUMERATION_LIMIT
+        tree = tree_from_spec('"food" + (!"food" & "about" & "Everything")')
+        first, second = TanhOfLinear({"food": 1.0, "fast": -0.5}), TanhOfLinear({"about": 2.0})
+        model = CombinedModel(parts=((2.0, first), (1.5, tree), (-1.0, second)))
+        got = population_explanation(model, doc, idf, nu=0.25, n_mc=20_000, seed=3)
+        remainder = beta_general_mc(
+            CombinedModel(parts=((2.0, first), (-1.0, second))), doc, idf,
+            nu=0.25, n_mc=20_000, seed=3,
+        )
+        want = sum_of_parts((1.5, beta_tree(tree, local, 0.25)), (1.0, remainder))
+        assert explanation_vector(got).tobytes() == want.tobytes()
+        assert got.provenance == "monte-carlo"
+        assert got.coefficient_stderr == remainder.coefficient_stderr
+        assert got.intercept_stderr == remainder.intercept_stderr
+        assert got.notes == {"parts": ["beta_general_mc", "beta_tree", "beta_general_mc"]}
