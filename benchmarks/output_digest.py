@@ -12,8 +12,9 @@ writes gets one line. The theory cases print the 17-digit values of
 `beta_tree` at four bandwidths, of `beta_linear` on every bundled document
 (simplified, and full at nu = 0.25 and nu = inf) and in full mode on the
 two-word document, of `population_explanation`
-of a tree-plus-linear `CombinedModel` on documents 0 and 5 (exact, part by
-part), of `beta_general_mc`
+of a tree-plus-linear `CombinedModel` on documents 0 and 5 and, on document
+0, of a tree, a linear model and a nested combination of a second linear
+model and a tree (exact: one tree and one linear part), of `beta_general_mc`
 (means and standard errors, n_mc = 20000, and on a synthetic d = 40 document
 with n_mc = 60000, which spans more than one sampling chunk), of
 `population_explanation` of a tree plus a custom model on that synthetic
@@ -195,6 +196,16 @@ def theory_digests() -> dict[str, str]:
         mixed = combine([(1.0, tree_from_spec(spec)), (1.0, LinearModel(coefficients=LINEAR))])
         result = population_explanation(mixed, corpus.documents[doc], idf, nu=0.25)
         record(f"population_explanation/doc{doc}/combined", result.intercept, result.coefficients)
+    nested = CombinedModel(parts=(
+        (1.0, tree_from_spec(TREES[0])),
+        (0.5, LinearModel(coefficients=LINEAR)),
+        (-2.0, CombinedModel(parts=(
+            (1.5, LinearModel(coefficients={"food": -1.0, "fast": 2.0})),
+            (0.25, tree_from_spec('"fast" & !"about"')),
+        ))),
+    ))
+    result = population_explanation(nested, corpus.documents[0], idf, nu=0.25)
+    record("population_explanation/doc0/nested", result.intercept, result.coefficients)
 
     # 1 to 3 copies of each of 40 words, every fifth copy also in a second
     # document, so that the masses and the IDF vary.

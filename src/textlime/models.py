@@ -125,16 +125,6 @@ class CombinedModel(Model):
         return out
 
 
-def indicator_terms(model: Model) -> tuple[IndicatorProduct, ...] | None:
-    """The signed indicator products a model is built from, or None when
-    it is not built from indicator products alone."""
-    if isinstance(model, IndicatorProduct):
-        return (model,)
-    if isinstance(model, TreeModel):
-        return model.terms
-    return None
-
-
 def _tree_from_polynomial(poly: dict[frozenset[str], float]) -> TreeModel:
     """The tree of a {word set: coefficient} polynomial: zero coefficients
     drop, and the terms go by support size, then alphabetically."""
@@ -147,21 +137,49 @@ def _tree_from_polynomial(poly: dict[frozenset[str], float]) -> TreeModel:
     )
 
 
-def combine(parts: Sequence[tuple[float, Model]]) -> Model:
-    """Weighted sum of models.
-
-    When every part is built from indicator products the result is merged
-    back into a TreeModel (same-support terms collapse, zero coefficients
-    drop), which keeps the closed-form explanation path available.
+def _split(
+    model: Model,
+) -> tuple[TreeModel | None, LinearModel | None, tuple[tuple[float, Model], ...]]:
+    """`model` as (tree, linear, rest): a bare tree or indicator product is
+    a tree, a bare linear model the linear part and any other bare model the
+    rest ((1.0, model),). A `CombinedModel` is flattened, nested coefficients
+    multiplied through: its indicator terms merge into one tree, its linear
+    weights add into one LinearModel and its other parts keep their order.
+    A part with no term or weight is None (the rest ()).
     """
-    term_lists = [(a, indicator_terms(m)) for a, m in parts]
-    if all(terms is not None for _, terms in term_lists):
-        merged: dict[frozenset[str], float] = {}
-        for a, terms in term_lists:
-            for t in terms:  # type: ignore[union-attr]
-                merged[t.words] = merged.get(t.words, 0.0) + a * t.coefficient
-        return _tree_from_polynomial(merged)
-    return CombinedModel(parts=tuple((float(a), m) for a, m in parts))
+    if isinstance(model, IndicatorProduct):
+        model = TreeModel(terms=(model,))
+    if isinstance(model, TreeModel):
+        return model, None, ()
+    if isinstance(model, LinearModel):
+        return None, model, ()
+    if not isinstance(model, CombinedModel):
+        return None, None, ((1.0, model),)
+    poly: dict[frozenset[str], float] = {}
+    weights: dict[str, float] = {}
+    rest: tuple[tuple[float, Model], ...] = ()
+    for a, part in model.parts:
+        tree, linear, others = _split(part)
+        for t in getattr(tree, "terms", ()):
+            poly[t.words] = poly.get(t.words, 0.0) + a * t.coefficient
+        for w, c in getattr(linear, "coefficients", {}).items():
+            weights[w] = weights.get(w, 0.0) + a * c
+        rest += tuple((a * b, m) for b, m in others)
+    tree = _tree_from_polynomial(poly) if poly else None
+    return tree, LinearModel(coefficients=weights) if weights else None, rest
+
+
+def combine(parts: Sequence[tuple[float, Model]]) -> Model:
+    """Weighted sum of models: their `CombinedModel`, or its `_split` tree
+    when it has no linear part and no other part. The tree keeps the
+    closed-form route of a tree: same-support terms collapse, nested sums
+    flatten and zero coefficients drop.
+    """
+    combined = CombinedModel(parts=tuple((float(a), m) for a, m in parts))
+    tree, linear, rest = _split(combined)
+    if linear is None and not rest:
+        return tree or TreeModel(terms=())
+    return combined
 
 
 class TreeSpecError(ValueError):

@@ -12,10 +12,10 @@ undefined, gets the limit psi(1).
 A sample's embedding is the TF-IDF masses of the words it keeps, scaled
 to unit norm (`renormalized_tfidf`). The document's own embedding phi is
 its all-kept row. Each built-in model reads the cheapest statistic of the
-presence rows that determines its response (`_responses`): a model built
-only from indicator products reads the presence rows themselves, a linear
-model two products of them with the masses, and a combination each of its
-parts so. Only custom models are embedded.
+presence rows that determines its response (`_responses`), part by part
+of `models._split`: the tree reads the presence rows themselves and the
+linear part two products of them with the masses. Only the custom parts
+are embedded, once per call.
 
 Repeated runs on one document share a `_Workspace`: the per-document
 invariants, computed once, and scratch arrays that every run overwrites
@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, tfidf_weights
-from .models import CombinedModel, LinearModel, Model, _weight_vector, indicator_terms
+from .models import Model, _split, _weight_vector
 
 
 def psi(t, nu: float):
@@ -170,39 +170,32 @@ def _responses(
     words: Sequence[str],
     masses: np.ndarray,
     workspace: _Workspace | None = None,
-    embedded: list | None = None,
 ) -> np.ndarray:
     """`model` on the presence rows `z` over `words`, whose TF-IDF masses are
     `masses`: the one place where sampled or enumerated rows become model
-    responses. A model built from indicator products reads `z` itself:
-    every mass is positive (idf >= 1, counts >= 1), so a coordinate is
-    positive exactly where z is 1. A linear model reads
+    responses. The parts of `_split(model)` are added in order into zeros,
+    and a lone part is returned as it is. The tree reads `z` itself: every
+    mass is positive (idf >= 1, counts >= 1), so a coordinate is positive
+    exactly where z is 1. The linear part reads
     sum_k lambda_k m_k z_k / sqrt(sum_k m_k^2 z_k), 0 on the all-removed
-    row, from one product per `_float_blocks` block. A `CombinedModel` adds
-    its parts in its own `evaluate_matrix` order. Only custom models are
-    embedded (`renormalized_tfidf`), once per call: `embedded` carries the
-    embedding to the parts.
+    row, from one product per `_float_blocks` block. The other parts, the
+    custom models, read one embedding (`renormalized_tfidf`).
     """
-    if indicator_terms(model) is not None:
-        return model.evaluate_matrix(z, words)
-    if isinstance(model, LinearModel):
-        signal = _weight_vector(model.coefficients, words) * masses
+    tree, linear, rest = _split(model)
+    parts = [] if tree is None else [tree.evaluate_matrix(z, words)]
+    if linear is not None:
+        signal = _weight_vector(linear.coefficients, words) * masses
         stats = np.stack([signal, masses * masses], axis=1)
         sums = np.empty((len(z), 2))
         for rows, block in _float_blocks(z, workspace):
             np.matmul(block, stats, out=sums[rows])
         norms = np.sqrt(sums[:, 1])
         norms[norms == 0.0] = 1.0  # the all-removed row's sum is 0 too
-        return sums[:, 0] / norms
-    embedded = [] if embedded is None else embedded
-    if isinstance(model, CombinedModel):
-        out = np.zeros(len(z))
-        for a, part in model.parts:
-            out += a * _responses(part, z, words, masses, workspace, embedded)
-        return out
-    if not embedded:
-        embedded.append(renormalized_tfidf(z, masses, _workspace=workspace))
-    return model.evaluate_matrix(embedded[0], words)
+        parts.append(sums[:, 0] / norms)
+    if rest:
+        values = renormalized_tfidf(z, masses, _workspace=workspace)
+        parts += [a * m.evaluate_matrix(values, words) for a, m in rest]
+    return parts[0] if len(parts) == 1 else sum(parts, np.zeros(len(z)))
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -22,9 +22,7 @@ _CSV_DIGITS = 10
 
 
 def format_json_float(x: float) -> str:
-    if math.isnan(x):
-        return "null"
-    if math.isinf(x):
+    if not math.isfinite(x):
         return "null"
     return "%.*g" % (_JSON_DIGITS, x)
 

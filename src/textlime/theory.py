@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
-from .models import CombinedModel, LinearModel, Model, TreeModel, _weight_vector, indicator_terms
+from .models import CombinedModel, Model, _split, _weight_vector
 from .sampling import (
     SampleBatch,
     _float_blocks,
@@ -629,14 +629,6 @@ def beta_general_mc(
     )
 
 
-def _leaves(model: Model, scale: float = 1.0) -> list[tuple[float, Model]]:
-    """The (coefficient, model) leaves of a `CombinedModel`, in the order its
-    `evaluate_matrix` adds them, nested coefficients multiplied through."""
-    if not isinstance(model, CombinedModel):
-        return [(scale, model)]
-    return [leaf for a, part in model.parts for leaf in _leaves(part, scale * a)]
-
-
 def population_explanation(
     model: Model,
     document: Document,
@@ -650,56 +642,45 @@ def population_explanation(
 ) -> TheoryExplanation:
     """The population explanation of any model, by the best available route.
 
-    Indicator-built models (indicators, trees) get the exact closed form
-    `beta_tree`; linear models get `beta_linear` in `linear_mode` where its
-    full mode's grid fits CLASS_GRID_BUDGET. The explanation is linear in
-    the model, so a `CombinedModel` is the sum of its `_leaves`'
-    explanations, linear leaves in full mode, with the leaves that have no
-    closed form pooled in order into one remainder added last;
-    `notes["parts"]` names each leaf's route. Other models, combinations
-    with no closed-form leaf and that remainder get the exact
-    `beta_enumerated` at d <= ENUMERATION_LIMIT, else the Monte Carlo oracle
-    `beta_general_mc` with `n_mc` samples drawn from `seed`, which every
-    model gets when `monte_carlo` is set.
+    The explanation is linear in the model, so it is the sum of those of
+    the parts of `_split(model)`: the tree's exact `beta_tree`; the linear
+    part's `beta_linear` (in `linear_mode` if bare, else full) where its
+    grid fits CLASS_GRID_BUDGET; and one explanation of the rest, which the
+    linear part joins when its grid does not fit. The rest, the whole model
+    when no part has a closed form, and every model when `monte_carlo` is
+    set, take the exact `beta_enumerated` at d <= ENUMERATION_LIMIT (unless
+    `monte_carlo`), else the oracle `beta_general_mc` with `n_mc` samples
+    from `seed`. A combination's `notes["parts"]` names the route of each
+    of its at most three parts: tree, linear and remainder.
     """
     local = local_dictionary(document)
-
-    def closed_form(m: Model, mode: str):
-        terms = indicator_terms(m)
-        if terms is not None:
-            return "beta_tree", beta_tree(TreeModel(terms=terms), local, nu)
-        if isinstance(m, LinearModel):
-            try:
-                return "beta_linear", beta_linear(m, document, idf, mode=mode, nu=nu)
-            except _ClassGridTooLarge:
-                pass  # explained like any other model
-        return None
 
     def fallback(m: Model):
         if not monte_carlo and local.d <= ENUMERATION_LIMIT:
             return "beta_enumerated", beta_enumerated(m, document, idf, nu=nu)
         return "beta_general_mc", beta_general_mc(m, document, idf, nu=nu, n_mc=n_mc, seed=seed)
 
-    if monte_carlo:
+    tree, linear, rest = (None, None, ()) if monte_carlo else _split(model)
+    combined = isinstance(model, CombinedModel)
+    parts = [] if tree is None else [("beta_tree", beta_tree(tree, local, nu))]
+    if linear is not None:
+        mode = "full" if combined else linear_mode
+        try:
+            parts.append(("beta_linear", beta_linear(linear, document, idf, mode=mode, nu=nu)))
+        except _ClassGridTooLarge:
+            rest += ((1.0, linear),)
+    if not parts:
         return fallback(model)[1]
-    if not isinstance(model, CombinedModel):
-        return (closed_form(model, linear_mode) or fallback(model))[1]
-    leaves = _leaves(model)
-    routes = [closed_form(m, "full") for _, m in leaves]
-    rest = tuple(leaf for leaf, route in zip(leaves, routes) if route is None)
-    if len(rest) == len(leaves):
-        return fallback(model)[1]
-    parts = [(a, route[1]) for (a, _), route in zip(leaves, routes) if route is not None]
     if rest:
-        remainder = fallback(CombinedModel(parts=rest))
-        parts.append((1.0, remainder[1]))
-        routes = [route or remainder for route in routes]
+        parts.append(fallback(CombinedModel(parts=rest)))
+    if not combined:
+        return parts[0][1]
     total = np.zeros(local.d + 1)
-    for a, part in parts:
-        total += a * np.array([part.intercept, *part.coefficients])
-    # Every leaf route is exact-closed-form, so the last part (the remainder,
-    # if any) is the weakest: it gives the sum its provenance and standard errors.
+    for _, part in parts:
+        total += [part.intercept, *part.coefficients]
+    # The closed-form parts come first, so the last part (the remainder, if
+    # any) is the weakest: it gives the sum its provenance and standard errors.
     return replace(
         parts[-1][1], intercept=float(total[0]), coefficients=tuple(total[1:].tolist()),
-        notes={"parts": [name for name, _ in routes]},
+        notes={"parts": [name for name, _ in parts]},
     )

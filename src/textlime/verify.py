@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Document, IdfTable, local_dictionary
-from .models import Model, combine, indicator_terms
+from .models import Model, TreeModel, combine
 from .surrogate import _explain_runs
 from .theory import TheoryExplanation, population_explanation
 
@@ -348,7 +348,7 @@ def linearity_check(
     # Only models built from indicator products have an exact closed form
     # whose additivity holds to round-off; `combine` keeps their sum a tree.
     # Any other sum is explained part by part, so its residual is 0 by construction.
-    if indicator_terms(combined) is not None:
+    if isinstance(combined, TreeModel):
         beta_f, beta_g, beta_fg = (
             population_explanation(m, document, idf, nu=nu) for m in (f, g, combined)
         )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from textlime import (
+    CombinedModel,
     IndicatorProduct,
     LinearModel,
     TreeModel,
@@ -135,6 +136,21 @@ class TestCombine:
         assert isinstance(c, TreeModel)
         by_support = {t.words: t.coefficient for t in c.terms}
         assert by_support == {frozenset({"a"}): 3.0, frozenset({"b"}): 1.0}
+
+    def test_nested_sums_flatten_into_one_tree(self):
+        tree_a = tree_from_spec('"a" + ("b" & "c")')
+        tree_b = tree_from_spec('"a" + "d"')
+        c = combine([(1.0, CombinedModel(parts=((2.0, tree_a),))), (-1.0, tree_b)])
+        assert isinstance(c, TreeModel)
+        by_support = {t.words: t.coefficient for t in c.terms}
+        assert by_support == {
+            frozenset({"a"}): 1.0, frozenset({"d"}): -1.0, frozenset({"b", "c"}): 2.0,
+        }
+
+    def test_a_nested_linear_part_keeps_the_combination(self):
+        linear = CombinedModel(parts=((2.0, LinearModel(coefficients={"b": 2.0})),))
+        parts = ((1.0, tree_from_spec('"a"')), (0.5, linear))
+        assert combine(parts) == CombinedModel(parts=parts)
 
 
 class TestTreeFromSpec:

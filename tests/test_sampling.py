@@ -564,3 +564,94 @@ class TestLinearPresenceRoute:
         for _ in range(2):
             again = sampling._responses(model, z, words, masses, workspace)
             assert again.tobytes() == got.tobytes()
+
+
+class CosineOfSum(Model):
+    """A custom model: cos of the sum of the TF-IDF coordinates."""
+
+    def evaluate_matrix(self, values, words):
+        return np.cos(values.sum(axis=1))
+
+
+def random_part(kind, words, rng):
+    """A random tree of 1..5 terms on 1..3 words, a linear model over a
+    random half of `words`, or a `CosineOfSum`. Weights are normal times
+    10^u, u uniform on [-3, 3]; a word outside `words` may appear too."""
+    pool = [*words, "absent"]
+
+    def magnitude(size=None):
+        return rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size=size)
+
+    if kind == "tree":
+        return TreeModel(
+            terms=tuple(
+                IndicatorProduct(
+                    words=frozenset(rng.choice(pool, size=rng.integers(1, 4)).tolist()),
+                    coefficient=float(magnitude()),
+                )
+                for _ in range(rng.integers(1, 6))
+            )
+        )
+    if kind == "linear":
+        chosen = rng.choice(pool, size=len(pool) // 2 + 1, replace=False).tolist()
+        return LinearModel(coefficients=dict(zip(chosen, magnitude(len(chosen)).tolist())))
+    return CosineOfSum()
+
+
+def response_scale(model, z, words, masses, values, scale=1.0):
+    """Per row, sum over the leaves of |product of the coefficients above
+    the leaf| times a bound of its response: sum |c| over a tree's terms,
+    sum_k |lambda_k m_k| z_k / sqrt(sum_k m_k^2 z_k) for a linear model
+    (0 on the all-removed row), |f| on the embedding for a custom model."""
+    if isinstance(model, CombinedModel):
+        return sum(
+            (response_scale(m, z, words, masses, values, scale * a) for a, m in model.parts),
+            np.zeros(len(z)),
+        )
+    if isinstance(model, TreeModel):
+        return np.full(len(z), abs(scale) * sum(abs(t.coefficient) for t in model.terms))
+    if isinstance(model, LinearModel):
+        lam = np.array([model.coefficients.get(w, 0.0) for w in words])
+        norms = np.sqrt(z @ masses**2)
+        signal = z @ np.abs(lam * masses)
+        return abs(scale) * np.divide(signal, norms, out=np.zeros(len(z)), where=norms > 0)
+    return abs(scale) * np.abs(model.evaluate_matrix(values, words))
+
+
+class TestCombinationResponses:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        d=st.integers(1, 60),
+        kinds=st.lists(st.sampled_from(["tree", "linear", "custom"]), min_size=1, max_size=4),
+        nested=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=7, kinds=[], nested=False, seed=0)  # the empty combination
+    @example(d=1000, kinds=["linear", "tree", "linear", "custom"], nested=True, seed=1)
+    def test_matches_the_embedding(self, d, kinds, nested, seed):
+        # Let A be `response_scale`, T the number of tree terms and L of
+        # leaves (T <= 20, L <= 4). The embedding side adds each leaf, scaled
+        # by at most two coefficients, into zeros at two levels of at most
+        # four parts: within (1.5 d + 3.5) eps of a linear leaf's scale (see
+        # TestLinearPresenceRoute), T eps of a tree's, and 8 eps of A for
+        # the scaling and the sums. The presence side merges the trees' and
+        # the linear leaves' coefficients (within (L + 2) eps each), then
+        # sums T terms, takes the linear route on the merged weights and
+        # adds at most three parts: within (1.5 d + 2 T + L + 10) eps A.
+        # Custom leaves read the same embedding bits on both sides. So the
+        # two differ by at most (3 d + 3 T + L + 22) eps A, and the bound
+        # below, 9 (d + T + L + 3) eps A, exceeds that.
+        _, doc, idf, z = linear_case(d, 40, seed)
+        local = local_dictionary(doc)
+        words, masses = local.words, tfidf_weights(local, idf)
+        rng = np.random.default_rng(seed)
+        parts = [(float(rng.normal()), random_part(kind, words, rng)) for kind in kinds]
+        terms = sum(len(getattr(m, "terms", ())) for _, m in parts)
+        if nested and len(parts) >= 2:
+            parts = [(float(rng.normal()), CombinedModel(parts=tuple(parts[:2]))), *parts[2:]]
+        model = CombinedModel(parts=tuple(parts))
+        values = renormalized_tfidf(z, masses)
+        got = sampling._responses(model, z, words, masses)
+        want = model.evaluate_matrix(values, words)
+        bound = 9 * (d + terms + len(kinds) + 3) * np.finfo(float).eps
+        assert np.all(np.abs(got - want) <= bound * response_scale(model, z, words, masses, values))

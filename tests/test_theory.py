@@ -7,6 +7,7 @@ enumeration, exact integer combinatorics, or raw Monte Carlo sampling.
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -1836,7 +1837,9 @@ class TestCombinationsByParts:
 
     def test_custom_leaves_above_the_limit_take_one_oracle_call(self):
         # The custom leaves are pooled, in order, into one remainder, which
-        # the oracle explains once and which is added after the tree.
+        # the oracle explains once and which is added after the tree. The
+        # tree's coefficients carry its 1.5 into beta_tree, so the sum lies
+        # at rounding level (5.6e-17 here) from 1.5 times the bare tree's.
         corpus = load_corpus(bundled_corpus_path())
         doc, idf = corpus.documents[0], fit_idf(corpus)
         local = local_dictionary(doc)
@@ -1849,9 +1852,45 @@ class TestCombinationsByParts:
             CombinedModel(parts=((2.0, first), (-1.0, second))), doc, idf,
             nu=0.25, n_mc=20_000, seed=3,
         )
-        want = sum_of_parts((1.5, beta_tree(tree, local, 0.25)), (1.0, remainder))
+        want = sum_of_parts((1.0, beta_tree(combine([(1.5, tree)]), local, 0.25)), (1.0, remainder))
         assert explanation_vector(got).tobytes() == want.tobytes()
+        # beta_tree rounds a few products and sums per coordinate, each within
+        # an eps of the largest entry; the move here is 0.2 eps of it.
+        scaled = sum_of_parts((1.5, beta_tree(tree, local, 0.25)), (1.0, remainder))
+        eps = np.finfo(float).eps
+        assert np.abs(explanation_vector(got) - scaled).max() <= 4 * eps * np.abs(scaled).max()
         assert got.provenance == "monte-carlo"
         assert got.coefficient_stderr == remainder.coefficient_stderr
         assert got.intercept_stderr == remainder.intercept_stderr
-        assert got.notes == {"parts": ["beta_general_mc", "beta_tree", "beta_general_mc"]}
+        assert got.notes == {"parts": ["beta_tree", "beta_general_mc"]}
+
+    def test_linear_leaves_share_one_class_grid(self, monkeypatch):
+        # The linear leaves' weights add into one LinearModel, so the mass-class
+        # grid is built once; the explanation is the sum of the leaves' own.
+        corpus = load_corpus(bundled_corpus_path())
+        doc, idf = corpus.documents[0], fit_idf(corpus)
+        local = local_dictionary(doc)
+        tree = tree_from_spec('"food" + (!"food" & "about" & "Everything")')
+        leaves = [
+            (a, LinearModel(linear_weights(local, seed)))
+            for seed, a in enumerate((1.0, -0.5, 2.0, 0.25))
+        ]
+        model = CombinedModel(parts=((1.0, tree), *leaves))
+        calls = []
+        linear_full = theory._linear_full
+
+        def counted(*args):
+            calls.append(1)
+            return linear_full(*args)
+
+        monkeypatch.setattr(theory, "_linear_full", counted)
+        got = population_explanation(model, doc, idf, nu=0.25)
+        assert len(calls) == 1
+        assert got.provenance == "exact-closed-form"
+        assert got.notes == {"parts": ["beta_tree", "beta_linear"]}
+        want = sum_of_parts(
+            (1.0, beta_tree(tree, local, 0.25)),
+            *((a, beta_linear(m, doc, idf, mode="full", nu=0.25)) for a, m in leaves),
+        )
+        want = replace(got, intercept=float(want[0]), coefficients=tuple(want[1:].tolist()))
+        assert_matches_enumeration(got, want, sigma_set(local.d, 0.25))
