@@ -12,9 +12,11 @@ writes gets one line. The theory cases print the 17-digit values of
 `beta_tree` at four bandwidths, of `beta_linear` on every bundled document
 (simplified, and full at nu = 0.25 and nu = inf) and in full mode on the
 two-word document, of `population_explanation`
-of a tree-plus-linear `CombinedModel` on documents 0 and 5 and, on document
-0, of a tree, a linear model and a nested combination of a second linear
-model and a tree (exact: one tree and one linear part), of `beta_general_mc`
+of a tree-plus-linear `CombinedModel` on documents 0 and 5, on document
+0 of a tree, a linear model and a nested combination of a second linear
+model and a tree (exact: one tree and one linear part), and on document 5
+of a tree plus a custom model (the custom part by the exact enumeration),
+of `beta_enumerated` of that custom model on document 5, of `beta_general_mc`
 (means and standard errors, n_mc = 20000, and on a synthetic d = 40 document
 with n_mc = 60000, which spans more than one sampling chunk), of
 `population_explanation` of a tree plus a custom model on that synthetic
@@ -65,6 +67,7 @@ from textlime import (
     Document,
     LinearModel,
     Model,
+    beta_enumerated,
     beta_general_mc,
     beta_linear,
     beta_tree,
@@ -206,6 +209,13 @@ def theory_digests() -> dict[str, str]:
     ))
     result = population_explanation(nested, corpus.documents[0], idf, nu=0.25)
     record("population_explanation/doc0/nested", result.intercept, result.coefficients)
+    # The exact enumeration, alone and as the route of a combination's custom part.
+    result = beta_enumerated(TanhOfSum(), corpus.documents[5], idf, nu=0.25)
+    record("beta_enumerated/doc5/custom", result.intercept, result.coefficients)
+    tree_custom = CombinedModel(parts=((1.0, tree_from_spec(TREES[5])), (2.0, TanhOfSum())))
+    result = population_explanation(tree_custom, corpus.documents[5], idf, nu=0.25)
+    assert result.notes["parts"] == ["beta_tree", "beta_enumerated"], result.notes
+    record("population_explanation/doc5/tree-custom", result.intercept, result.coefficients)
 
     # 1 to 3 copies of each of 40 words, every fifth copy also in a second
     # document, so that the masses and the IDF vary.

@@ -21,7 +21,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import serialize
-from .corpus import Corpus, Document, IdfTable, fit_idf, load_corpus, tokenize
+from .corpus import Corpus, Document, IdfTable, fit_idf, load_corpus, local_dictionary, tokenize
 from .models import (
     IndicatorProduct,
     Model,
@@ -187,6 +187,14 @@ def load_inputs(options: dict) -> tuple[Document, Model, IdfTable]:
     return document, parse_model(options["model"]), fit_idf(corpus)
 
 
+def _too_narrow(field: str, exc: ValueError) -> "click.ClickException":
+    """A run whose drawn kernel weights are all 0 blames the bandwidth
+    `field`; any other error of a run propagates."""
+    if not str(exc).startswith("degenerate weights"):
+        raise exc
+    return fail(field, f"bandwidth too narrow for this document: {exc}")
+
+
 def out_path(options: dict, experiment: str, tag: str, nu=None, n=None, ext=None) -> Path:
     """`<out>/<experiment>-<tag>-<nu>-<n>.<ext>`; nu, n and ext default to
     the --nu, --n and --format options."""
@@ -242,15 +250,18 @@ def cmd_explain(config, **_):
     """Fit the surrogate once and write the explanation."""
     options = resolve_options(config)
     document, model, idf = load_inputs(options)
-    explanation = run_explain(
-        model,
-        document,
-        idf,
-        n=options["n"],
-        nu=options["nu"],
-        ridge=options["ridge"],
-        seed=options["seed"],
-    )
+    try:
+        explanation = run_explain(
+            model,
+            document,
+            idf,
+            n=options["n"],
+            nu=options["nu"],
+            ridge=options["ridge"],
+            seed=options["seed"],
+        )
+    except ValueError as exc:
+        raise _too_narrow("nu", exc)
     path = out_path(options, "explanation", model_tag(options["model"]))
     serialize.write_explanation(explanation, path, options["format"])
     click.echo(f"wrote {path}")
@@ -299,12 +310,15 @@ def cmd_verify(config, **_):
         )
     except ClosedFormDomainError as exc:
         raise fail("doc", str(exc))
-    stats = run_repeated(
-        model, document, idf,
-        n=options["n"], nu=options["nu"], ridge=options["ridge"],
-        n_exp=options["n_exp"], master_seed=options["seed"],
-        threads=options["threads"],
-    )
+    try:
+        stats = run_repeated(
+            model, document, idf,
+            n=options["n"], nu=options["nu"], ridge=options["ridge"],
+            n_exp=options["n_exp"], master_seed=options["seed"],
+            threads=options["threads"],
+        )
+    except ValueError as exc:
+        raise _too_narrow("nu", exc)
     report = compare(stats, theory)
 
     tag = model_tag(options["model"])
@@ -349,6 +363,8 @@ def cmd_sweep(config, **_):
             raise fail("nu-grid", "grid is empty")
         if not np.all(grid > 0):
             raise fail("nu-grid", "bandwidths must be positive")
+    if word not in local_dictionary(document):
+        raise fail("word", f"unknown word {word!r}: not in the local dictionary")
     try:
         points = sweep_bandwidth(
             model, document, idf, word, grid,
@@ -356,7 +372,7 @@ def cmd_sweep(config, **_):
             master_seed=options["seed"], threads=options["threads"],
         )
     except ValueError as exc:
-        raise fail("word", str(exc))
+        raise _too_narrow("nu-grid", exc)
     path = out_path(options, "sweep", model_tag(options["model"]), nu=float(grid[0]))
     serialize.write_sweep(points, path, options["format"])
     click.echo(f"wrote {path}")

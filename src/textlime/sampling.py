@@ -17,9 +17,8 @@ of `models._split`: the tree reads the presence rows themselves and the
 linear part two products of them with the masses. Only the custom parts
 are embedded, once per call.
 
-Repeated runs on one document share a `_Workspace`: the per-document
-invariants, computed once, and scratch arrays that every run overwrites
-instead of allocating its own.
+The runs of one call share a `_Workspace`: the per-document invariants,
+computed once. Every per-run array is allocated fresh.
 """
 
 from __future__ import annotations
@@ -56,23 +55,15 @@ def _kernel_table(d: int, nu: float) -> np.ndarray:
 
 
 class _Workspace:
-    """What the runs of one (document, idf, n, nu) share.
-
-    The invariants are computed once: the TF-IDF `masses` and the
-    `_kernel_table`. Each scratch array is allocated by the first run and
-    overwritten by every later one, so repeated runs neither allocate nor
-    fault in fresh pages; a batch's arrays then hold only until the next
-    run. The `"keys"`, `"sorted"` and `"block"` buffers hold one row block
-    (`_block_rows`), the presence `"mask"` and the other arrays all n rows.
-    A lone run needs no workspace: without one it gets fresh arrays, freed
-    as soon as it drops them. Not thread-safe: one workspace per worker.
+    """What the runs of one (document, idf, nu) share: the invariants
+    `masses` (TF-IDF) and `kernel` (`_kernel_table`), computed once. It is
+    never written after construction.
     """
 
     def __init__(self, local: LocalDictionary, idf: IdfTable, nu: float) -> None:
         self.idf = idf
         self.masses = tfidf_weights(local, idf)
         self.kernel = _kernel_table(local.d, nu)
-        self.arrays: dict[str, np.ndarray] = {}
 
 
 # Cells per row block of the sampler and of the Monte Carlo oracle's sums:
@@ -85,31 +76,19 @@ def _block_rows(n: int, d: int) -> int:
     return max(1, min(n, _BLOCK_CELLS // d))
 
 
-def _scratch(workspace: _Workspace | None, name: str, shape, dtype=np.float64):
-    """Uninitialized array `name`: the workspace's own, else a fresh one."""
-    if workspace is None:
-        return np.empty(shape, dtype)
-    out = workspace.arrays.get(name)
-    if out is None:
-        out = workspace.arrays[name] = np.empty(shape, dtype)
-    return out
-
-
-def _float_blocks(z: np.ndarray, workspace: _Workspace | None = None):
+def _float_blocks(z: np.ndarray):
     """(rows, z[rows] as float64) per `_block_rows` row block of z, each cast
     into one cache-sized buffer that the next overwrites."""
     n, d = z.shape
     rows = _block_rows(n, d)
-    buffer = _scratch(workspace, "block", (rows, d))
+    buffer = np.empty((rows, d))
     for start in range(0, n, rows):
         block = buffer[: min(rows, n - start)]
         np.copyto(block, z[start : start + rows])
         yield slice(start, start + rows), block
 
 
-def draw_feature_matrix(
-    rng: np.random.Generator, n: int, d: int, *, _workspace: _Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def draw_feature_matrix(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw n removal sizes and the matching binary feature matrix.
 
     Returns (sizes, z) with sizes of shape (n,) and z of shape (n, d),
@@ -129,9 +108,9 @@ def draw_feature_matrix(
         raise ValueError("need at least one sample")
     sizes = rng.integers(1, d + 1, size=n)
     rows = _block_rows(n, d)
-    keys = _scratch(_workspace, "keys", (rows, d))
-    ordered = _scratch(_workspace, "sorted", (rows, d))
-    mask = _scratch(_workspace, "mask", (n, d), np.bool_)
+    keys = np.empty((rows, d))
+    ordered = np.empty((rows, d))
+    mask = np.empty((n, d), np.bool_)
     index = np.arange(rows)
     for start in range(0, n, rows):
         m = min(rows, n - start)
@@ -144,9 +123,7 @@ def draw_feature_matrix(
     return sizes, mask.view(np.int8)
 
 
-def renormalized_tfidf(
-    z: np.ndarray, masses: np.ndarray, *, _workspace: _Workspace | None = None
-) -> np.ndarray:
+def renormalized_tfidf(z: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """Row i = normalized TF-IDF of the words that z[i] keeps.
 
     `masses` holds the per-word TF-IDF mass of the full document
@@ -154,9 +131,7 @@ def renormalized_tfidf(
     surviving coordinates are rescaled per row; the all-removed row maps
     to the zero vector.
     """
-    values = _scratch(_workspace, "values", z.shape)
-    np.copyto(values, z)
-    values *= masses
+    values = z * masses
     norms = np.sqrt(values @ masses)
     # Dividing by 1 leaves a zero-norm row (every word removed) as it is.
     norms[norms == 0.0] = 1.0
@@ -169,7 +144,6 @@ def _responses(
     z: np.ndarray,
     words: Sequence[str],
     masses: np.ndarray,
-    workspace: _Workspace | None = None,
 ) -> np.ndarray:
     """`model` on the presence rows `z` over `words`, whose TF-IDF masses are
     `masses`: the one place where sampled or enumerated rows become model
@@ -187,13 +161,13 @@ def _responses(
         signal = _weight_vector(linear.coefficients, words) * masses
         stats = np.stack([signal, masses * masses], axis=1)
         sums = np.empty((len(z), 2))
-        for rows, block in _float_blocks(z, workspace):
+        for rows, block in _float_blocks(z):
             np.matmul(block, stats, out=sums[rows])
         norms = np.sqrt(sums[:, 1])
         norms[norms == 0.0] = 1.0  # the all-removed row's sum is 0 too
         parts.append(sums[:, 0] / norms)
     if rest:
-        values = renormalized_tfidf(z, masses, _workspace=workspace)
+        values = renormalized_tfidf(z, masses)
         parts += [a * m.evaluate_matrix(values, words) for a, m in rest]
     return parts[0] if len(parts) == 1 else sum(parts, np.zeros(len(z)))
 
@@ -205,8 +179,7 @@ class SampleBatch:
     `sizes[i]` is the number of words sample i removed, `z[i]` its binary
     presence row over the local dictionary and `weights[i]` its kernel
     weight psi(sizes[i] / d). Survivor documents are never materialized:
-    `tfidf_matrix` embeds all n survivors at once. Immutable once built;
-    a batch drawn into a workspace is valid until its next run.
+    `tfidf_matrix` embeds all n survivors at once. Immutable once built.
     """
 
     document: Document
@@ -233,7 +206,7 @@ class SampleBatch:
 
     def tfidf_matrix(self, idf: IdfTable) -> np.ndarray:
         """Row i = normalized TF-IDF of survivor i over the local words."""
-        return renormalized_tfidf(self.z, self._masses(idf), _workspace=self._workspace)
+        return renormalized_tfidf(self.z, self._masses(idf))
 
 
 def sample_batch(
@@ -248,6 +221,6 @@ def sample_batch(
     """Draw n i.i.d. perturbed samples; fully determined by the seed. A bad
     d or n raises in `draw_feature_matrix`, a bad nu in `psi`."""
     rng = np.random.default_rng(seed)
-    sizes, z = draw_feature_matrix(rng, n, local.d, _workspace=_workspace)
+    sizes, z = draw_feature_matrix(rng, n, local.d)
     kernel = _kernel_table(local.d, nu) if _workspace is None else _workspace.kernel
     return SampleBatch(document, local, nu, seed, sizes, z, kernel[sizes], _workspace=_workspace)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary
 from .models import Model
-from .sampling import SampleBatch, _responses, _scratch, _Workspace, sample_batch
+from .sampling import SampleBatch, _responses, _Workspace, sample_batch
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,6 @@ def fit_weighted_ridge(
     weights: np.ndarray,
     responses: np.ndarray,
     ridge: float = 0.0,
-    *,
-    _workspace: _Workspace | None = None,
 ) -> np.ndarray:
     """Solve min_beta sum_i w_i (y_i - beta . design_i)^2 + ridge ||beta||^2.
 
@@ -86,12 +84,10 @@ def fit_weighted_ridge(
     design, such as the int8 presence rows with a column of ones that
     `fit_batch` passes, is written straight into the scaled design, with
     no float64 copy of its own; the coefficients are bit for bit those of
-    the same design in float64. Repeated runs pass their `_Workspace`, whose
-    buffer then holds the scaled design; a lone call gets a fresh one. When
-    the factorization fails (rank deficiency, possible at tiny sample counts
-    with ridge = 0) the same scaled arrays give the minimum-norm
-    least-squares solution. Design, weights and responses must be finite;
-    the inputs are not modified.
+    the same design in float64. When the factorization fails (rank
+    deficiency, possible at tiny sample counts with ridge = 0) the same
+    scaled arrays give the minimum-norm least-squares solution. Design,
+    weights and responses must be finite; the inputs are not modified.
     """
     design = np.asarray(design)
     weights = np.asarray(weights, dtype=float)
@@ -114,7 +110,7 @@ def fit_weighted_ridge(
     # The cast is exact for integers and bools, so every design dtype gives
     # the bits of sqrt(w) times the float64 design. Integers and bools cannot
     # be NaN or inf; the check is left to other kinds.
-    a = _scratch(_workspace, "scaled", design.shape)
+    a = np.empty(design.shape)
     np.copyto(a, design, casting="unsafe")  # what astype(float) does
     if design.dtype.kind not in "biu" and not np.all(np.isfinite(a)):
         raise ValueError("design must be finite")
@@ -145,11 +141,9 @@ def fit_batch(
     the surrogate to the embedding), read from its presence row and the
     TF-IDF masses by `_responses`: only custom models are embedded.
     """
-    responses = _responses(model, batch.z, batch.local.words, batch._masses(idf), batch._workspace)
-    design = _scratch(batch._workspace, "design", (batch.n, batch.d + 1), np.int8)
-    design[:, 0] = 1
-    design[:, 1:] = batch.z
-    beta = fit_weighted_ridge(design, batch.weights, responses, ridge, _workspace=batch._workspace)
+    responses = _responses(model, batch.z, batch.local.words, batch._masses(idf))
+    design = np.hstack([np.ones((batch.n, 1), np.int8), batch.z])
+    beta = fit_weighted_ridge(design, batch.weights, responses, ridge)
     return Explanation(
         intercept=float(beta[0]),
         coefficients={w: float(b) for w, b in zip(batch.local.words, beta[1:])},
@@ -195,17 +189,13 @@ def _explain_runs(
     nu: float,
     ridge: float,
 ) -> list[Explanation]:
-    """One explanation per seed; two or more share one `_Workspace`.
-
-    `explain` is the one-seed case. Two or more runs overwrite one set of
-    arrays instead of each allocating its own; a lone run has no workspace
-    and gets fresh arrays, freed as it goes. Each call builds its own
-    workspace, so concurrent calls share no arrays.
+    """One explanation per seed, all reading one `_Workspace` of the
+    document's invariants; `explain` is the one-seed case.
     """
     if not document.tokens:
         raise ValueError("cannot explain an empty document")
     local = local_dictionary(document)
-    workspace = _Workspace(local, idf, nu) if len(seeds) > 1 else None
+    workspace = _Workspace(local, idf, nu)
     return [
         fit_batch(
             model,

@@ -550,18 +550,17 @@ def _mc_chunk_sums(model: Model, batch: SampleBatch, masses: np.ndarray, ss: Sig
     """The Monte Carlo sums of one chunk: the sums of c, c^2, a, a^2, t and
     t * kept, then the column sums t z, a t z and t^2 z.
 
-    Sample i solves the right-hand side t_i [1; z_i] into (c_i, S_i), and
-    a_i = -(a1 c_i + a2 S_i) / gap. z is binary, so the column sums of
-    the contributions and of their squares come from three products with
-    z. They are taken per row block (`_float_blocks`), so no (chunk, d)
-    float array is formed and each product sums at most one block in plain
-    order.
+    Sample i solves t_i [1; z_i] into c_i and a_i + t_i z_i / gap, where
+    (c_i, a_i) is `SigmaSet.explain` with g = 0 and total t_i kept_i. z is
+    binary, so the column sums of the contributions and of their squares
+    come from three products with z. They are taken per row block
+    (`_float_blocks`), so no (chunk, d) float array is formed and each
+    product sums at most one block in plain order.
     """
     z, d = batch.z, batch.d
     t = batch.weights * _responses(model, z, batch.local.words, masses)
     kept = d - batch.sizes
-    c, coefficient_sum = ss.solve(t, t * kept)
-    a = -(ss.alpha1 * c + ss.alpha2 * coefficient_sum) / ss.gap
+    c, a = ss.explain(t, 0.0, t * kept)
     sums = np.zeros(6 + 3 * d)
     for s, block in _float_blocks(z):
         ti, ai, ci = t[s], a[s], c[s]

@@ -115,7 +115,7 @@ def run_repeated(
 
     Run r is `explain(..., seed=derive_seed(master_seed, r))` bit for bit.
     With threads > 1 the runs are split into contiguous chunks, one per
-    worker, and each worker reuses its own workspace, so the result does
+    worker, and each worker builds its own workspace, so the result does
     not depend on the thread count. Workers are capped at the run count and
     at the CPU count.
     """

@@ -298,6 +298,55 @@ class TestTheoryCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+# On doc 5 (d = 12) at nu = 0.001 every kernel weight psi(s / d), s >= 1,
+# underflows to 0. At nu = 0.0015 only psi(1 / d) ~ e^-403 is positive, so a
+# batch that removes no single word has all weights 0: seed 6 draws one at
+# n = 20, and 100 runs of 20 samples all but surely draw one.
+NARROW_CASES = pytest.mark.parametrize(
+    "nu, n, seed, n_exp", [("0.001", "100", "0", "2"), ("0.0015", "20", "6", "100")]
+)
+
+
+class TestNarrowBandwidth:
+    """A run whose drawn kernel weights are all 0 blames the bandwidth, and
+    nothing is written."""
+
+    NARROW = "bandwidth too narrow for this document: degenerate weights: all sample weights are zero"
+
+    def run(self, runner, tmp_path, n, seed, *args):
+        out = tmp_path / "out"
+        base = ["--corpus", CORPUS, "--doc", "5", "--n", n, "--seed", seed, "--out", str(out)]
+        result = runner.invoke(cli, [args[0], *base, *args[1:]])
+        assert result.exit_code == 1, result.output
+        assert not out.exists()
+        return result.output
+
+    @NARROW_CASES
+    def test_explain_blames_nu(self, runner, tmp_path, nu, n, seed, n_exp):
+        output = self.run(runner, tmp_path, n, seed, "explain", "--model", '"brunch"', "--nu", nu)
+        assert f"Error: nu: {self.NARROW}" in output
+
+    @NARROW_CASES
+    def test_verify_of_a_linear_model_blames_nu(self, runner, tmp_path, nu, n, seed, n_exp):
+        # Simplified mode's theory never reads the kernel, so only the runs
+        # would meet the zero weights.
+        model = tmp_path / "linear.json"
+        model.write_text(json.dumps({"brunch": 1.0, "tea": -2.0}), encoding="utf-8")
+        output = self.run(
+            runner, tmp_path, n, seed, "verify", "--model", str(model), "--nu", nu, "--n-exp", n_exp
+        )
+        assert f"Error: nu: {self.NARROW}" in output
+
+    @NARROW_CASES
+    def test_sweep_blames_the_grid(self, runner, tmp_path, nu, n, seed, n_exp):
+        output = self.run(
+            runner, tmp_path, n, seed, "sweep", "--model", '"brunch"', "--word", "brunch",
+            "--nu-grid", f"{nu},0.25", "--n-exp", n_exp,
+        )
+        assert f"Error: nu-grid: {self.NARROW}" in output
+        assert "word:" not in output
+
+
 class TestVerifyCommand:
     def test_writes_stats_report_and_table(self, runner, tmp_path):
         result = runner.invoke(

@@ -271,21 +271,20 @@ class TestBlockedSampler:
             got = draw_feature_matrix(np.random.default_rng(seed), n, d)
             assert_same_draw(got, one_shot_feature_matrix(np.random.default_rng(seed), n, d))
 
-    def test_reused_workspace_gives_every_run_the_one_shot_bits(self):
+    def test_batches_drawn_through_one_workspace_keep_their_own_rows(self):
+        # Every batch is checked after all four are drawn, so a presence
+        # buffer shared between runs would show as the last run's rows.
         n, d = 500, 300
+        assert sampling._block_rows(n, d) < n
         doc = Document(tokens=tuple(f"w{i:03d}" for i in range(d)))
         local = local_dictionary(doc)
         workspace = sampling._Workspace(local, fit_idf(Corpus(documents=(doc,))), 0.25)
-        for seed in (0, 1, 2, 93):
-            rng = np.random.default_rng(seed)
-            sizes, z = draw_feature_matrix(rng, n, d, _workspace=workspace)
+        seeds = (0, 1, 2, 93)
+        batches = [sample_batch(doc, local, n, 0.25, seed, _workspace=workspace) for seed in seeds]
+        for seed, batch in zip(seeds, batches):
             want = one_shot_feature_matrix(np.random.default_rng(seed), n, d)
-            assert_same_draw((sizes, z.copy()), want)
-        rows = sampling._block_rows(n, d)
-        assert rows < n
-        assert workspace.arrays["keys"].shape == (rows, d)
-        assert workspace.arrays["sorted"].shape == (rows, d)
-        assert workspace.arrays["mask"].shape == (n, d)
+            assert_same_draw((batch.sizes, batch.z), want)
+            assert batch.weights.tobytes() == psi(batch.sizes / d, 0.25).tobytes()
 
     def test_peak_memory_is_the_mask_and_two_blocks(self):
         # Only z is (n, d); the float64 keys and their sorted copy are one
@@ -559,11 +558,6 @@ class TestLinearPresenceRoute:
         scale = np.divide(z @ np.abs(lam * masses), norms, out=np.zeros(len(z)), where=norms > 0)
         assert np.all(np.abs(got - want) <= 9 * d * np.finfo(float).eps * scale)
         assert got[-2] == 0.0  # the all-removed row
-        # A workspace's block buffer, reused by a second call, gives the same bits.
-        workspace = sampling._Workspace(local, idf, 0.25)
-        for _ in range(2):
-            again = sampling._responses(model, z, words, masses, workspace)
-            assert again.tobytes() == got.tobytes()
 
 
 class CosineOfSum(Model):
