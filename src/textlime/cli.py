@@ -30,7 +30,7 @@ from .models import (
     tree_from_spec,
 )
 from .surrogate import explain as run_explain
-from .theory import ClosedFormDomainError, population_explanation
+from .theory import ClosedFormDomainError, _NarrowBandwidth, population_explanation
 from .verify import (
     compare,
     default_nu_grid,
@@ -286,7 +286,7 @@ def cmd_theory(config, **_):
             monte_carlo=options["theory_method"] == "mc",
         )
     except ClosedFormDomainError as exc:
-        raise fail("doc", str(exc))
+        raise fail("nu" if isinstance(exc, _NarrowBandwidth) else "doc", str(exc))
     path = out_path(options, "theory", model_tag(options["model"]))
     serialize.write_theory(theory, path, options["format"])
     click.echo(f"wrote {path} (provenance: {theory.provenance})")
@@ -309,7 +309,7 @@ def cmd_verify(config, **_):
             nu=options["nu"], linear_mode=options["linear_mode"], seed=options["seed"],
         )
     except ClosedFormDomainError as exc:
-        raise fail("doc", str(exc))
+        raise fail("nu" if isinstance(exc, _NarrowBandwidth) else "doc", str(exc))
     try:
         stats = run_repeated(
             model, document, idf,

@@ -3,8 +3,10 @@
 A perturbed sample removes a uniformly random nonempty subset of the
 distinct words of the explained document: first the number of deletions s
 is drawn uniformly in {1, ..., d}, then a uniform size-s subset of word
-indices. Every occurrence of a removed word disappears. Each sample gets
-an exponential kernel weight in the cosine distance between its binary
+indices (`_presence_rows`, the one sampler: `draw_feature_matrix` calls it
+once per run, the Monte Carlo oracle once per cache-sized group of rows).
+Every occurrence of a removed word disappears. Each sample gets an
+exponential kernel weight in the cosine distance between its binary
 presence vector and the all-ones vector. That distance depends only on s,
 so the weight is psi(s / d); the all-removed sample, whose distance is
 undefined, gets the limit psi(1).
@@ -89,24 +91,28 @@ def _float_blocks(z: np.ndarray):
 
 
 def draw_feature_matrix(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n removal sizes and the matching binary feature matrix.
-
-    Returns (sizes, z) with sizes of shape (n,) and z of shape (n, d),
-    z[i, j] = 1 iff word j survives in sample i. Each row's removed set is
-    the sizes[i] smallest entries of an i.i.d. uniform key row, hence a
-    uniform subset of that size. One sort per row finds the sizes[i]-th
-    smallest key, and the words whose key exceeds it survive.
-
-    All n sizes are drawn first, then the keys one row block at a time:
-    the key and sort buffers are (`_block_rows(n, d)`, d) and stay in
-    cache, and only z is (n, d). Consecutive `rng.random` calls continue
-    one stream of doubles, so every block size gives the same bits.
-    """
+    """Draw n removal sizes, then their binary feature matrix by
+    `_presence_rows`: (sizes, z) with sizes of shape (n,) and z of shape
+    (n, d), z[i, j] = 1 iff word j survives in sample i."""
     if d < 1:
         raise ValueError("empty local dictionary")
     if n < 1:
         raise ValueError("need at least one sample")
     sizes = rng.integers(1, d + 1, size=n)
+    return sizes, _presence_rows(rng, sizes, d)
+
+
+def _presence_rows(rng: np.random.Generator, sizes: np.ndarray, d: int) -> np.ndarray:
+    """The int8 presence rows of removal sizes `sizes` over d words. Row i
+    removes the sizes[i] smallest entries of an i.i.d. uniform key row, a
+    uniform subset of that size: one sort per row finds the sizes[i]-th
+    smallest key, and the words whose key exceeds it survive. The keys are
+    drawn per row block of (`_block_rows(len(sizes), d)`, d), which stays in
+    cache. Consecutive `rng.random` calls continue one stream of doubles, so
+    every block size, and every split of `sizes` into consecutive calls,
+    gives the same bits.
+    """
+    n = len(sizes)
     rows = _block_rows(n, d)
     keys = np.empty((rows, d))
     ordered = np.empty((rows, d))
@@ -120,7 +126,7 @@ def draw_feature_matrix(rng: np.random.Generator, n: int, d: int) -> tuple[np.nd
         row_sorted.sort(axis=1)
         cut = row_sorted[index[:m], sizes[start : start + m] - 1]
         np.greater(block, cut[:, None], out=mask[start : start + m])
-    return sizes, mask.view(np.int8)
+    return mask.view(np.int8)
 
 
 def renormalized_tfidf(z: np.ndarray, masses: np.ndarray) -> np.ndarray:

@@ -22,14 +22,8 @@ import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
 from .models import CombinedModel, Model, _split, _weight_vector
-from .sampling import (
-    SampleBatch,
-    _float_blocks,
-    _kernel_table,
-    _responses,
-    renormalized_tfidf,
-    sample_batch,
-)
+from .sampling import _block_rows, _float_blocks, _kernel_table, _presence_rows
+from .sampling import _responses, renormalized_tfidf
 
 EXACT_CLOSED_FORM = "exact-closed-form"
 EXACT_ENUMERATION = "exact-enumeration"
@@ -49,6 +43,10 @@ _EPS = float(np.finfo(float).eps)
 class ClosedFormDomainError(ValueError):
     """Raised where the closed forms need d >= 2 and the input is smaller, or
     where the bandwidth is so narrow that they cannot reach SOLVE_TOLERANCE."""
+
+
+class _NarrowBandwidth(ClosedFormDomainError):
+    """A ClosedFormDomainError that nu causes, not the document."""
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,7 @@ class SigmaSet:
         """(b0, S) for the right-hand side g0, `total` (floats or arrays);
         raises where that is nonzero and the condition is too large."""
         if self.condition * _EPS > SOLVE_TOLERANCE and (np.any(g0) or np.any(total)):
-            raise ClosedFormDomainError(
+            raise _NarrowBandwidth(
                 f"out of closed-form domain: at d={self.d}, nu={self.nu} the "
                 f"covariance condition number {self.condition:.3g} is too large"
             )
@@ -227,7 +225,7 @@ def _covariance_and_moments(d: int, nu: float, order: int) -> tuple[SigmaSet, _M
     c_d = _normalizer(moments)
     gap = moments.drops[1]
     if c_d == 0.0 or gap == 0.0:
-        raise ClosedFormDomainError(
+        raise _NarrowBandwidth(
             f"out of closed-form domain: at d={d}, nu={nu} the covariance "
             "normalizers underflow to 0"
         )
@@ -539,33 +537,43 @@ def beta_enumerated(
     )
 
 
-# Samples per Monte Carlo chunk: at most _MC_CHUNK rows and _MC_CELLS
-# presence cells, which bounds the oracle's (chunk, d) arrays at any d
-# (a chunk keeps all _MC_CHUNK rows up to d = 32).
+# Samples per Monte Carlo chunk, whose removal sizes are drawn at once: at
+# most _MC_CHUNK rows and _MC_CELLS cells. Its rows are drawn and summed in
+# groups of _MC_GROUP sampler row blocks (at most 2**18 cells each).
 _MC_CHUNK = 65_536
 _MC_CELLS = 2**21
+_MC_GROUP = 8
 
 
-def _mc_chunk_sums(model: Model, batch: SampleBatch, masses: np.ndarray, ss: SigmaSet) -> np.ndarray:
-    """The Monte Carlo sums of one chunk: the sums of c, c^2, a, a^2, t and
-    t * kept, then the column sums t z, a t z and t^2 z.
+def _mc_chunk_sums(
+    model: Model, rng: np.random.Generator, n: int, kernel: np.ndarray,
+    local: LocalDictionary, masses: np.ndarray, ss: SigmaSet,
+) -> np.ndarray:
+    """The Monte Carlo sums of one chunk of n samples: the sums of c, c^2,
+    a, a^2, t and t * kept, then the column sums t z, a t z and t^2 z.
 
     Sample i solves t_i [1; z_i] into c_i and a_i + t_i z_i / gap, where
     (c_i, a_i) is `SigmaSet.explain` with g = 0 and total t_i kept_i. z is
-    binary, so the column sums of the contributions and of their squares
-    come from three products with z. They are taken per row block
-    (`_float_blocks`), so no (chunk, d) float array is formed and each
-    product sums at most one block in plain order.
+    binary, so the column sums come from three products with z. The n sizes
+    are drawn at once, then each group of _MC_GROUP blocks of
+    `_block_rows(n, d)` rows is drawn, answered and summed per block while
+    in cache. These are the blocks of one pass over the whole chunk, so the
+    rng stream and every sum are that pass's, bit for bit.
     """
-    z, d = batch.z, batch.d
-    t = batch.weights * _responses(model, z, batch.local.words, masses)
-    kept = d - batch.sizes
-    c, a = ss.explain(t, 0.0, t * kept)
+    d = local.d
+    sizes = rng.integers(1, d + 1, size=n)
+    rows = _MC_GROUP * _block_rows(n, d)
     sums = np.zeros(6 + 3 * d)
-    for s, block in _float_blocks(z):
-        ti, ai, ci = t[s], a[s], c[s]
-        sums[:6] += [ci.sum(), ci @ ci, ai.sum(), ai @ ai, ti.sum(), ti @ kept[s]]
-        sums[6:] += (np.stack([ti, ai * ti, ti * ti]) @ block).ravel()
+    for start in range(0, n, rows):
+        group = sizes[start : start + rows]
+        z = _presence_rows(rng, group, d)
+        t = kernel[group] * _responses(model, z, local.words, masses)
+        kept = d - group
+        c, a = ss.explain(t, 0.0, t * kept)
+        for s, block in _float_blocks(z):
+            ti, ai, ci = t[s], a[s], c[s]
+            sums[:6] += [ci.sum(), ci @ ci, ai.sum(), ai @ ai, ti.sum(), ti @ kept[s]]
+            sums[6:] += (np.stack([ti, ai * ti, ti * ti]) @ block).ravel()
     return sums
 
 
@@ -584,6 +592,8 @@ def beta_general_mc(
     Estimates the expected weighted responses by sampling and solves the
     exact covariance against them. This is the universal oracle: it works
     for every model in scope, at any bandwidth the covariance solve resolves.
+    Its samples are drawn, answered and summed one cache-sized group at a
+    time (`_mc_chunk_sums`), so no (chunk, d) array is formed.
     """
     if not document.tokens:
         raise ValueError("cannot explain an empty document")
@@ -593,14 +603,13 @@ def beta_general_mc(
     d = local.d
     ss = sigma_set(d, nu)
 
-    # One generator runs across the chunks: sample_batch takes it unchanged.
-    # Each chunk's arrays are freed before the next chunk is drawn, and
-    # math.fsum adds the chunks' sums.
+    # One generator runs across the chunks and their groups, and math.fsum
+    # adds the chunks' sums.
     rng = np.random.default_rng(seed)
     chunk = min(_MC_CHUNK, _MC_CELLS // d)
-    masses = tfidf_weights(local, idf)
+    masses, kernel = tfidf_weights(local, idf), _kernel_table(d, nu)
     parts = [
-        _mc_chunk_sums(model, sample_batch(document, local, min(chunk, n_mc - i), nu, rng), masses, ss)
+        _mc_chunk_sums(model, rng, min(chunk, n_mc - i), kernel, local, masses, ss)
         for i in range(0, n_mc, chunk)
     ]
     sums = np.array([math.fsum(column) for column in np.array(parts).T.tolist()])

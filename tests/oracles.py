@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against.
 
 None of these runs on a production path: they are the one-shot sampler,
-the dense covariance and its entry-by-entry inverse, raw Monte Carlo
+the Monte Carlo oracle drawn and answered one whole chunk at a time, the
+dense covariance and its entry-by-entry inverse, raw Monte Carlo
 estimates of the kernel moments and of the conditional renormalization
 expectations, the exact conditional expectations by enumeration, and the
 large-bandwidth linear explanation assembled from them, each computed
@@ -14,7 +15,10 @@ import math
 import numpy as np
 
 from textlime.corpus import local_dictionary, tfidf_weights
-from textlime.sampling import draw_feature_matrix, psi, renormalized_tfidf
+import textlime.theory as theory
+from textlime.sampling import (
+    _float_blocks, _responses, draw_feature_matrix, psi, renormalized_tfidf, sample_batch,
+)
 from textlime.theory import ClosedFormDomainError, alpha_values, sigma_set
 
 # The enumeration walks the survivor sets in blocks of this many rows.
@@ -71,6 +75,42 @@ def one_shot_feature_matrix(rng, n: int, d: int) -> tuple[np.ndarray, np.ndarray
     ordered = np.sort(keys, axis=1)
     cut = ordered[np.arange(n), sizes - 1]
     return sizes, (keys > cut[:, None]).view(np.int8)
+
+
+def whole_chunk_mc(model, document, idf, nu: float, n_mc: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """`beta_general_mc`'s intercept-first means and standard errors, by the
+    procedure it streams: each chunk is one `sample_batch`, answered by one
+    `_responses` call over all its rows, whose sums are then taken per
+    `_float_blocks` block of its presence rows. The streamed oracle must
+    match it bit for bit."""
+    local = local_dictionary(document)
+    d = local.d
+    ss = sigma_set(d, nu)
+    masses = tfidf_weights(local, idf)
+    rng = np.random.default_rng(seed)
+    chunk = min(theory._MC_CHUNK, theory._MC_CELLS // d)
+    parts = []
+    for i in range(0, n_mc, chunk):
+        batch = sample_batch(document, local, min(chunk, n_mc - i), nu, rng)
+        t = batch.weights * _responses(model, batch.z, local.words, masses)
+        kept = d - batch.sizes
+        c, a = ss.explain(t, 0.0, t * kept)
+        sums = np.zeros(6 + 3 * d)
+        for s, block in _float_blocks(batch.z):
+            ti, ai, ci = t[s], a[s], c[s]
+            sums[:6] += [ci.sum(), ci @ ci, ai.sum(), ai @ ai, ti.sum(), ti @ kept[s]]
+            sums[6:] += (np.stack([ti, ai * ti, ti * ti]) @ block).ravel()
+        parts.append(sums)
+    sums = np.array([math.fsum(column) for column in np.array(parts).T.tolist()])
+    c_sum, cc_sum, a_sum, aa_sum, t_sum, tk_sum = sums[:6]
+    t_z, at_z, tt_z = sums[6:].reshape(3, d)
+    b = 1.0 / ss.gap
+    total = np.concatenate([[c_sum], a_sum + b * t_z])
+    total_sq = np.concatenate([[cc_sum], aa_sum + 2.0 * b * at_z + b * b * tt_z])
+    intercept, coefficients = ss.explain(t_sum / n_mc, t_z / n_mc, tk_sum / n_mc)
+    per_sample_mean = total / n_mc
+    variance = np.maximum(total_sq / n_mc - per_sample_mean**2, 0.0) * n_mc / (n_mc - 1)
+    return np.concatenate([[intercept], coefficients]), np.sqrt(variance / n_mc)
 
 
 def mc_alpha(

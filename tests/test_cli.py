@@ -308,8 +308,8 @@ NARROW_CASES = pytest.mark.parametrize(
 
 
 class TestNarrowBandwidth:
-    """A run whose drawn kernel weights are all 0 blames the bandwidth, and
-    nothing is written."""
+    """A run whose drawn kernel weights are all 0, or a closed form that the
+    bandwidth defeats, blames the bandwidth, and nothing is written."""
 
     NARROW = "bandwidth too narrow for this document: degenerate weights: all sample weights are zero"
 
@@ -336,6 +336,41 @@ class TestNarrowBandwidth:
             runner, tmp_path, n, seed, "verify", "--model", str(model), "--nu", nu, "--n-exp", n_exp
         )
         assert f"Error: nu: {self.NARROW}" in output
+
+    UNDERFLOW = "Error: nu: out of closed-form domain: at d=12, nu=0.001 the covariance normalizers underflow to 0"
+
+    @pytest.mark.parametrize("method", ["auto", "mc"])
+    def test_theory_of_a_tree_blames_nu(self, runner, tmp_path, method):
+        output = self.run(
+            runner, tmp_path, "100", "0", "theory", "--model", '"brunch"', "--nu", "0.001",
+            "--theory-method", method,
+        )
+        assert self.UNDERFLOW in output
+
+    def test_verify_of_a_tree_blames_nu(self, runner, tmp_path):
+        output = self.run(
+            runner, tmp_path, "100", "0", "verify", "--model", '"brunch"', "--nu", "0.001", "--n-exp", "2"
+        )
+        assert self.UNDERFLOW in output
+
+    @pytest.mark.parametrize("command", ["theory", "verify"])
+    def test_ill_conditioned_closed_form_blames_nu(self, runner, tmp_path, command):
+        # On doc 0 (d = 31) at nu = 0.004 the kernel weights are positive,
+        # but the covariance solve is too ill-conditioned to answer.
+        output = self.run(
+            runner, tmp_path, "100", "0", command, "--doc", "0", "--model", '"food" & "about"',
+            "--nu", "0.004",
+        )
+        assert "Error: nu: out of closed-form domain: at d=31, nu=0.004 the covariance condition" in output
+
+    @pytest.mark.parametrize("command", ["theory", "verify"])
+    def test_a_document_too_small_for_the_closed_form_blames_doc(self, runner, tmp_path, command):
+        output = self.run(runner, tmp_path, "100", "0", command, "--doc", "alpha", "--model", '"alpha"')
+        assert "Error: doc: out of closed-form domain: need at least 2 distinct words" in output
+        model = tmp_path / "linear.json"
+        model.write_text(json.dumps({"alpha": 1.0}), encoding="utf-8")
+        output = self.run(runner, tmp_path, "100", "0", command, "--doc", "alpha beta", "--model", str(model))
+        assert "Error: doc: out of closed-form domain: linear predictions require d >= 3" in output
 
     @NARROW_CASES
     def test_sweep_blames_the_grid(self, runner, tmp_path, nu, n, seed, n_exp):

@@ -254,6 +254,30 @@ class TestBlockedSampler:
             got = draw_feature_matrix(np.random.default_rng(seed), n, d)
         assert_same_draw(got, one_shot_feature_matrix(np.random.default_rng(seed), n, d))
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        shape=st.integers(1, 2000).flatmap(
+            lambda d: st.tuples(st.integers(1, max(1, 60_000 // d)), st.just(d))
+        ),
+        cuts=st.lists(st.floats(0, 1), max_size=6),
+        cells=st.sampled_from([1, 7, 64, 1000, sampling._BLOCK_CELLS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(1000, 7), cuts=[0.5], cells=64, seed=1)  # a cut inside a block
+    @example(shape=(5, 2000), cuts=[0.2, 0.4, 0.6, 0.8], cells=1000, seed=2)  # one row per call
+    def test_any_split_into_consecutive_calls_matches(self, shape, cuts, cells, seed):
+        # The sizes are drawn first, then `_presence_rows` runs over
+        # consecutive pieces of them with one generator, as the Monte Carlo
+        # oracle draws a chunk's rows group by group.
+        n, d = shape
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, d + 1, size=n)
+        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
+        with mock.patch.object(sampling, "_BLOCK_CELLS", cells):
+            pieces = [sampling._presence_rows(rng, sizes[a:b], d) for a, b in zip(bounds, bounds[1:])]
+        got = (sizes, np.concatenate(pieces))
+        assert_same_draw(got, draw_feature_matrix(np.random.default_rng(seed), n, d))
+
     @pytest.mark.parametrize(
         "n, d",
         [

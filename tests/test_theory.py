@@ -4,11 +4,17 @@ Every closed form here is checked against at least one of: exhaustive
 enumeration, exact integer combinatorics, or raw Monte Carlo sampling.
 """
 
+import functools
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -53,6 +59,7 @@ from oracles import (
     omega_weights,
     sigma_inverse,
     sigma_matrix,
+    whole_chunk_mc,
 )
 from textlime.corpus import Corpus, tfidf_weights
 from textlime.sampling import draw_feature_matrix, psi, renormalized_tfidf
@@ -1151,6 +1158,23 @@ class TestBetaGeneralMc:
             tracemalloc.stop()
         assert peak < theory._MC_CHUNK * d * 8
 
+    @pytest.mark.parametrize("kind", ["tree", "linear", "custom"])
+    def test_peak_is_under_5_mb_on_bundled_document_0(self, kind):
+        # Each group of rows is drawn, answered and summed before the next is
+        # drawn, so even a custom model, which embeds its rows, holds one
+        # group's embedding (2 MB), not one chunk's: drawing whole chunks
+        # peaked at 6.5, 6.4 and 19.4 MiB here.
+        corpus = load_corpus(bundled_corpus_path())
+        doc, idf = corpus.documents[0], fit_idf(corpus)
+        local = local_dictionary(doc)
+        assert local.d == 31
+        model = {
+            "tree": tree_from_spec('"food" + (!"food" & "about" & "Everything")'),
+            "linear": LinearModel(linear_weights(local, 0)),
+            "custom": TanhOfLinear(linear_weights(local, 1)),
+        }[kind]
+        assert self.mc_peak(model, doc, idf, 200_000) < 5 * 2**20
+
     @staticmethod
     def mc_peak(model, doc, idf, n_mc):
         """tracemalloc's peak over one `beta_general_mc` call, in bytes."""
@@ -1211,6 +1235,94 @@ class TestBetaGeneralMc:
             tracemalloc.stop()
         assert result.provenance == "monte-carlo"
         assert peak < 64 * 2**20
+
+
+@functools.cache
+def streamed_documents():
+    """(document, idf) by d: bundled documents 5 and 0, and a synthetic
+    document of 1000 words in two TF-IDF mass classes."""
+    corpus = load_corpus(bundled_corpus_path())
+    idf = fit_idf(corpus)
+    wide = Document(tokens=tuple(f"w{i:04d}" for i in range(1000)))
+    return {
+        12: (corpus.documents[5], idf),
+        31: (corpus.documents[0], idf),
+        1000: (wide, fit_idf(Corpus(documents=(wide, Document(tokens=wide.tokens[::3]))))),
+    }
+
+
+# (model kind, d, n_mc, nu). 75,491 samples are a multiple of neither the
+# chunk nor the group at d = 12 or 31. At d = 1000, 5,000 samples take two
+# chunks of _MC_CELLS // d rows and a partial one.
+STREAMED_KINDS = ("tree", "linear", "custom", "combination")
+STREAMED_CASES = (
+    [(kind, d, 200_000, 0.25) for kind in STREAMED_KINDS for d in (12, 31)]
+    + [(kind, 31, 75_491, nu) for kind in STREAMED_KINDS for nu in (0.1, 3.0)]
+    + [(kind, 12, 75_491, nu) for kind in ("tree", "custom") for nu in (0.1, 0.25, 3.0)]
+    + [(kind, 1000, 5_000, 0.25) for kind in STREAMED_KINDS]
+)
+
+
+def streamed_case(kind, d, n_mc, nu):
+    """"same" where `beta_general_mc` gives the means and standard errors
+    of `whole_chunk_mc` bit for bit, else what differs."""
+    doc, idf = streamed_documents()[d]
+    local = local_dictionary(doc)
+    assert local.d == d
+    chunk = min(theory._MC_CHUNK, theory._MC_CELLS // d)
+    assert n_mc % chunk and n_mc % (theory._MC_GROUP * sampling._block_rows(chunk, d))
+    w = local.words
+    tree = tree_from_spec(f'"{w[0]}" + (!"{w[1]}" & "{w[2]}") + ("{w[3]}" & "{w[4]}")')
+    linear = LinearModel(linear_weights(local, d))
+    custom = TanhOfLinear(linear_weights(local, d + 1))
+    model = {
+        "tree": tree,
+        "linear": linear,
+        "custom": custom,
+        "combination": combine([(1.0, tree), (0.5, linear), (2.0, custom)]),
+    }[kind]
+    result = beta_general_mc(model, doc, idf, nu=nu, n_mc=n_mc, seed=d + n_mc)
+    mean, stderr = whole_chunk_mc(model, doc, idf, nu, n_mc, seed=d + n_mc)
+    if float_bits(explanation_vector(result)) != float_bits(mean):
+        return "means differ"
+    if float_bits([result.intercept_stderr, *result.coefficient_stderr]) != float_bits(stderr):
+        return "standard errors differ"
+    return "same"
+
+
+@pytest.fixture(scope="module")
+def streamed_outcomes():
+    """`streamed_case` of every case, run in a child process with one BLAS
+    thread, as the benchmark runs. A threaded BLAS splits the rows of a
+    matrix-vector product between its threads by the row count of the call,
+    and sums the last rows of a thread's share in another order. So the
+    embedding of a custom model keeps its bits across row groups only under
+    one thread; trees and linear models keep them under any threading."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")) if p
+    )
+    code = "import json, test_theory as t; print(json.dumps([t.streamed_case(*c) for c in t.STREAMED_CASES]))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=root, timeout=600
+    )
+    assert result.returncode == 0, result.stderr
+    return dict(zip(STREAMED_CASES, json.loads(result.stdout.splitlines()[-1])))
+
+
+class TestStreamedOracle:
+    """`beta_general_mc` draws, answers and sums its rows one group of
+    sampler blocks at a time. Its means and standard errors are those of
+    drawing and answering each chunk whole (`whole_chunk_mc`), bit for bit."""
+
+    @pytest.mark.parametrize("case", STREAMED_CASES, ids=lambda case: "-".join(map(str, case)))
+    def test_matches_whole_chunk_oracle_bit_for_bit(self, streamed_outcomes, case):
+        assert streamed_outcomes[case] == "same"
+
+    @pytest.mark.parametrize("kind", ["tree", "linear"])
+    def test_trees_and_linear_models_match_under_the_default_blas_threading(self, kind):
+        assert streamed_case(kind, 31, 75_491, 0.25) == "same"
 
 
 class TestPopulationExplanation:
