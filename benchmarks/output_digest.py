@@ -319,8 +319,7 @@ def verify_digests() -> dict[str, str]:
     record("compare/doc0/n_exp1", report_values(compare(stats, theory)))
 
     # d = 300 at n = 500: the sampler and the linear responses read 109 rows
-    # per block, so four full blocks and a partial one; the repeated runs
-    # share one workspace.
+    # per block, so four full blocks and a partial one.
     wide = Document(tokens=tuple(f"v{i:03d}" for i in range(300) for _ in range(1 + i % 2)))
     wide_idf = fit_idf(Corpus(documents=(wide, Document(wide.tokens[::7]))))
     wide_linear = LinearModel(coefficients={"v002": 1.5, "v150": -0.75, "v299": 0.25})

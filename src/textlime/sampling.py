@@ -18,14 +18,11 @@ presence rows that determines its response (`_responses`), part by part
 of `models._split`: the tree reads the presence rows themselves and the
 linear part two products of them with the masses. Only the custom parts
 are embedded, once per call.
-
-The runs of one call share a `_Workspace`: the per-document invariants,
-computed once. Every per-run array is allocated fresh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,18 +51,6 @@ def _kernel_table(d: int, nu: float) -> np.ndarray:
     sample's weight by the same elementwise arithmetic as psi of each
     sample, so bit-identically."""
     return psi(np.arange(d + 1) / d, nu)
-
-
-class _Workspace:
-    """What the runs of one (document, idf, nu) share: the invariants
-    `masses` (TF-IDF) and `kernel` (`_kernel_table`), computed once. It is
-    never written after construction.
-    """
-
-    def __init__(self, local: LocalDictionary, idf: IdfTable, nu: float) -> None:
-        self.idf = idf
-        self.masses = tfidf_weights(local, idf)
-        self.kernel = _kernel_table(local.d, nu)
 
 
 # Cells per row block of the sampler and of the Monte Carlo oracle's sums:
@@ -184,7 +169,7 @@ class SampleBatch:
 
     `sizes[i]` is the number of words sample i removed, `z[i]` its binary
     presence row over the local dictionary and `weights[i]` its kernel
-    weight psi(sizes[i] / d). Survivor documents are never materialized:
+    weight psi(sizes[i] / d), read from `_kernel_table`. Survivor documents are never materialized:
     `tfidf_matrix` embeds all n survivors at once. Immutable once built.
     """
 
@@ -195,7 +180,6 @@ class SampleBatch:
     sizes: np.ndarray
     z: np.ndarray
     weights: np.ndarray
-    _workspace: _Workspace | None = field(default=None, kw_only=True)
 
     @property
     def n(self) -> int:
@@ -205,28 +189,16 @@ class SampleBatch:
     def d(self) -> int:
         return self.local.d
 
-    def _masses(self, idf: IdfTable) -> np.ndarray:
-        """The document's TF-IDF masses: the workspace's, else computed."""
-        ws = self._workspace
-        return ws.masses if ws is not None and ws.idf is idf else tfidf_weights(self.local, idf)
-
     def tfidf_matrix(self, idf: IdfTable) -> np.ndarray:
         """Row i = normalized TF-IDF of survivor i over the local words."""
-        return renormalized_tfidf(self.z, self._masses(idf))
+        return renormalized_tfidf(self.z, tfidf_weights(self.local, idf))
 
 
 def sample_batch(
-    document: Document,
-    local: LocalDictionary,
-    n: int,
-    nu: float,
-    seed,
-    *,
-    _workspace: _Workspace | None = None,
+    document: Document, local: LocalDictionary, n: int, nu: float, seed
 ) -> SampleBatch:
     """Draw n i.i.d. perturbed samples; fully determined by the seed. A bad
     d or n raises in `draw_feature_matrix`, a bad nu in `psi`."""
     rng = np.random.default_rng(seed)
     sizes, z = draw_feature_matrix(rng, n, local.d)
-    kernel = _kernel_table(local.d, nu) if _workspace is None else _workspace.kernel
-    return SampleBatch(document, local, nu, seed, sizes, z, kernel[sizes], _workspace=_workspace)
+    return SampleBatch(document, local, nu, seed, sizes, z, _kernel_table(local.d, nu)[sizes])

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Document, IdfTable, LocalDictionary, local_dictionary
+from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
 from .models import Model
-from .sampling import SampleBatch, _responses, _Workspace, sample_batch
+from .sampling import SampleBatch, _responses, sample_batch
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,10 @@ def fit_batch(
     Responses are the model evaluated on each perturbed document's
     renormalized TF-IDF (the renormalization after deletion is what couples
     the surrogate to the embedding), read from its presence row and the
-    TF-IDF masses by `_responses`: only custom models are embedded.
+    TF-IDF masses (`tfidf_weights(batch.local, idf)`) by `_responses`: only
+    custom models are embedded.
     """
-    responses = _responses(model, batch.z, batch.local.words, batch._masses(idf))
+    responses = _responses(model, batch.z, batch.local.words, tfidf_weights(batch.local, idf))
     design = np.hstack([np.ones((batch.n, 1), np.int8), batch.z])
     beta = fit_weighted_ridge(design, batch.weights, responses, ridge)
     return Explanation(
@@ -167,7 +168,9 @@ def explain(
     ridge: float = 0.0,
     seed=0,
 ) -> Explanation:
-    """Sample perturbed documents, query the model, fit the surrogate.
+    """Sample perturbed documents, query the model, fit the surrogate: one
+    `sample_batch` and one `fit_batch`. This is the one path from a document
+    to an explanation; `run_repeated` maps it over derived seeds.
 
     Defaults follow the reference text explainer (n = 5000, nu = 0.25)
     except the ridge parameter, which defaults to 0: with n far above the
@@ -175,33 +178,7 @@ def explain(
     closed-form comparisons exact. Pass ridge = 1.0 to mirror the
     reference implementation.
     """
-    (explanation,) = _explain_runs(model, document, idf, [seed], n=n, nu=nu, ridge=ridge)
-    return explanation
-
-
-def _explain_runs(
-    model: Model,
-    document: Document,
-    idf: IdfTable,
-    seeds,
-    *,
-    n: int,
-    nu: float,
-    ridge: float,
-) -> list[Explanation]:
-    """One explanation per seed, all reading one `_Workspace` of the
-    document's invariants; `explain` is the one-seed case.
-    """
     if not document.tokens:
         raise ValueError("cannot explain an empty document")
-    local = local_dictionary(document)
-    workspace = _Workspace(local, idf, nu)
-    return [
-        fit_batch(
-            model,
-            sample_batch(document, local, n, nu, seed, _workspace=workspace),
-            idf,
-            ridge,
-        )
-        for seed in seeds
-    ]
+    batch = sample_batch(document, local_dictionary(document), n, nu, seed)
+    return fit_batch(model, batch, idf, ridge)

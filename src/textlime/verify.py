@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Document, IdfTable, local_dictionary
 from .models import Model, TreeModel, combine
-from .surrogate import _explain_runs
+from .surrogate import explain
 from .theory import TheoryExplanation, population_explanation
 
 # Floating-point cushion for "theory inside the empirical whisker range":
@@ -113,27 +113,24 @@ def run_repeated(
 ) -> RunStatistics:
     """Explain the same document n_exp times with independent seeds.
 
-    Run r is `explain(..., seed=derive_seed(master_seed, r))` bit for bit.
-    With threads > 1 the runs are split into contiguous chunks, one per
-    worker, and each worker builds its own workspace, so the result does
-    not depend on the thread count. Workers are capped at the run count and
-    at the CPU count.
+    Run r is `explain(..., seed=derive_seed(master_seed, r))`. With
+    threads > 1 a thread pool maps `explain` over the seeds, one seed per
+    task, so the result does not depend on the thread count. Workers are
+    capped at the run count and at the CPU count.
     """
     if n_exp < 1:
         raise ValueError("need at least one repetition")
     seeds = [derive_seed(master_seed, run) for run in range(n_exp)]
     workers = max(1, min(threads, n_exp, os.cpu_count() or 1))
-    chunks = [seeds[i * n_exp // workers : (i + 1) * n_exp // workers] for i in range(workers)]
 
-    def work(chunk: list) -> list:
-        return _explain_runs(model, document, idf, chunk, n=n, nu=nu, ridge=ridge)
+    def work(seed):
+        return explain(model, document, idf, n=n, nu=nu, ridge=ridge, seed=seed)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, chunks))
+            runs = list(pool.map(work, seeds))
     else:
-        parts = [work(seeds)]
-    runs = [e for part in parts for e in part]
+        runs = [work(seed) for seed in seeds]
     return RunStatistics(
         words=runs[0].words,
         coefficients=np.vstack([e.coefficient_array() for e in runs]),

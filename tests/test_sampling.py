@@ -295,16 +295,15 @@ class TestBlockedSampler:
             got = draw_feature_matrix(np.random.default_rng(seed), n, d)
             assert_same_draw(got, one_shot_feature_matrix(np.random.default_rng(seed), n, d))
 
-    def test_batches_drawn_through_one_workspace_keep_their_own_rows(self):
+    def test_batches_drawn_in_turn_keep_their_own_rows(self):
         # Every batch is checked after all four are drawn, so a presence
         # buffer shared between runs would show as the last run's rows.
         n, d = 500, 300
         assert sampling._block_rows(n, d) < n
         doc = Document(tokens=tuple(f"w{i:03d}" for i in range(d)))
         local = local_dictionary(doc)
-        workspace = sampling._Workspace(local, fit_idf(Corpus(documents=(doc,))), 0.25)
         seeds = (0, 1, 2, 93)
-        batches = [sample_batch(doc, local, n, 0.25, seed, _workspace=workspace) for seed in seeds]
+        batches = [sample_batch(doc, local, n, 0.25, seed) for seed in seeds]
         for seed, batch in zip(seeds, batches):
             want = one_shot_feature_matrix(np.random.default_rng(seed), n, d)
             assert_same_draw((batch.sizes, batch.z), want)

@@ -24,8 +24,16 @@ from textlime import (
     tokenize,
     tree_from_spec,
 )
-from textlime.corpus import Corpus
+from textlime.corpus import Corpus, Document
+from textlime.models import Model
 from textlime.verify import SUMMARY_FIELDS, SweepPoint, derive_seed
+
+
+class TanhOfSum(Model):
+    """A custom model: tanh of the sum of the TF-IDF coordinates."""
+
+    def evaluate_matrix(self, values, words):
+        return np.tanh(values.sum(axis=1))
 
 
 @pytest.fixture(scope="module")
@@ -65,18 +73,30 @@ class TestRunRepeated:
 
     def test_threading_does_not_change_results(self, setup, monkeypatch):
         doc, idf, _ = setup
-        model = tree_from_spec('"garden" + ("gate" & "morning")')
-        # Each worker takes a contiguous chunk of runs; 7 runs on 3 workers
-        # give chunks of unequal length. Workers are capped at the CPU
-        # count, so pretend there are enough CPUs for 4.
+        models = (
+            tree_from_spec('"garden" + ("gate" & "morning")'),
+            LinearModel(coefficients={"garden": 1.5, "sparrows": -0.5, "stones": 0.25}),
+            TanhOfSum(),
+        )
+        # The pool takes one seed per task, so 7 runs on 3 workers finish
+        # out of order. Workers are capped at the CPU count, so pretend
+        # there are enough CPUs for 4.
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        for n_exp, threads in ((6, 4), (7, 3)):
-            serial = run_repeated(model, doc, idf, n=300, n_exp=n_exp, master_seed=5)
-            threaded = run_repeated(
-                model, doc, idf, n=300, n_exp=n_exp, master_seed=5, threads=threads
-            )
-            assert np.array_equal(serial.coefficients, threaded.coefficients)
-            assert np.array_equal(serial.intercepts, threaded.intercepts)
+        for model in models:
+            for n_exp, threads in ((6, 4), (7, 3)):
+                serial = run_repeated(model, doc, idf, n=300, n_exp=n_exp, master_seed=5)
+                threaded = run_repeated(
+                    model, doc, idf, n=300, n_exp=n_exp, master_seed=5, threads=threads
+                )
+                assert np.array_equal(serial.coefficients, threaded.coefficients)
+                assert np.array_equal(serial.intercepts, threaded.intercepts)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_empty_document_rejected(self, setup, threads):
+        _, idf, _ = setup
+        model = tree_from_spec('"garden"')
+        with pytest.raises(ValueError, match="cannot explain an empty document"):
+            run_repeated(model, Document(tokens=()), idf, n=50, n_exp=3, threads=threads)
 
     @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
     def test_workers_capped_at_cpu_count(self, setup, monkeypatch, cpus, pools):
