@@ -220,7 +220,7 @@ format_option = click.option("--format", type=click.Choice(["csv", "json"]), def
 threads_option = click.option("--threads", type=int, default=1, help="Worker cap for repeated runs (at most the CPU count).")
 config_option = click.option("--config", type=str, help="JSON config file (flags and environment win over it).")
 n_exp_option = click.option("--n-exp", type=int, default=100, help="Repeated runs (per bandwidth, for sweep).")
-linear_mode_option = click.option("--linear-mode", type=click.Choice(["simplified", "full"]), default="simplified", help="Linear-model prediction mode.")
+linear_mode_option = click.option("--linear-mode", type=click.Choice(["simplified", "full"]), default="full", help="Linear-model prediction: full (exact at --nu, the default) or simplified (the paper's large-bandwidth constant).")
 
 
 def with_options(*decorators):

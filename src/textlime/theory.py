@@ -380,7 +380,7 @@ def beta_linear(
     document: Document,
     idf: IdfTable,
     *,
-    mode: str = "simplified",
+    mode: str = "full",
     nu: float = 0.25,
 ) -> TheoryExplanation:
     """Population explanation of a linear model.
@@ -388,13 +388,14 @@ def beta_linear(
     `coefficients` maps words to their linear weights (a LinearModel is
     accepted too). Words outside the document contribute nothing.
 
+    mode="full", the default, is exact at bandwidth `nu` (`_linear_full`)
+    for every d >= 2 whose TF-IDF mass classes give at most
+    CLASS_GRID_BUDGET compositions; a larger grid raises
+    ClosedFormDomainError.
     mode="simplified" is the paper's large-bandwidth prediction, the flat
     constant: coefficient j becomes (3 E - 2 E') * lambda_j * phi_j with
     E, E' the limiting renormalization factors above (about 1.36). It
-    requires d >= 3.
-    mode="full" is exact at bandwidth `nu` (`_linear_full`) for every
-    d >= 2 whose TF-IDF mass classes give at most CLASS_GRID_BUDGET
-    compositions; a larger grid raises ClosedFormDomainError.
+    ignores `nu` and requires d >= 3.
     """
     lam_map = getattr(coefficients, "coefficients", coefficients)
     if not nu > 0:
@@ -643,7 +644,7 @@ def population_explanation(
     idf: IdfTable,
     *,
     nu: float,
-    linear_mode: str = "simplified",
+    linear_mode: str = "full",
     n_mc: int = 200_000,
     seed=0,
     monte_carlo: bool = False,
@@ -652,9 +653,10 @@ def population_explanation(
 
     The explanation is linear in the model, so it is the sum of those of
     the parts of `_split(model)`: the tree's exact `beta_tree`; the linear
-    part's `beta_linear` (in `linear_mode` if bare, else full) where its
-    grid fits CLASS_GRID_BUDGET; and one explanation of the rest, which the
-    linear part joins when its grid does not fit. The rest, the whole model
+    part's `beta_linear` (in `linear_mode` if bare, by default the exact
+    "full"; always full in a combination) where its grid fits
+    CLASS_GRID_BUDGET; and one explanation of the rest, which the linear
+    part joins when its grid does not fit. The rest, the whole model
     when no part has a closed form, and every model when `monte_carlo` is
     set, take the exact `beta_enumerated` at d <= ENUMERATION_LIMIT (unless
     `monte_carlo`), else the oracle `beta_general_mc` with `n_mc` samples

@@ -231,8 +231,8 @@ class TestTheoryCommand:
         result = runner.invoke(
             cli,
             [
-                "theory", "--corpus", CORPUS, "--doc", "0",
-                "--model", str(spec), "--format", "json", "--out", str(tmp_path),
+                "theory", "--corpus", CORPUS, "--doc", "0", "--model", str(spec),
+                "--linear-mode", "simplified", "--format", "json", "--out", str(tmp_path),
             ],
         )
         assert result.exit_code == 0, result.output
@@ -333,7 +333,8 @@ class TestNarrowBandwidth:
         model = tmp_path / "linear.json"
         model.write_text(json.dumps({"brunch": 1.0, "tea": -2.0}), encoding="utf-8")
         output = self.run(
-            runner, tmp_path, n, seed, "verify", "--model", str(model), "--nu", nu, "--n-exp", n_exp
+            runner, tmp_path, n, seed, "verify", "--model", str(model), "--nu", nu, "--n-exp", n_exp,
+            "--linear-mode", "simplified",
         )
         assert f"Error: nu: {self.NARROW}" in output
 
@@ -369,7 +370,10 @@ class TestNarrowBandwidth:
         assert "Error: doc: out of closed-form domain: need at least 2 distinct words" in output
         model = tmp_path / "linear.json"
         model.write_text(json.dumps({"alpha": 1.0}), encoding="utf-8")
-        output = self.run(runner, tmp_path, "100", "0", command, "--doc", "alpha beta", "--model", str(model))
+        output = self.run(
+            runner, tmp_path, "100", "0", command, "--doc", "alpha beta", "--model", str(model),
+            "--linear-mode", "simplified",
+        )
         assert "Error: doc: out of closed-form domain: linear predictions require d >= 3" in output
 
     @NARROW_CASES
@@ -424,6 +428,25 @@ class TestVerifyCommand:
         rows = [row for row in report["rows"] if row["word"] != "(intercept)"]
         assert len(rows) == 12
         assert all(row["inside_range"] for row in rows)
+
+    @pytest.mark.parametrize("doc", ["0", "5"])
+    def test_default_linear_theory_inside_every_whisker_range(self, runner, tmp_path, doc):
+        # The default linear mode is exact at the run's bandwidth; with
+        # these weights the simplified constant sits outside 14 of the 31
+        # ranges on doc 0 and all 12 on doc 5.
+        words = local_dictionary(load_corpus(bundled_corpus_path()).documents[int(doc)]).words
+        lam = np.random.default_rng(1).normal(size=len(words)).tolist()
+        model = tmp_path / "linear.json"
+        model.write_text(json.dumps(dict(zip(words, lam))), encoding="utf-8")
+        result = runner.invoke(
+            cli,
+            [
+                "verify", "--corpus", CORPUS, "--doc", doc, "--model", str(model),
+                "--n", "5000", "--n-exp", "100", "--out", str(tmp_path),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert "theory inside whisker range: yes" in result.output
 
     def test_singular_gram_falls_back_to_least_squares(self, runner, tmp_path):
         # At d = 2 and nu = 0.1 the all-removed samples weigh about 1e-22,

@@ -835,7 +835,7 @@ class TestBetaLinear:
             row = renormalized_tfidf(all_kept, tfidf_weights(local, idf))[0]
             assert phi.tobytes() == row.tobytes()
             lam = rng.normal(size=local.d)
-            result = beta_linear(dict(zip(local.words, lam)), doc, idf)
+            result = beta_linear(dict(zip(local.words, lam)), doc, idf, mode="simplified")
             want = SIMPLIFIED_LINEAR_CONSTANT * (lam * phi)
             assert result.coefficient_array().tobytes() == want.tobytes()
 
@@ -902,7 +902,7 @@ class TestBetaLinear:
         corpus = Corpus(documents=(tokenize("a b"),))
         idf = fit_idf(corpus)
         with pytest.raises(ClosedFormDomainError):
-            beta_linear({"a": 1.0}, corpus.documents[0], idf)
+            beta_linear({"a": 1.0}, corpus.documents[0], idf, mode="simplified")
 
     def test_two_word_full_mode_matches_the_enumeration(self):
         # Only the simplified form needs d >= 3; at d = 2 the full mode is
