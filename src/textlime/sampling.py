@@ -120,10 +120,12 @@ def renormalized_tfidf(z: np.ndarray, masses: np.ndarray) -> np.ndarray:
     `masses` holds the per-word TF-IDF mass of the full document
     (`tfidf_weights`). Deleting words changes the normalization, so
     surviving coordinates are rescaled per row; the all-removed row maps
-    to the zero vector.
+    to the zero vector. The squared norms are one row reduction each,
+    outside BLAS, whose threaded product splits the rows by the call's row
+    count: so a row's bits do not depend on the rows beside it.
     """
     values = z * masses
-    norms = np.sqrt(values @ masses)
+    norms = np.sqrt(np.einsum("ij,j->i", values, masses))
     # Dividing by 1 leaves a zero-norm row (every word removed) as it is.
     norms[norms == 0.0] = 1.0
     values /= norms[:, None]

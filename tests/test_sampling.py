@@ -327,7 +327,7 @@ class TestBlockedSampler:
 def where_divide_tfidf(z, masses):
     """Reference renormalization: divide only the rows of positive norm."""
     values = z * masses
-    norms = np.sqrt(values @ masses)[:, None]
+    norms = np.sqrt(np.einsum("ij,j->i", values, masses))[:, None]
     np.divide(values, norms, out=values, where=norms > 0)
     return values
 
@@ -344,6 +344,18 @@ class TestRenormalizedTfidf:
             want = where_divide_tfidf(z, masses)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("d", [31, 200, 1000])
+    def test_rows_taken_in_parts_match_one_call(self, d):
+        # A threaded BLAS product splits the rows between threads by the
+        # row count of the call; at d = 1000 under 2 threads, 256-row calls
+        # then differed from one 806-row call at rows 400 and 805.
+        rng = np.random.default_rng(d)
+        masses = rng.random(d) * 4.0
+        _, z = draw_feature_matrix(rng, 806, d)
+        whole = renormalized_tfidf(z, masses)
+        parts = np.vstack([renormalized_tfidf(z[i : i + 256], masses) for i in range(0, 806, 256)])
+        assert whole.tobytes() == parts.tobytes()
 
 
 class TestSampleBatch:
