@@ -120,9 +120,10 @@ def renormalized_tfidf(z: np.ndarray, masses: np.ndarray) -> np.ndarray:
     `masses` holds the per-word TF-IDF mass of the full document
     (`tfidf_weights`). Deleting words changes the normalization, so
     surviving coordinates are rescaled per row; the all-removed row maps
-    to the zero vector. The squared norms are one row reduction each,
-    outside BLAS, whose threaded product splits the rows by the call's row
-    count: so a row's bits do not depend on the rows beside it.
+    to the zero vector. Each squared norm is its own row reduction, not a
+    BLAS product, which a threaded BLAS splits between threads by the
+    call's row count; so a row's bits do not depend on the rows embedded
+    with it.
     """
     values = z * masses
     norms = np.sqrt(np.einsum("ij,j->i", values, masses))
@@ -171,8 +172,9 @@ class SampleBatch:
 
     `sizes[i]` is the number of words sample i removed, `z[i]` its binary
     presence row over the local dictionary and `weights[i]` its kernel
-    weight psi(sizes[i] / d), read from `_kernel_table`. Survivor documents are never materialized:
-    `tfidf_matrix` embeds all n survivors at once. Immutable once built.
+    weight psi(sizes[i] / d), read from `_kernel_table`. Survivor documents
+    are never materialized: `tfidf_matrix` embeds all n survivors at once.
+    Immutable once built.
     """
 
     document: Document

@@ -25,15 +25,9 @@ from textlime import (
     tree_from_spec,
 )
 from textlime.corpus import Corpus, Document
-from textlime.models import Model
 from textlime.verify import SUMMARY_FIELDS, SweepPoint, derive_seed
 
-
-class TanhOfSum(Model):
-    """A custom model: tanh of the sum of the TF-IDF coordinates."""
-
-    def evaluate_matrix(self, values, words):
-        return np.tanh(values.sum(axis=1))
+from test_sampling import CosineOfSum
 
 
 @pytest.fixture(scope="module")
@@ -76,11 +70,11 @@ class TestRunRepeated:
         models = (
             tree_from_spec('"garden" + ("gate" & "morning")'),
             LinearModel(coefficients={"garden": 1.5, "sparrows": -0.5, "stones": 0.25}),
-            TanhOfSum(),
+            CosineOfSum(),
         )
-        # The pool takes one seed per task, so 7 runs on 3 workers finish
-        # out of order. Workers are capped at the CPU count, so pretend
-        # there are enough CPUs for 4.
+        # The pool takes one seed per task, so the runs may finish in any
+        # order on 3 or 4 workers. Workers are capped at the CPU count, so
+        # pretend there are enough CPUs for 4.
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         for model in models:
             for n_exp, threads in ((6, 4), (7, 3)):
