@@ -6,8 +6,8 @@ options it reads. A value comes from the flag or the
 environment (TEXTLIME_<COMMAND>_<OPTION>, e.g. TEXTLIME_EXPLAIN_FORMAT),
 else from the --config JSON file, whose keys are option names (with - or
 _), else from the default. Config keys for options the command does not
-take are ignored. --threads is capped at the CPU count. All stochastic
-outputs are fully determined by --seed.
+take are ignored. --threads is capped at the CPUs the process may run
+on. All stochastic outputs are fully determined by --seed.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ ridge_option = click.option("--ridge", type=float, default=0.0, help="Ridge pena
 seed_option = click.option("--seed", type=int, default=0, help="Master seed; fixes all stochastic output.")
 out_option = click.option("--out", type=str, default=".", help="Output directory.")
 format_option = click.option("--format", type=click.Choice(["csv", "json"]), default="csv", help="Output format.")
-threads_option = click.option("--threads", type=int, default=1, help="Worker cap for repeated runs (at most the CPU count).")
+threads_option = click.option("--threads", type=int, default=1, help="Worker cap for repeated runs (at most the CPUs the process may use).")
 config_option = click.option("--config", type=str, help="JSON config file (flags and environment win over it).")
 n_exp_option = click.option("--n-exp", type=int, default=100, help="Repeated runs (per bandwidth, for sweep).")
 linear_mode_option = click.option("--linear-mode", type=click.Choice(["simplified", "full"]), default="full", help="Linear-model prediction: full (exact at --nu, the default) or simplified (the paper's large-bandwidth constant).")

@@ -21,10 +21,15 @@ class Model:
     """Deterministic, total function of a TF-IDF vector, evaluated in batches.
 
     A model implements `evaluate_matrix`, the one evaluation protocol: the
-    surrogate fit and the population oracles call it on whole batches of
+    surrogate fit and the population oracles call it on batches of
     perturbed samples. Only a custom model receives renormalized TF-IDF
     rows: the package answers the built-in models from the binary presence
     rows (and, for linear parts, the TF-IDF masses).
+
+    The package may call a custom `evaluate_matrix` on row blocks of any
+    size, and from several threads at once (the Monte Carlo oracle's
+    groups, `run_repeated` with threads > 1). So it must answer each row
+    from that row alone and keep no shared mutable state.
     """
 
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:

@@ -17,7 +17,7 @@ its all-kept row. Each built-in model reads the cheapest statistic of the
 presence rows that determines its response (`_responses`), part by part
 of `models._split`: the tree reads the presence rows themselves and the
 linear part two products of them with the masses. Only the custom parts
-are embedded, once per call.
+are embedded, one sampler row block at a time.
 """
 
 from __future__ import annotations
@@ -133,6 +133,19 @@ def renormalized_tfidf(z: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return values
 
 
+def _linear_responses(z: np.ndarray, signal: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """sum_k signal_k z_k / sqrt(sum_k m_k^2 z_k) per row of z, 0 on the
+    all-removed row, from one product per `_float_blocks` block. Its
+    temporaries, the cast buffer included, are freed on return."""
+    stats = np.stack([signal, masses * masses], axis=1)
+    sums = np.empty((len(z), 2))
+    for rows, block in _float_blocks(z):
+        np.matmul(block, stats, out=sums[rows])
+    norms = np.sqrt(sums[:, 1])
+    norms[norms == 0.0] = 1.0  # the all-removed row's sum is 0 too
+    return sums[:, 0] / norms
+
+
 def _responses(
     model: Model,
     z: np.ndarray,
@@ -145,24 +158,24 @@ def _responses(
     and a lone part is returned as it is. The tree reads `z` itself: every
     mass is positive (idf >= 1, counts >= 1), so a coordinate is positive
     exactly where z is 1. The linear part reads
-    sum_k lambda_k m_k z_k / sqrt(sum_k m_k^2 z_k), 0 on the all-removed
-    row, from one product per `_float_blocks` block. The other parts, the
-    custom models, read one embedding (`renormalized_tfidf`).
+    sum_k lambda_k m_k z_k / sqrt(sum_k m_k^2 z_k) (`_linear_responses`).
+    The other parts, the custom models, read the embedding
+    (`renormalized_tfidf`) of each `_block_rows` block of z in turn, so no
+    more than one block's embedding is held at a time.
     """
     tree, linear, rest = _split(model)
     parts = [] if tree is None else [tree.evaluate_matrix(z, words)]
     if linear is not None:
         signal = _weight_vector(linear.coefficients, words) * masses
-        stats = np.stack([signal, masses * masses], axis=1)
-        sums = np.empty((len(z), 2))
-        for rows, block in _float_blocks(z):
-            np.matmul(block, stats, out=sums[rows])
-        norms = np.sqrt(sums[:, 1])
-        norms[norms == 0.0] = 1.0  # the all-removed row's sum is 0 too
-        parts.append(sums[:, 0] / norms)
+        parts.append(_linear_responses(z, signal, masses))
     if rest:
-        values = renormalized_tfidf(z, masses)
-        parts += [a * m.evaluate_matrix(values, words) for a, m in rest]
+        responses = [[] for _ in rest]
+        rows = _block_rows(len(z), len(masses))
+        for start in range(0, len(z), rows):
+            values = renormalized_tfidf(z[start : start + rows], masses)
+            for out, (_, m) in zip(responses, rest):
+                out.append(m.evaluate_matrix(values, words))
+        parts += [a * np.concatenate(out) for out, (a, _) in zip(responses, rest)]
     return parts[0] if len(parts) == 1 else sum(parts, np.zeros(len(z)))
 
 

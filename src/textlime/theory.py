@@ -13,8 +13,11 @@ the package's one Monte Carlo oracle, for the rest.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
@@ -546,9 +549,53 @@ _MC_CELLS = 2**21
 _MC_GROUP = 8
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask (taskset,
+    cpusets) where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _jumped(rng: np.random.Generator, draws: int) -> np.random.Generator:
+    """A new generator where `rng` stands after `draws` more 64-bit draws.
+    `Generator.random` takes one draw per double and leaves the buffered
+    32-bit half of `integers` alone; `advance` clears that half, so it is
+    put back."""
+    state = rng.bit_generator.state
+    bit_generator = type(rng.bit_generator)(0)
+    bit_generator.state = state
+    bit_generator.advance(draws)
+    bit_generator.state = {
+        **bit_generator.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]
+    }
+    return np.random.Generator(bit_generator)
+
+
+def _mc_group_sums(
+    model: Model, rng: np.random.Generator, sizes: np.ndarray, kernel: np.ndarray,
+    local: LocalDictionary, masses: np.ndarray, ss: SigmaSet,
+) -> list[np.ndarray]:
+    """The 6 + 3d sums of `_mc_chunk_sums` of each `_float_blocks` block of
+    one group of samples, whose removal sizes are `sizes` and whose keys
+    `rng` draws."""
+    d = local.d
+    z = _presence_rows(rng, sizes, d)
+    t = kernel[sizes] * _responses(model, z, local.words, masses)
+    kept = d - sizes
+    c, a = ss.explain(t, 0.0, t * kept)
+    blocks = []
+    for s, block in _float_blocks(z):
+        ti, ai, ci = t[s], a[s], c[s]
+        firsts = [ci.sum(), ci @ ci, ai.sum(), ai @ ai, ti.sum(), ti @ kept[s]]
+        blocks.append(np.concatenate([firsts, (np.stack([ti, ai * ti, ti * ti]) @ block).ravel()]))
+    return blocks
+
+
 def _mc_chunk_sums(
     model: Model, rng: np.random.Generator, n: int, kernel: np.ndarray,
     local: LocalDictionary, masses: np.ndarray, ss: SigmaSet,
+    pool: ThreadPoolExecutor | None,
 ) -> np.ndarray:
     """The Monte Carlo sums of one chunk of n samples: the sums of c, c^2,
     a, a^2, t and t * kept, then the column sums t z, a t z and t^2 z.
@@ -556,25 +603,34 @@ def _mc_chunk_sums(
     Sample i solves t_i [1; z_i] into c_i and a_i + t_i z_i / gap, where
     (c_i, a_i) is `SigmaSet.explain` with g = 0 and total t_i kept_i. z is
     binary, so the column sums come from three products with z. The n sizes
-    are drawn at once, then each group of _MC_GROUP blocks of
-    `_block_rows(n, d)` rows is drawn, answered and summed per block while
-    in cache. These are the blocks of one pass over the whole chunk, so the
-    rng stream and every sum are that pass's, bit for bit.
+    are drawn at once on the caller's thread. Then each group of _MC_GROUP
+    blocks of `_block_rows(n, d)` rows is drawn, answered and summed per
+    block while in cache (`_mc_group_sums`), in turn from `rng`, or on
+    `pool`. A group on the pool draws its keys from a copy of `rng` jumped
+    past the groups before it, and `rng` is jumped past the chunk. The
+    blocks' sums are added in block order. So the rng stream and every sum
+    are those of one pass over the whole chunk, bit for bit, whatever the
+    pool's size.
     """
     d = local.d
     sizes = rng.integers(1, d + 1, size=n)
     rows = _MC_GROUP * _block_rows(n, d)
+    starts = range(0, n, rows)
+    if pool is None:
+        rngs, run = [rng] * len(starts), map
+    else:
+        rngs, run = [_jumped(rng, start * d) for start in starts], pool.map
+        rng.bit_generator.state = _jumped(rng, n * d).bit_generator.state
+
+    def group(start, group_rng):
+        return _mc_group_sums(
+            model, group_rng, sizes[start : start + rows], kernel, local, masses, ss
+        )
+
     sums = np.zeros(6 + 3 * d)
-    for start in range(0, n, rows):
-        group = sizes[start : start + rows]
-        z = _presence_rows(rng, group, d)
-        t = kernel[group] * _responses(model, z, local.words, masses)
-        kept = d - group
-        c, a = ss.explain(t, 0.0, t * kept)
-        for s, block in _float_blocks(z):
-            ti, ai, ci = t[s], a[s], c[s]
-            sums[:6] += [ci.sum(), ci @ ci, ai.sum(), ai @ ai, ti.sum(), ti @ kept[s]]
-            sums[6:] += (np.stack([ti, ai * ti, ti * ti]) @ block).ravel()
+    for blocks in run(group, starts, rngs):
+        for block_sums in blocks:
+            sums += block_sums
     return sums
 
 
@@ -594,7 +650,11 @@ def beta_general_mc(
     exact covariance against them. This is the universal oracle: it works
     for every model in scope, at any bandwidth the covariance solve resolves.
     Its samples are drawn, answered and summed one cache-sized group at a
-    time (`_mc_chunk_sums`), so no (chunk, d) array is formed.
+    time (`_mc_chunk_sums`), so no (chunk, d) array is formed. When the
+    generator can jump (PCG64, the default, or PCG64DXSM), the groups run on
+    a thread pool of up to one worker per available CPU, started for the
+    call; any other generator draws them in turn. The result is the same
+    bits either way, at any worker count.
     """
     if not document.tokens:
         raise ValueError("cannot explain an empty document")
@@ -604,15 +664,21 @@ def beta_general_mc(
     d = local.d
     ss = sigma_set(d, nu)
 
-    # One generator runs across the chunks and their groups, and math.fsum
-    # adds the chunks' sums.
+    # One generator stream runs across the chunks and their groups, and
+    # math.fsum adds the chunks' sums. The first chunk has the most groups.
     rng = np.random.default_rng(seed)
     chunk = min(_MC_CHUNK, _MC_CELLS // d)
+    first = min(chunk, n_mc)
+    groups = -(-first // (_MC_GROUP * _block_rows(first, d)))
+    # PCG64's and PCG64DXSM's `advance(k)` moves them past k 64-bit draws.
+    jumps = type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM)
+    workers = min(groups, _available_cpus()) if jumps else 1
     masses, kernel = tfidf_weights(local, idf), _kernel_table(d, nu)
-    parts = [
-        _mc_chunk_sums(model, rng, min(chunk, n_mc - i), kernel, local, masses, ss)
-        for i in range(0, n_mc, chunk)
-    ]
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        parts = [
+            _mc_chunk_sums(model, rng, min(chunk, n_mc - i), kernel, local, masses, ss, pool)
+            for i in range(0, n_mc, chunk)
+        ]
     sums = np.array([math.fsum(column) for column in np.array(parts).T.tolist()])
     c_sum, cc_sum, a_sum, aa_sum, t_sum, tk_sum = sums[:6]
     t_z, at_z, tt_z = sums[6:].reshape(3, d)

@@ -9,7 +9,6 @@ can run on any number of workers without changing the outcome.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ import numpy as np
 from .corpus import Document, IdfTable, local_dictionary
 from .models import Model, TreeModel, combine
 from .surrogate import explain
-from .theory import TheoryExplanation, population_explanation
+from .theory import TheoryExplanation, _available_cpus, population_explanation
 
 # Floating-point cushion for "theory inside the empirical whisker range":
 # models the surrogate fits exactly produce degenerate whiskers whose
@@ -116,12 +115,12 @@ def run_repeated(
     Run r is `explain(..., seed=derive_seed(master_seed, r))`. With
     threads > 1 a thread pool maps `explain` over the seeds, one seed per
     task, so the result does not depend on the thread count. Workers are
-    capped at the run count and at the CPU count.
+    capped at the run count and at the CPUs the process may run on.
     """
     if n_exp < 1:
         raise ValueError("need at least one repetition")
     seeds = [derive_seed(master_seed, run) for run in range(n_exp)]
-    workers = max(1, min(threads, n_exp, os.cpu_count() or 1))
+    workers = max(1, min(threads, n_exp, _available_cpus()))
 
     def work(seed):
         return explain(model, document, idf, n=n, nu=nu, ridge=ridge, seed=seed)

@@ -510,7 +510,7 @@ class TestResponses:
     def test_only_custom_models_are_embedded(self, doc_and_idf, monkeypatch):
         # Trees, indicators, linear models and their combinations are read
         # from the presence rows on every route. A custom model is embedded
-        # once per call, alone or as one or two parts of a combination.
+        # once per row block, alone or as one or two parts of a combination.
         doc, idf = doc_and_idf
         local = local_dictionary(doc)
         calls = []
@@ -529,8 +529,8 @@ class TestResponses:
         tree = tree_from_spec('"beta" + ("alpha" & !"gamma")')
         linear = LinearModel(coefficients={"beta": 1.0, "zeta": -2.0})
         custom = SquaredNorm()
-        # One batch, one Monte Carlo chunk and one enumeration block (d = 7):
-        # one call of _responses per route.
+        # One batch, one Monte Carlo group and one enumeration block (d = 7),
+        # each within one sampler row block: one embedding per route.
         routes = {
             "fit_batch": lambda m: fit_batch(m, sample_batch(doc, local, 200, 0.25, 1), idf),
             "beta_general_mc": lambda m: beta_general_mc(m, doc, idf, n_mc=500, seed=1),

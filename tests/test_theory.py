@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -1323,6 +1324,110 @@ class TestStreamedOracle:
     @pytest.mark.parametrize("kind", ["tree", "linear"])
     def test_trees_and_linear_models_match_under_the_default_blas_threading(self, kind):
         assert streamed_case(kind, 31, 75_491, 0.25) == "same"
+
+
+class NoPool:
+    """A stand-in for ThreadPoolExecutor that fails if a pool is started."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+
+class TestOracleWorkers:
+    """`beta_general_mc` runs its groups on up to one worker per available
+    CPU. Each group draws from a copy of the generator jumped past the
+    groups before it, so the result, and where the generator stands after
+    the call, are the one-worker pass's bits at any worker count."""
+
+    @staticmethod
+    def outcome(model, doc, idf, n_mc, rng):
+        """The means, standard errors and final generator state of one call."""
+        result = beta_general_mc(model, doc, idf, nu=0.25, n_mc=n_mc, seed=rng)
+        stderr = [result.intercept_stderr, *result.coefficient_stderr]
+        state = json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+        return float_bits(explanation_vector(result)), float_bits(stderr), state
+
+    # 75,491 samples take a full chunk, whose sizes leave no buffered 32-bit
+    # half, and an odd one, which leaves one. At d = 1000 the chunks hold an
+    # odd 2,097 rows, so the second chunk's sizes start from a buffered half.
+    @pytest.mark.parametrize("d, n_mc", [(12, 75_491), (31, 75_491), (1000, 5_000)])
+    @pytest.mark.parametrize("kind", ["tree", "linear", "custom"])
+    def test_one_two_and_three_workers_give_the_same_bits(self, monkeypatch, kind, d, n_mc):
+        doc, idf = streamed_documents()[d]
+        local = local_dictionary(doc)
+        w = local.words
+        model = {
+            "tree": tree_from_spec(f'"{w[0]}" + (!"{w[1]}" & "{w[2]}") + ("{w[3]}" & "{w[4]}")'),
+            "linear": LinearModel(linear_weights(local, d)),
+            "custom": TanhOfLinear(linear_weights(local, d + 1)),
+        }[kind]
+        buffered = []
+        jumped = theory._jumped
+
+        def spy(rng, draws):
+            buffered.append(rng.bit_generator.state["has_uint32"])
+            return jumped(rng, draws)
+
+        monkeypatch.setattr(theory, "_jumped", spy)
+        outcomes = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(theory, "_available_cpus", lambda: workers)
+            outcomes.append(self.outcome(model, doc, idf, n_mc, np.random.default_rng(d + n_mc)))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+        assert set(buffered) == {0, 1}
+
+    @pytest.mark.parametrize("bit_generator", ["PCG64DXSM", "SFC64", "MT19937", "Philox"])
+    def test_every_bit_generator_gives_the_one_worker_bits(self, monkeypatch, bit_generator):
+        # PCG64DXSM jumps like PCG64. The others cannot jump by a number of
+        # draws (Philox's advance counts blocks of four), so their groups are
+        # drawn in turn from the shared generator, and no pool starts.
+        doc, idf = streamed_documents()[31]
+        model = tree_from_spec('"food" + (!"food" & "about" & "Everything")')
+
+        def fresh():
+            return np.random.Generator(getattr(np.random, bit_generator)(5))
+
+        monkeypatch.setattr(theory, "_available_cpus", lambda: 1)
+        serial = self.outcome(model, doc, idf, 75_491, fresh())
+        monkeypatch.setattr(theory, "_available_cpus", lambda: 3)
+        if bit_generator != "PCG64DXSM":
+            monkeypatch.setattr(theory, "ThreadPoolExecutor", NoPool)
+        assert self.outcome(model, doc, idf, 75_491, fresh()) == serial
+
+    def test_one_available_cpu_starts_no_pool(self, monkeypatch):
+        doc, idf = streamed_documents()[31]
+        model = tree_from_spec('"food" + (!"food" & "about" & "Everything")')
+        want = self.outcome(model, doc, idf, 200_000, np.random.default_rng(2))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(theory, "ThreadPoolExecutor", NoPool)
+        assert theory._available_cpus() == 1
+        assert self.outcome(model, doc, idf, 200_000, np.random.default_rng(2)) == want
+
+    def test_eight_workers_under_a_short_switch_interval(self, monkeypatch):
+        # More workers than this host's CPUs, with threads switched every
+        # microsecond: the groups finish in any order, and their sums are
+        # still added in block order.
+        doc, idf = streamed_documents()[31]
+        model = TanhOfLinear(linear_weights(local_dictionary(doc), 4))
+        monkeypatch.setattr(theory, "_available_cpus", lambda: 1)
+        want = self.outcome(model, doc, idf, 200_000, np.random.default_rng(4))
+        monkeypatch.setattr(theory, "_available_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.outcome(model, doc, idf, 200_000, np.random.default_rng(4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_no_worker_thread_outlives_a_call(self, monkeypatch):
+        doc, idf = streamed_documents()[31]
+        model = TanhOfLinear({"food": 1.0, "about": -0.5})
+        monkeypatch.setattr(theory, "_available_cpus", lambda: 2)
+        before = threading.active_count()
+        beta_general_mc(model, doc, idf, nu=0.25, n_mc=100_000, seed=3)
+        assert threading.active_count() == before
 
 
 class TestPopulationExplanation:

@@ -73,8 +73,10 @@ class TestRunRepeated:
             CosineOfSum(),
         )
         # The pool takes one seed per task, so the runs may finish in any
-        # order on 3 or 4 workers. Workers are capped at the CPU count, so
-        # pretend there are enough CPUs for 4.
+        # order on 3 or 4 workers. Workers are capped at the CPUs the process
+        # may run on, which is the CPU count where the platform reports no
+        # affinity, so pretend there are enough CPUs for 4.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         for model in models:
             for n_exp, threads in ((6, 4), (7, 3)):
@@ -115,11 +117,30 @@ class TestRunRepeated:
 
         serial = run_repeated(model, doc, idf, n=200, n_exp=8, master_seed=2)
         monkeypatch.setattr(textlime.verify, "ThreadPoolExecutor", SerialPool)
+        # Without an affinity mask the cap is the CPU count, 1 if unknown.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         capped = run_repeated(
             model, doc, idf, n=200, n_exp=8, master_seed=2, threads=5000
         )
         assert sizes == pools
+        assert np.array_equal(serial.coefficients, capped.coefficients)
+        assert np.array_equal(serial.intercepts, capped.intercepts)
+
+    def test_one_available_cpu_starts_no_pool(self, setup, monkeypatch):
+        # taskset or a cpuset can leave the process fewer CPUs than the
+        # machine has; the affinity mask, not the CPU count, caps the pool.
+        doc, idf, _ = setup
+        model = tree_from_spec('"garden" + ("gate" & "morning")')
+        serial = run_repeated(model, doc, idf, n=200, n_exp=6, master_seed=4)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(textlime.verify, "ThreadPoolExecutor", no_pool)
+        capped = run_repeated(model, doc, idf, n=200, n_exp=6, master_seed=4, threads=4)
         assert np.array_equal(serial.coefficients, capped.coefficients)
         assert np.array_equal(serial.intercepts, capped.intercepts)
 
