@@ -27,9 +27,9 @@ class Model:
     rows (and, for linear parts, the TF-IDF masses).
 
     The package may call a custom `evaluate_matrix` on row blocks of any
-    size, and from several threads at once (the Monte Carlo oracle's
-    groups, `run_repeated` with threads > 1). So it must answer each row
-    from that row alone and keep no shared mutable state.
+    size, and from several threads at once (`run_repeated` with
+    threads > 1). So it must answer each row from that row alone and keep
+    no shared mutable state.
     """
 
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:

@@ -17,6 +17,7 @@ import contextlib
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
@@ -573,14 +574,13 @@ def _jumped(rng: np.random.Generator, draws: int) -> np.random.Generator:
 
 
 def _mc_group_sums(
-    model: Model, rng: np.random.Generator, sizes: np.ndarray, kernel: np.ndarray,
+    model: Model, z: np.ndarray, sizes: np.ndarray, kernel: np.ndarray,
     local: LocalDictionary, masses: np.ndarray, ss: SigmaSet,
 ) -> list[np.ndarray]:
     """The 6 + 3d sums of `_mc_chunk_sums` of each `_float_blocks` block of
-    one group of samples, whose removal sizes are `sizes` and whose keys
-    `rng` draws."""
+    one group of samples, whose removal sizes are `sizes` and whose
+    presence rows are `z`."""
     d = local.d
-    z = _presence_rows(rng, sizes, d)
     t = kernel[sizes] * _responses(model, z, local.words, masses)
     kept = d - sizes
     c, a = ss.explain(t, 0.0, t * kept)
@@ -592,10 +592,75 @@ def _mc_group_sums(
     return blocks
 
 
+def _in_order(tasks: list, pool: ThreadPoolExecutor, helpers: int, window: int):
+    """Yield the results of the zero-argument `tasks` in order.
+
+    The caller and `helpers` threads of `pool` each start the first task
+    not yet started, at most `window` tasks past the result the caller
+    yields next. The caller waits only when a helper has started that
+    result and no other task may start. So a helper that runs slow, or not
+    at all, costs the caller no more than the one task it holds, and at
+    most `window` results are held at a time.
+    """
+    results, cond = {}, threading.Condition()
+    started = wanted = 0
+
+    def start(limit):
+        nonlocal started
+        if started < min(limit, len(tasks)):
+            started += 1
+            return started - 1
+        return None
+
+    def run(i):
+        try:
+            result = (tasks[i](), None)
+        except Exception as exc:  # raised by the caller when it reaches task i
+            result = (None, exc)
+        with cond:
+            results[i] = result
+            cond.notify_all()
+
+    def helper():
+        while True:
+            with cond:
+                while (i := start(wanted + window)) is None and started < len(tasks):
+                    cond.wait()
+            if i is None:
+                return
+            run(i)
+
+    futures = [pool.submit(helper) for _ in range(min(helpers, len(tasks) - 1))]
+    try:
+        for wanted_i in range(len(tasks)):
+            with cond:
+                while wanted_i not in results:
+                    if (i := start(wanted_i + window)) is not None:
+                        cond.release()
+                        try:
+                            run(i)
+                        finally:
+                            cond.acquire()
+                    else:
+                        cond.wait()
+                result, exc = results.pop(wanted_i)
+                wanted = wanted_i + 1
+                cond.notify_all()
+            if exc is not None:
+                raise exc
+            yield result
+    finally:
+        with cond:
+            started = len(tasks)  # no task starts after the caller stops
+            cond.notify_all()
+        for future in futures:
+            future.result()
+
+
 def _mc_chunk_sums(
     model: Model, rng: np.random.Generator, n: int, kernel: np.ndarray,
     local: LocalDictionary, masses: np.ndarray, ss: SigmaSet,
-    pool: ThreadPoolExecutor | None,
+    pool: ThreadPoolExecutor | None, helpers: int,
 ) -> np.ndarray:
     """The Monte Carlo sums of one chunk of n samples: the sums of c, c^2,
     a, a^2, t and t * kept, then the column sums t z, a t z and t^2 z.
@@ -603,34 +668,37 @@ def _mc_chunk_sums(
     Sample i solves t_i [1; z_i] into c_i and a_i + t_i z_i / gap, where
     (c_i, a_i) is `SigmaSet.explain` with g = 0 and total t_i kept_i. z is
     binary, so the column sums come from three products with z. The n sizes
-    are drawn at once on the caller's thread. Then each group of _MC_GROUP
-    blocks of `_block_rows(n, d)` rows is drawn, answered and summed per
-    block while in cache (`_mc_group_sums`), in turn from `rng`, or on
-    `pool`. A group on the pool draws its keys from a copy of `rng` jumped
-    past the groups before it, and `rng` is jumped past the chunk. The
-    blocks' sums are added in block order. So the rng stream and every sum
-    are those of one pass over the whole chunk, bit for bit, whatever the
-    pool's size.
+    are drawn at once. Then each group of _MC_GROUP blocks of
+    `_block_rows(n, d)` rows is drawn (`_presence_rows`), and answered and
+    summed per block while in cache (`_mc_group_sums`), in group order on
+    the caller's thread. Without a pool the groups are drawn in turn from
+    `rng`. With one, the caller and `helpers` threads of `pool` draw them
+    (`_in_order`), each from a copy of `rng` jumped past the groups before
+    it, and `rng` is jumped past the chunk. Only the draws run on the
+    helpers: they spend their time in numpy calls that release the GIL,
+    whereas answering and summing make many short calls, which on two
+    threads at once mostly wait for each other. The blocks' sums are added
+    in block order. So the rng stream and every sum are those of one pass
+    over the whole chunk, bit for bit, whatever the number of threads.
     """
     d = local.d
     sizes = rng.integers(1, d + 1, size=n)
     rows = _MC_GROUP * _block_rows(n, d)
-    starts = range(0, n, rows)
+    groups = [sizes[start : start + rows] for start in range(0, n, rows)]
     if pool is None:
-        rngs, run = [rng] * len(starts), map
+        presence = (_presence_rows(rng, group, d) for group in groups)
     else:
-        rngs, run = [_jumped(rng, start * d) for start in starts], pool.map
+        draws = [
+            functools.partial(_presence_rows, _jumped(rng, i * rows * d), group, d)
+            for i, group in enumerate(groups)
+        ]
         rng.bit_generator.state = _jumped(rng, n * d).bit_generator.state
-
-    def group(start, group_rng):
-        return _mc_group_sums(
-            model, group_rng, sizes[start : start + rows], kernel, local, masses, ss
-        )
-
+        presence = _in_order(draws, pool, helpers, 2 * (helpers + 1))
     sums = np.zeros(6 + 3 * d)
-    for blocks in run(group, starts, rngs):
-        for block_sums in blocks:
-            sums += block_sums
+    with contextlib.closing(presence):
+        for z, group in zip(presence, groups):
+            for block_sums in _mc_group_sums(model, z, group, kernel, local, masses, ss):
+                sums += block_sums
     return sums
 
 
@@ -651,10 +719,11 @@ def beta_general_mc(
     for every model in scope, at any bandwidth the covariance solve resolves.
     Its samples are drawn, answered and summed one cache-sized group at a
     time (`_mc_chunk_sums`), so no (chunk, d) array is formed. When the
-    generator can jump (PCG64, the default, or PCG64DXSM), the groups run on
-    a thread pool of up to one worker per available CPU, started for the
-    call; any other generator draws them in turn. The result is the same
-    bits either way, at any worker count.
+    generator can jump (PCG64, the default, or PCG64DXSM), the groups'
+    presence rows are drawn by the calling thread and a pool, started for
+    the call, of one helper per other available CPU; any other generator
+    draws them in turn. The groups are answered and summed on the calling
+    thread. The result is the same bits either way, at any thread count.
     """
     if not document.tokens:
         raise ValueError("cannot explain an empty document")
@@ -672,11 +741,11 @@ def beta_general_mc(
     groups = -(-first // (_MC_GROUP * _block_rows(first, d)))
     # PCG64's and PCG64DXSM's `advance(k)` moves them past k 64-bit draws.
     jumps = type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM)
-    workers = min(groups, _available_cpus()) if jumps else 1
+    helpers = min(groups, _available_cpus()) - 1 if jumps else 0
     masses, kernel = tfidf_weights(local, idf), _kernel_table(d, nu)
-    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    with ThreadPoolExecutor(helpers) if helpers else contextlib.nullcontext() as pool:
         parts = [
-            _mc_chunk_sums(model, rng, min(chunk, n_mc - i), kernel, local, masses, ss, pool)
+            _mc_chunk_sums(model, rng, min(chunk, n_mc - i), kernel, local, masses, ss, pool, helpers)
             for i in range(0, n_mc, chunk)
         ]
     sums = np.array([math.fsum(column) for column in np.array(parts).T.tolist()])

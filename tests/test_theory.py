@@ -12,7 +12,9 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -1334,10 +1336,11 @@ class NoPool:
 
 
 class TestOracleWorkers:
-    """`beta_general_mc` runs its groups on up to one worker per available
-    CPU. Each group draws from a copy of the generator jumped past the
-    groups before it, so the result, and where the generator stands after
-    the call, are the one-worker pass's bits at any worker count."""
+    """`beta_general_mc` draws its groups on the calling thread and up to
+    one helper per other available CPU. Each group draws from a copy of the
+    generator jumped past the groups before it, so the result, and where
+    the generator stands after the call, are the one-thread pass's bits at
+    any thread count."""
 
     @staticmethod
     def outcome(model, doc, idf, n_mc, rng):
@@ -1427,6 +1430,86 @@ class TestOracleWorkers:
         monkeypatch.setattr(theory, "_available_cpus", lambda: 2)
         before = threading.active_count()
         beta_general_mc(model, doc, idf, nu=0.25, n_mc=100_000, seed=3)
+        assert threading.active_count() == before
+
+
+class Failing(Model):
+    """A custom model whose every call raises."""
+
+    def evaluate_matrix(self, values, words):
+        raise RuntimeError("no answer")
+
+
+class TestInOrder:
+    """`_in_order` yields its tasks' results in order, raises a task's
+    error at its place, and stops its helpers when the caller stops."""
+
+    @staticmethod
+    def tasks(n, fail=None):
+        def task(i):
+            time.sleep(0.001 * ((7 * i) % 3))  # finish out of order
+            if i == fail:
+                raise ValueError(i)
+            return i
+
+        return [functools.partial(task, i) for i in range(n)]
+
+    @staticmethod
+    def bounded(call):
+        """What call() returns or raises, run on a thread that must finish
+        within 60 s, so that a helper left waiting fails the test instead
+        of hanging it."""
+        outcome = {}
+
+        def target():
+            try:
+                outcome["result"] = call()
+            except Exception as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        return outcome
+
+    @pytest.mark.parametrize("helpers", [1, 3])
+    def test_results_come_in_order(self, helpers):
+        with ThreadPoolExecutor(helpers) as pool:
+            assert list(theory._in_order(self.tasks(20), pool, helpers, 4)) == list(range(20))
+
+    def test_a_task_error_is_raised_at_its_place(self):
+        def take_all():
+            got = []
+            with ThreadPoolExecutor(2) as pool:
+                try:
+                    for result in theory._in_order(self.tasks(20, fail=7), pool, 2, 4):
+                        got.append(result)
+                except ValueError as exc:
+                    return got, str(exc)
+
+        assert self.bounded(take_all) == {"result": (list(range(7)), "7")}
+
+    def test_closing_early_stops_the_helpers(self):
+        def take_three_and_close():
+            with ThreadPoolExecutor(2) as pool:
+                results = theory._in_order(self.tasks(50), pool, 2, 4)
+                got = [next(results) for _ in range(3)]
+                results.close()
+            return got
+
+        before = threading.active_count()
+        assert self.bounded(take_three_and_close) == {"result": [0, 1, 2]}
+        assert threading.active_count() == before
+
+    def test_a_failing_model_leaves_no_thread_behind(self, monkeypatch):
+        doc, idf = streamed_documents()[31]
+        monkeypatch.setattr(theory, "_available_cpus", lambda: 2)
+        before = threading.active_count()
+        outcome = self.bounded(
+            lambda: beta_general_mc(Failing(), doc, idf, nu=0.25, n_mc=100_000, seed=3)
+        )
+        assert str(outcome["error"]) == "no answer"
         assert threading.active_count() == before
 
 
