@@ -30,7 +30,10 @@ one-run `run_repeated`, whose std is missing, and the intercepts and
 coefficients of `explain` and of a three-run `run_repeated`, each of a
 tree-plus-linear combination and of a pure linear model, on a synthetic
 d = 300 document at n = 500, which the sampler and the linear responses
-read in several row blocks, the last one partial. Each line reads
+read in several row blocks, the last one partial, and of `explain` of the
+combination there at n = 5000, where the sampler draws several groups of
+row blocks on helper threads and the Gram matrix is two row panels' sum
+(1.5M cells, above 2**19). Each line reads
 `sha256  name`, sorted by name. Run
 each checkout's own script, since the functions it calls may change their
 signatures between checkouts:
@@ -332,6 +335,8 @@ def verify_digests() -> dict[str, str]:
         record(f"explain/synthetic-d300/{name}", result.intercept, result.coefficient_array())
         stats = run_repeated(model, wide, wide_idf, n=500, n_exp=3, master_seed=9)
         record(f"run_repeated/synthetic-d300/{name}", stats.intercepts, stats.coefficients)
+    result = explain(mixed, wide, wide_idf, n=5000, seed=8)
+    record("explain/synthetic-d300-n5000/combined", result.intercept, result.coefficient_array())
     return digests
 
 

@@ -3,8 +3,11 @@
 A perturbed sample removes a uniformly random nonempty subset of the
 distinct words of the explained document: first the number of deletions s
 is drawn uniformly in {1, ..., d}, then a uniform size-s subset of word
-indices (`_presence_rows`, the one sampler: `draw_feature_matrix` calls it
-once per run, the Monte Carlo oracle once per cache-sized group of rows).
+indices (`_presence_rows`, the one sampler). `draw_feature_matrix` calls
+it once per run, or once per cache-sized group of rows when the rows span
+several groups; the Monte Carlo oracle calls it once per group. Groups go
+to helper threads by `_drawn_groups`, with bits that do not depend on the
+thread count.
 Every occurrence of a removed word disappears. Each sample gets an
 exponential kernel weight in the cosine distance between its binary
 presence vector and the all-ones vector. That distance depends only on s,
@@ -22,6 +25,10 @@ are embedded, one sampler row block at a time.
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,33 +82,193 @@ def _float_blocks(z: np.ndarray):
         yield slice(start, start + rows), block
 
 
+# Sampler row blocks per group (at most 2**18 cells): the rows that the
+# Monte Carlo oracle draws, answers and sums at once, and the unit of work
+# of a threaded draw.
+_MC_GROUP = 8
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask (taskset,
+    cpusets) where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _draw_helpers(rng: np.random.Generator, groups: int) -> int:
+    """Helper threads for drawing `groups` groups from `rng`: one per other
+    available CPU, at most one per group past the first, and none when rng
+    cannot jump. PCG64's and PCG64DXSM's `advance(k)` moves them past k
+    64-bit draws; the others cannot jump by a number of draws (Philox's
+    advance counts blocks of four)."""
+    if type(rng.bit_generator) not in (np.random.PCG64, np.random.PCG64DXSM):
+        return 0
+    return min(groups, _available_cpus()) - 1
+
+
+def _jumped(rng: np.random.Generator, draws: int) -> np.random.Generator:
+    """A new generator where `rng` stands after `draws` more 64-bit draws.
+    `Generator.random` takes one draw per double and leaves the buffered
+    32-bit half of `integers` alone; `advance` clears that half, so it is
+    put back."""
+    state = rng.bit_generator.state
+    bit_generator = type(rng.bit_generator)(0)
+    bit_generator.state = state
+    bit_generator.advance(draws)
+    bit_generator.state = {
+        **bit_generator.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]
+    }
+    return np.random.Generator(bit_generator)
+
+
+def _in_order(tasks: list, pool: ThreadPoolExecutor | None, helpers: int, window: int):
+    """Yield the results of the zero-argument `tasks` in order.
+
+    The caller and `helpers` threads of `pool` each start the first task
+    not yet started, at most `window` tasks past the result the caller
+    yields next. The caller waits only when a helper has started that
+    result and no other task may start. So a helper that runs slow, or not
+    at all, costs the caller no more than the one task it holds, and at
+    most `window` results are held at a time. With no helpers the caller
+    runs every task and `pool` may be None.
+    """
+    results, cond = {}, threading.Condition()
+    started = wanted = 0
+
+    def start(limit):
+        nonlocal started
+        if started < min(limit, len(tasks)):
+            started += 1
+            return started - 1
+        return None
+
+    def run(i):
+        try:
+            result = (tasks[i](), None)
+        except Exception as exc:  # raised by the caller when it reaches task i
+            result = (None, exc)
+        with cond:
+            results[i] = result
+            cond.notify_all()
+
+    def helper():
+        while True:
+            with cond:
+                while (i := start(wanted + window)) is None and started < len(tasks):
+                    cond.wait()
+            if i is None:
+                return
+            run(i)
+
+    futures = [pool.submit(helper) for _ in range(min(helpers, len(tasks) - 1))]
+    try:
+        for wanted_i in range(len(tasks)):
+            with cond:
+                while wanted_i not in results:
+                    if (i := start(wanted_i + window)) is not None:
+                        cond.release()
+                        try:
+                            run(i)
+                        finally:
+                            cond.acquire()
+                    else:
+                        cond.wait()
+                result, exc = results.pop(wanted_i)
+                wanted = wanted_i + 1
+                cond.notify_all()
+            if exc is not None:
+                raise exc
+            yield result
+    finally:
+        with cond:
+            started = len(tasks)  # no task starts after the caller stops
+            cond.notify_all()
+        for future in futures:
+            future.result()
+
+
+def _drawn_groups(
+    rng: np.random.Generator, sizes: np.ndarray, d: int,
+    pool: ThreadPoolExecutor | None, helpers: int, mask: np.ndarray | None = None,
+):
+    """The presence rows (`_presence_rows`) of each group of `_MC_GROUP`
+    row blocks of `sizes`, in order. Without a pool the groups are drawn in
+    turn from `rng`. With one, the caller and `helpers` threads of `pool`
+    draw them (`_in_order`), each from a copy of rng jumped past the groups
+    before it, and rng is jumped past them all. Consecutive `rng.random`
+    calls continue one stream of doubles, so the rows and the rng stream
+    are those of one `_presence_rows` call over all of sizes, bit for bit,
+    whatever the number of threads and the block size.
+
+    With `mask`, each group is written into its rows of mask, and the
+    drawing threads share the two row blocks of scratch of one serial
+    draw: each draws blocks of 1 / (helpers + 1) of `_block_rows(n, d)`
+    rows. Without, each group is its own array of whole blocks.
+    """
+    n = len(sizes)
+    rows = _MC_GROUP * _block_rows(n, d)
+    block = None if mask is None else max(1, _block_rows(n, d) // (helpers + 1))
+
+    def draw(generator, start):
+        out = None if mask is None else mask[start : start + rows]
+        return _presence_rows(generator, sizes[start : start + rows], d, out, block)
+
+    starts = range(0, n, rows)
+    if pool is None:
+        return (draw(rng, start) for start in starts)
+    draws = [functools.partial(draw, _jumped(rng, start * d), start) for start in starts]
+    rng.bit_generator.state = _jumped(rng, n * d).bit_generator.state
+    return _in_order(draws, pool, helpers, 2 * (helpers + 1))
+
+
 def draw_feature_matrix(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw n removal sizes, then their binary feature matrix by
     `_presence_rows`: (sizes, z) with sizes of shape (n,) and z of shape
-    (n, d), z[i, j] = 1 iff word j survives in sample i."""
+    (n, d), z[i, j] = 1 iff word j survives in sample i.
+
+    When the rows span two or more groups of `_MC_GROUP` row blocks and rng
+    can jump, the groups are drawn straight into z by the calling thread and
+    a pool, started for the call, of one helper per other available CPU
+    (`_drawn_groups`). The sizes, z and the state rng is left in are those
+    of one serial pass, bit for bit, at any thread count.
+    """
     if d < 1:
         raise ValueError("empty local dictionary")
     if n < 1:
         raise ValueError("need at least one sample")
     sizes = rng.integers(1, d + 1, size=n)
-    return sizes, _presence_rows(rng, sizes, d)
+    helpers = _draw_helpers(rng, -(-n // (_MC_GROUP * _block_rows(n, d))))
+    if not helpers:
+        return sizes, _presence_rows(rng, sizes, d)
+    mask = np.empty((n, d), np.bool_)
+    with ThreadPoolExecutor(helpers) as pool:
+        for _ in _drawn_groups(rng, sizes, d, pool, helpers, mask):
+            pass
+    return sizes, mask.view(np.int8)
 
 
-def _presence_rows(rng: np.random.Generator, sizes: np.ndarray, d: int) -> np.ndarray:
-    """The int8 presence rows of removal sizes `sizes` over d words. Row i
-    removes the sizes[i] smallest entries of an i.i.d. uniform key row, a
-    uniform subset of that size: one sort per row finds the sizes[i]-th
-    smallest key, and the words whose key exceeds it survive. The keys are
-    drawn per row block of (`_block_rows(len(sizes), d)`, d), which stays in
-    cache. Consecutive `rng.random` calls continue one stream of doubles, so
-    every block size, and every split of `sizes` into consecutive calls,
-    gives the same bits.
+def _presence_rows(
+    rng: np.random.Generator, sizes: np.ndarray, d: int,
+    mask: np.ndarray | None = None, rows: int | None = None,
+) -> np.ndarray:
+    """The int8 presence rows of removal sizes `sizes` over d words, written
+    into the bool array `mask` of shape (len(sizes), d) when one is given.
+    Row i removes the sizes[i] smallest entries of an i.i.d. uniform key
+    row, a uniform subset of that size: one sort per row finds the
+    sizes[i]-th smallest key, and the words whose key exceeds it survive.
+    The keys are drawn per row block of (`rows`, d), by default
+    `_block_rows(len(sizes), d)` rows, which stays in cache. Consecutive
+    `rng.random` calls continue one stream of doubles, so every block size,
+    and every split of `sizes` into consecutive calls, gives the same bits.
+    No Python-level state is shared, so calls on distinct generators and
+    masks may run on several threads at once.
     """
     n = len(sizes)
-    rows = _block_rows(n, d)
+    rows = min(n, rows or _block_rows(n, d))
     keys = np.empty((rows, d))
     ordered = np.empty((rows, d))
-    mask = np.empty((n, d), np.bool_)
+    mask = np.empty((n, d), np.bool_) if mask is None else mask
     index = np.arange(rows)
     for start in range(0, n, rows):
         m = min(rows, n - start)

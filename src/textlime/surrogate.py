@@ -7,13 +7,17 @@ distinct word plus an intercept, are the explanation.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
 from .models import Model
-from .sampling import SampleBatch, _responses, sample_batch
+from .sampling import _BLOCK_CELLS, _MC_GROUP, SampleBatch, _available_cpus, _in_order
+from .sampling import _responses, sample_batch
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,25 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _gram(a: np.ndarray) -> np.ndarray:
+    """a.T @ a of the (n, p) array a. From 2 * _MC_GROUP * _BLOCK_CELLS
+    (2**19) cells up, a[:h].T @ a[:h] + a[h:].T @ a[h:] with h = n // 2:
+    each panel's product is a symmetric rank-k product into a buffer of
+    the caller's, one computed by the caller and, when a second CPU is
+    available, the other by a helper thread (`_in_order`). The panels do
+    not depend on the thread count, so neither do the bits."""
+    n, p = a.shape
+    if n * p < 2 * _MC_GROUP * _BLOCK_CELLS:
+        return a.T @ a
+    panels = (a[: n // 2], a[n // 2 :])
+    products = [functools.partial(np.matmul, x.T, x, out=np.empty((p, p))) for x in panels]
+    helpers = min(2, _available_cpus()) - 1
+    with ThreadPoolExecutor(helpers) if helpers else contextlib.nullcontext() as pool:
+        top, bottom = _in_order(products, pool, helpers, 2)
+    top += bottom
+    return top
+
+
 def fit_weighted_ridge(
     design: np.ndarray,
     weights: np.ndarray,
@@ -79,12 +102,13 @@ def fit_weighted_ridge(
     """Solve min_beta sum_i w_i (y_i - beta . design_i)^2 + ridge ||beta||^2.
 
     Scales design and responses by sqrt(w) once, forms the normal
-    equations from that scaled design (a symmetric rank-k product), factors
-    them once by Cholesky and solves with that factor. An integer or bool
-    design, such as the int8 presence rows with a column of ones that
-    `fit_batch` passes, is written straight into the scaled design, with
-    no float64 copy of its own; the coefficients are bit for bit those of
-    the same design in float64. When the factorization fails (rank
+    equations from that scaled design (`_gram`: a symmetric rank-k product,
+    split in two on large designs, whose bits do not depend on the CPU
+    count), factors them once by Cholesky and solves with that factor. An
+    integer or bool design, such as the int8 presence rows with a column of
+    ones that `fit_batch` passes, is written straight into the scaled
+    design, with no float64 copy of its own; the coefficients are bit for
+    bit those of the same design in float64. When the factorization fails (rank
     deficiency, possible at tiny sample counts with ridge = 0) the same
     scaled arrays give the minimum-norm least-squares solution. Design,
     weights and responses must be finite; the inputs are not modified.
@@ -116,7 +140,7 @@ def fit_weighted_ridge(
         raise ValueError("design must be finite")
     a *= sw[:, None]
     b = sw * responses
-    gram = a.T @ a
+    gram = _gram(a)
     gram.flat[:: p + 1] += ridge
     try:
         return _cholesky_solve(gram, a.T @ b)

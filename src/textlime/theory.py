@@ -16,8 +16,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
@@ -26,8 +24,8 @@ import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
 from .models import CombinedModel, Model, _split, _weight_vector
-from .sampling import _block_rows, _float_blocks, _kernel_table, _presence_rows
-from .sampling import _responses, renormalized_tfidf
+from .sampling import _MC_GROUP, _block_rows, _draw_helpers, _drawn_groups, _float_blocks
+from .sampling import _kernel_table, _responses, renormalized_tfidf
 
 EXACT_CLOSED_FORM = "exact-closed-form"
 EXACT_ENUMERATION = "exact-enumeration"
@@ -544,33 +542,9 @@ def beta_enumerated(
 
 # Samples per Monte Carlo chunk, whose removal sizes are drawn at once: at
 # most _MC_CHUNK rows and _MC_CELLS cells. Its rows are drawn and summed in
-# groups of _MC_GROUP sampler row blocks (at most 2**18 cells each).
+# groups of `sampling._MC_GROUP` sampler row blocks.
 _MC_CHUNK = 65_536
 _MC_CELLS = 2**21
-_MC_GROUP = 8
-
-
-def _available_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask (taskset,
-    cpusets) where the platform has one, else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _jumped(rng: np.random.Generator, draws: int) -> np.random.Generator:
-    """A new generator where `rng` stands after `draws` more 64-bit draws.
-    `Generator.random` takes one draw per double and leaves the buffered
-    32-bit half of `integers` alone; `advance` clears that half, so it is
-    put back."""
-    state = rng.bit_generator.state
-    bit_generator = type(rng.bit_generator)(0)
-    bit_generator.state = state
-    bit_generator.advance(draws)
-    bit_generator.state = {
-        **bit_generator.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]
-    }
-    return np.random.Generator(bit_generator)
 
 
 def _mc_group_sums(
@@ -592,71 +566,6 @@ def _mc_group_sums(
     return blocks
 
 
-def _in_order(tasks: list, pool: ThreadPoolExecutor, helpers: int, window: int):
-    """Yield the results of the zero-argument `tasks` in order.
-
-    The caller and `helpers` threads of `pool` each start the first task
-    not yet started, at most `window` tasks past the result the caller
-    yields next. The caller waits only when a helper has started that
-    result and no other task may start. So a helper that runs slow, or not
-    at all, costs the caller no more than the one task it holds, and at
-    most `window` results are held at a time.
-    """
-    results, cond = {}, threading.Condition()
-    started = wanted = 0
-
-    def start(limit):
-        nonlocal started
-        if started < min(limit, len(tasks)):
-            started += 1
-            return started - 1
-        return None
-
-    def run(i):
-        try:
-            result = (tasks[i](), None)
-        except Exception as exc:  # raised by the caller when it reaches task i
-            result = (None, exc)
-        with cond:
-            results[i] = result
-            cond.notify_all()
-
-    def helper():
-        while True:
-            with cond:
-                while (i := start(wanted + window)) is None and started < len(tasks):
-                    cond.wait()
-            if i is None:
-                return
-            run(i)
-
-    futures = [pool.submit(helper) for _ in range(min(helpers, len(tasks) - 1))]
-    try:
-        for wanted_i in range(len(tasks)):
-            with cond:
-                while wanted_i not in results:
-                    if (i := start(wanted_i + window)) is not None:
-                        cond.release()
-                        try:
-                            run(i)
-                        finally:
-                            cond.acquire()
-                    else:
-                        cond.wait()
-                result, exc = results.pop(wanted_i)
-                wanted = wanted_i + 1
-                cond.notify_all()
-            if exc is not None:
-                raise exc
-            yield result
-    finally:
-        with cond:
-            started = len(tasks)  # no task starts after the caller stops
-            cond.notify_all()
-        for future in futures:
-            future.result()
-
-
 def _mc_chunk_sums(
     model: Model, rng: np.random.Generator, n: int, kernel: np.ndarray,
     local: LocalDictionary, masses: np.ndarray, ss: SigmaSet,
@@ -669,31 +578,21 @@ def _mc_chunk_sums(
     (c_i, a_i) is `SigmaSet.explain` with g = 0 and total t_i kept_i. z is
     binary, so the column sums come from three products with z. The n sizes
     are drawn at once. Then each group of _MC_GROUP blocks of
-    `_block_rows(n, d)` rows is drawn (`_presence_rows`), and answered and
-    summed per block while in cache (`_mc_group_sums`), in group order on
-    the caller's thread. Without a pool the groups are drawn in turn from
-    `rng`. With one, the caller and `helpers` threads of `pool` draw them
-    (`_in_order`), each from a copy of `rng` jumped past the groups before
-    it, and `rng` is jumped past the chunk. Only the draws run on the
-    helpers: they spend their time in numpy calls that release the GIL,
-    whereas answering and summing make many short calls, which on two
-    threads at once mostly wait for each other. The blocks' sums are added
-    in block order. So the rng stream and every sum are those of one pass
-    over the whole chunk, bit for bit, whatever the number of threads.
+    `_block_rows(n, d)` rows is drawn (`_drawn_groups`: in turn without a
+    pool, else by the caller and `helpers` threads of `pool`), and answered
+    and summed per block while in cache (`_mc_group_sums`), in group order
+    on the caller's thread. Only the draws run on the helpers: they spend
+    their time in numpy calls that release the GIL, whereas answering and
+    summing make many short calls, which on two threads at once mostly wait
+    for each other. The blocks' sums are added in block order. So the rng
+    stream and every sum are those of one pass over the whole chunk, bit
+    for bit, whatever the number of threads.
     """
     d = local.d
     sizes = rng.integers(1, d + 1, size=n)
     rows = _MC_GROUP * _block_rows(n, d)
     groups = [sizes[start : start + rows] for start in range(0, n, rows)]
-    if pool is None:
-        presence = (_presence_rows(rng, group, d) for group in groups)
-    else:
-        draws = [
-            functools.partial(_presence_rows, _jumped(rng, i * rows * d), group, d)
-            for i, group in enumerate(groups)
-        ]
-        rng.bit_generator.state = _jumped(rng, n * d).bit_generator.state
-        presence = _in_order(draws, pool, helpers, 2 * (helpers + 1))
+    presence = _drawn_groups(rng, sizes, d, pool, helpers)
     sums = np.zeros(6 + 3 * d)
     with contextlib.closing(presence):
         for z, group in zip(presence, groups):
@@ -722,7 +621,8 @@ def beta_general_mc(
     generator can jump (PCG64, the default, or PCG64DXSM), the groups'
     presence rows are drawn by the calling thread and a pool, started for
     the call, of one helper per other available CPU; any other generator
-    draws them in turn. The groups are answered and summed on the calling
+    draws them in turn. The draws go through `sampling._drawn_groups`, as
+    those of a `draw_feature_matrix` of several groups do. The groups are answered and summed on the calling
     thread. The result is the same bits either way, at any thread count.
     """
     if not document.tokens:
@@ -738,10 +638,7 @@ def beta_general_mc(
     rng = np.random.default_rng(seed)
     chunk = min(_MC_CHUNK, _MC_CELLS // d)
     first = min(chunk, n_mc)
-    groups = -(-first // (_MC_GROUP * _block_rows(first, d)))
-    # PCG64's and PCG64DXSM's `advance(k)` moves them past k 64-bit draws.
-    jumps = type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM)
-    helpers = min(groups, _available_cpus()) - 1 if jumps else 0
+    helpers = _draw_helpers(rng, -(-first // (_MC_GROUP * _block_rows(first, d))))
     masses, kernel = tfidf_weights(local, idf), _kernel_table(d, nu)
     with ThreadPoolExecutor(helpers) if helpers else contextlib.nullcontext() as pool:
         parts = [

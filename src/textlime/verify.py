@@ -16,8 +16,9 @@ import numpy as np
 
 from .corpus import Document, IdfTable, local_dictionary
 from .models import Model, TreeModel, combine
+from .sampling import _available_cpus
 from .surrogate import explain
-from .theory import TheoryExplanation, _available_cpus, population_explanation
+from .theory import TheoryExplanation, population_explanation
 
 # Floating-point cushion for "theory inside the empirical whisker range":
 # models the surrogate fits exactly produce degenerate whiskers whose

@@ -324,6 +324,64 @@ class TestBlockedSampler:
         assert peak < 1.1 * mask_and_blocks
 
 
+class NoPool:
+    """A stand-in for ThreadPoolExecutor that fails if a pool is started."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+
+class TestThreadedSampler:
+    """Past one group of `_MC_GROUP` row blocks, `draw_feature_matrix`
+    draws its groups on the calling thread and one helper per other
+    available CPU, straight into one mask. The sizes, the rows and where
+    the generator stands after the call are the serial path's bits at any
+    CPU count."""
+
+    # 4,999 sizes leave a buffered 32-bit half, which the jumps keep.
+    @pytest.mark.parametrize("n, d", [(5000, 200), (5000, 1000), (4999, 1000)])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_matches_the_one_shot_sampler(self, monkeypatch, n, d, cpus):
+        jumps = []
+        jumped = sampling._jumped
+
+        def spy(rng, draws):
+            jumps.append(draws)
+            return jumped(rng, draws)
+
+        monkeypatch.setattr(sampling, "_jumped", spy)
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: cpus)
+        rng, want_rng = np.random.default_rng(d), np.random.default_rng(d)
+        got = draw_feature_matrix(rng, n, d)
+        assert_same_draw(got, one_shot_feature_matrix(want_rng, n, d))
+        assert rng.integers(0, 2**31, size=3).tobytes() == want_rng.integers(0, 2**31, size=3).tobytes()
+        assert rng.random(3).tobytes() == want_rng.random(3).tobytes()
+        # With helpers, one jump to each group's first row and one past all.
+        rows = sampling._MC_GROUP * sampling._block_rows(n, d)
+        assert jumps == ([] if cpus == 1 else [*range(0, n * d, rows * d), n * d])
+
+    def test_one_group_starts_no_pool(self, monkeypatch):
+        # Document 0's d = 31 at n = 5000 is one group of 1,057-row blocks.
+        n, d = 5000, 31
+        assert n <= sampling._MC_GROUP * sampling._block_rows(n, d)
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", NoPool)
+        got = draw_feature_matrix(np.random.default_rng(0), n, d)
+        assert_same_draw(got, one_shot_feature_matrix(np.random.default_rng(0), n, d))
+
+    def test_a_generator_that_cannot_jump_draws_serially(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", NoPool)
+
+        def fresh():
+            return np.random.Generator(np.random.MT19937(5))
+
+        rng, want_rng = fresh(), fresh()
+        got = draw_feature_matrix(rng, 5000, 1000)
+        assert_same_draw(got, one_shot_feature_matrix(want_rng, 5000, 1000))
+        assert rng.random(3).tobytes() == want_rng.random(3).tobytes()
+
+
 def where_divide_tfidf(z, masses):
     """Reference renormalization: divide only the rows of positive norm."""
     values = z * masses

@@ -1,11 +1,14 @@
 """The weighted least-squares surrogate and the one-shot explanation path."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import textlime.surrogate as surrogate
 from textlime import (
+    Document,
     IndicatorProduct,
     LinearModel,
     combine,
@@ -18,7 +21,7 @@ from textlime import (
     tree_from_spec,
 )
 from textlime.corpus import Corpus
-from textlime.surrogate import _cholesky_solve, fit_batch
+from textlime.surrogate import _cholesky_solve, _gram, fit_batch
 
 
 def minimum_norm_oracle(design, weights, responses, ridge=0.0):
@@ -243,3 +246,54 @@ class TestExplain:
         # Shrinkage pulls the exact-fit value slightly below 1.
         assert 0.8 < result.coefficients["star"] < 1.0
         assert result.meta["ridge"] == 1.0
+
+
+def one_product(a):
+    return a.T @ a
+
+
+class TestTwoPanelGram:
+    """From 2**19 cells up, the Gram matrix is the sum of two fixed row
+    panels' products, computed on the caller and a helper thread, so
+    `explain` gives the same bits on one CPU and on two."""
+
+    @staticmethod
+    def wide(d):
+        doc = Document(tokens=tuple(f"w{i:04d}" for i in range(d)) + ("w0000", "w0001"))
+        corpus = Corpus(documents=(doc, Document(tokens=("w0000", "w0002", "other"))))
+        words = local_dictionary(doc).words
+        model = combine([
+            (1.0, tree_from_spec(f'"{words[0]}" + (!"{words[1]}" & "{words[2]}")')),
+            (1.0, LinearModel(coefficients={w: (-1.0) ** i / (1 + i) for i, w in enumerate(words)})),
+        ])
+        return model, doc, fit_idf(corpus)
+
+    @staticmethod
+    def explained(model, doc, idf, cpus, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        result = explain(model, doc, idf, n=5000, seed=11)
+        return np.concatenate([[result.intercept], result.coefficient_array()])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_panels_are_fixed(self, monkeypatch, cpus):
+        a = np.random.default_rng(0).random((1001, 600))
+        assert a.size >= 2**19
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        want = a[:500].T @ a[:500]
+        want += a[500:].T @ a[500:]
+        assert _gram(a).tobytes() == want.tobytes()
+
+    def test_wide_explain_is_the_same_on_one_and_two_cpus(self, monkeypatch):
+        model, doc, idf = self.wide(1000)
+        got = self.explained(model, doc, idf, 2, monkeypatch)
+        assert got.tobytes() == self.explained(model, doc, idf, 1, monkeypatch).tobytes()
+        monkeypatch.setattr(surrogate, "_gram", one_product)
+        want = self.explained(model, doc, idf, 2, monkeypatch)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_below_two_to_the_19_cells_is_the_one_product(self, monkeypatch):
+        model, doc, idf = self.wide(31)
+        assert 5000 * 32 < 2**19
+        got = self.explained(model, doc, idf, 2, monkeypatch)
+        monkeypatch.setattr(surrogate, "_gram", one_product)
+        assert got.tobytes() == self.explained(model, doc, idf, 2, monkeypatch).tobytes()

@@ -1164,8 +1164,9 @@ class TestBetaGeneralMc:
     @pytest.mark.parametrize("kind", ["tree", "linear", "custom"])
     def test_peak_is_under_5_mb_on_bundled_document_0(self, kind):
         # Each group of rows is drawn, answered and summed before the next is
-        # drawn, so even a custom model, which embeds its rows, holds one
-        # group's embedding (2 MB), not one chunk's: drawing whole chunks
+        # drawn, and a custom model embeds its rows one sampler block at a
+        # time, so it holds one block's embedding (0.26 MB at d = 31), not one
+        # chunk's; the custom case peaks at 2.65 MB. Drawing whole chunks
         # peaked at 6.5, 6.4 and 19.4 MiB here.
         corpus = load_corpus(bundled_corpus_path())
         doc, idf = corpus.documents[0], fit_idf(corpus)
@@ -1365,16 +1366,16 @@ class TestOracleWorkers:
             "custom": TanhOfLinear(linear_weights(local, d + 1)),
         }[kind]
         buffered = []
-        jumped = theory._jumped
+        jumped = sampling._jumped
 
         def spy(rng, draws):
             buffered.append(rng.bit_generator.state["has_uint32"])
             return jumped(rng, draws)
 
-        monkeypatch.setattr(theory, "_jumped", spy)
+        monkeypatch.setattr(sampling, "_jumped", spy)
         outcomes = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(theory, "_available_cpus", lambda: workers)
+            monkeypatch.setattr(sampling, "_available_cpus", lambda: workers)
             outcomes.append(self.outcome(model, doc, idf, n_mc, np.random.default_rng(d + n_mc)))
         assert outcomes[1] == outcomes[0]
         assert outcomes[2] == outcomes[0]
@@ -1391,9 +1392,9 @@ class TestOracleWorkers:
         def fresh():
             return np.random.Generator(getattr(np.random, bit_generator)(5))
 
-        monkeypatch.setattr(theory, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: 1)
         serial = self.outcome(model, doc, idf, 75_491, fresh())
-        monkeypatch.setattr(theory, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: 3)
         if bit_generator != "PCG64DXSM":
             monkeypatch.setattr(theory, "ThreadPoolExecutor", NoPool)
         assert self.outcome(model, doc, idf, 75_491, fresh()) == serial
@@ -1404,7 +1405,7 @@ class TestOracleWorkers:
         want = self.outcome(model, doc, idf, 200_000, np.random.default_rng(2))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(theory, "ThreadPoolExecutor", NoPool)
-        assert theory._available_cpus() == 1
+        assert sampling._available_cpus() == 1
         assert self.outcome(model, doc, idf, 200_000, np.random.default_rng(2)) == want
 
     def test_eight_workers_under_a_short_switch_interval(self, monkeypatch):
@@ -1413,9 +1414,9 @@ class TestOracleWorkers:
         # still added in block order.
         doc, idf = streamed_documents()[31]
         model = TanhOfLinear(linear_weights(local_dictionary(doc), 4))
-        monkeypatch.setattr(theory, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: 1)
         want = self.outcome(model, doc, idf, 200_000, np.random.default_rng(4))
-        monkeypatch.setattr(theory, "_available_cpus", lambda: 8)
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1427,7 +1428,7 @@ class TestOracleWorkers:
     def test_no_worker_thread_outlives_a_call(self, monkeypatch):
         doc, idf = streamed_documents()[31]
         model = TanhOfLinear({"food": 1.0, "about": -0.5})
-        monkeypatch.setattr(theory, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: 2)
         before = threading.active_count()
         beta_general_mc(model, doc, idf, nu=0.25, n_mc=100_000, seed=3)
         assert threading.active_count() == before
@@ -1476,14 +1477,14 @@ class TestInOrder:
     @pytest.mark.parametrize("helpers", [1, 3])
     def test_results_come_in_order(self, helpers):
         with ThreadPoolExecutor(helpers) as pool:
-            assert list(theory._in_order(self.tasks(20), pool, helpers, 4)) == list(range(20))
+            assert list(sampling._in_order(self.tasks(20), pool, helpers, 4)) == list(range(20))
 
     def test_a_task_error_is_raised_at_its_place(self):
         def take_all():
             got = []
             with ThreadPoolExecutor(2) as pool:
                 try:
-                    for result in theory._in_order(self.tasks(20, fail=7), pool, 2, 4):
+                    for result in sampling._in_order(self.tasks(20, fail=7), pool, 2, 4):
                         got.append(result)
                 except ValueError as exc:
                     return got, str(exc)
@@ -1493,7 +1494,7 @@ class TestInOrder:
     def test_closing_early_stops_the_helpers(self):
         def take_three_and_close():
             with ThreadPoolExecutor(2) as pool:
-                results = theory._in_order(self.tasks(50), pool, 2, 4)
+                results = sampling._in_order(self.tasks(50), pool, 2, 4)
                 got = [next(results) for _ in range(3)]
                 results.close()
             return got
@@ -1504,7 +1505,7 @@ class TestInOrder:
 
     def test_a_failing_model_leaves_no_thread_behind(self, monkeypatch):
         doc, idf = streamed_documents()[31]
-        monkeypatch.setattr(theory, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: 2)
         before = threading.active_count()
         outcome = self.bounded(
             lambda: beta_general_mc(Failing(), doc, idf, nu=0.25, n_mc=100_000, seed=3)
