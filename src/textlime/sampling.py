@@ -194,8 +194,8 @@ def _drawn_groups(
     pool: ThreadPoolExecutor | None, helpers: int, mask: np.ndarray | None = None,
 ):
     """The presence rows (`_presence_rows`) of each group of `_MC_GROUP`
-    row blocks of `sizes`, in order. Without a pool the groups are drawn in
-    turn from `rng`. With one, the caller and `helpers` threads of `pool`
+    row blocks of `sizes`, in order. Without a pool (and helpers = 0) the
+    groups are drawn in turn from `rng`. With one, the caller and `helpers` threads of `pool`
     draw them (`_in_order`), each from a copy of rng jumped past the groups
     before it, and rng is jumped past them all. Consecutive `rng.random`
     calls continue one stream of doubles, so the rows and the rng stream
@@ -216,7 +216,7 @@ def _drawn_groups(
     block = _block_rows(n, d)
     rows = _MC_GROUP * block
     starts = range(0, n, rows)
-    threads = helpers + 1 if pool else 1
+    threads = helpers + 1
     window = 2 * threads
     if mask is None:
         ring = np.empty((min(len(starts), window + 1 if pool else 1), min(n, rows), d), np.bool_)
@@ -227,8 +227,9 @@ def _drawn_groups(
         scratch.put(np.empty((2, block, d)))
 
     def draw(generator, i):
-        group = sizes[starts[i] : starts[i] + rows]
-        out = ring[i % len(ring), : len(group)] if mask is None else mask[starts[i] : starts[i] + rows]
+        rows_i = slice(starts[i], starts[i] + rows)
+        group = sizes[rows_i]
+        out = ring[i % len(ring), : len(group)] if mask is None else mask[rows_i]
         buffers = scratch.get()
         try:
             return _presence_rows(generator, group, d, out, buffers)
