@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import os
-import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -202,45 +201,25 @@ def _drawn_groups(
     are those of one `_presence_rows` call over all of sizes, bit for bit,
     whatever the number of threads and the block size.
 
-    Every buffer is allocated before the first draw, so what a call holds
-    does not depend on how its threads interleave: one pair of key blocks
-    per drawing thread and, without `mask`, a ring of group buffers, one
-    for the group the caller reads and one for each group `_in_order` may
-    draw ahead of it. A group yielded from the ring is overwritten once the
-    caller asks for the group after next. With mask, each group is written
-    into its rows of mask, and the drawing threads share the two blocks of
-    scratch of one serial draw, each drawing blocks of 1 / (helpers + 1) of
-    `_block_rows(n, d)` rows.
+    With `mask`, each group is written into its rows of mask, and the
+    drawing threads share the two row blocks of scratch of one serial
+    draw: each draws blocks of 1 / (helpers + 1) of `_block_rows(n, d)`
+    rows. Without, each group is its own array of whole blocks.
     """
     n = len(sizes)
-    block = _block_rows(n, d)
-    rows = _MC_GROUP * block
+    rows = _MC_GROUP * _block_rows(n, d)
+    block = None if mask is None else max(1, _block_rows(n, d) // (helpers + 1))
+
+    def draw(generator, start):
+        group = slice(start, start + rows)
+        return _presence_rows(generator, sizes[group], d, None if mask is None else mask[group], block)
+
     starts = range(0, n, rows)
-    threads = helpers + 1
-    window = 2 * threads
-    if mask is None:
-        ring = np.empty((min(len(starts), window + 1 if pool else 1), min(n, rows), d), np.bool_)
-    else:
-        block = max(1, block // threads)
-    scratch = queue.SimpleQueue()
-    for _ in range(min(threads, len(starts))):
-        scratch.put(np.empty((2, block, d)))
-
-    def draw(generator, i):
-        rows_i = slice(starts[i], starts[i] + rows)
-        group = sizes[rows_i]
-        out = ring[i % len(ring), : len(group)] if mask is None else mask[rows_i]
-        buffers = scratch.get()
-        try:
-            return _presence_rows(generator, group, d, out, buffers)
-        finally:
-            scratch.put(buffers)
-
     if pool is None:
-        return (draw(rng, i) for i in range(len(starts)))
-    draws = [functools.partial(draw, _jumped(rng, start * d), i) for i, start in enumerate(starts)]
+        return (draw(rng, start) for start in starts)
+    draws = [functools.partial(draw, _jumped(rng, start * d), start) for start in starts]
     rng.bit_generator.state = _jumped(rng, n * d).bit_generator.state
-    return _in_order(draws, pool, helpers, window)
+    return _in_order(draws, pool, helpers, 2 * (helpers + 1))
 
 
 def draw_feature_matrix(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,24 +250,24 @@ def draw_feature_matrix(rng: np.random.Generator, n: int, d: int) -> tuple[np.nd
 
 def _presence_rows(
     rng: np.random.Generator, sizes: np.ndarray, d: int,
-    mask: np.ndarray | None = None, scratch: np.ndarray | None = None,
+    mask: np.ndarray | None = None, rows: int | None = None,
 ) -> np.ndarray:
     """The int8 presence rows of removal sizes `sizes` over d words, written
     into the bool array `mask` of shape (len(sizes), d) when one is given.
     Row i removes the sizes[i] smallest entries of an i.i.d. uniform key
     row, a uniform subset of that size: one sort per row finds the
     sizes[i]-th smallest key, and the words whose key exceeds it survive.
-    The keys are drawn per row block, into `scratch`, a (2, rows, d)
-    float64 array holding the block and its sorted copy; by default rows
-    is `_block_rows(len(sizes), d)`, which stays in cache. Consecutive
+    The keys are drawn per row block of (`rows`, d), by default
+    `_block_rows(len(sizes), d)` rows, which stays in cache. Consecutive
     `rng.random` calls continue one stream of doubles, so every block size,
     and every split of `sizes` into consecutive calls, gives the same bits.
-    No Python-level state is shared, so calls on distinct generators,
-    masks and scratch may run on several threads at once.
+    No Python-level state is shared, so calls on distinct generators and
+    masks may run on several threads at once.
     """
     n = len(sizes)
-    keys, ordered = np.empty((2, _block_rows(n, d), d)) if scratch is None else scratch
-    rows = len(keys)
+    rows = min(n, rows or _block_rows(n, d))
+    keys = np.empty((rows, d))
+    ordered = np.empty((rows, d))
     mask = np.empty((n, d), np.bool_) if mask is None else mask
     index = np.arange(rows)
     for start in range(0, n, rows):

@@ -1166,8 +1166,8 @@ class TestBetaGeneralMc:
         # Each group of rows is drawn, answered and summed before the next is
         # drawn, and a custom model embeds its rows one sampler block at a
         # time, so it holds one block's embedding (0.26 MB at d = 31), not one
-        # chunk's; the custom case peaks at 3.6 MiB on 2 CPUs. Drawing whole
-        # chunks peaked at 6.5, 6.4 and 19.4 MiB here.
+        # chunk's; the custom case peaks at 2.7-3.0 MiB on 2 CPUs. Drawing
+        # whole chunks peaked at 6.5, 6.4 and 19.4 MiB here.
         corpus = load_corpus(bundled_corpus_path())
         doc, idf = corpus.documents[0], fit_idf(corpus)
         local = local_dictionary(doc)
