@@ -33,7 +33,10 @@ d = 300 document at n = 500, which the sampler and the linear responses
 read in several row blocks, the last one partial, and of `explain` of the
 combination there at n = 5000, where the sampler draws several groups of
 row blocks on helper threads and the Gram matrix is two row panels' sum
-(1.5M cells, above 2**19). Each line reads
+(1.5M cells, above 2**19), and of a three-run `run_repeated` of it there
+at n = 5000 on two threads, whose runs start those helpers of their own.
+The results do not depend on the thread count, so every line reads the
+same on one CPU (`taskset -c 0`). Each line reads
 `sha256  name`, sorted by name. Run
 each checkout's own script, since the functions it calls may change their
 signatures between checkouts:
@@ -337,6 +340,8 @@ def verify_digests() -> dict[str, str]:
         record(f"run_repeated/synthetic-d300/{name}", stats.intercepts, stats.coefficients)
     result = explain(mixed, wide, wide_idf, n=5000, seed=8)
     record("explain/synthetic-d300-n5000/combined", result.intercept, result.coefficient_array())
+    stats = run_repeated(mixed, wide, wide_idf, n=5000, n_exp=3, master_seed=9, threads=2)
+    record("run_repeated/synthetic-d300-n5000-threads2/combined", stats.intercepts, stats.coefficients)
     return digests
 
 

@@ -27,9 +27,11 @@ class Model:
     rows (and, for linear parts, the TF-IDF masses).
 
     The package may call a custom `evaluate_matrix` on row blocks of any
-    size, and from several threads at once (`run_repeated` with
-    threads > 1). So it must answer each row from that row alone and keep
-    no shared mutable state.
+    size. Only `run_repeated` with threads > 1 (and so `sweep_bandwidth`,
+    `linearity_check`, `concentration_check` and the CLI's `--threads`)
+    calls it from several threads at once, one run per thread; `explain`
+    and the oracles call it from the calling thread alone. So it must
+    answer each row from that row alone and keep no shared mutable state.
     """
 
     def evaluate_matrix(self, values: np.ndarray, words: Sequence[str]) -> np.ndarray:

@@ -3,11 +3,11 @@
 A perturbed sample removes a uniformly random nonempty subset of the
 distinct words of the explained document: first the number of deletions s
 is drawn uniformly in {1, ..., d}, then a uniform size-s subset of word
-indices (`_presence_rows`, the one sampler). `draw_feature_matrix` calls
-it once per run, or once per cache-sized group of rows when the rows span
-several groups; the Monte Carlo oracle calls it once per group. Groups go
-to helper threads by `_drawn_groups`, with bits that do not depend on the
-thread count.
+indices (`_presence_rows`, the one sampler). `draw_feature_matrix` and
+the Monte Carlo oracle call it once per cache-sized group of rows
+(`_drawn_groups`), which hands several groups to helper threads of
+`_in_order`, the package's one starter of threads, with bits that do not
+depend on the thread count.
 Every occurrence of a removed word disappears. Each sample gets an
 exponential kernel weight in the cosine distance between its binary
 presence vector and the all-ones vector. That distance depends only on s,
@@ -122,17 +122,19 @@ def _jumped(rng: np.random.Generator, draws: int) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-def _in_order(tasks: list, pool: ThreadPoolExecutor | None, helpers: int, window: int):
-    """Yield the results of the zero-argument `tasks` in order.
-
-    The caller and `helpers` threads of `pool` each start the first task
-    not yet started, at most `window` tasks past the result the caller
-    yields next. The caller waits only when a helper has started that
-    result and no other task may start. So a helper that runs slow, or not
-    at all, costs the caller no more than the one task it holds, and at
-    most `window` results are held at a time. With no helpers the caller
-    runs every task and `pool` may be None.
+def _in_order(tasks: list, threads: int, window: int):
+    """Yield the results of the zero-argument `tasks` in order, run by the
+    caller and helpers started for the call: `threads` threads in all,
+    capped at `_available_cpus()` and at the number of tasks, so that at 1
+    no helper starts. Each thread starts the first task not yet started, at
+    most `window` tasks past the result the caller yields next. The caller
+    waits only when a helper has started that result and no other task may
+    start. So a helper that runs slow, or not at all, costs the caller no
+    more than the one task it holds, and at most `window` results are held
+    at a time. A task's error is raised at its place. Every helper is
+    joined before the generator returns, raises or is closed.
     """
+    helpers = min(threads, _available_cpus(), len(tasks)) - 1
     results, cond = {}, threading.Condition()
     started = wanted = 0
 
@@ -161,8 +163,11 @@ def _in_order(tasks: list, pool: ThreadPoolExecutor | None, helpers: int, window
                 return
             run(i)
 
-    futures = [pool.submit(helper) for _ in range(min(helpers, len(tasks) - 1))]
+    pool = ThreadPoolExecutor(helpers) if helpers > 0 else None
+    futures = []
     try:
+        for _ in range(helpers):
+            futures.append(pool.submit(helper))
         for wanted_i in range(len(tasks)):
             with cond:
                 while wanted_i not in results:
@@ -184,18 +189,17 @@ def _in_order(tasks: list, pool: ThreadPoolExecutor | None, helpers: int, window
         with cond:
             started = len(tasks)  # no task starts after the caller stops
             cond.notify_all()
+        if pool is not None:
+            pool.shutdown()
         for future in futures:
             future.result()
 
 
-def _drawn_groups(
-    rng: np.random.Generator, sizes: np.ndarray, d: int,
-    pool: ThreadPoolExecutor | None, helpers: int, mask: np.ndarray | None = None,
-):
+def _drawn_groups(rng: np.random.Generator, sizes: np.ndarray, d: int, mask: np.ndarray | None = None):
     """The presence rows (`_presence_rows`) of each group of `_MC_GROUP`
-    row blocks of `sizes`, in order. Without a pool (and helpers = 0) the
-    groups are drawn in turn from `rng`. With one, the caller and `helpers` threads of `pool`
-    draw them (`_in_order`), each from a copy of rng jumped past the groups
+    row blocks of `sizes`, in order, drawn by the caller and `_draw_helpers`
+    helpers (`_in_order`). Without helpers the groups are drawn in turn from
+    `rng`. With them, each is drawn from a copy of rng jumped past the groups
     before it, and rng is jumped past them all. Consecutive `rng.random`
     calls continue one stream of doubles, so the rows and the rng stream
     are those of one `_presence_rows` call over all of sizes, bit for bit,
@@ -208,18 +212,19 @@ def _drawn_groups(
     """
     n = len(sizes)
     rows = _MC_GROUP * _block_rows(n, d)
+    starts = range(0, n, rows)
+    helpers = _draw_helpers(rng, len(starts))
     block = None if mask is None else max(1, _block_rows(n, d) // (helpers + 1))
 
     def draw(generator, start):
         group = slice(start, start + rows)
         return _presence_rows(generator, sizes[group], d, None if mask is None else mask[group], block)
 
-    starts = range(0, n, rows)
-    if pool is None:
+    if not helpers:
         return (draw(rng, start) for start in starts)
     draws = [functools.partial(draw, _jumped(rng, start * d), start) for start in starts]
     rng.bit_generator.state = _jumped(rng, n * d).bit_generator.state
-    return _in_order(draws, pool, helpers, 2 * (helpers + 1))
+    return _in_order(draws, helpers + 1, 2 * (helpers + 1))
 
 
 def draw_feature_matrix(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -227,24 +232,20 @@ def draw_feature_matrix(rng: np.random.Generator, n: int, d: int) -> tuple[np.nd
     `_presence_rows`: (sizes, z) with sizes of shape (n,) and z of shape
     (n, d), z[i, j] = 1 iff word j survives in sample i.
 
-    When the rows span two or more groups of `_MC_GROUP` row blocks and rng
-    can jump, the groups are drawn straight into z by the calling thread and
-    a pool, started for the call, of one helper per other available CPU
-    (`_drawn_groups`). The sizes, z and the state rng is left in are those
-    of one serial pass, bit for bit, at any thread count.
+    The rows are drawn straight into z by groups of `_MC_GROUP` row blocks
+    (`_drawn_groups`): when there are several and rng can jump, by the
+    calling thread and one helper per other available CPU. The sizes, z and
+    the state rng is left in are those of one serial pass, bit for bit, at
+    any thread count.
     """
     if d < 1:
         raise ValueError("empty local dictionary")
     if n < 1:
         raise ValueError("need at least one sample")
     sizes = rng.integers(1, d + 1, size=n)
-    helpers = _draw_helpers(rng, -(-n // (_MC_GROUP * _block_rows(n, d))))
-    if not helpers:
-        return sizes, _presence_rows(rng, sizes, d)
     mask = np.empty((n, d), np.bool_)
-    with ThreadPoolExecutor(helpers) as pool:
-        for _ in _drawn_groups(rng, sizes, d, pool, helpers, mask):
-            pass
+    for _ in _drawn_groups(rng, sizes, d, mask):
+        pass
     return sizes, mask.view(np.int8)
 
 

@@ -7,16 +7,14 @@ distinct word plus an intercept, are the explanation.
 
 from __future__ import annotations
 
-import contextlib
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
 from .models import Model
-from .sampling import _BLOCK_CELLS, _MC_GROUP, SampleBatch, _available_cpus, _in_order
+from .sampling import _BLOCK_CELLS, _MC_GROUP, SampleBatch, _in_order
 from .sampling import _responses, sample_batch
 
 
@@ -78,17 +76,15 @@ def _gram(a: np.ndarray) -> np.ndarray:
     """a.T @ a of the (n, p) array a. From 2 * _MC_GROUP * _BLOCK_CELLS
     (2**19) cells up, a[:h].T @ a[:h] + a[h:].T @ a[h:] with h = n // 2:
     each panel's product is a symmetric rank-k product into a buffer of
-    the caller's, one computed by the caller and, when a second CPU is
-    available, the other by a helper thread (`_in_order`). The panels do
-    not depend on the thread count, so neither do the bits."""
+    the caller's, and `_in_order` runs the two on the caller and, when a
+    second CPU is available, one helper thread. The panels do not depend
+    on the thread count, so neither do the bits."""
     n, p = a.shape
     if n * p < 2 * _MC_GROUP * _BLOCK_CELLS:
         return a.T @ a
     panels = (a[: n // 2], a[n // 2 :])
     products = [functools.partial(np.matmul, x.T, x, out=np.empty((p, p))) for x in panels]
-    helpers = min(2, _available_cpus()) - 1
-    with ThreadPoolExecutor(helpers) if helpers else contextlib.nullcontext() as pool:
-        top, bottom = _in_order(products, pool, helpers, 2)
+    top, bottom = _in_order(products, 2, 2)
     top += bottom
     return top
 

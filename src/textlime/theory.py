@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
 from .models import CombinedModel, Model, _split, _weight_vector
-from .sampling import _MC_GROUP, _block_rows, _draw_helpers, _drawn_groups, _float_blocks
+from .sampling import _MC_GROUP, _block_rows, _drawn_groups, _float_blocks
 from .sampling import _kernel_table, _responses, renormalized_tfidf
 
 EXACT_CLOSED_FORM = "exact-closed-form"
@@ -569,7 +568,6 @@ def _mc_group_sums(
 def _mc_chunk_sums(
     model: Model, rng: np.random.Generator, n: int, kernel: np.ndarray,
     local: LocalDictionary, masses: np.ndarray, ss: SigmaSet,
-    pool: ThreadPoolExecutor | None, helpers: int,
 ) -> np.ndarray:
     """The Monte Carlo sums of one chunk of n samples: the sums of c, c^2,
     a, a^2, t and t * kept, then the column sums t z, a t z and t^2 z.
@@ -578,13 +576,13 @@ def _mc_chunk_sums(
     (c_i, a_i) is `SigmaSet.explain` with g = 0 and total t_i kept_i. z is
     binary, so the column sums come from three products with z. The n sizes
     are drawn at once. Then each group of _MC_GROUP blocks of
-    `_block_rows(n, d)` rows is drawn (`_drawn_groups`: in turn without a
-    pool, else by the caller and `helpers` threads of `pool`), and answered
-    and summed per block while in cache (`_mc_group_sums`), in group order
-    on the caller's thread. Only the draws run on the helpers: they spend
-    their time in numpy calls that release the GIL, whereas answering and
-    summing make many short calls, which on two threads at once mostly wait
-    for each other. The blocks' sums are added in block order. So the rng
+    `_block_rows(n, d)` rows is drawn (`_drawn_groups`, on helper threads
+    joined before this returns or raises), and answered and summed per
+    block while in cache (`_mc_group_sums`), in group order on the caller's
+    thread. Only the draws run on the helpers: they spend their time in
+    numpy calls that release the GIL, whereas answering and summing make
+    many short calls, which on two threads at once mostly wait for each
+    other. The blocks' sums are added in block order. So the rng
     stream and every sum are those of one pass over the whole chunk, bit
     for bit, whatever the number of threads.
     """
@@ -592,7 +590,7 @@ def _mc_chunk_sums(
     sizes = rng.integers(1, d + 1, size=n)
     rows = _MC_GROUP * _block_rows(n, d)
     groups = [sizes[start : start + rows] for start in range(0, n, rows)]
-    presence = _drawn_groups(rng, sizes, d, pool, helpers)
+    presence = _drawn_groups(rng, sizes, d)
     sums = np.zeros(6 + 3 * d)
     with contextlib.closing(presence):
         for z, group in zip(presence, groups):
@@ -618,12 +616,12 @@ def beta_general_mc(
     for every model in scope, at any bandwidth the covariance solve resolves.
     Its samples are drawn, answered and summed one cache-sized group at a
     time (`_mc_chunk_sums`), so no (chunk, d) array is formed. When the
-    generator can jump (PCG64, the default, or PCG64DXSM), the groups'
-    presence rows are drawn by the calling thread and a pool, started for
-    the call, of one helper per other available CPU; any other generator
-    draws them in turn. The draws go through `sampling._drawn_groups`, as
-    those of a `draw_feature_matrix` of several groups do. The groups are answered and summed on the calling
-    thread. The result is the same bits either way, at any thread count.
+    generator can jump (PCG64, the default, or PCG64DXSM), each chunk's
+    groups are drawn by the calling thread and one helper per other
+    available CPU (`sampling._drawn_groups`, as in `draw_feature_matrix`);
+    any other generator draws them in turn. The groups are answered and
+    summed on the calling thread. The result is the same bits either way,
+    at any thread count.
     """
     if not document.tokens:
         raise ValueError("cannot explain an empty document")
@@ -634,17 +632,14 @@ def beta_general_mc(
     ss = sigma_set(d, nu)
 
     # One generator stream runs across the chunks and their groups, and
-    # math.fsum adds the chunks' sums. The first chunk has the most groups.
+    # math.fsum adds the chunks' sums.
     rng = np.random.default_rng(seed)
     chunk = min(_MC_CHUNK, _MC_CELLS // d)
-    first = min(chunk, n_mc)
-    helpers = _draw_helpers(rng, -(-first // (_MC_GROUP * _block_rows(first, d))))
     masses, kernel = tfidf_weights(local, idf), _kernel_table(d, nu)
-    with ThreadPoolExecutor(helpers) if helpers else contextlib.nullcontext() as pool:
-        parts = [
-            _mc_chunk_sums(model, rng, min(chunk, n_mc - i), kernel, local, masses, ss, pool, helpers)
-            for i in range(0, n_mc, chunk)
-        ]
+    parts = [
+        _mc_chunk_sums(model, rng, min(chunk, n_mc - i), kernel, local, masses, ss)
+        for i in range(0, n_mc, chunk)
+    ]
     sums = np.array([math.fsum(column) for column in np.array(parts).T.tolist()])
     c_sum, cc_sum, a_sum, aa_sum, t_sum, tk_sum = sums[:6]
     t_z, at_z, tt_z = sums[6:].reshape(3, d)

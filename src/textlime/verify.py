@@ -8,15 +8,15 @@ can run on any number of workers without changing the outcome.
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Document, IdfTable, local_dictionary
 from .models import Model, TreeModel, combine
-from .sampling import _available_cpus
+from .sampling import _in_order
 from .surrogate import explain
 from .theory import TheoryExplanation, population_explanation
 
@@ -113,24 +113,17 @@ def run_repeated(
 ) -> RunStatistics:
     """Explain the same document n_exp times with independent seeds.
 
-    Run r is `explain(..., seed=derive_seed(master_seed, r))`. With
-    threads > 1 a thread pool maps `explain` over the seeds, one seed per
-    task, so the result does not depend on the thread count. Workers are
-    capped at the run count and at the CPUs the process may run on.
+    Run r is `explain(..., seed=derive_seed(master_seed, r))`, one task of
+    `sampling._in_order` on `threads` threads, the caller included (capped
+    at the run count and the CPUs the process may run on). So the result
+    does not depend on the thread count, and a run's error is raised at
+    its place once every helper has stopped.
     """
     if n_exp < 1:
         raise ValueError("need at least one repetition")
-    seeds = [derive_seed(master_seed, run) for run in range(n_exp)]
-    workers = max(1, min(threads, n_exp, _available_cpus()))
-
-    def work(seed):
-        return explain(model, document, idf, n=n, nu=nu, ridge=ridge, seed=seed)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(work, seeds))
-    else:
-        runs = [work(seed) for seed in seeds]
+    work = functools.partial(explain, model, document, idf, n=n, nu=nu, ridge=ridge)
+    tasks = [functools.partial(work, seed=derive_seed(master_seed, run)) for run in range(n_exp)]
+    runs = list(_in_order(tasks, threads, n_exp))
     return RunStatistics(
         words=runs[0].words,
         coefficients=np.vstack([e.coefficient_array() for e in runs]),

@@ -1,6 +1,7 @@
 """Perturbation sampling: removal draws, features, kernel weights."""
 
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -20,16 +21,21 @@ from textlime import (
     TreeModel,
     beta_enumerated,
     beta_general_mc,
+    bundled_corpus_path,
+    explain,
     fit_batch,
     fit_idf,
+    load_corpus,
     local_dictionary,
     psi,
+    run_repeated,
     sample_batch,
     tokenize,
     tree_from_spec,
 )
 from textlime.corpus import Corpus, IdfTable, tfidf_weights
 from textlime.sampling import draw_feature_matrix, renormalized_tfidf
+from textlime.surrogate import _gram
 from textlime.theory import alpha_values
 from oracles import normalized_tfidf, one_shot_feature_matrix
 
@@ -325,10 +331,64 @@ class TestBlockedSampler:
 
 
 class NoPool:
-    """A stand-in for ThreadPoolExecutor that fails if a pool is started."""
+    """A stand-in for `sampling.ThreadPoolExecutor`, which `_in_order`
+    alone constructs, that fails if a pool is started."""
 
     def __init__(self, *args, **kwargs):
         raise AssertionError("a thread pool was started")
+
+
+def pool_sizes(monkeypatch):
+    """The helper counts of the pools that `_in_order` starts from now on."""
+    sizes = []
+    pool = sampling.ThreadPoolExecutor
+
+    def recording(helpers):
+        sizes.append(helpers)
+        return pool(helpers)
+
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", recording)
+    return sizes
+
+
+def caller_bits(name):
+    """The output bytes of one call of a caller of `_in_order`; on two CPUs
+    each call starts helpers."""
+    corpus = load_corpus(bundled_corpus_path())
+    doc, idf = corpus.documents[0], fit_idf(corpus)
+    tree = tree_from_spec('"food" + (!"food" & "about" & "Everything")')
+    if name == "explain-d1000":
+        wide = Document(tokens=tuple(f"w{i:04d}" for i in range(1000)))
+        wide_idf = fit_idf(Corpus(documents=(wide, Document(tokens=wide.tokens[::3]))))
+        result = explain(tree_from_spec('"w0000" + (!"w0001" & "w0002")'), wide, wide_idf, n=5000, seed=3)
+        values = [result.intercept, *result.coefficient_array()]
+    elif name == "gram":
+        values = _gram(np.random.default_rng(0).random((1001, 600)))
+    elif name == "beta_general_mc":
+        result = beta_general_mc(tree, doc, idf, nu=0.25, n_mc=200_000, seed=2)
+        values = [result.intercept, *result.coefficients, result.intercept_stderr, *result.coefficient_stderr]
+    else:
+        stats = run_repeated(tree, doc, idf, n=200, n_exp=6, master_seed=4, threads=4)
+        values = [*stats.intercepts, *stats.coefficients.ravel()]
+    return np.array(values).tobytes()
+
+
+class TestOneAvailableCpu:
+    """With one CPU in the process's affinity mask, no caller of `_in_order`
+    starts a pool, whatever the CPU count, and each gives the bits it gives
+    on two CPUs, where it starts one."""
+
+    @pytest.mark.parametrize("name", ["explain-d1000", "gram", "beta_general_mc", "run_repeated"])
+    def test_starts_no_pool(self, monkeypatch, name):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pools = pool_sizes(monkeypatch)
+        want = caller_bits(name)
+        assert pools and set(pools) == {1}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", NoPool)
+        assert sampling._available_cpus() == 1
+        assert caller_bits(name) == want
 
 
 class TestThreadedSampler:

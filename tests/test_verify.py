@@ -1,16 +1,20 @@
 """The repeated-run harness: statistics, comparisons, sweeps, rates."""
 
 import os
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import textlime.sampling
 import textlime.verify
 from textlime import (
     IndicatorProduct,
     LinearModel,
     TheoryExplanation,
     beta_tree,
+    bundled_corpus_path,
     combine,
     compare,
     concentration_check,
@@ -18,6 +22,7 @@ from textlime import (
     explain,
     fit_idf,
     linearity_check,
+    load_corpus,
     local_dictionary,
     run_repeated,
     sweep_bandwidth,
@@ -94,29 +99,30 @@ class TestRunRepeated:
         with pytest.raises(ValueError, match="cannot explain an empty document"):
             run_repeated(model, Document(tokens=()), idf, n=50, n_exp=3, threads=threads)
 
-    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
+    # 3 CPUs: the caller plus 2 helpers.
+    @pytest.mark.parametrize("cpus, pools", [(3, [2]), (None, [])])
     def test_workers_capped_at_cpu_count(self, setup, monkeypatch, cpus, pools):
         # --threads 5000 must not ask the OS for 5000 threads. The fake pool
-        # records its size and maps serially, so no thread starts.
+        # records its size and runs each helper as it is submitted, so no
+        # thread starts.
         doc, idf, _ = setup
         model = tree_from_spec('"garden" + ("gate" & "morning")')
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def __init__(self, helpers):
+                sizes.append(helpers)
 
-            def __enter__(self):
-                return self
+            def submit(self, helper):
+                future = Future()
+                future.set_result(helper())
+                return future
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
+            def shutdown(self):
+                pass
 
         serial = run_repeated(model, doc, idf, n=200, n_exp=8, master_seed=2)
-        monkeypatch.setattr(textlime.verify, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(textlime.sampling, "ThreadPoolExecutor", SerialPool)
         # Without an affinity mask the cap is the CPU count, 1 if unknown.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -127,22 +133,35 @@ class TestRunRepeated:
         assert np.array_equal(serial.coefficients, capped.coefficients)
         assert np.array_equal(serial.intercepts, capped.intercepts)
 
-    def test_one_available_cpu_starts_no_pool(self, setup, monkeypatch):
-        # taskset or a cpuset can leave the process fewer CPUs than the
-        # machine has; the affinity mask, not the CPU count, caps the pool.
-        doc, idf, _ = setup
-        model = tree_from_spec('"garden" + ("gate" & "morning")')
-        serial = run_repeated(model, doc, idf, n=200, n_exp=6, master_seed=4)
+    def test_a_failing_run_raises_at_its_place(self, monkeypatch):
+        # At nu = 0.0015 on bundled document 5 (d = 12), a 20-sample run
+        # misses every size-1 sample, and so has all-zero weights, with
+        # probability 18%: runs 1, 3 and 8 of master seed 3 do. The error
+        # raised is run 1's, whichever run fails first in time, and no
+        # helper outlives the call.
+        corpus = load_corpus(bundled_corpus_path())
+        doc, idf = corpus.documents[5], fit_idf(corpus)
+        errors = {}
+        explain_run = textlime.verify.explain
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
+        def recorded(*args, seed, **kwargs):
+            try:
+                return explain_run(*args, seed=seed, **kwargs)
+            except ValueError as exc:
+                errors[tuple(seed)] = exc
+                raise
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(textlime.verify, "ThreadPoolExecutor", no_pool)
-        capped = run_repeated(model, doc, idf, n=200, n_exp=6, master_seed=4, threads=4)
-        assert np.array_equal(serial.coefficients, capped.coefficients)
-        assert np.array_equal(serial.intercepts, capped.intercepts)
+        monkeypatch.setattr(textlime.verify, "explain", recorded)
+        monkeypatch.setattr(textlime.sampling, "_available_cpus", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="degenerate weights") as raised:
+            run_repeated(
+                tree_from_spec('"brunch"'), doc, idf, n=20, nu=0.0015, n_exp=12, master_seed=3, threads=2
+            )
+        assert threading.active_count() == before
+        first, failing = tuple(derive_seed(3, 0)), tuple(derive_seed(3, 1))
+        assert failing in errors and first not in errors
+        assert raised.value is errors[failing]
 
     @pytest.mark.parametrize("ridge", [0.0, 1.0])
     @pytest.mark.parametrize("kind", ["tree", "linear", "constant", "one-word"])
