@@ -5,9 +5,9 @@ distinct words of the explained document: first the number of deletions s
 is drawn uniformly in {1, ..., d}, then a uniform size-s subset of word
 indices (`_presence_rows`, the one sampler). `draw_feature_matrix` and
 the Monte Carlo oracle call it once per cache-sized group of rows
-(`_drawn_groups`), which hands several groups to helper threads of
-`_in_order`, the package's one starter of threads, with bits that do not
-depend on the thread count.
+(`_drawn_groups`), which hands several groups to `_in_order`, the
+package's one starter of threads (a `ThreadPoolExecutor` whose unstarted
+tasks the caller claims), with bits that do not depend on the thread count.
 Every occurrence of a removed word disappears. Each sample gets an
 exponential kernel weight in the cosine distance between its binary
 presence vector and the all-ones vector. That distance depends only on s,
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import functools
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -122,85 +121,52 @@ def _jumped(rng: np.random.Generator, draws: int) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-def _in_order(tasks: list, threads: int, window: int):
-    """Yield the results of the zero-argument `tasks` in order, run by the
-    caller and helpers started for the call: `threads` threads in all,
-    capped at `_available_cpus()` and at the number of tasks, so that at 1
-    no helper starts. Each thread starts the first task not yet started, at
-    most `window` tasks past the result the caller yields next. The caller
-    waits only when a helper has started that result and no other task may
-    start. So a helper that runs slow, or not at all, costs the caller no
-    more than the one task it holds, and at most `window` results are held
-    at a time. A task's error is raised at its place. Every helper is
-    joined before the generator returns, raises or is closed.
+def _in_order(tasks: list, threads: int):
+    """Yield the results of the zero-argument `tasks` in order, on
+    `threads` threads, the caller included, capped at `_available_cpus()`
+    and at the number of tasks. At 1 the caller runs the tasks in turn and
+    no pool starts. Otherwise a `ThreadPoolExecutor` of threads - 1 helpers
+    is handed the tasks from the result yielded next on, at most
+    2 × threads of them, so no more results are held at a time. While the
+    result wanted next is not done, the caller claims the first task that
+    no helper has started (`Future.cancel`) and runs it, so a helper that
+    runs slow costs the caller no more than the one task it holds. A task's
+    error is raised at its place, by `Future.result`. The pool's unstarted
+    tasks are cancelled and its helpers joined before the generator
+    returns, raises or is closed.
     """
-    helpers = min(threads, _available_cpus(), len(tasks)) - 1
-    results, cond = {}, threading.Condition()
-    started = wanted = 0
-
-    def start(limit):
-        nonlocal started
-        if started < min(limit, len(tasks)):
-            started += 1
-            return started - 1
-        return None
-
-    def run(i):
-        try:
-            result = (tasks[i](), None)
-        except Exception as exc:  # raised by the caller when it reaches task i
-            result = (None, exc)
-        with cond:
-            results[i] = result
-            cond.notify_all()
-
-    def helper():
-        while True:
-            with cond:
-                while (i := start(wanted + window)) is None and started < len(tasks):
-                    cond.wait()
-            if i is None:
-                return
-            run(i)
-
-    pool = ThreadPoolExecutor(helpers) if helpers > 0 else None
-    futures = []
+    threads = min(threads, _available_cpus(), len(tasks))
+    if threads < 2:
+        for task in tasks:
+            yield task()
+        return
+    pool = ThreadPoolExecutor(threads - 1)
+    futures = {}  # task index -> Future, from the result wanted next on
     try:
-        for _ in range(helpers):
-            futures.append(pool.submit(helper))
-        for wanted_i in range(len(tasks)):
-            with cond:
-                while wanted_i not in results:
-                    if (i := start(wanted_i + window)) is not None:
-                        cond.release()
-                        try:
-                            run(i)
-                        finally:
-                            cond.acquire()
-                    else:
-                        cond.wait()
-                result, exc = results.pop(wanted_i)
-                wanted = wanted_i + 1
-                cond.notify_all()
-            if exc is not None:
-                raise exc
-            yield result
+        for i in range(len(tasks)):
+            for j in range(i + len(futures), min(i + 2 * threads, len(tasks))):
+                futures[j] = pool.submit(tasks[j])
+            for j in futures:
+                if futures[i].done():
+                    break
+                if futures[j].cancel():
+                    futures[j] = claimed = Future()
+                    try:
+                        claimed.set_result(tasks[j]())
+                    except Exception as exc:  # raised by the caller when it reaches task j
+                        claimed.set_exception(exc)
+            yield futures.pop(i).result()
     finally:
-        with cond:
-            started = len(tasks)  # no task starts after the caller stops
-            cond.notify_all()
-        if pool is not None:
-            pool.shutdown()
-        for future in futures:
-            future.result()
+        pool.shutdown(cancel_futures=True)
 
 
 def _drawn_groups(rng: np.random.Generator, sizes: np.ndarray, d: int, mask: np.ndarray | None = None):
     """The presence rows (`_presence_rows`) of each group of `_MC_GROUP`
     row blocks of `sizes`, in order, drawn by the caller and `_draw_helpers`
-    helpers (`_in_order`). Without helpers the groups are drawn in turn from
-    `rng`. With them, each is drawn from a copy of rng jumped past the groups
-    before it, and rng is jumped past them all. Consecutive `rng.random`
+    helpers (`_in_order`, which holds at most 2 × (helpers + 1) groups).
+    Without helpers the groups are drawn in turn from `rng`. With them,
+    each is drawn from a copy of rng jumped past the groups before it, and
+    rng is jumped past them all. Consecutive `rng.random`
     calls continue one stream of doubles, so the rows and the rng stream
     are those of one `_presence_rows` call over all of sizes, bit for bit,
     whatever the number of threads and the block size.
@@ -224,7 +190,7 @@ def _drawn_groups(rng: np.random.Generator, sizes: np.ndarray, d: int, mask: np.
         return (draw(rng, start) for start in starts)
     draws = [functools.partial(draw, _jumped(rng, start * d), start) for start in starts]
     rng.bit_generator.state = _jumped(rng, n * d).bit_generator.state
-    return _in_order(draws, helpers + 1, 2 * (helpers + 1))
+    return _in_order(draws, helpers + 1)
 
 
 def draw_feature_matrix(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -76,15 +76,16 @@ def _gram(a: np.ndarray) -> np.ndarray:
     """a.T @ a of the (n, p) array a. From 2 * _MC_GROUP * _BLOCK_CELLS
     (2**19) cells up, a[:h].T @ a[:h] + a[h:].T @ a[h:] with h = n // 2:
     each panel's product is a symmetric rank-k product into a buffer of
-    the caller's, and `_in_order` runs the two on the caller and, when a
-    second CPU is available, one helper thread. The panels do not depend
-    on the thread count, so neither do the bits."""
+    the caller's, and `_in_order` runs the two on 2 threads: with a second
+    CPU the caller claims the panel its helper has not started, and with
+    one it runs both. The panels do not depend on the thread count, so
+    neither do the bits."""
     n, p = a.shape
     if n * p < 2 * _MC_GROUP * _BLOCK_CELLS:
         return a.T @ a
     panels = (a[: n // 2], a[n // 2 :])
     products = [functools.partial(np.matmul, x.T, x, out=np.empty((p, p))) for x in panels]
-    top, bottom = _in_order(products, 2, 2)
+    top, bottom = _in_order(products, 2)
     top += bottom
     return top
 

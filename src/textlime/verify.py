@@ -115,7 +115,8 @@ def run_repeated(
 
     Run r is `explain(..., seed=derive_seed(master_seed, r))`, one task of
     `sampling._in_order` on `threads` threads, the caller included (capped
-    at the run count and the CPUs the process may run on). So the result
+    at the run count and the CPUs the process may run on), with at most
+    2 × threads runs started past the last one collected. So the result
     does not depend on the thread count, and a run's error is raised at
     its place once every helper has stopped.
     """
@@ -123,7 +124,7 @@ def run_repeated(
         raise ValueError("need at least one repetition")
     work = functools.partial(explain, model, document, idf, n=n, nu=nu, ridge=ridge)
     tasks = [functools.partial(work, seed=derive_seed(master_seed, run)) for run in range(n_exp)]
-    runs = list(_in_order(tasks, threads, n_exp))
+    runs = list(_in_order(tasks, threads))
     return RunStatistics(
         words=runs[0].words,
         coefficients=np.vstack([e.coefficient_array() for e in runs]),

@@ -1,8 +1,10 @@
 """Perturbation sampling: removal draws, features, kernel weights."""
 
+import ast
 import math
 import os
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -389,6 +391,39 @@ class TestOneAvailableCpu:
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", NoPool)
         assert sampling._available_cpus() == 1
         assert caller_bits(name) == want
+
+
+class TestOneThreadOwner:
+    """`sampling._in_order` is the package's one starter of threads: no
+    other module of the package imports `threading` or `concurrent.futures`,
+    and no other function constructs a `ThreadPoolExecutor`."""
+
+    MODULES = sorted(Path(sampling.__file__).parent.glob("*.py"))
+
+    def test_only_sampling_imports_threads(self):
+        importers = set()
+        for path in self.MODULES:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.split(".")[0] in ("threading", "concurrent") for name in names):
+                    importers.add(path.stem)
+        assert importers == {"sampling"}
+
+    def test_only_in_order_starts_a_pool(self):
+        starters = []
+        for path in self.MODULES:
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call) and "ThreadPoolExecutor" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                    ):
+                        starters.append((path.stem, getattr(top, "name", None)))
+        assert starters == [("sampling", "_in_order")]
 
 
 class TestThreadedSampler:

@@ -1477,7 +1477,7 @@ class TestInOrder:
     def test_results_come_in_order(self, monkeypatch, helpers):
         monkeypatch.setattr(sampling, "_available_cpus", lambda: 4)
         sizes = pool_sizes(monkeypatch)
-        assert list(sampling._in_order(self.tasks(20), helpers + 1, 4)) == list(range(20))
+        assert list(sampling._in_order(self.tasks(20), helpers + 1)) == list(range(20))
         assert sizes == [helpers]
 
     def test_a_task_error_is_raised_at_its_place(self, monkeypatch):
@@ -1486,7 +1486,7 @@ class TestInOrder:
         def take_all():
             got = []
             try:
-                for result in sampling._in_order(self.tasks(20, fail=7), 3, 4):
+                for result in sampling._in_order(self.tasks(20, fail=7), 3):
                     got.append(result)
             except ValueError as exc:
                 return got, str(exc)
@@ -1499,7 +1499,7 @@ class TestInOrder:
         monkeypatch.setattr(sampling, "_available_cpus", lambda: 3)
 
         def take_three_and_close():
-            results = sampling._in_order(self.tasks(50), 3, 4)
+            results = sampling._in_order(self.tasks(50), 3)
             got = [next(results) for _ in range(3)]
             results.close()
             return got
@@ -1511,13 +1511,63 @@ class TestInOrder:
     # (threads asked for, available CPUs, tasks) -> helpers started.
     @pytest.mark.parametrize(
         "threads, cpus, n, helpers",
-        [(1, 8, 20, []), (8, 8, 3, [2]), (8, 2, 20, [1]), (5000, 3, 20, [2]), (4, 1, 20, [])],
+        [
+            (1, 8, 20, []), (8, 8, 3, [2]), (8, 2, 20, [1]), (5000, 3, 20, [2]), (4, 1, 20, []),
+            (4, 4, 0, []),
+        ],
     )
     def test_threads_are_capped_at_the_cpus_and_the_tasks(self, monkeypatch, threads, cpus, n, helpers):
         monkeypatch.setattr(sampling, "_available_cpus", lambda: cpus)
         sizes = pool_sizes(monkeypatch)
-        assert list(sampling._in_order(self.tasks(n), threads, 4)) == list(range(n))
+        assert list(sampling._in_order(self.tasks(n), threads)) == list(range(n))
         assert sizes == helpers
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_a_task_waiting_for_a_later_one_finishes(self, monkeypatch, fails):
+        # Task 0 returns only once task 1 has run. Whichever of the caller
+        # and the one helper starts task 0, the other must run task 1.
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: 2)
+        ran = threading.Event()
+
+        def first():
+            if not ran.wait(timeout=5):
+                raise RuntimeError("stalled")
+            return 0
+
+        def second():
+            ran.set()
+            if fails:
+                raise ValueError(1)
+            return 1
+
+        def take_all():
+            got = []
+            try:
+                for result in sampling._in_order([first, second, *self.tasks(4)[2:]], 2):
+                    got.append(result)
+            except ValueError as exc:
+                return got, str(exc)
+            return got, None
+
+        want = ([0], "1") if fails else ([0, 1, 2, 3], None)
+        assert self.bounded(take_all) == {"result": want}
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_no_task_starts_past_the_window(self, monkeypatch, threads):
+        # A slow consumer lets the helpers run ahead. Each task records, as
+        # it starts, how far past the results taken so far it lies.
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: threads)
+        got, leads = [], []
+
+        def task(i):
+            leads.append(i - len(got))
+            return i
+
+        for result in sampling._in_order([functools.partial(task, i) for i in range(40)], threads):
+            time.sleep(0.002)
+            got.append(result)
+        assert got == list(range(40))
+        assert max(leads) <= 2 * threads
 
     def test_a_failing_model_leaves_no_thread_behind(self, monkeypatch):
         doc, idf = streamed_documents()[31]

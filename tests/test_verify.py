@@ -118,7 +118,7 @@ class TestRunRepeated:
                 future.set_result(helper())
                 return future
 
-            def shutdown(self):
+            def shutdown(self, cancel_futures=False):
                 pass
 
         serial = run_repeated(model, doc, idf, n=200, n_exp=8, master_seed=2)
