@@ -195,6 +195,18 @@ def _too_narrow(field: str, exc: ValueError) -> "click.ClickException":
     return fail(field, f"bandwidth too narrow for this document: {exc}")
 
 
+def population_or_fail(options: dict, model: Model, document: Document, idf: IdfTable, **kwargs):
+    """`population_explanation` at the options' nu, linear mode and seed. A
+    closed form's domain error blames nu if the bandwidth is too narrow, else doc."""
+    try:
+        return population_explanation(
+            model, document, idf, nu=options["nu"], linear_mode=options["linear_mode"],
+            seed=options["seed"], **kwargs,
+        )
+    except ClosedFormDomainError as exc:
+        raise fail("nu" if isinstance(exc, _NarrowBandwidth) else "doc", str(exc))
+
+
 def out_path(options: dict, experiment: str, tag: str, nu=None, n=None, ext=None) -> Path:
     """`<out>/<experiment>-<tag>-<nu>-<n>.<ext>`; nu, n and ext default to
     the --nu, --n and --format options."""
@@ -278,15 +290,10 @@ def cmd_theory(config, **_):
     """Write the population explanation: closed form, enumeration or Monte Carlo."""
     options = resolve_options(config)
     document, model, idf = load_inputs(options)
-    try:
-        theory = population_explanation(
-            model, document, idf,
-            nu=options["nu"], linear_mode=options["linear_mode"],
-            n_mc=options["n_mc"], seed=options["seed"],
-            monte_carlo=options["theory_method"] == "mc",
-        )
-    except ClosedFormDomainError as exc:
-        raise fail("nu" if isinstance(exc, _NarrowBandwidth) else "doc", str(exc))
+    theory = population_or_fail(
+        options, model, document, idf,
+        n_mc=options["n_mc"], monte_carlo=options["theory_method"] == "mc",
+    )
     path = out_path(options, "theory", model_tag(options["model"]))
     serialize.write_theory(theory, path, options["format"])
     click.echo(f"wrote {path} (provenance: {theory.provenance})")
@@ -303,13 +310,7 @@ def cmd_verify(config, **_):
     whisker statistics plus a comparison report."""
     options = resolve_options(config)
     document, model, idf = load_inputs(options)
-    try:
-        theory = population_explanation(
-            model, document, idf,
-            nu=options["nu"], linear_mode=options["linear_mode"], seed=options["seed"],
-        )
-    except ClosedFormDomainError as exc:
-        raise fail("nu" if isinstance(exc, _NarrowBandwidth) else "doc", str(exc))
+    theory = population_or_fail(options, model, document, idf)
     try:
         stats = run_repeated(
             model, document, idf,

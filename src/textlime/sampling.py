@@ -3,9 +3,10 @@
 A perturbed sample removes a uniformly random nonempty subset of the
 distinct words of the explained document: first the number of deletions s
 is drawn uniformly in {1, ..., d}, then a uniform size-s subset of word
-indices (`_presence_rows`, the one sampler). `draw_feature_matrix` and
-the Monte Carlo oracle call it once per cache-sized group of rows
-(`_drawn_groups`), which hands several groups to `_in_order`, the
+indices (`_presence_rows`, the one sampler). `_drawn_groups` draws the
+sizes of all n samples, for `draw_feature_matrix` and the Monte Carlo
+oracle alike, and yields them with their presence rows one cache-sized
+group of rows at a time. It hands several groups to `_in_order`, the
 package's one starter of threads (a `ThreadPoolExecutor` whose unstarted
 tasks the caller claims), with bits that do not depend on the thread count.
 Every occurrence of a removed word disappears. Each sample gets an
@@ -95,17 +96,6 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _draw_helpers(rng: np.random.Generator, groups: int) -> int:
-    """Helper threads for drawing `groups` groups from `rng`: one per other
-    available CPU, at most one per group past the first, and none when rng
-    cannot jump. PCG64's and PCG64DXSM's `advance(k)` moves them past k
-    64-bit draws; the others cannot jump by a number of draws (Philox's
-    advance counts blocks of four)."""
-    if groups < 2 or type(rng.bit_generator) not in (np.random.PCG64, np.random.PCG64DXSM):
-        return 0
-    return min(groups, _available_cpus()) - 1
-
-
 def _jumped(rng: np.random.Generator, draws: int) -> np.random.Generator:
     """A new generator where `rng` stands after `draws` more 64-bit draws.
     `Generator.random` takes one draw per double and leaves the buffered
@@ -160,58 +150,62 @@ def _in_order(tasks: list, threads: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _drawn_groups(rng: np.random.Generator, sizes: np.ndarray, d: int, mask: np.ndarray | None = None):
-    """The presence rows (`_presence_rows`) of each group of `_MC_GROUP`
-    row blocks of `sizes`, in order, drawn by the caller and `_draw_helpers`
-    helpers (`_in_order`, which holds at most 2 × (helpers + 1) groups).
-    Without helpers the groups are drawn in turn from `rng`. With them,
-    each is drawn from a copy of rng jumped past the groups before it, and
-    rng is jumped past them all. Consecutive `rng.random`
-    calls continue one stream of doubles, so the rows and the rng stream
-    are those of one `_presence_rows` call over all of sizes, bit for bit,
-    whatever the number of threads and the block size.
+def _drawn_groups(rng: np.random.Generator, n: int, d: int, mask: np.ndarray | None = None):
+    """Draw n removal sizes, uniform on 1..d, and yield each group of
+    `_MC_GROUP` row blocks' (sizes, presence rows) in order: the package's
+    one draw of sizes and one cut into groups. The rows (`_presence_rows`)
+    are drawn by the caller and one helper per other available CPU, at most
+    one per group past the first (`_in_order`, which holds at most
+    2 × threads groups). Without helpers the groups are drawn in turn from
+    rng; with them, each from a copy of rng jumped past the groups before
+    it, and rng is jumped past them all. Consecutive `rng.random` calls
+    continue one stream of doubles, so the sizes, the rows and the rng
+    stream are those of one serial pass, bit for bit, whatever the number
+    of threads and the block size.
 
     With `mask`, each group is written into its rows of mask, and the
     drawing threads share the two row blocks of scratch of one serial
-    draw: each draws blocks of 1 / (helpers + 1) of `_block_rows(n, d)`
-    rows. Without, each group is its own array of whole blocks.
+    draw: each draws blocks of 1 / threads of `_block_rows(n, d)` rows.
+    Without, each group is its own array of whole blocks.
     """
-    n = len(sizes)
+    sizes = rng.integers(1, d + 1, size=n)
     rows = _MC_GROUP * _block_rows(n, d)
     starts = range(0, n, rows)
-    helpers = _draw_helpers(rng, len(starts))
-    block = None if mask is None else max(1, _block_rows(n, d) // (helpers + 1))
+    # PCG64's and PCG64DXSM's `advance(k)` moves them past k 64-bit draws;
+    # the others cannot jump by a number of draws (Philox's advance counts
+    # blocks of four), so they draw their groups in turn.
+    jumps = type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM)
+    threads = min(len(starts), _available_cpus()) if jumps else 1
+    block = None if mask is None else max(1, _block_rows(n, d) // threads)
 
     def draw(generator, start):
         group = slice(start, start + rows)
-        return _presence_rows(generator, sizes[group], d, None if mask is None else mask[group], block)
+        z = _presence_rows(generator, sizes[group], d, None if mask is None else mask[group], block)
+        return sizes[group], z
 
-    if not helpers:
+    if threads < 2:
         return (draw(rng, start) for start in starts)
     draws = [functools.partial(draw, _jumped(rng, start * d), start) for start in starts]
     rng.bit_generator.state = _jumped(rng, n * d).bit_generator.state
-    return _in_order(draws, helpers + 1)
+    return _in_order(draws, threads)
 
 
 def draw_feature_matrix(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n removal sizes, then their binary feature matrix by
-    `_presence_rows`: (sizes, z) with sizes of shape (n,) and z of shape
-    (n, d), z[i, j] = 1 iff word j survives in sample i.
+    """Draw n removal sizes and their binary feature matrix: (sizes, z)
+    with sizes of shape (n,) and z of shape (n, d), z[i, j] = 1 iff word j
+    survives in sample i.
 
-    The rows are drawn straight into z by groups of `_MC_GROUP` row blocks
-    (`_drawn_groups`): when there are several and rng can jump, by the
-    calling thread and one helper per other available CPU. The sizes, z and
-    the state rng is left in are those of one serial pass, bit for bit, at
-    any thread count.
+    `_drawn_groups` draws the sizes, then the rows into z by groups of
+    `_MC_GROUP` row blocks, on the calling thread and, when there are
+    several and rng can jump, one helper per other available CPU. The
+    sizes, z and rng's end state are the serial pass's at any thread count.
     """
     if d < 1:
         raise ValueError("empty local dictionary")
     if n < 1:
         raise ValueError("need at least one sample")
-    sizes = rng.integers(1, d + 1, size=n)
     mask = np.empty((n, d), np.bool_)
-    for _ in _drawn_groups(rng, sizes, d, mask):
-        pass
+    sizes = np.concatenate([group for group, _ in _drawn_groups(rng, n, d, mask)])
     return sizes, mask.view(np.int8)
 
 

@@ -8,7 +8,8 @@ the expected weighted responses. This module computes those pieces exactly,
 specializes them to indicator products and trees and, by TF-IDF mass
 classes, to linear models (`beta_linear`), enumerates them for any model at
 d <= ENUMERATION_LIMIT (`beta_enumerated`), and provides `beta_general_mc`,
-the package's one Monte Carlo oracle, for the rest.
+the package's one Monte Carlo oracle, for the rest: it samples by the
+sampler's own code (`sampling._drawn_groups`), as `explain` does.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .corpus import Document, IdfTable, LocalDictionary, local_dictionary, tfidf_weights
 from .models import CombinedModel, Model, _split, _weight_vector
-from .sampling import _MC_GROUP, _block_rows, _drawn_groups, _float_blocks
+from .sampling import _drawn_groups, _float_blocks
 from .sampling import _kernel_table, _responses, renormalized_tfidf
 
 EXACT_CLOSED_FORM = "exact-closed-form"
@@ -546,25 +547,6 @@ _MC_CHUNK = 65_536
 _MC_CELLS = 2**21
 
 
-def _mc_group_sums(
-    model: Model, z: np.ndarray, sizes: np.ndarray, kernel: np.ndarray,
-    local: LocalDictionary, masses: np.ndarray, ss: SigmaSet,
-) -> list[np.ndarray]:
-    """The 6 + 3d sums of `_mc_chunk_sums` of each `_float_blocks` block of
-    one group of samples, whose removal sizes are `sizes` and whose
-    presence rows are `z`."""
-    d = local.d
-    t = kernel[sizes] * _responses(model, z, local.words, masses)
-    kept = d - sizes
-    c, a = ss.explain(t, 0.0, t * kept)
-    blocks = []
-    for s, block in _float_blocks(z):
-        ti, ai, ci = t[s], a[s], c[s]
-        firsts = [ci.sum(), ci @ ci, ai.sum(), ai @ ai, ti.sum(), ti @ kept[s]]
-        blocks.append(np.concatenate([firsts, (np.stack([ti, ai * ti, ti * ti]) @ block).ravel()]))
-    return blocks
-
-
 def _mc_chunk_sums(
     model: Model, rng: np.random.Generator, n: int, kernel: np.ndarray,
     local: LocalDictionary, masses: np.ndarray, ss: SigmaSet,
@@ -574,28 +556,29 @@ def _mc_chunk_sums(
 
     Sample i solves t_i [1; z_i] into c_i and a_i + t_i z_i / gap, where
     (c_i, a_i) is `SigmaSet.explain` with g = 0 and total t_i kept_i. z is
-    binary, so the column sums come from three products with z. The n sizes
-    are drawn at once. Then each group of _MC_GROUP blocks of
-    `_block_rows(n, d)` rows is drawn (`_drawn_groups`, on helper threads
-    joined before this returns or raises), and answered and summed per
-    block while in cache (`_mc_group_sums`), in group order on the caller's
+    binary, so the column sums come from three products with z. Each group
+    of sizes and presence rows from `_drawn_groups` (drawn on helper
+    threads joined before this returns or raises) is answered, then summed
+    per `_float_blocks` block while in cache, in order on the caller's
     thread. Only the draws run on the helpers: they spend their time in
     numpy calls that release the GIL, whereas answering and summing make
     many short calls, which on two threads at once mostly wait for each
-    other. The blocks' sums are added in block order. So the rng
-    stream and every sum are those of one pass over the whole chunk, bit
-    for bit, whatever the number of threads.
+    other. So the rng stream and every sum are those of one pass over the
+    whole chunk, bit for bit, whatever the number of threads. Returning
+    frees the chunk's sizes and last group before the next chunk's draw.
     """
     d = local.d
-    sizes = rng.integers(1, d + 1, size=n)
-    rows = _MC_GROUP * _block_rows(n, d)
-    groups = [sizes[start : start + rows] for start in range(0, n, rows)]
-    presence = _drawn_groups(rng, sizes, d)
     sums = np.zeros(6 + 3 * d)
-    with contextlib.closing(presence):
-        for z, group in zip(presence, groups):
-            for block_sums in _mc_group_sums(model, z, group, kernel, local, masses, ss):
-                sums += block_sums
+    with contextlib.closing(_drawn_groups(rng, n, d)) as groups:
+        for sizes, z in groups:
+            t = kernel[sizes] * _responses(model, z, local.words, masses)
+            kept = d - sizes
+            c, a = ss.explain(t, 0.0, t * kept)
+            for s, block in _float_blocks(z):
+                ti, ai, ci = t[s], a[s], c[s]
+                firsts = [ci.sum(), ci @ ci, ai.sum(), ai @ ai, ti.sum(), ti @ kept[s]]
+                sums += np.concatenate([firsts, (np.stack([ti, ai * ti, ti * ti]) @ block).ravel()])
+            del t, kept, c, a, ti, ai, ci, block  # freed before the next group is drawn
     return sums
 
 
@@ -614,14 +597,14 @@ def beta_general_mc(
     Estimates the expected weighted responses by sampling and solves the
     exact covariance against them. This is the universal oracle: it works
     for every model in scope, at any bandwidth the covariance solve resolves.
-    Its samples are drawn, answered and summed one cache-sized group at a
-    time (`_mc_chunk_sums`), so no (chunk, d) array is formed. When the
-    generator can jump (PCG64, the default, or PCG64DXSM), each chunk's
-    groups are drawn by the calling thread and one helper per other
-    available CPU (`sampling._drawn_groups`, as in `draw_feature_matrix`);
-    any other generator draws them in turn. The groups are answered and
-    summed on the calling thread. The result is the same bits either way,
-    at any thread count.
+    Each chunk's removal sizes and presence rows come from
+    `sampling._drawn_groups`, as in `draw_feature_matrix`, and are answered
+    and summed one cache-sized group at a time (`_mc_chunk_sums`), so no
+    (chunk, d) array is formed. When the generator can jump (PCG64, the
+    default, or PCG64DXSM), each chunk's groups are drawn by the calling
+    thread and one helper per other available CPU; any other generator
+    draws them in turn. The groups are answered and summed on the calling
+    thread. The result is the same bits either way, at any thread count.
     """
     if not document.tokens:
         raise ValueError("cannot explain an empty document")

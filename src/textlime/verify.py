@@ -122,6 +122,8 @@ def run_repeated(
     """
     if n_exp < 1:
         raise ValueError("need at least one repetition")
+    if threads < 1:
+        raise ValueError("worker count must be at least 1")
     work = functools.partial(explain, model, document, idf, n=n, nu=nu, ridge=ridge)
     tasks = [functools.partial(work, seed=derive_seed(master_seed, run)) for run in range(n_exp)]
     runs = list(_in_order(tasks, threads))

@@ -396,7 +396,8 @@ class TestOneAvailableCpu:
 class TestOneThreadOwner:
     """`sampling._in_order` is the package's one starter of threads: no
     other module of the package imports `threading` or `concurrent.futures`,
-    and no other function constructs a `ThreadPoolExecutor`."""
+    and no other function constructs a `ThreadPoolExecutor`. Likewise
+    `sampling._drawn_groups` is its one caller of `Generator.integers`."""
 
     MODULES = sorted(Path(sampling.__file__).parent.glob("*.py"))
 
@@ -424,6 +425,17 @@ class TestOneThreadOwner:
                     ):
                         starters.append((path.stem, getattr(top, "name", None)))
         assert starters == [("sampling", "_in_order")]
+
+    def test_only_drawn_groups_draws_integers(self):
+        # Removal sizes are drawn in one place, which the sampler and the
+        # Monte Carlo oracle share.
+        callers = []
+        for path in self.MODULES:
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "integers":
+                        callers.append((path.stem, getattr(top, "name", None)))
+        assert callers == [("sampling", "_drawn_groups")]
 
 
 class TestThreadedSampler:

@@ -1287,7 +1287,7 @@ def streamed_case(kind, d, n_mc, nu):
     local = local_dictionary(doc)
     assert local.d == d
     chunk = min(theory._MC_CHUNK, theory._MC_CELLS // d)
-    assert n_mc % chunk and n_mc % (theory._MC_GROUP * sampling._block_rows(chunk, d))
+    assert n_mc % chunk and n_mc % (sampling._MC_GROUP * sampling._block_rows(chunk, d))
     w = local.words
     tree = tree_from_spec(f'"{w[0]}" + (!"{w[1]}" & "{w[2]}") + ("{w[3]}" & "{w[4]}")')
     linear = LinearModel(linear_weights(local, d))
@@ -1441,8 +1441,9 @@ class Failing(Model):
 
 class TestInOrder:
     """`_in_order` yields its tasks' results in order, raises a task's
-    error at its place, stops its helpers when the caller stops, and runs
-    on at most as many threads as it is given, CPUs and tasks."""
+    error at its place, stops its helpers and cancels the tasks they have
+    not started when the caller stops, and runs on at most as many threads
+    as it is given, CPUs and tasks."""
 
     @staticmethod
     def tasks(n, fail=None):
@@ -1568,6 +1569,47 @@ class TestInOrder:
             got.append(result)
         assert got == list(range(40))
         assert max(leads) <= 2 * threads
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_tasks_no_helper_started_are_cancelled(self, monkeypatch, fails):
+        # The caller stops at task 0, which returns or raises, with tasks 1-3
+        # submitted. A helper's task past 0 ends only once the pool has begun
+        # to shut down, so the one helper holds at most one task then. Each
+        # task records whether it starts after that point: only the task the
+        # helper had already taken may, as every task still queued is
+        # cancelled.
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: 2)
+        shutting_down = threading.Event()
+
+        class Pool(sampling.ThreadPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                shutting_down.set()
+                super().shutdown(wait=wait)
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", Pool)
+        late = []
+
+        def task(caller, i):
+            late.append(shutting_down.is_set())
+            if i and threading.get_ident() != caller:
+                shutting_down.wait(timeout=5)
+            if fails and not i:
+                raise ValueError(i)
+            return i
+
+        def take_one():
+            caller = threading.get_ident()
+            results = sampling._in_order([functools.partial(task, caller, i) for i in range(10)], 2)
+            try:
+                return next(results)
+            except ValueError as exc:
+                return str(exc)
+            finally:
+                results.close()
+
+        assert self.bounded(take_one) == {"result": "0" if fails else 0}
+        assert sum(late) <= 1
 
     def test_a_failing_model_leaves_no_thread_behind(self, monkeypatch):
         doc, idf = streamed_documents()[31]

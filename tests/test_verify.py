@@ -99,6 +99,14 @@ class TestRunRepeated:
         with pytest.raises(ValueError, match="cannot explain an empty document"):
             run_repeated(model, Document(tokens=()), idf, n=50, n_exp=3, threads=threads)
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_fewer_than_one_worker_rejected(self, setup, threads):
+        # The CLI's --threads check, with its message.
+        doc, idf, _ = setup
+        model = tree_from_spec('"garden"')
+        with pytest.raises(ValueError, match="^worker count must be at least 1$"):
+            run_repeated(model, doc, idf, n=50, n_exp=3, threads=threads)
+
     # 3 CPUs: the caller plus 2 helpers.
     @pytest.mark.parametrize("cpus, pools", [(3, [2]), (None, [])])
     def test_workers_capped_at_cpu_count(self, setup, monkeypatch, cpus, pools):
