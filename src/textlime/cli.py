@@ -380,7 +380,7 @@ def cmd_sweep(config, **_):
 
 
 @cli.command("alpha-table")
-@click.option("--d", type=int, required=True, help="Local dictionary size.")
+@click.option("--d", type=int, help="Local dictionary size.")
 @nu_option
 @nu_lime_option
 @click.option("--p-max", type=int, default=4, help="Largest moment order.")
@@ -391,6 +391,8 @@ def cmd_alpha_table(config, **_):
     """Tabulate the kernel moment sequence with its limit and bounds."""
     options = resolve_options(config)
     d, p_max = options["d"], options["p_max"]
+    if d is None:
+        raise fail("d", "required (local dictionary size)")
     if d < 1:
         raise fail("d", "must be at least 1")
     if not 0 <= p_max <= d:

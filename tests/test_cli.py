@@ -580,6 +580,28 @@ class TestAlphaTableCommand:
         assert result.exit_code != 0
         assert "p-max" in result.output
 
+    def test_d_from_config(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"d": 5}))
+        result = runner.invoke(
+            cli, ["alpha-table", "--config", str(config), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "alpha-table-d5-0.25-4.csv").is_file()
+
+    def test_d_from_environment(self, runner, tmp_path):
+        result = runner.invoke(
+            cli, ["alpha-table", "--out", str(tmp_path)], env={"TEXTLIME_ALPHA_TABLE_D": "5"}
+        )
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "alpha-table-d5-0.25-4.csv").is_file()
+
+    def test_missing_d_named(self, runner, tmp_path):
+        result = runner.invoke(cli, ["alpha-table", "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "Error: d: required (local dictionary size)" in result.output
+        assert not list(tmp_path.iterdir())
+
 
 class TestConfigResolution:
     def test_config_file_supplies_values(self, runner, tmp_path):

@@ -397,7 +397,9 @@ class TestOneThreadOwner:
     """`sampling._in_order` is the package's one starter of threads: no
     other module of the package imports `threading` or `concurrent.futures`,
     and no other function constructs a `ThreadPoolExecutor`. Likewise
-    `sampling._drawn_groups` is its one caller of `Generator.integers`."""
+    `sampling._drawn_groups` is its one caller of `Generator.integers`, and
+    `sampling._responses` and `theory._mc_chunk_sums` its only callers of
+    `_float_blocks`."""
 
     MODULES = sorted(Path(sampling.__file__).parent.glob("*.py"))
 
@@ -436,6 +438,17 @@ class TestOneThreadOwner:
                     if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "integers":
                         callers.append((path.stem, getattr(top, "name", None)))
         assert callers == [("sampling", "_drawn_groups")]
+
+    def test_only_responses_and_the_oracle_cast_blocks(self):
+        # Every part of a model that reads float rows is answered in one
+        # pass of cast blocks; the oracle's sums make the only other pass.
+        callers = []
+        for path in self.MODULES:
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_float_blocks":
+                        callers.append((path.stem, getattr(top, "name", None)))
+        assert callers == [("sampling", "_responses"), ("theory", "_mc_chunk_sums")]
 
 
 class TestThreadedSampler:

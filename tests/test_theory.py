@@ -1232,6 +1232,44 @@ class TestBetaGeneralMc:
             monkeypatch.setattr(sampling, "_available_cpus", lambda: 2)
             assert self.mc_peak(model, doc, idf, 4 * theory._MC_CHUNK) <= one + window + keys, name
 
+    def test_one_chunk_on_one_cpu_peaks_at_one_group_past_the_draw(self, monkeypatch):
+        # On one CPU a chunk holds its int64 sizes and the presence rows of
+        # the group just answered while the next group is drawn; that group's
+        # per-sample arrays and float block are freed before the draw. The
+        # draw's own peak (its presence rows, the sampler's two key blocks
+        # and numpy's temporaries) is measured, and one per-sample array of
+        # a group is the slack. On doc 0 this reads 1.59 MiB against a
+        # bound of 1.65 MiB; holding the last group's t, kept, c, a and
+        # float block across the draw read 2.10 MiB.
+        monkeypatch.setattr(sampling, "_available_cpus", lambda: 1)
+        corpus = load_corpus(bundled_corpus_path())
+        doc, idf = corpus.documents[0], fit_idf(corpus)
+        d = local_dictionary(doc).d
+        n = min(theory._MC_CHUNK, theory._MC_CELLS // d)
+        group = sampling._MC_GROUP * sampling._block_rows(n, d)
+        assert group < n
+        rng = np.random.default_rng(1)
+        sizes = rng.integers(1, d + 1, size=group)
+        draws = []
+        for _ in range(2):  # the first call in a process reads high
+            tracemalloc.start()
+            try:
+                sampling._presence_rows(rng, sizes, d)
+                draws.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        bound = 8 * n + group * d + draws[-1] + 8 * group
+        tree = tree_from_spec('"food" + (!"food" & "about" & "Everything")')
+        linear = LinearModel({"food": 1.5, "about": -0.75})
+        models = {
+            "tree": tree,
+            "linear": linear,
+            "tree plus linear": combine([(1.0, tree), (1.0, linear)]),
+        }
+        for name, model in models.items():
+            self.mc_peak(model, doc, idf, n)  # the first call in a process reads high
+            assert self.mc_peak(model, doc, idf, n) <= bound, name
+
     def test_peak_memory_is_bounded_at_large_d(self):
         # A chunk holds at most 2**21 presence cells whatever d is: about
         # 3 MB peak here, where 65,536-row chunks at d = 1000 took 325 MB.
