@@ -24,13 +24,16 @@ from . import serialize
 from .corpus import Corpus, Document, IdfTable, fit_idf, load_corpus, local_dictionary, tokenize
 from .models import (
     IndicatorProduct,
+    LinearModel,
     Model,
     TreeSpecError,
     load_linear_model,
     tree_from_spec,
 )
 from .surrogate import explain as run_explain
-from .theory import ClosedFormDomainError, _NarrowBandwidth, population_explanation
+from .theory import (
+    ClosedFormDomainError, _NarrowBandwidth, beta_general_mc, beta_linear, population_explanation,
+)
 from .verify import (
     compare,
     default_nu_grid,
@@ -101,6 +104,8 @@ def resolve_options(config_path: str | None) -> dict:
     if "nu_lime" in options and ctx.get_parameter_source("nu_lime") is not ParameterSource.DEFAULT:
         if ctx.get_parameter_source("nu") is not ParameterSource.DEFAULT:
             raise fail("nu/nu-lime", "give exactly one of --nu and --nu-lime")
+        if not options["nu_lime"] > 0:
+            raise fail("nu-lime", "bandwidth must be positive")
         options["nu"] = options["nu_lime"] / 100.0
     for name, valid, message in _RANGE_CHECKS:
         if name in options and not valid(options[name]):
@@ -196,13 +201,18 @@ def _too_narrow(field: str, exc: ValueError) -> "click.ClickException":
 
 
 def population_or_fail(options: dict, model: Model, document: Document, idf: IdfTable, **kwargs):
-    """`population_explanation` at the options' nu, linear mode and seed. A
-    closed form's domain error blames nu if the bandwidth is too narrow, else doc."""
+    """The theory of `theory` and `verify` at the options' nu and seed: the
+    oracle `beta_general_mc` under --theory-method mc, else the simplified
+    `beta_linear` of a linear model under --linear-mode simplified, else
+    `population_explanation`, which routes by the model. A closed form's
+    domain error blames nu if the bandwidth is too narrow, else doc."""
+    nu, seed = options["nu"], options["seed"]
     try:
-        return population_explanation(
-            model, document, idf, nu=options["nu"], linear_mode=options["linear_mode"],
-            seed=options["seed"], **kwargs,
-        )
+        if options.get("theory_method") == "mc":
+            return beta_general_mc(model, document, idf, nu=nu, seed=seed, **kwargs)
+        if isinstance(model, LinearModel) and options["linear_mode"] == "simplified":
+            return beta_linear(model, document, idf, mode="simplified", nu=nu)
+        return population_explanation(model, document, idf, nu=nu, seed=seed, **kwargs)
     except ClosedFormDomainError as exc:
         raise fail("nu" if isinstance(exc, _NarrowBandwidth) else "doc", str(exc))
 
@@ -290,10 +300,7 @@ def cmd_theory(config, **_):
     """Write the population explanation: closed form, enumeration or Monte Carlo."""
     options = resolve_options(config)
     document, model, idf = load_inputs(options)
-    theory = population_or_fail(
-        options, model, document, idf,
-        n_mc=options["n_mc"], monte_carlo=options["theory_method"] == "mc",
-    )
+    theory = population_or_fail(options, model, document, idf, n_mc=options["n_mc"])
     path = out_path(options, "theory", model_tag(options["model"]))
     serialize.write_theory(theory, path, options["format"])
     click.echo(f"wrote {path} (provenance: {theory.provenance})")

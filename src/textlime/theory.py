@@ -654,39 +654,33 @@ def population_explanation(
     idf: IdfTable,
     *,
     nu: float,
-    linear_mode: str = "full",
     n_mc: int = 200_000,
     seed=0,
-    monte_carlo: bool = False,
 ) -> TheoryExplanation:
-    """The population explanation of any model, by the best available route.
+    """The population explanation of any model, by the route the model picks.
 
     The explanation is linear in the model, so it is the sum of those of
     the parts of `_split(model)`: the tree's exact `beta_tree`; the linear
-    part's `beta_linear` (in `linear_mode` if bare, by default the exact
-    "full"; always full in a combination) where its grid fits
-    CLASS_GRID_BUDGET; and one explanation of the rest, which the linear
-    part joins when its grid does not fit. The rest, the whole model
-    when no part has a closed form, and every model when `monte_carlo` is
-    set, take the exact `beta_enumerated` at d <= ENUMERATION_LIMIT (unless
-    `monte_carlo`), else the oracle `beta_general_mc` with `n_mc` samples
-    from `seed`. A combination's `notes["parts"]` names the route of each
-    of its at most three parts: tree, linear and remainder.
+    part's exact `beta_linear` where its grid fits CLASS_GRID_BUDGET; and
+    one explanation of the rest, which the linear part joins when its grid
+    does not fit. The rest, or the whole model when no part has a closed
+    form, takes `beta_enumerated` at d <= ENUMERATION_LIMIT, else the oracle
+    `beta_general_mc` with `n_mc` samples from `seed`. A combination's
+    `notes["parts"]` names the route of each of its at most three parts.
     """
     local = local_dictionary(document)
 
     def fallback(m: Model):
-        if not monte_carlo and local.d <= ENUMERATION_LIMIT:
+        if local.d <= ENUMERATION_LIMIT:
             return "beta_enumerated", beta_enumerated(m, document, idf, nu=nu)
         return "beta_general_mc", beta_general_mc(m, document, idf, nu=nu, n_mc=n_mc, seed=seed)
 
-    tree, linear, rest = (None, None, ()) if monte_carlo else _split(model)
+    tree, linear, rest = _split(model)
     combined = isinstance(model, CombinedModel)
     parts = [] if tree is None else [("beta_tree", beta_tree(tree, local, nu))]
     if linear is not None:
-        mode = "full" if combined else linear_mode
         try:
-            parts.append(("beta_linear", beta_linear(linear, document, idf, mode=mode, nu=nu)))
+            parts.append(("beta_linear", beta_linear(linear, document, idf, mode="full", nu=nu)))
         except _ClassGridTooLarge:
             rest += ((1.0, linear),)
     if not parts:

@@ -211,6 +211,18 @@ def compare(stats: RunStatistics, theory: TheoryExplanation) -> ComparisonReport
     )
 
 
+def _repeated(points, document: Document, idf: IdfTable, master_seed, **kwargs):
+    """Yield `run_repeated(model, document, idf, n=n, nu=nu, **kwargs)` for
+    each (model, n, nu) of `points`, the i-th from master seed
+    `derive_seed(master_seed, i)`, running each as it is taken."""
+    return (
+        run_repeated(
+            model, document, idf, n=n, nu=nu, master_seed=derive_seed(master_seed, i), **kwargs
+        )
+        for i, (model, n, nu) in enumerate(points)
+    )
+
+
 def default_nu_grid() -> np.ndarray:
     """24 log-spaced bandwidths bracketing the sign-flip region and the
     large-bandwidth regime."""
@@ -249,21 +261,11 @@ def sweep_bandwidth(
     grid = default_nu_grid() if nu_grid is None else np.asarray(nu_grid, dtype=float)
     if not np.all(grid > 0):
         raise ValueError("bandwidth grid must be positive")
-    points = []
-    for idx, nu in enumerate(grid):
-        stats = run_repeated(
-            model,
-            document,
-            idf,
-            n=n,
-            nu=float(nu),
-            ridge=ridge,
-            n_exp=n_exp,
-            master_seed=derive_seed(master_seed, idx),
-            threads=threads,
-        )
-        points.append(SweepPoint(nu=float(nu), **stats.summary(j)))
-    return points
+    runs = _repeated(
+        [(model, n, float(nu)) for nu in grid], document, idf, master_seed,
+        ridge=ridge, n_exp=n_exp, threads=threads,
+    )
+    return [SweepPoint(nu=float(nu), **stats.summary(j)) for nu, stats in zip(grid, runs)]
 
 
 @dataclass(frozen=True)
@@ -312,12 +314,9 @@ def linearity_check(
     if n_exp < 2:
         raise ValueError("need n_exp >= 2 to pool noise")
     combined = combine([(1.0, f), (1.0, g)])
-    stats_f, stats_g, stats_fg = (
-        run_repeated(
-            model, document, idf, n=n, nu=nu, ridge=ridge, n_exp=n_exp,
-            master_seed=derive_seed(master_seed, i), threads=threads,
-        )
-        for i, model in enumerate((f, g, combined))
+    stats_f, stats_g, stats_fg = _repeated(
+        [(model, n, nu) for model in (f, g, combined)], document, idf, master_seed,
+        ridge=ridge, n_exp=n_exp, threads=threads,
     )
 
     pooled = np.sqrt(stats_f.std**2 + stats_g.std**2 + stats_fg.std**2)
@@ -394,21 +393,11 @@ def concentration_check(
     if len(n_values) < 2 or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_grid must be increasing with at least two points")
     local = local_dictionary(document)
-    stds = []
-    for idx, n in enumerate(n_values):
-        stats = run_repeated(
-            model,
-            document,
-            idf,
-            n=n,
-            nu=nu,
-            ridge=ridge,
-            n_exp=n_exp,
-            master_seed=derive_seed(master_seed, idx),
-            threads=threads,
-        )
-        stds.append(stats.std)
-    stds_arr = np.vstack(stds)
+    runs = _repeated(
+        [(model, n, nu) for n in n_values], document, idf, master_seed,
+        ridge=ridge, n_exp=n_exp, threads=threads,
+    )
+    stds_arr = np.vstack([stats.std for stats in runs])
     ratios = stds_arr[1:] / np.where(stds_arr[:-1] > 0, stds_arr[:-1], np.nan)
 
     log_n = np.log(np.array(n_values, dtype=float))

@@ -7,7 +7,16 @@ import pytest
 from click.testing import CliRunner
 
 import textlime.cli
-from textlime import bundled_corpus_path, load_corpus, local_dictionary
+from textlime import (
+    LinearModel,
+    beta_general_mc,
+    beta_linear,
+    bundled_corpus_path,
+    fit_idf,
+    load_corpus,
+    local_dictionary,
+    tree_from_spec,
+)
 from textlime.cli import cli
 
 CORPUS = str(bundled_corpus_path())
@@ -270,6 +279,62 @@ class TestTheoryCommand:
         (path,) = list(tmp_path.iterdir())
         header = path.read_text().splitlines()[0]
         assert header == "word,coefficient,rank,stderr,provenance"
+
+    @pytest.mark.parametrize("mode", ["simplified", "full"])
+    def test_linear_mode_writes_beta_linear_in_that_mode(self, runner, tmp_path, mode):
+        corpus = load_corpus(bundled_corpus_path())
+        weights = {"brunch": 1.0, "tea": -2.0}
+        spec = tmp_path / "linear.json"
+        spec.write_text(json.dumps(weights))
+        result = runner.invoke(
+            cli,
+            [
+                "theory", "--corpus", CORPUS, "--doc", "5", "--model", str(spec),
+                "--linear-mode", mode, "--nu", "0.3", "--format", "json",
+                "--out", str(tmp_path / "out"),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        (path,) = list((tmp_path / "out").iterdir())
+        payload = read_json(path)
+        want = beta_linear(
+            LinearModel(weights), corpus.documents[5], fit_idf(corpus), mode=mode, nu=0.3
+        )
+        assert payload["provenance"] == want.provenance
+        assert payload["notes"]["mode"] == want.notes["mode"] == mode
+        assert payload["intercept"] == want.intercept
+        got = {row["word"]: row["coefficient"] for row in payload["coefficients"]}
+        assert got == dict(zip(want.words, want.coefficients))
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_forced_monte_carlo_writes_the_oracle(self, runner, tmp_path, linear):
+        # --theory-method mc is the oracle at the options' nu, n_mc and seed,
+        # and it wins over --linear-mode simplified. The JSON file's 17
+        # digits give back each double.
+        corpus = load_corpus(bundled_corpus_path())
+        weights = {"brunch": 1.0, "tea": -2.0}
+        spec = tmp_path / "linear.json"
+        spec.write_text(json.dumps(weights))
+        tree = '"brunch" + ("tea" & "good")'
+        args = [
+            "theory", "--corpus", CORPUS, "--doc", "5", "--model", str(spec) if linear else tree,
+            "--theory-method", "mc", "--linear-mode", "simplified", "--n-mc", "5000",
+            "--nu", "0.3", "--seed", "7", "--format", "json", "--out", str(tmp_path / "out"),
+        ]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0, result.output
+        assert "(provenance: monte-carlo)" in result.output
+        (path,) = list((tmp_path / "out").iterdir())
+        payload = read_json(path)
+        model = LinearModel(weights) if linear else tree_from_spec(tree)
+        want = beta_general_mc(
+            model, corpus.documents[5], fit_idf(corpus), nu=0.3, n_mc=5000, seed=7
+        )
+        assert payload["provenance"] == want.provenance == "monte-carlo"
+        assert payload["intercept"] == want.intercept
+        assert payload["intercept_stderr"] == want.intercept_stderr
+        got = {row["word"]: (row["coefficient"], row["stderr"]) for row in payload["coefficients"]}
+        assert got == dict(zip(want.words, zip(want.coefficients, want.coefficient_stderr)))
 
     @pytest.mark.parametrize("n_mc", ["0", "1"])
     def test_too_few_monte_carlo_samples_rejected(self, runner, tmp_path, n_mc):
@@ -804,6 +869,38 @@ class TestConfigResolution:
         result = runner.invoke(cli, base + ["--config", str(config), "--nu", "0.1"])
         assert result.exit_code == 1
         assert "nu/nu-lime" in result.output
+
+    @pytest.mark.parametrize(
+        "command, source, value",
+        [
+            ("explain", "flag", "-5"),
+            ("theory", "config", "0"),
+            ("verify", "environment", "nan"),
+            ("alpha-table", "flag", "-1"),
+        ],
+    )
+    def test_out_of_range_nu_lime_is_named(self, runner, tmp_path, command, source, value):
+        # The bandwidth is checked in the units the user gave, not as --nu.
+        out = tmp_path / "out"
+        if command == "alpha-table":
+            args = ["alpha-table", "--d", "5", "--out", str(out)]
+        else:
+            args = [
+                command, "--corpus", CORPUS, "--doc", "0", "--model", '"food"', "--out", str(out),
+            ]
+        env = {}
+        if source == "flag":
+            args += ["--nu-lime", value]
+        elif source == "config":
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"nu-lime": float(value)}))
+            args += ["--config", str(path)]
+        else:
+            env = {f"TEXTLIME_{command.upper()}_NU_LIME": value}
+        result = runner.invoke(cli, args, env=env)
+        assert result.exit_code == 1
+        assert result.output == "Error: nu-lime: bandwidth must be positive\n"
+        assert not out.exists()
 
     def test_config_keys_of_other_commands_are_ignored(self, runner, tmp_path):
         # explain has no --n-exp or --n-mc, so their range checks do not apply.

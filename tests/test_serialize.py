@@ -9,6 +9,7 @@ import pytest
 
 from textlime import (
     IndicatorProduct,
+    beta_general_mc,
     explain,
     fit_idf,
     population_explanation,
@@ -140,9 +141,8 @@ class TestCsvCarriesTheIntercept:
     def test_theory(self, setup, tmp_path, monte_carlo):
         doc, idf = setup
         model = tree_from_spec('"harbor" + ("amber" & "dusk")')
-        result = population_explanation(
-            model, doc, idf, nu=0.25, n_mc=5000, seed=1, monte_carlo=monte_carlo
-        )
+        route = beta_general_mc if monte_carlo else population_explanation
+        result = route(model, doc, idf, nu=0.25, n_mc=5000, seed=1)
         write_theory(result, tmp_path / "t.csv", "csv")
         write_theory(result, tmp_path / "t.json", "json")
         payload = json.loads((tmp_path / "t.json").read_text())

@@ -934,7 +934,7 @@ class TestBetaLinear:
         with pytest.raises(ValueError, match="bandwidth nu must be positive"):
             beta_linear(lam, doc, idf, mode=mode, nu=nu)
         with pytest.raises(ValueError, match="bandwidth nu must be positive"):
-            population_explanation(LinearModel(lam), doc, idf, nu=nu, linear_mode=mode)
+            population_explanation(LinearModel(lam), doc, idf, nu=nu)
 
     @pytest.mark.parametrize("mode", ["simplified", "full"])
     def test_infinite_bandwidth_is_accepted(self, linear_setup, mode):
@@ -1680,30 +1680,30 @@ class TestPopulationExplanation:
             assert got == beta_tree(as_tree, local, 0.3)
             assert got.provenance == "exact-closed-form"
 
-    @pytest.mark.parametrize(
-        "mode, provenance",
-        [("simplified", "large-bandwidth-approx"), ("full", "exact-closed-form")],
-    )
-    def test_linear_models_take_beta_linear_in_their_mode(
-        self, linear_setup, mode, provenance
-    ):
+    def test_linear_models_take_beta_linear_in_full_mode(self, linear_setup):
+        # The simplified constant is not a route of the dispatcher; the CLI
+        # calls beta_linear for it (tests/test_cli.py).
         _, doc, idf, _, lam = linear_setup
         model = LinearModel(coefficients=lam)
-        got = population_explanation(model, doc, idf, nu=0.3, linear_mode=mode, seed=4)
-        assert got == beta_linear(model, doc, idf, mode=mode, nu=0.3)
-        assert got.provenance == provenance
+        got = population_explanation(model, doc, idf, nu=0.3, seed=4)
+        assert got == beta_linear(model, doc, idf, mode="full", nu=0.3)
+        assert got.provenance == "exact-closed-form"
 
-    def test_other_models_and_forced_monte_carlo_take_the_oracle(self, doc_idf):
+    def test_other_models_below_the_enumeration_limit_are_exact(self, doc_idf):
         # At d <= ENUMERATION_LIMIT a custom model is enumerated exactly, and
         # a tree-plus-linear combination is the sum of its parts' closed
-        # forms, the linear part in full mode. Monte Carlo runs only when forced.
+        # forms, the linear part in full mode. The oracle never runs.
         doc, idf = doc_idf
         local = local_dictionary(doc)
         assert local.d <= theory.ENUMERATION_LIMIT
         tree = tree_from_spec('"food" + "staff"')
         linear = LinearModel(coefficients={"fun": 1.0})
         mixed = combine([(1.0, tree), (2.0, linear)])
-        got = population_explanation(mixed, doc, idf, nu=0.3, n_mc=5000, seed=9)
+        no_oracle = mock.patch.object(
+            theory, "beta_general_mc", side_effect=AssertionError("the oracle ran")
+        )
+        with no_oracle:
+            got = population_explanation(mixed, doc, idf, nu=0.3, n_mc=5000, seed=9)
         want = sum_of_parts(
             (1.0, beta_tree(tree, local, 0.3)),
             (2.0, beta_linear(linear, doc, idf, mode="full", nu=0.3)),
@@ -1715,15 +1715,10 @@ class TestPopulationExplanation:
             got, beta_enumerated(mixed, doc, idf, nu=0.3), sigma_set(local.d, 0.3)
         )
         custom = TanhOfLinear({"fun": 1.0, "staff": -2.0})
-        got = population_explanation(custom, doc, idf, nu=0.3, n_mc=5000, seed=9)
+        with no_oracle:
+            got = population_explanation(custom, doc, idf, nu=0.3, n_mc=5000, seed=9)
         assert got == beta_enumerated(custom, doc, idf, nu=0.3)
         assert got.provenance == "exact-enumeration"
-        for model in (mixed, tree, custom):
-            got = population_explanation(
-                model, doc, idf, nu=0.3, n_mc=5000, seed=9, monte_carlo=True
-            )
-            assert got == beta_general_mc(model, doc, idf, nu=0.3, n_mc=5000, seed=9)
-            assert got.provenance == "monte-carlo"
 
     def test_other_models_above_the_enumeration_limit_take_monte_carlo(self):
         # Above the limit a custom model, and a combination of custom leaves
@@ -2195,11 +2190,11 @@ class TestLinearMassClasses:
             for doc, model in models.items():
                 with pytest.raises(ClosedFormDomainError, match="compositions"):
                     beta_linear(model, doc, idf, mode="full")
-            got = population_explanation(models[small], small, idf, nu=0.25, linear_mode="full")
+            got = population_explanation(models[small], small, idf, nu=0.25)
             assert got == beta_enumerated(models[small], small, idf, nu=0.25)
             assert got.provenance == "exact-enumeration"
             got = population_explanation(
-                models[large], large, idf, nu=0.25, linear_mode="full", n_mc=5000, seed=9
+                models[large], large, idf, nu=0.25, n_mc=5000, seed=9
             )
             assert got == beta_general_mc(models[large], large, idf, nu=0.25, n_mc=5000, seed=9)
             assert got.provenance == "monte-carlo"

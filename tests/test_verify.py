@@ -480,6 +480,28 @@ class TestLinearityCheck:
         assert report.theory_max_residual is None
         assert report.theory_vs_combined is None
 
+    def test_rows_are_medians_of_repeated_runs(self, setup):
+        # Run i (f, g, then f + g) is run_repeated at master seed
+        # derive_seed(master_seed, i).
+        doc, idf, _ = setup
+        f = tree_from_spec('"garden" + ("gate" & "morning")')
+        g = LinearModel(coefficients={"sparrows": 1.0, "fountain": -0.5})
+        report = linearity_check(f, g, doc, idf, n=300, nu=0.4, ridge=0.5, n_exp=3, master_seed=7)
+        stats_f, stats_g, stats_fg = (
+            run_repeated(
+                m, doc, idf, n=300, nu=0.4, ridge=0.5, n_exp=3, master_seed=derive_seed(7, i)
+            )
+            for i, m in enumerate((f, g, combine([(1.0, f), (1.0, g)])))
+        )
+        sums = stats_f.median + stats_g.median
+        pooled = np.sqrt(stats_f.std**2 + stats_g.std**2 + stats_fg.std**2)
+        assert [row.word for row in report.rows] == list(stats_fg.words)
+        for j, row in enumerate(report.rows):
+            assert row.sum_of_medians == float(sums[j])
+            assert row.combined_median == float(stats_fg.median[j])
+            assert row.deviation == float(stats_fg.median[j] - sums[j])
+            assert row.pooled_std == float(pooled[j])
+
 
 class TestConcentrationCheck:
     def test_requires_repetitions_for_std(self, setup):
@@ -516,3 +538,17 @@ class TestConcentrationCheck:
                 tree_from_spec('"garden"'), doc, idf, [200, 800], n_exp=5
             )
 
+    def test_rows_are_spreads_of_repeated_runs(self, setup):
+        # The k-th n of the grid is run_repeated at master seed
+        # derive_seed(master_seed, k).
+        doc, idf, _ = setup
+        model = tree_from_spec('"garden" + ("gate" & "morning")')
+        n_grid = [200, 400, 800]
+        table = concentration_check(
+            model, doc, idf, n_grid, nu=0.4, ridge=0.5, n_exp=3, master_seed=7
+        )
+        for k, n in enumerate(n_grid):
+            stats = run_repeated(
+                model, doc, idf, n=n, nu=0.4, ridge=0.5, n_exp=3, master_seed=derive_seed(7, k)
+            )
+            assert table.stds[k].tobytes() == stats.std.tobytes()
